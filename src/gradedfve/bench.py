@@ -121,6 +121,10 @@ class MeshSpec:
             raise ValueError("mesh kind must be uniform, graded or composite")
         if self.kind == "composite" and self.rule is None and self.n1 is None:
             raise ValueError("composite mesh needs a rule or explicit counts")
+        if (self.n1 is None) != (self.n2 is None):
+            raise ValueError("explicit composite counts need both n1 and n2")
+        if self.n1 is not None and min(self.n1, self.n2) < 1:
+            raise ValueError("n1 and n2 must be >= 1")
 
     def coefficients(self, beta: float, n: int) -> BlendCoeffs:
         q = q_for_beta(beta, n) if self.q is None else min(self.q, q_cap(n))
@@ -170,6 +174,8 @@ class CaseConfig:
     def __post_init__(self) -> None:
         if self.solver not in ("pgmres", "gmres", "direct"):
             raise ValueError("solver must be pgmres, gmres or direct")
+        if self.n < 1:
+            raise ValueError("n must be >= 1")
 
 
 @dataclass
@@ -206,7 +212,7 @@ def run_case(cfg: CaseConfig) -> CaseResult:
         if cfg.solver == "pgmres":
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                precond = build_hierarchy(grid, problem).apply
+                precond = build_hierarchy(scaled).apply
         report = gmres(
             scaled.operator, scaled.rhs, precond=precond, tol=cfg.tol, maxit=cfg.maxit
         )

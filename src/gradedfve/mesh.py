@@ -265,6 +265,8 @@ def q_cap(n: int) -> float:
     With step ``h = 1/(n+1)`` the first mapped point is ``h**q``; the cap is
     the exponent making it exactly :data:`FIRST_STEP_FLOOR`.
     """
+    if n < 1:
+        raise MeshError("n must be >= 1")
     return -math.log(FIRST_STEP_FLOOR) / math.log(n + 1)
 
 

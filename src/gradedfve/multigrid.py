@@ -1,8 +1,9 @@
 """Geometric multigrid for the row-scaled FVE systems.
 
 The hierarchy halves the number of interior points per level (keeping the
-even-indexed nodes), rediscretizes the equation on every level grid, and
-row-scales each level by its own ``diag(1/h_i)``.  Grid transfer uses
+even-indexed nodes).  The finest level is the caller's row-scaled operator;
+every coarser level rediscretizes the equation on its grid and row-scales
+it by its own ``diag(1/h_i)``.  Grid transfer uses
 piecewise-linear interpolation on the non-uniform nodes; restriction is
 the weighted transpose of the interpolation (the 1/2 factor that turns the
 transpose into full weighting on a uniform grid).  The smoother is one
@@ -21,7 +22,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .assembly import FdeProblem, assemble_matrix
+from .assembly import FdeProblem, FveSystem, assemble_matrix
 from .mesh import Grid
 
 __all__ = [
@@ -95,25 +96,16 @@ def prolongation(fine: Grid, coarse: Grid) -> scipy.sparse.csr_matrix:
     if nc != n // 2 or not np.array_equal(coarse.points[1:-1], fine.points[2 : 2 * nc + 1 : 2]):
         raise MultigridError("coarse grid is not the coarsening of the fine grid")
     xf = fine.points
-    rows, cols, vals = [], [], []
-    for i in range(1, n + 1):
-        if i % 2 == 0 and i // 2 <= nc:
-            rows.append(i - 1)
-            cols.append(i // 2 - 1)
-            vals.append(1.0)
-            continue
-        k = (i - 1) // 2  # left coarse neighbour index (0 = boundary)
-        xl = xf[2 * k]
-        xr = xf[2 * k + 2] if k + 1 <= nc else xf[-1]
-        wl = (xr - xf[i]) / (xr - xl)
-        if k >= 1:
-            rows.append(i - 1)
-            cols.append(k - 1)
-            vals.append(wl)
-        if k + 1 <= nc:
-            rows.append(i - 1)
-            cols.append(k)
-            vals.append(1.0 - wl)
+    even = np.arange(2, n + 1, 2)  # fine nodes 2k coincide with coarse node k
+    odd = np.arange(1, n + 1, 2)
+    k = (odd - 1) // 2  # left coarse neighbour of fine node 2k+1 (0 = boundary)
+    wl = (xf[2 * k + 2] - xf[odd]) / (xf[2 * k + 2] - xf[2 * k])
+    left = k >= 1
+    right = k + 1 <= nc
+    # left weights precede right ones, so each row lists its columns in order
+    rows = np.concatenate((even - 1, odd[left] - 1, odd[right] - 1))
+    cols = np.concatenate((even // 2 - 1, k[left] - 1, k[right]))
+    vals = np.concatenate((np.ones(even.size), wl[left], 1.0 - wl[right]))
     p = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n, nc))
     return p.tocsr()
 
@@ -210,23 +202,29 @@ class MgHierarchy:
 
 
 def build_hierarchy(
-    grid: Grid,
-    problem: FdeProblem,
+    system: FveSystem,
     region: SmootherRegion = DEFAULT_REGION,
     ntilde: int = 16,
     omega: float | None = None,
     restriction_scale: float = 0.5,
 ) -> MgHierarchy:
-    """Build the rediscretized, row-scaled V-cycle hierarchy.
+    """Build the V-cycle hierarchy of a row-scaled system.
 
-    A single damping weight is estimated once (on the first coarsening of
-    the given grid with at most ``ntilde`` interior points, i.e. on the
-    same mesh family) and reused on every level.  ``omega`` overrides the
-    estimate.  ``restriction_scale`` multiplies the transposed-interpolation
-    residual transfer; the default 1/2 makes it full weighting on uniform
-    grids, which pairs correctly with rediscretized row-scaled coarse
-    operators.
+    Level 0 is the caller's operator, ``system.operator.to_dense()``: the
+    very array of a dense operator, a densified copy of a Toeplitz one.  The
+    coarser levels rediscretize ``system.problem`` on the coarsenings of
+    ``system.grid`` and row-scale each by its own steps.
+
+    A single damping weight is estimated once (on the first level with at
+    most ``ntilde`` interior points, i.e. on the same mesh family) and
+    reused on every level.  ``omega`` overrides the estimate.
+    ``restriction_scale`` multiplies the transposed-interpolation residual
+    transfer; the default 1/2 makes it full weighting on uniform grids,
+    which pairs correctly with rediscretized row-scaled coarse operators.
     """
+    if not system.scaled:
+        raise MultigridError("the hierarchy needs a row-scaled system")
+    grid, problem = system.grid, system.problem
     if grid.n < 4:
         raise MultigridError("hierarchy needs at least 4 interior points")
 
@@ -238,7 +236,7 @@ def build_hierarchy(
     est_matrix = None
     est_grid = None
     for g in grids:
-        a = _scaled_matrix(g, problem)
+        a = _scaled_matrix(g, problem) if levels else system.operator.to_dense()
         levels.append(MgLevel(grid=g, matrix=a, diag=np.diag(a).copy()))
         if est_grid is None and g.n <= ntilde:
             est_grid, est_matrix = g, a

@@ -24,7 +24,13 @@ import pytest
 import scipy.linalg
 
 from gradedfve import bench, spectral as sp
-from gradedfve.assembly import FdeProblem, assemble_matrix, uniform_toeplitz
+from gradedfve.assembly import (
+    FdeProblem,
+    assemble_matrix,
+    assemble_system,
+    row_scale,
+    uniform_toeplitz,
+)
 from gradedfve.bench import CaseConfig, MeshSpec
 from gradedfve.mesh import blend_coefficients, graded_grid, uniform_grid
 from gradedfve.multigrid import (
@@ -388,7 +394,8 @@ def test_criterion_7_multigrid_suite(rng):
     if np.abs(vals[interior] - fine.points[1:-1][interior]).max() > 1e-13:
         violations.append("prolongation does not reproduce linear data")
     # V-cycle linearity
-    hier = build_hierarchy(fine, FdeProblem(beta=0.5, gamma=0.5))
+    scaled = row_scale(assemble_system(fine, FdeProblem(beta=0.5, gamma=0.5)))
+    hier = build_hierarchy(scaled)
     r1, r2 = rng.standard_normal(fine.n), rng.standard_normal(fine.n)
     lhs = vcycle(hier, r1 + r2)
     rhs = vcycle(hier, r1) + vcycle(hier, r2)
@@ -398,7 +405,8 @@ def test_criterion_7_multigrid_suite(rng):
     # grid-independent contraction on the classical limit
     for k in range(5, 10):
         n = 2**k - 1
-        h = build_hierarchy(uniform_grid(n), FdeProblem(beta=0.0, gamma=0.5))
+        scaled = row_scale(assemble_system(uniform_grid(n), FdeProblem(beta=0.0, gamma=0.5)))
+        h = build_hierarchy(scaled)
         a = h.levels[0].matrix
         e = rng.standard_normal(n)
         rho = 1.0

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from gradedfve.mesh import (
     blend_coefficients,
     composite_grid_from_counts,
     graded_grid,
+    q_cap,
     uniform_grid,
 )
 
@@ -93,6 +95,38 @@ class TestAgainstLiteralOracle:
         mine = assemble_matrix(grid, FdeProblem(beta=0.6, gamma=0.4, diffusion=k)).entries
         ref = literal_matrix(grid, 0.6, 0.4, diffusion=k)
         assert np.abs(mine - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+class TestBlockedAssembly:
+    GRIDS = {
+        "uniform130": uniform_grid(130),  # not a multiple of the block size
+        "graded20": graded_grid(20, blend_coefficients(2.0, 0.2, 0.05)),  # one block
+        "eps6_x1_1e-16": graded_grid(127, blend_coefficients(q_cap(127), 1.0, 0.0)),
+    }
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("name", list(GRIDS))
+    def test_block_size_does_not_change_a_bit(self, monkeypatch, name, gamma):
+        grid = self.GRIDS[name]
+        if name.startswith("eps6"):
+            assert grid.points[1] == pytest.approx(1e-16, rel=1e-6)
+        problem = FdeProblem(beta=0.7, gamma=gamma, diffusion=lambda x: 1.0 + x)
+        default = assemble_matrix(grid, problem).entries
+        for rows in (1, grid.n + 1):
+            monkeypatch.setattr(asm, "_BLOCK_ROWS", rows)
+            assert np.array_equal(assemble_matrix(grid, problem).entries, default)
+
+    def test_peak_memory_stays_near_the_matrix(self):
+        n = 2**10 - 1
+        grid = graded_grid(n, blend_coefficients(q_cap(n), 1.0, 0.0))
+        problem = FdeProblem(beta=0.5, gamma=0.3)
+        tracemalloc.start()
+        try:
+            op = assemble_matrix(grid, problem)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * op.entries.nbytes
 
 
 class TestStructuralLimits:

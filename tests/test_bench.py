@@ -28,6 +28,17 @@ class TestProblemSetup:
             CaseConfig(0.5, 0.5, MeshSpec("uniform"), 15, solver="lu")
 
 
+    def test_mesh_spec_counts_validation(self):
+        with pytest.raises(ValueError):
+            MeshSpec("composite", n1=8)
+        with pytest.raises(ValueError):
+            MeshSpec("composite", n2=8, rule="sqrt")
+        with pytest.raises(ValueError):
+            MeshSpec("composite", n1=8, n2=0)
+        with pytest.raises(ValueError):
+            CaseConfig(0.5, 0.5, MeshSpec("uniform"), 0)
+
+
 class TestRunCase:
     def test_direct_and_pgmres_agree(self):
         spec = MeshSpec("graded", eps1=1.0, eps2=0.0)
@@ -163,6 +174,20 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             cli_main(["table", "--id", "7"])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["solve", "--mesh", "composite", "--n1", "8"], "both n1 and n2"),
+            (["solve", "--mesh", "composite", "--n1", "0", "--n2", "8"], "n1 and n2 must be >= 1"),
+            (["solve", "--n", "0"], "n must be >= 1"),
+            (["qopt", "--n", "0"], "n must be >= 1"),
+        ],
+    )
+    def test_invalid_sizes_exit_1_with_one_message(self, capsys, argv, message):
+        assert cli_main(argv) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
 
     def test_qopt_and_symbol_and_glt5_and_eigcmp(self, tmp_path):
         assert cli_main(

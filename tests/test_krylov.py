@@ -71,7 +71,7 @@ class TestOnFveSystems:
         plain = gmres(system.operator, system.rhs, tol=1e-7, maxit=100)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            hier = build_hierarchy(grid, prob)
+            hier = build_hierarchy(system)
         pre = gmres(system.operator, system.rhs, precond=hier.apply, tol=1e-7, maxit=100)
         assert plain.converged and pre.converged
         diff = np.linalg.norm(plain.solution - pre.solution)
@@ -107,7 +107,22 @@ class TestOnFveSystems:
         system, prob = scaled_test_system(0.7, 1.0, grid)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            hier = build_hierarchy(grid, prob)
+            hier = build_hierarchy(system)
         rep = gmres(system.operator, system.rhs, precond=hier.apply, tol=1e-7, maxit=20)
         assert not rep.converged
         assert rep.iterations == 20
+
+    def test_reported_residual_is_the_true_residual_at_the_floor(self):
+        # gamma = 1, beta = 0.7 on eps6 stagnates at the attainable-accuracy
+        # floor (acceptance criterion 4 expects '-'); the recurrence residual
+        # of (A V) y would keep falling there, the true residual does not
+        grid = bench.build_case_grid(MeshSpec("graded", eps1=1.0, eps2=0.0), 0.7, 2**7 - 1)
+        system, _ = scaled_test_system(0.7, 1.0, grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            hier = build_hierarchy(system)
+        rep = gmres(system.operator, system.rhs, precond=hier.apply, tol=1e-7, maxit=100)
+        assert not rep.converged
+        b = system.rhs
+        true_res = np.linalg.norm(b - system.operator.entries @ rep.solution) / np.linalg.norm(b)
+        assert rep.residual_history[-1] == pytest.approx(true_res, rel=1e-12)

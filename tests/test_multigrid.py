@@ -3,8 +3,15 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse
 
-from gradedfve.assembly import FdeProblem, assemble_matrix
+from gradedfve.assembly import (
+    FdeProblem,
+    SymToeplitzOperator,
+    assemble_matrix,
+    assemble_system,
+    row_scale,
+)
 from gradedfve.mesh import blend_coefficients, graded_grid, uniform_grid
 from gradedfve.multigrid import (
     DEFAULT_REGION,
@@ -16,6 +23,36 @@ from gradedfve.multigrid import (
     prolongation,
     vcycle,
 )
+
+
+def scaled_hierarchy(grid, problem):
+    return build_hierarchy(row_scale(assemble_system(grid, problem)))
+
+
+def loop_prolongation(fine, coarse):
+    """Row-by-row construction of the interpolation, kept as an oracle."""
+    n, nc = fine.n, coarse.n
+    xf = fine.points
+    rows, cols, vals = [], [], []
+    for i in range(1, n + 1):
+        if i % 2 == 0 and i // 2 <= nc:
+            rows.append(i - 1)
+            cols.append(i // 2 - 1)
+            vals.append(1.0)
+            continue
+        k = (i - 1) // 2
+        xl = xf[2 * k]
+        xr = xf[2 * k + 2] if k + 1 <= nc else xf[-1]
+        wl = (xr - xf[i]) / (xr - xl)
+        if k >= 1:
+            rows.append(i - 1)
+            cols.append(k - 1)
+            vals.append(wl)
+        if k + 1 <= nc:
+            rows.append(i - 1)
+            cols.append(k)
+            vals.append(1.0 - wl)
+    return scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n, nc)).tocsr()
 
 
 class TestRegion:
@@ -86,6 +123,17 @@ class TestProlongation:
         interior = slice(1, 2 * coarse.n)  # rows bracketed by true coarse nodes
         assert np.abs(vals[interior] - fine.points[1:-1][interior]).max() < 1e-14
 
+    @pytest.mark.parametrize("n", [30, 31])
+    def test_matches_loop_construction(self, n):
+        fine = graded_grid(n, blend_coefficients(3.0, 0.45, 0.05))
+        coarse = coarsen(fine)
+        p = prolongation(fine, coarse)
+        ref = loop_prolongation(fine, coarse)
+        assert p.shape == ref.shape
+        assert np.array_equal(p.indptr, ref.indptr)
+        assert np.array_equal(p.indices, ref.indices)
+        assert np.array_equal(p.data, ref.data)
+
     def test_rejects_mismatched_grids(self):
         with pytest.raises(MultigridError):
             prolongation(uniform_grid(15), uniform_grid(5))
@@ -130,20 +178,40 @@ class TestOmegaEstimate:
 class TestHierarchy:
     def test_level_sizes_by_floor_halving(self):
         grid = uniform_grid(2**6 - 1)
-        hier = build_hierarchy(grid, FdeProblem(beta=0.0, gamma=0.5))
+        hier = scaled_hierarchy(grid, FdeProblem(beta=0.0, gamma=0.5))
         assert [lev.grid.n for lev in hier.levels] == [63, 31, 15, 7, 3]
         assert hier.depth == 4
 
     def test_levels_match_direct_assembly(self):
         grid = graded_grid(2**5 - 1, blend_coefficients(3.0, 1.0, 0.0))
         prob = FdeProblem(beta=0.5, gamma=0.5)
-        hier = build_hierarchy(grid, prob)
+        hier = scaled_hierarchy(grid, prob)
         lev = hier.levels[2]
         direct = assemble_matrix(lev.grid, prob).entries / lev.grid.steps[:-1][:, None]
         assert np.abs(lev.matrix[3] - direct[3]).max() <= 1e-12 * np.abs(direct).max()
 
+    def test_dense_level_zero_is_the_system_operator(self):
+        grid = graded_grid(2**5 - 1, blend_coefficients(3.0, 1.0, 0.0))
+        system = row_scale(assemble_system(grid, FdeProblem(beta=0.5, gamma=0.5)))
+        hier = build_hierarchy(system)
+        assert np.shares_memory(hier.levels[0].matrix, system.operator.entries)
+
+    def test_toeplitz_level_zero_matches_assembly(self):
+        grid = uniform_grid(2**5 - 1)
+        prob = FdeProblem(beta=0.5, gamma=0.5)
+        system = row_scale(assemble_system(grid, prob))
+        assert isinstance(system.operator, SymToeplitzOperator)
+        level0 = build_hierarchy(system).levels[0].matrix
+        direct = assemble_matrix(grid, prob).entries / grid.steps[:-1][:, None]
+        assert np.abs(level0 - direct).max() <= 1e-12 * np.abs(direct).max()
+
+    def test_unscaled_system_rejected(self):
+        system = assemble_system(uniform_grid(15), FdeProblem(beta=0.5, gamma=0.5))
+        with pytest.raises(MultigridError):
+            build_hierarchy(system)
+
     def test_summary_fields(self):
-        hier = build_hierarchy(uniform_grid(31), FdeProblem(beta=0.5, gamma=0.5))
+        hier = scaled_hierarchy(uniform_grid(31), FdeProblem(beta=0.5, gamma=0.5))
         summary = hier.summary()
         assert [s["n"] for s in summary] == [31, 15, 7, 3]
         assert all(s["omega"] == hier.omega for s in summary)
@@ -153,12 +221,12 @@ class TestHierarchy:
 
 class TestVcycle:
     def test_zero_maps_to_zero(self):
-        hier = build_hierarchy(uniform_grid(15), FdeProblem(beta=0.5, gamma=0.5))
+        hier = scaled_hierarchy(uniform_grid(15), FdeProblem(beta=0.5, gamma=0.5))
         assert np.array_equal(vcycle(hier, np.zeros(15)), np.zeros(15))
 
     def test_linearity(self, rng):
         grid = graded_grid(31, blend_coefficients(2.0, 1.0, 0.0))
-        hier = build_hierarchy(grid, FdeProblem(beta=0.4, gamma=0.5))
+        hier = scaled_hierarchy(grid, FdeProblem(beta=0.4, gamma=0.5))
         r1 = rng.standard_normal(31)
         r2 = rng.standard_normal(31)
         lhs = vcycle(hier, r1 + r2)
@@ -167,20 +235,20 @@ class TestVcycle:
 
     def test_assembled_operator_matches_application(self, rng):
         n = 15
-        hier = build_hierarchy(uniform_grid(n), FdeProblem(beta=0.6, gamma=0.5))
+        hier = scaled_hierarchy(uniform_grid(n), FdeProblem(beta=0.6, gamma=0.5))
         m = np.column_stack([vcycle(hier, e) for e in np.eye(n)])
         r = rng.standard_normal(n)
         assert np.abs(m @ r - vcycle(hier, r)).max() <= 1e-11 * np.abs(m @ r).max()
 
     def test_dimension_mismatch(self):
-        hier = build_hierarchy(uniform_grid(15), FdeProblem(beta=0.5, gamma=0.5))
+        hier = scaled_hierarchy(uniform_grid(15), FdeProblem(beta=0.5, gamma=0.5))
         with pytest.raises(MultigridError):
             vcycle(hier, np.zeros(16))
 
     @pytest.mark.parametrize("k", [5, 7])
     def test_laplacian_contraction(self, rng, k):
         n = 2**k - 1
-        hier = build_hierarchy(uniform_grid(n), FdeProblem(beta=0.0, gamma=0.5))
+        hier = scaled_hierarchy(uniform_grid(n), FdeProblem(beta=0.0, gamma=0.5))
         a = hier.levels[0].matrix
         e = rng.standard_normal(n)
         rho = 1.0
