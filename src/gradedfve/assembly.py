@@ -41,11 +41,9 @@ __all__ = [
     "assemble_matrix",
     "assemble_rhs",
     "assemble_system",
+    "toeplitz_coefficients",
     "uniform_toeplitz",
-    "matvec",
     "row_scale",
-    "save_vector",
-    "export_matrix_market",
 ]
 
 
@@ -161,13 +159,6 @@ class SymToeplitzOperator:
 
 
 LinearOperator = DenseOperator | SymToeplitzOperator
-
-
-def matvec(op, v: np.ndarray) -> np.ndarray:
-    """Apply a :data:`LinearOperator` (or a plain ndarray) to ``v``."""
-    if isinstance(op, np.ndarray):
-        return op @ np.asarray(v, dtype=float)
-    return op.matvec(v)
 
 
 @dataclass(frozen=True)
@@ -373,6 +364,33 @@ def assemble_rhs(grid: Grid, problem: FdeProblem) -> np.ndarray:
     return b
 
 
+def toeplitz_coefficients(beta: float, count: int) -> np.ndarray:
+    """First ``count`` entries ``t_0, t_1, ...`` of the uniform-mesh first row,
+    normalized.
+
+    With constant diffusion ``K`` and ``gamma = 1/2`` on a uniform mesh of
+    step ``h``, entry ``(i, j)`` of the FVE matrix is
+    ``K h^(beta-1) / (2^beta Gamma(beta+1)) * t_|i-j|``.  The same numbers are
+    the cosine coefficients of the generating function
+    ``t_0 + 2 sum t_k cos(k theta)``.
+    """
+    if count < 1:
+        raise AssemblyError("the number of coefficients must be >= 1")
+    t = np.empty(count)
+    t[0] = 3.0 - 3.0**beta
+    if count > 1:
+        t[1] = 0.5 * (3.0 ** (beta + 1.0) - 4.0 - 5.0**beta)
+    if count > 2:
+        k = np.arange(2.0, count)
+        t[2:] = 0.5 * (
+            3.0 * (2.0 * k + 1.0) ** beta
+            - 3.0 * (2.0 * k - 1.0) ** beta
+            + (2.0 * k - 3.0) ** beta
+            - (2.0 * k + 3.0) ** beta
+        )
+    return t
+
+
 def uniform_toeplitz(
     n: int, beta: float, diffusion: float = 1.0, gamma: float = 0.5
 ) -> SymToeplitzOperator:
@@ -388,40 +406,16 @@ def uniform_toeplitz(
         raise AssemblyError("n must be >= 1")
     h = 1.0 / (n + 1)
     c = diffusion * h ** (beta - 1.0) / (2.0**beta * math.gamma(beta + 1.0))
-    row = np.empty(n)
-    row[0] = 0.5 * (6.0 - 2.0 * 3.0**beta)
-    if n > 1:
-        row[1] = 0.5 * (3.0 ** (beta + 1.0) - 4.0 - 5.0**beta)
-    if n > 2:
-        k = np.arange(2.0, n)
-        row[2:] = 0.5 * (
-            3.0 * (2.0 * k + 1.0) ** beta
-            - 3.0 * (2.0 * k - 1.0) ** beta
-            + (2.0 * k - 3.0) ** beta
-            - (2.0 * k + 3.0) ** beta
-        )
-    return SymToeplitzOperator(c * row)
+    return SymToeplitzOperator(c * toeplitz_coefficients(beta, n))
 
 
-def assemble_system(
-    grid: Grid, problem: FdeProblem, representation: str = "auto"
-) -> FveSystem:
-    """Assemble operator and right-hand side; pick the Toeplitz fast path
+def assemble_system(grid: Grid, problem: FdeProblem) -> FveSystem:
+    """Assemble operator and right-hand side; take the Toeplitz fast path
     when the mesh is uniform, the diffusion constant and gamma = 1/2.
-
-    ``representation`` is one of ``"auto"``, ``"dense"``, ``"toeplitz"``.
     """
-    if representation not in ("auto", "dense", "toeplitz"):
-        raise AssemblyError("unknown representation request")
     uniform = np.ptp(grid.steps) <= 1e-14 * grid.steps[0]
     const_k = not callable(problem.diffusion)
-    can_toeplitz = uniform and const_k and problem.gamma == 0.5
-    if representation == "toeplitz" and not can_toeplitz:
-        raise AssemblyError(
-            "Toeplitz representation needs a uniform grid, constant diffusion "
-            "and gamma = 1/2"
-        )
-    if representation in ("toeplitz", "auto") and can_toeplitz:
+    if uniform and const_k and problem.gamma == 0.5:
         op: LinearOperator = uniform_toeplitz(
             grid.n, problem.beta, float(problem.diffusion), problem.gamma
         )
@@ -448,18 +442,3 @@ def row_scale(system: FveSystem) -> FveSystem:
         op = DenseOperator(system.operator.entries / h_rows[:, None])
         rhs = system.rhs / h_rows
     return replace(system, operator=op, rhs=rhs, scaled=True)
-
-
-def save_vector(path, vec: np.ndarray) -> None:
-    """Write a vector as one full-precision value per line."""
-    with open(path, "w", encoding="ascii") as fh:
-        for v in np.asarray(vec, dtype=float):
-            fh.write(f"{v:.17g}\n")
-
-
-def export_matrix_market(path, op) -> None:
-    """Export an operator (or ndarray) in Matrix Market array format."""
-    from scipy.io import mmwrite
-
-    dense = op if isinstance(op, np.ndarray) else op.to_dense()
-    mmwrite(path, np.asarray(dense), precision=17)

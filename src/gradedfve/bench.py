@@ -130,6 +130,24 @@ class MeshSpec:
         q = q_for_beta(beta, n) if self.q is None else min(self.q, q_cap(n))
         return blend_coefficients(q, self.eps1, self.eps2)
 
+    def refined(self, beta: float, n: int) -> Grid:
+        """Once-refined member of the family of the ``n``-point case grid,
+        used to sample errors.
+
+        A graded mesh keeps the case grid's map, so the refined even nodes
+        coincide with the case grid's nodes.
+        """
+        if self.kind == "uniform":
+            return uniform_grid(2 * n + 1)
+        if self.kind == "graded":
+            return graded_grid(2 * n + 1, self.coefficients(beta, n))
+        if self.n1 is not None:
+            n1, n2 = self.n1, self.n2
+        else:
+            n1 = CompositeRule(self.rule)(n)
+            n2 = n - n1
+        return composite_grid_from_counts(n1 + 1, 2 * n2 + 1)
+
 
 def build_case_grid(spec: MeshSpec, beta: float, n: int) -> Grid:
     if spec.kind == "uniform":
@@ -140,25 +158,6 @@ def build_case_grid(spec: MeshSpec, beta: float, n: int) -> Grid:
         return composite_grid_from_counts(spec.n1, spec.n2)
     rule = CompositeRule(spec.rule)
     return meshmod.composite_grid(n, rule)
-
-
-def _refined_grid(spec: MeshSpec, beta: float, n: int, grid: Grid) -> Grid:
-    """Once-refined member of the same mesh family, used to sample errors."""
-    if spec.kind == "uniform":
-        return uniform_grid(2 * n + 1)
-    if spec.kind == "graded":
-        # reuse the coarse map so refined even nodes coincide with the grid
-        q = spec.q
-        cap = q_cap(n)
-        qq = q_for_beta(beta, n) if q is None else min(q, cap)
-        return graded_grid(2 * n + 1, blend_coefficients(qq, spec.eps1, spec.eps2))
-    if spec.n1 is not None:
-        n1, n2 = spec.n1, spec.n2
-    else:
-        rule = CompositeRule(spec.rule)
-        n1 = rule(n)
-        n2 = n - n1
-    return composite_grid_from_counts(n1 + 1, 2 * n2 + 1)
 
 
 @dataclass(frozen=True)
@@ -186,7 +185,6 @@ class CaseResult:
     e_inf_nodes: float | None
     e_rel: float | None
     wall_time: float
-    ord: float | None = None  # filled by table sweeps
 
     @property
     def it_label(self) -> str:
@@ -207,14 +205,15 @@ def run_case(cfg: CaseConfig) -> CaseResult:
     if cfg.solver == "direct":
         solution = np.linalg.solve(system.operator.to_dense(), system.rhs)
     else:
-        scaled = row_scale(system)
+        # rebinding frees the unscaled matrix before the hierarchy is built
+        system = row_scale(system)
         precond = None
         if cfg.solver == "pgmres":
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                precond = build_hierarchy(scaled).apply
+                precond = build_hierarchy(system).apply
         report = gmres(
-            scaled.operator, scaled.rhs, precond=precond, tol=cfg.tol, maxit=cfg.maxit
+            system.operator, system.rhs, precond=precond, tol=cfg.tol, maxit=cfg.maxit
         )
         solution = report.solution
         converged = report.converged
@@ -229,7 +228,7 @@ def run_case(cfg: CaseConfig) -> CaseResult:
     e_nodes = float(np.abs(solution - ue).max())
     e_rel = float(np.linalg.norm(solution - ue) / np.linalg.norm(ue))
 
-    fine = _refined_grid(cfg.mesh, cfg.beta, cfg.n, grid)
+    fine = cfg.mesh.refined(cfg.beta, cfg.n)
     y = fine.points[1:-1]
     interp = np.interp(
         y,
@@ -266,6 +265,10 @@ def scan_qopt(
     evaluated once).  Each evaluation is a direct dense solve.  Also
     reports the error at the capped order-optimal exponent.
     """
+    if not step > 0.0:
+        raise ValueError("the q step must be positive")
+    if q_range[1] < q_range[0]:
+        raise ValueError("the q range must not decrease")
     count = int(round((q_range[1] - q_range[0]) / step))
     cap = q_cap(n)
     candidates: list[float] = []

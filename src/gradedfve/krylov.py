@@ -14,9 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .assembly import matvec
-
-__all__ = ["SolveReport", "gmres", "write_residual_csv"]
+__all__ = ["SolveReport", "gmres"]
 
 _REORTH_TOL = 1e-8
 
@@ -38,14 +36,6 @@ class SolveReport:
     breakdown: bool = field(default=False)
 
 
-def write_residual_csv(path, report: "SolveReport") -> None:
-    """Write the (iteration, relative residual) history as CSV."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("iteration,relative_residual\n")
-        for k, r in enumerate(report.residual_history, start=1):
-            fh.write(f"{k},{r:.17g}\n")
-
-
 def gmres(
     op,
     b: np.ndarray,
@@ -57,8 +47,8 @@ def gmres(
 
     Parameters
     ----------
-    op : LinearOperator or ndarray
-        The system operator.
+    op : DenseOperator or SymToeplitzOperator
+        The system operator; only its ``matvec`` is used.
     b : ndarray
         Right-hand side.
     precond : callable, optional
@@ -99,7 +89,7 @@ def gmres(
     breakdown = False
 
     for k in range(maxit):
-        w = apply_m(matvec(op, v[k]))
+        w = apply_m(op.matvec(v[k]))
         wnorm_in = float(np.linalg.norm(w))
         for j in range(k + 1):
             h[j, k] = v[j] @ w
@@ -135,7 +125,7 @@ def gmres(
         # current iterate and true residual
         y = np.linalg.solve(h[: k + 1, : k + 1], g[: k + 1])
         solution = y @ v[: k + 1]
-        true_res = float(np.linalg.norm(b - matvec(op, solution))) / bnorm
+        true_res = float(np.linalg.norm(b - op.matvec(solution))) / bnorm
         history.append(true_res)
 
         if true_res < tol:

@@ -11,8 +11,7 @@ Three families are provided:
   geometrically shrinking (dyadic) subintervals.
 
 All generators return immutable :class:`Grid` objects carrying the node
-coordinates, the step lengths and a prefix-sum table for O(1) partial-sum
-queries.
+coordinates and the step lengths.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ __all__ = [
     "graded_grid",
     "composite_grid",
     "composite_grid_from_counts",
-    "load_grid",
 ]
 
 #: Smallest admissible first step of a graded grid; grading exponents are
@@ -61,14 +59,10 @@ class Grid:
         Node coordinates including both boundary nodes.
     steps : ndarray, shape (N+1,)
         Step lengths ``h_i = x_i - x_{i-1}`` for ``i = 1..N+1``.
-    prefix : ndarray, shape (N+2,)
-        Cumulative step sums with ``prefix[0] = 0``; the partial sum
-        ``h_{i+1} + ... + h_j`` is ``prefix[j] - prefix[i]``.
     """
 
     points: np.ndarray
     steps: np.ndarray = field(init=False, repr=False)
-    prefix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         pts = np.asarray(self.points, dtype=float)
@@ -81,8 +75,7 @@ class Grid:
             raise MeshError("grid points must be strictly increasing")
         if abs(steps.sum() - 1.0) > _STEP_SUM_TOL:
             raise MeshError("step lengths do not sum to 1")
-        prefix = np.concatenate(([0.0], np.cumsum(steps)))
-        for name, arr in (("points", pts), ("steps", steps), ("prefix", prefix)):
+        for name, arr in (("points", pts), ("steps", steps)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -90,21 +83,6 @@ class Grid:
     def n(self) -> int:
         """Number of interior points."""
         return self.points.size - 2
-
-    def partial_sum(self, i: int, j: int) -> float:
-        """Return ``h_{i+1} + ... + h_j`` from the prefix table."""
-        return float(self.prefix[j] - self.prefix[i])
-
-    def save(self, path) -> None:
-        """Write the node coordinates, one per line, at full precision."""
-        with open(path, "w", encoding="ascii") as fh:
-            for p in self.points:
-                fh.write(f"{p:.17g}\n")
-
-
-def load_grid(path) -> Grid:
-    """Read a grid previously written by :meth:`Grid.save`."""
-    return Grid(np.loadtxt(path, dtype=float))
 
 
 def uniform_grid(n: int) -> Grid:

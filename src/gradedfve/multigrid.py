@@ -14,7 +14,6 @@ matrix on a small rediscretization of the same problem.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 
@@ -39,6 +38,15 @@ __all__ = [
 ]
 
 OMEGA_FALLBACK = 2.0 / 3.0
+
+#: The damping weight is estimated on the first level with at most this many
+#: interior points.
+_OMEGA_SIZE = 16
+
+#: Factor on the transposed interpolation; 1/2 makes the residual transfer
+#: full weighting on uniform grids, which pairs with rediscretized row-scaled
+#: coarse operators.
+_RESTRICTION_SCALE = 0.5
 
 
 class MultigridError(ValueError):
@@ -116,10 +124,7 @@ def _scaled_matrix(grid: Grid, problem: FdeProblem) -> np.ndarray:
 
 
 def estimate_omega(
-    problem: FdeProblem,
-    small_grid: Grid,
-    region: SmootherRegion = DEFAULT_REGION,
-    matrix: np.ndarray | None = None,
+    problem: FdeProblem, small_grid: Grid, matrix: np.ndarray | None = None
 ) -> float:
     """Estimate the Jacobi damping weight from a small rediscretization.
 
@@ -127,9 +132,9 @@ def estimate_omega(
     mesh family with at most ~2^4 interior points), the eigenvalues
     ``lam_j`` of ``D^{-1} A`` are computed, and the weight is scanned over
     ``1.995, 1.990, ..., 0.005``.  Among the candidates for which the whole
-    smoother spectrum ``1 - omega*lam_j`` sits inside ``region``, the one
-    minimizing the damping of the oscillatory half of the spectrum (the
-    eigenvalues of largest modulus) is returned; ties go to the larger
+    smoother spectrum ``1 - omega*lam_j`` sits inside :data:`DEFAULT_REGION`,
+    the one minimizing the damping of the oscillatory half of the spectrum
+    (the eigenvalues of largest modulus) is returned; ties go to the larger
     weight.  If no candidate is admissible the classical 2/3 is returned
     with a warning.
     """
@@ -145,7 +150,7 @@ def estimate_omega(
     for k in range(399, 0, -1):
         omega = k * 0.005
         z = 1.0 - omega * lam
-        if not region.contains(z):
+        if not DEFAULT_REGION.contains(z):
             continue
         damp = float(np.abs(1.0 - omega * upper).max())
         if damp < best_damp - 1e-15:
@@ -175,7 +180,6 @@ class MgHierarchy:
 
     levels: list[MgLevel]
     omega: float
-    restriction_scale: float
     coarse_lu: tuple = field(repr=False, default=None)
 
     @property
@@ -186,41 +190,19 @@ class MgHierarchy:
     def apply(self, r: np.ndarray) -> np.ndarray:
         return vcycle(self, r)
 
-    def summary(self) -> list[dict]:
-        """Per-level diagnostics (size, weight, infinity-norm estimate)."""
-        return [
-            {
-                "n": lev.grid.n,
-                "omega": self.omega,
-                "operator_norm_inf": float(np.abs(lev.matrix).sum(axis=1).max()),
-            }
-            for lev in self.levels
-        ]
 
-    def summary_json(self) -> str:
-        return json.dumps(self.summary(), indent=2)
-
-
-def build_hierarchy(
-    system: FveSystem,
-    region: SmootherRegion = DEFAULT_REGION,
-    ntilde: int = 16,
-    omega: float | None = None,
-    restriction_scale: float = 0.5,
-) -> MgHierarchy:
+def build_hierarchy(system: FveSystem) -> MgHierarchy:
     """Build the V-cycle hierarchy of a row-scaled system.
 
     Level 0 is the caller's operator, ``system.operator.to_dense()``: the
     very array of a dense operator, a densified copy of a Toeplitz one.  The
     coarser levels rediscretize ``system.problem`` on the coarsenings of
-    ``system.grid`` and row-scale each by its own steps.
+    ``system.grid`` and row-scale each by its own steps; the coarsest level
+    has at most 3 interior points and is LU-factored.
 
-    A single damping weight is estimated once (on the first level with at
-    most ``ntilde`` interior points, i.e. on the same mesh family) and
-    reused on every level.  ``omega`` overrides the estimate.
-    ``restriction_scale`` multiplies the transposed-interpolation residual
-    transfer; the default 1/2 makes it full weighting on uniform grids,
-    which pairs correctly with rediscretized row-scaled coarse operators.
+    One damping weight, estimated by :func:`estimate_omega` on the first
+    level with at most 16 interior points (a member of the same mesh
+    family), serves every level.
     """
     if not system.scaled:
         raise MultigridError("the hierarchy needs a row-scaled system")
@@ -238,18 +220,15 @@ def build_hierarchy(
     for g in grids:
         a = _scaled_matrix(g, problem) if levels else system.operator.to_dense()
         levels.append(MgLevel(grid=g, matrix=a, diag=np.diag(a).copy()))
-        if est_grid is None and g.n <= ntilde:
+        if est_grid is None and g.n <= _OMEGA_SIZE:
             est_grid, est_matrix = g, a
     for lev, coarse in zip(levels, levels[1:]):
         lev.prolong = prolongation(lev.grid, coarse.grid)
 
-    if omega is None:
-        if est_grid is None:  # grid coarser than ntilde never arose
-            est_grid, est_matrix = grids[-1], levels[-1].matrix
-        omega = estimate_omega(problem, est_grid, region, matrix=est_matrix)
+    omega = estimate_omega(problem, est_grid, matrix=est_matrix)
 
     lu = scipy.linalg.lu_factor(levels[-1].matrix)
-    return MgHierarchy(levels, float(omega), float(restriction_scale), lu)
+    return MgHierarchy(levels, omega, lu)
 
 
 def _vcycle(hier: MgHierarchy, level: int, r: np.ndarray) -> np.ndarray:
@@ -259,7 +238,7 @@ def _vcycle(hier: MgHierarchy, level: int, r: np.ndarray) -> np.ndarray:
     omega = hier.omega
     x = omega * r / lev.diag  # pre-smoothing from zero guess
     res = r - lev.matrix @ x
-    rc = hier.restriction_scale * (lev.prolong.T @ res)
+    rc = _RESTRICTION_SCALE * (lev.prolong.T @ res)
     x = x + lev.prolong @ _vcycle(hier, level + 1, rc)
     x = x + omega * (r - lev.matrix @ x) / lev.diag
     return x

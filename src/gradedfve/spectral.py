@@ -14,7 +14,6 @@ a given grading strength.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -22,23 +21,18 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.linalg
 
-from .assembly import FdeProblem, assemble_matrix
+from .assembly import FdeProblem, assemble_matrix, toeplitz_coefficients
 from .mesh import blend_coefficients, graded_grid
 
 __all__ = [
     "DEFAULT_SYMBOL_TERMS",
     "SymbolSample",
     "DistributionReport",
-    "symbol_coefficients",
     "symbol_p",
-    "symbol_f",
     "sample_symbol",
     "eig_vs_symbol",
     "glt5_sequence",
     "glt5_region",
-    "write_sequence_csv",
-    "write_region_csv",
-    "write_distribution_csv",
 ]
 
 #: Series length used when approximating the limiting generating function.
@@ -66,28 +60,6 @@ class DistributionReport:
     grid_tag: str
 
 
-def symbol_coefficients(beta: float, count: int) -> np.ndarray:
-    """First ``count`` cosine coefficients of the normalized symbol.
-
-    These are the uniform-mesh matrix entries along the first row divided
-    by the common factor ``K h^(beta-1) / (2^beta Gamma(beta+1))``; the
-    normalization makes them independent of mesh size and diffusion.
-    """
-    t = np.empty(count)
-    t[0] = 3.0 - 3.0**beta
-    if count > 1:
-        t[1] = 0.5 * (3.0 ** (beta + 1.0) - 4.0 - 5.0**beta)
-    if count > 2:
-        k = np.arange(2.0, count)
-        t[2:] = 0.5 * (
-            3.0 * (2.0 * k + 1.0) ** beta
-            - 3.0 * (2.0 * k - 1.0) ** beta
-            + (2.0 * k - 3.0) ** beta
-            - (2.0 * k + 3.0) ** beta
-        )
-    return t
-
-
 def symbol_p(n_terms: int, beta: float, theta):
     """Truncated generating function ``t_0 + 2 sum t_k cos(k theta)``.
 
@@ -95,7 +67,7 @@ def symbol_p(n_terms: int, beta: float, theta):
     order below 2 for every ``beta`` in (0, 1).  ``theta`` may be a scalar
     or an array.
     """
-    t = symbol_coefficients(beta, n_terms)
+    t = toeplitz_coefficients(beta, n_terms)
     th = np.atleast_1d(np.asarray(theta, dtype=float))
     out = np.full(th.shape, t[0])
     # blockwise accumulation keeps the cos table memory bounded
@@ -105,31 +77,6 @@ def symbol_p(n_terms: int, beta: float, theta):
         out += 2.0 * (np.cos(np.outer(th, k)) @ t[lo:hi])
     if np.isscalar(theta):
         return float(out[0])
-    return out
-
-
-def symbol_f(
-    x,
-    theta,
-    beta: float,
-    diffusion: float = 1.0,
-    gprime: Callable[[np.ndarray], np.ndarray] | None = None,
-    n_terms: int = DEFAULT_SYMBOL_TERMS,
-):
-    """Two-variable symbol ``K / (2^b Gamma(b+1) g'(x)^(1-b)) * p(theta)``.
-
-    ``gprime`` defaults to the identity map's derivative (constant 1).
-    Scalar in, scalar out; arrays broadcast elementwise.
-    """
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
-    gp = np.ones_like(xv) if gprime is None else np.asarray(gprime(xv), dtype=float)
-    if np.any(gp <= 0.0):
-        raise ValueError("the mesh map derivative must be positive")
-    diag = diffusion / (2.0**beta * math.gamma(beta + 1.0) * gp ** (1.0 - beta))
-    pv = symbol_p(n_terms, beta, theta)
-    out = diag * pv
-    if np.isscalar(x) and np.isscalar(theta):
-        return float(np.ravel(out)[0])
     return out
 
 
@@ -253,28 +200,3 @@ def glt5_region(betas: Sequence[float], qs: Sequence[float]) -> np.ndarray:
             else:
                 signs[i, j] = 1 if diff > 0 else -1
     return signs
-
-
-def write_sequence_csv(path, n_list: Sequence[int], values: np.ndarray) -> None:
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", "s"])
-        for n, v in zip(n_list, values):
-            w.writerow([n, f"{v:.17g}"])
-
-
-def write_region_csv(path, betas, qs, signs: np.ndarray) -> None:
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        w = csv.writer(fh)
-        w.writerow(["beta", "q", "sign"])
-        for i, beta in enumerate(betas):
-            for j, q in enumerate(qs):
-                w.writerow([f"{beta:.6g}", f"{q:.6g}", signs[i, j]])
-
-
-def write_distribution_csv(path, report: DistributionReport) -> None:
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        w = csv.writer(fh)
-        w.writerow(["index", "eigenvalue", "symbol_sample"])
-        for i, (e, s) in enumerate(zip(report.sorted_eigs, report.sorted_samples)):
-            w.writerow([i, f"{complex(e).real:.17g}", f"{s:.17g}"])

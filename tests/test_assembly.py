@@ -14,10 +14,7 @@ from gradedfve.assembly import (
     assemble_matrix,
     assemble_rhs,
     assemble_system,
-    export_matrix_market,
-    matvec,
     row_scale,
-    save_vector,
     uniform_toeplitz,
 )
 from gradedfve.mesh import (
@@ -217,8 +214,8 @@ class TestToeplitzOperator:
     def test_identity_and_zero(self, rng):
         op = DenseOperator(np.eye(5))
         v = rng.standard_normal(5)
-        assert np.array_equal(matvec(op, v), v)
-        assert np.array_equal(matvec(op, np.zeros(5)), np.zeros(5))
+        assert np.array_equal(op.matvec(v), v)
+        assert np.array_equal(op.matvec(np.zeros(5)), np.zeros(5))
 
     def test_dimension_mismatch(self):
         op = uniform_toeplitz(8, 0.5)
@@ -310,7 +307,7 @@ class TestSystemAndScaling:
     def test_dense_rows_divided(self):
         grid = graded_grid(16, blend_coefficients(3.0, 1.0, 0.0))
         prob = FdeProblem(beta=0.5, gamma=0.5, source=lambda x: np.ones_like(x))
-        sys = assemble_system(grid, prob, representation="dense")
+        sys = assemble_system(grid, prob)
         scaled = row_scale(sys)
         h = grid.steps[:-1]
         assert np.allclose(scaled.operator.entries, sys.operator.entries / h[:, None])
@@ -319,7 +316,7 @@ class TestSystemAndScaling:
     def test_scaling_preserves_solution(self):
         grid = graded_grid(16, blend_coefficients(3.0, 1.0, 0.0))
         prob = FdeProblem(beta=0.5, gamma=0.5, source=lambda x: np.ones_like(x), u_right=1.0)
-        sys = assemble_system(grid, prob, representation="dense")
+        sys = assemble_system(grid, prob)
         scaled = row_scale(sys)
         u1 = np.linalg.solve(sys.operator.entries, sys.rhs)
         u2 = np.linalg.solve(scaled.operator.entries, scaled.rhs)
@@ -337,20 +334,3 @@ class TestSystemAndScaling:
             FdeProblem(beta=0.5, gamma=-0.1)
         with pytest.raises(AssemblyError):
             assemble_matrix(uniform_grid(4), FdeProblem(beta=0.5, gamma=0.5, diffusion=-1.0))
-
-
-class TestExport:
-    def test_matrix_market_roundtrip(self, tmp_path):
-        from scipy.io import mmread
-
-        op = uniform_toeplitz(6, 0.5)
-        path = tmp_path / "op.mtx"
-        export_matrix_market(path, op)
-        back = np.asarray(mmread(path))
-        assert np.abs(back - op.to_dense()).max() <= 1e-14 * np.abs(back).max()
-
-    def test_vector_full_precision(self, tmp_path):
-        v = np.array([1 / 3, math.pi, 1e-16])
-        path = tmp_path / "v.txt"
-        save_vector(path, v)
-        assert np.array_equal(np.loadtxt(path), v)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,6 +38,23 @@ class TestProblemSetup:
             MeshSpec("composite", n1=8, n2=0)
         with pytest.raises(ValueError):
             CaseConfig(0.5, 0.5, MeshSpec("uniform"), 0)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            MeshSpec("uniform"),
+            MeshSpec("graded", eps1=0.1, eps2=0.05),
+            MeshSpec("graded", q=30.0),
+            MeshSpec("composite", rule="sqrt"),
+            MeshSpec("composite", n1=5, n2=40),
+        ],
+        ids=["uniform", "eps1", "capped", "sqrt", "counts"],
+    )
+    def test_refined_grid_contains_the_case_grid(self, spec):
+        grid = bench.build_case_grid(spec, 0.7, 45)
+        fine = spec.refined(0.7, 45)
+        assert fine.n > grid.n
+        assert np.isin(grid.points, fine.points).all()
 
 
 class TestRunCase:
@@ -81,6 +99,19 @@ class TestRunCase:
         ue = xs**0.5
         ref = np.linalg.norm(u - ue) / np.linalg.norm(ue)
         assert res.e_rel == pytest.approx(ref, rel=1e-10)
+
+    def test_pgmres_peak_memory_stays_near_the_matrix(self):
+        # the unscaled matrix is freed once row_scale has made its copy
+        n = 2**10 - 1
+        cfg = CaseConfig(0.5, 0.5, MeshSpec("graded", eps1=1.0, eps2=0.0), n)
+        tracemalloc.start()
+        try:
+            res = bench.run_case(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.converged
+        assert peak <= 2.2 * 8 * n * n
 
     def test_nonconvergent_case_reports_dash(self):
         res = bench.run_case(
@@ -182,6 +213,9 @@ class TestCli:
             (["solve", "--mesh", "composite", "--n1", "0", "--n2", "8"], "n1 and n2 must be >= 1"),
             (["solve", "--n", "0"], "n must be >= 1"),
             (["qopt", "--n", "0"], "n must be >= 1"),
+            (["symbol", "--beta", "0.5", "--n-terms", "0"], "coefficients must be >= 1"),
+            (["qopt", "--n", "15", "--qstep", "0"], "q step must be positive"),
+            (["qopt", "--n", "15", "--qmin", "3", "--qmax", "2"], "q range must not decrease"),
         ],
     )
     def test_invalid_sizes_exit_1_with_one_message(self, capsys, argv, message):
@@ -206,8 +240,20 @@ class TestCli:
             ["glt5", "--beta", "0.5", "--q", "2.0", "--n-list", "16", "32",
              "--out", str(tmp_path / "s.csv")]
         ) == 0
+        lines = (tmp_path / "s.csv").read_text().splitlines()
+        assert lines[0] == "n,s" and len(lines) == 1 + 2
+
+        assert cli_main(
+            ["glt5", "--beta-grid", "0.2", "0.5", "--q-grid", "2.0", "4.0", "6.0",
+             "--out", str(tmp_path / "r.csv")]
+        ) == 0
+        lines = (tmp_path / "r.csv").read_text().splitlines()
+        assert lines[0] == "beta,q,sign" and len(lines) == 1 + 2 * 3
+
         assert cli_main(
             ["eigcmp", "--beta", "0.5", "--q", "2.0", "--n", "16",
              "--grid-tag", "coarse", "--out", str(tmp_path / "e.csv")]
         ) == 0
-        assert "sup_gap" in (tmp_path / "e.csv").read_text()
+        lines = (tmp_path / "e.csv").read_text().splitlines()
+        assert lines[0].startswith("# grid=coarse-(i) sup_gap=")
+        assert lines[1] == "index,eigenvalue,symbol_sample" and len(lines) == 2 + 16

@@ -13,7 +13,6 @@ from gradedfve.mesh import (
     composite_grid_from_counts,
     graded_grid,
     graded_map_eval,
-    load_grid,
     q_cap,
     q_for_beta,
     uniform_grid,
@@ -219,26 +218,10 @@ class TestComposite:
 
 
 class TestGridObject:
-    def test_partial_sum_matches_prefix(self):
-        g = composite_grid_from_counts(4, 20)
-        for i, j in [(0, 5), (3, 10), (10, 25)]:
-            assert g.partial_sum(i, j) == g.prefix[j] - g.prefix[i]
-            assert g.partial_sum(i, j) == pytest.approx(
-                math.fsum(g.steps[i:j]), rel=1e-13
-            )
-
     def test_points_immutable(self):
         g = uniform_grid(5)
         with pytest.raises(ValueError):
             g.points[0] = 0.5
-
-    def test_save_load_roundtrip(self, tmp_path):
-        c = blend_coefficients(3.0, 0.2, 0.05)
-        g = graded_grid(31, c)
-        path = tmp_path / "grid.txt"
-        g.save(path)
-        g2 = load_grid(path)
-        assert np.array_equal(g.points, g2.points)
 
 
 @st.composite
@@ -265,5 +248,3 @@ def test_grid_invariants(grid):
     assert np.all(np.diff(x) > 0)
     assert np.all(grid.steps > 0)
     assert abs(grid.steps.sum() - 1.0) <= 1e-12
-    assert grid.prefix[0] == 0.0
-    assert grid.prefix.shape == x.shape

@@ -210,14 +210,6 @@ class TestHierarchy:
         with pytest.raises(MultigridError):
             build_hierarchy(system)
 
-    def test_summary_fields(self):
-        hier = scaled_hierarchy(uniform_grid(31), FdeProblem(beta=0.5, gamma=0.5))
-        summary = hier.summary()
-        assert [s["n"] for s in summary] == [31, 15, 7, 3]
-        assert all(s["omega"] == hier.omega for s in summary)
-        assert all(s["operator_norm_inf"] > 0 for s in summary)
-        assert "operator_norm_inf" in hier.summary_json()
-
 
 class TestVcycle:
     def test_zero_maps_to_zero(self):

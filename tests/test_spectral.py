@@ -44,30 +44,37 @@ class TestGeneratingFunction:
         assert np.all(np.diff(vals) > 0)
 
 
+def symbol_at(x, theta, beta, **kw):
+    """The two-variable symbol at one point, from a 1 x 1 product table."""
+    table = sp.sample_symbol(beta, [x], [theta], **kw)
+    assert table.values.shape == (1, 1)
+    return table.values[0, 0]
+
+
 class TestTwoVariableSymbol:
     def test_normalization_cancels(self):
         beta = 0.4
         k0 = 2.0**beta * math.gamma(beta + 1.0)
-        vals = sp.symbol_f(0.7, 1.3, beta, diffusion=k0, n_terms=2**10)
+        vals = symbol_at(0.7, 1.3, beta, diffusion=k0, n_terms=2**10)
         assert vals == pytest.approx(sp.symbol_p(2**10, beta, 1.3), rel=1e-13)
 
     def test_zero_at_origin(self):
         # the truncated series at the origin decays like 1/n_terms
-        coarse = sp.symbol_f(0.5, 0.0, 0.3, n_terms=2**10)
-        fine = sp.symbol_f(0.5, 0.0, 0.3, n_terms=2**12)
+        coarse = symbol_at(0.5, 0.0, 0.3, n_terms=2**10)
+        fine = symbol_at(0.5, 0.0, 0.3, n_terms=2**12)
         assert abs(coarse) < 1e-5
         assert abs(fine) < abs(coarse) / 8
 
     def test_square_map_midpoint(self):
         beta, k0 = 0.5, 1.7
         gp = lambda x: 2.0 * np.asarray(x)
-        got = sp.symbol_f(0.5, 2.0, beta, diffusion=k0, gprime=gp, n_terms=2**10)
+        got = symbol_at(0.5, 2.0, beta, diffusion=k0, gprime=gp, n_terms=2**10)
         ref = k0 * sp.symbol_p(2**10, beta, 2.0) / (2**beta * math.gamma(1.5))
         assert got == pytest.approx(ref, rel=1e-13)
 
     def test_rejects_nonpositive_slope(self):
         with pytest.raises(ValueError):
-            sp.symbol_f(0.0, 1.0, 0.5, gprime=lambda x: np.zeros_like(x))
+            symbol_at(0.0, 1.0, 0.5, gprime=lambda x: np.zeros_like(x))
 
 
 class TestEigVsSymbol:
@@ -114,8 +121,8 @@ class TestSymbolTable:
         gp = lambda x: 2.0 * np.asarray(x)
         table = sp.sample_symbol(0.5, xs, ths, gprime=gp, n_terms=2**9)
         assert table.values.shape == (2, 3)
-        ref = sp.symbol_f(0.75, 1.5, 0.5, gprime=gp, n_terms=2**9)
-        assert table.values[1, 1] == pytest.approx(float(np.ravel(ref)[0]), rel=1e-13)
+        ref = symbol_at(0.75, 1.5, 0.5, gprime=gp, n_terms=2**9)
+        assert table.values[1, 1] == pytest.approx(ref, rel=1e-13)
         assert np.all(table.values[:, ths != 0.0] > 0)
 
 
@@ -136,22 +143,3 @@ class TestTraceNormSequence:
         assert signs[0, 0] == 0
         assert signs[0, 1] == 1
         assert signs[0, 2] == -1
-
-
-class TestEmitters:
-    def test_csv_outputs(self, tmp_path):
-        ns = [16, 32]
-        vals = sp.glt5_sequence(0.5, 2.0, ns)
-        sp.write_sequence_csv(tmp_path / "s.csv", ns, vals)
-        text = (tmp_path / "s.csv").read_text()
-        assert text.splitlines()[0] == "n,s"
-
-        signs = sp.glt5_region([0.5], [2.0])
-        sp.write_region_csv(tmp_path / "r.csv", [0.5], [2.0], signs)
-        assert "beta,q,sign" in (tmp_path / "r.csv").read_text()
-
-        rep = sp.eig_vs_symbol(0.5, 2.0, 16, "coarse")
-        sp.write_distribution_csv(tmp_path / "d.csv", rep)
-        lines = (tmp_path / "d.csv").read_text().splitlines()
-        assert lines[0] == "index,eigenvalue,symbol_sample"
-        assert len(lines) == 17
