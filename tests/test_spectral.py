@@ -6,6 +6,7 @@ import scipy.linalg
 
 from gradedfve import spectral as sp
 from gradedfve.assembly import FdeProblem, assemble_matrix
+from gradedfve.cli import main as cli_main
 from gradedfve.mesh import blend_coefficients, graded_grid, uniform_grid
 
 
@@ -143,3 +144,30 @@ class TestTraceNormSequence:
         assert signs[0, 0] == 0
         assert signs[0, 1] == 1
         assert signs[0, 2] == -1
+
+
+class TestEmitters:
+    """The CLI is the one writer of the spectral CSV files."""
+
+    def test_csv_outputs(self, tmp_path):
+        assert cli_main(
+            ["glt5", "--beta", "0.5", "--q", "2.0", "--n-list", "16", "32",
+             "--out", str(tmp_path / "s.csv")]
+        ) == 0
+        lines = (tmp_path / "s.csv").read_text().splitlines()
+        assert lines[0] == "n,s" and len(lines) == 1 + 2
+
+        assert cli_main(
+            ["glt5", "--beta-grid", "0.2", "0.5", "--q-grid", "2.0", "4.0", "6.0",
+             "--out", str(tmp_path / "r.csv")]
+        ) == 0
+        lines = (tmp_path / "r.csv").read_text().splitlines()
+        assert lines[0] == "beta,q,sign" and len(lines) == 1 + 2 * 3
+
+        assert cli_main(
+            ["eigcmp", "--beta", "0.5", "--q", "2.0", "--n", "16",
+             "--grid-tag", "coarse", "--out", str(tmp_path / "e.csv")]
+        ) == 0
+        lines = (tmp_path / "e.csv").read_text().splitlines()
+        assert lines[0].startswith("# grid=coarse-(i) sup_gap=")
+        assert lines[1] == "index,eigenvalue,symbol_sample" and len(lines) == 2 + 16
