@@ -175,6 +175,10 @@ class CaseConfig:
             raise ValueError("solver must be pgmres, gmres or direct")
         if self.n < 1:
             raise ValueError("n must be >= 1")
+        if self.maxit < 1:
+            raise ValueError("maxit must be >= 1")
+        if not self.tol > 0.0:
+            raise ValueError("tol must be positive")
 
 
 @dataclass
@@ -205,7 +209,8 @@ def run_case(cfg: CaseConfig) -> CaseResult:
     if cfg.solver == "direct":
         solution = np.linalg.solve(system.operator.to_dense(), system.rhs)
     else:
-        # rebinding frees the unscaled matrix before the hierarchy is built
+        # row_scale scales a dense matrix in place and consumes the unscaled
+        # system, so the solve holds one finest matrix plus its coarse levels
         system = row_scale(system)
         precond = None
         if cfg.solver == "pgmres":

@@ -120,7 +120,8 @@ def prolongation(fine: Grid, coarse: Grid) -> scipy.sparse.csr_matrix:
 
 def _scaled_matrix(grid: Grid, problem: FdeProblem) -> np.ndarray:
     a = assemble_matrix(grid, problem).entries
-    return a / grid.steps[:-1][:, None]
+    a /= grid.steps[:-1][:, None]
+    return a
 
 
 def estimate_omega(

@@ -157,7 +157,8 @@ def eig_vs_symbol(
     table = sample_symbol(
         beta, xs, thetas, gprime=lambda x: q * x ** (q - 1.0), n_terms=n_terms
     )
-    samples = np.sort(table.values.ravel())
+    samples = table.values.ravel()
+    samples.sort()
     if samples.size != n:
         # midpoint quantiles reduce the sample pool to one value per eigenvalue
         idx = ((np.arange(n) + 0.5) / n * samples.size).astype(int)

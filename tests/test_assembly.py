@@ -18,7 +18,9 @@ from gradedfve.assembly import (
     uniform_toeplitz,
 )
 from gradedfve.mesh import (
+    CompositeRule,
     blend_coefficients,
+    composite_grid,
     composite_grid_from_counts,
     graded_grid,
     q_cap,
@@ -69,6 +71,32 @@ def literal_matrix(grid, beta, gamma, diffusion=lambda x: np.ones_like(x)):
     return a
 
 
+def unfused_matrix(grid, problem):
+    """Reference for the fused block kernel: the same entries computed with
+    one whole-block temporary per operation, in the order the fused kernel
+    must reproduce bit for bit."""
+    x = grid.points
+    n = grid.n
+    beta, gamma = float(problem.beta), float(problem.gamma)
+    hp = np.concatenate(([1.0], grid.steps))
+    inv_h = 1.0 / hp
+    z = 0.5 * (x[:-1] + x[1:])
+    kz = problem.diffusion_at(z)
+    a = np.empty((n, n))
+    for i0 in range(0, n, asm._BLOCK_ROWS):
+        i1 = min(i0 + asm._BLOCK_ROWS, n)
+        w = np.abs(x[None, :] - z[i0 : i1 + 1, None]) ** beta
+        d = (w[:, :-2] - w[:, 1:-1]) * inv_h[1:-1] + (w[:, 2:] - w[:, 1:-1]) * inv_h[2:]
+        m0 = kz[i0:i1, None] * d[:-1] - kz[i0 + 1 : i1 + 1, None] * d[1:]
+        out = a[i0:i1]
+        np.multiply(np.tril(m0, i0 - 2), gamma, out=out)
+        out -= (1.0 - gamma) * np.triu(m0, i0 + 2)
+        t = np.arange(i0, i1)
+        asm._fill_bands(out, t, t - i0, w, inv_h, kz[t], kz[t + 1], gamma)
+        out /= math.gamma(beta + 1.0)
+    return a
+
+
 class TestAgainstLiteralOracle:
     @pytest.mark.parametrize(
         "beta,gamma,grid,tol",
@@ -112,6 +140,18 @@ class TestBlockedAssembly:
         for rows in (1, grid.n + 1):
             monkeypatch.setattr(asm, "_BLOCK_ROWS", rows)
             assert np.array_equal(assemble_matrix(grid, problem).entries, default)
+
+    FUSED_GRIDS = dict(GRIDS, sqrt255=composite_grid(255, CompositeRule("sqrt")))
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.3, 0.5, 1.0])
+    @pytest.mark.parametrize("name", list(FUSED_GRIDS))
+    def test_fused_kernel_matches_unfused_bit_for_bit(self, name, gamma):
+        grid = self.FUSED_GRIDS[name]
+        for beta in (0.0, 0.5, 1.0):
+            problem = FdeProblem(beta=beta, gamma=gamma, diffusion=lambda x: 1.0 + x)
+            fused = assemble_matrix(grid, problem).entries
+            # byte comparison also tells signed zeros apart
+            assert fused.tobytes() == unfused_matrix(grid, problem).tobytes(), beta
 
     def test_peak_memory_stays_near_the_matrix(self):
         n = 2**10 - 1
@@ -211,6 +251,16 @@ class TestToeplitzOperator:
             worst = max(worst, np.abs(op.matvec(v) - ref).max() / np.abs(ref).max())
         assert worst <= 1e-11
 
+    def test_to_dense_makes_one_matrix(self):
+        op = uniform_toeplitz(2**10 - 1, 0.5).with_scale(3.0)
+        tracemalloc.start()
+        try:
+            a = op.to_dense()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * a.nbytes
+
     def test_identity_and_zero(self, rng):
         op = DenseOperator(np.eye(5))
         v = rng.standard_normal(5)
@@ -308,17 +358,25 @@ class TestSystemAndScaling:
         grid = graded_grid(16, blend_coefficients(3.0, 1.0, 0.0))
         prob = FdeProblem(beta=0.5, gamma=0.5, source=lambda x: np.ones_like(x))
         sys = assemble_system(grid, prob)
+        entries, rhs = sys.operator.entries.copy(), sys.rhs.copy()
         scaled = row_scale(sys)
         h = grid.steps[:-1]
-        assert np.allclose(scaled.operator.entries, sys.operator.entries / h[:, None])
-        assert np.allclose(scaled.rhs, sys.rhs / h)
+        assert np.allclose(scaled.operator.entries, entries / h[:, None])
+        assert np.allclose(scaled.rhs, rhs / h)
+
+    def test_dense_scaling_is_in_place(self):
+        grid = graded_grid(16, blend_coefficients(3.0, 1.0, 0.0))
+        sys = assemble_system(grid, FdeProblem(beta=0.5, gamma=0.5))
+        entries = sys.operator.entries
+        assert np.shares_memory(row_scale(sys).operator.entries, entries)
 
     def test_scaling_preserves_solution(self):
         grid = graded_grid(16, blend_coefficients(3.0, 1.0, 0.0))
         prob = FdeProblem(beta=0.5, gamma=0.5, source=lambda x: np.ones_like(x), u_right=1.0)
         sys = assemble_system(grid, prob)
+        entries, rhs = sys.operator.entries.copy(), sys.rhs.copy()
         scaled = row_scale(sys)
-        u1 = np.linalg.solve(sys.operator.entries, sys.rhs)
+        u1 = np.linalg.solve(entries, rhs)
         u2 = np.linalg.solve(scaled.operator.entries, scaled.rhs)
         assert np.abs(u1 - u2).max() <= 1e-10 * np.abs(u1).max()
 
