@@ -9,18 +9,24 @@ with Dirichlet data ``u(0) = u_left``, ``u(1) = u_right``, where D_left and
 D_right are the left/right Caputo derivatives of order ``1 - beta``,
 ``0 < beta < 1``.  Integrating over the control volumes
 ``[x_{i-1/2}, x_{i+1/2}]`` with piecewise-linear trial functions yields a
-dense N x N system; on a uniform mesh with constant K and gamma = 1/2 the
-matrix is symmetric Toeplitz and a compact FFT-ready representation is
-available.
+dense N x N system.  With constant K and gamma = 1/2, the rows and columns
+of the nodes in a uniform run of steps form a symmetric Toeplitz block.  On
+the uniform grid that is the whole matrix; a graded mesh that ends in a
+uniform tail (the composite and blended meshes) gets a bordered operator:
+dense rows and columns for its graded nodes around a Toeplitz tail, whose
+product goes through FFTs.
 
 Every matrix entry is a short combination of powers of distances between
 cell midpoints ``x_{i +- 1/2}`` and nodes ``x_m``; the node coordinates
 double as the prefix sums of the step lengths, so each entry costs O(1) and
 the whole assembly O(N^2).  The dense assembly is blocked: it fills the
-matrix a few dozen rows at a time through block buffers allocated once per
-call, so its peak memory is the matrix plus O(block * N).  Row scaling
-divides a dense matrix in place, so a preconditioned solve holds one finest
-matrix plus its coarse levels (about 1.36x the finest matrix at N + 1 = 4096).
+matrix, or a block of rows and columns of it, a few dozen rows at a time
+through block buffers allocated once per call, so its peak memory is the
+result plus O(block * N).  Row scaling divides dense parts in place.  A
+preconditioned solve on a mesh without a tail (a pure power map, variable
+diffusion or gamma != 1/2) holds one finest matrix plus its coarse levels,
+about 1.36x the finest matrix at N + 1 = 4096; with a tail it holds only the
+borders of its levels.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ __all__ = [
     "FdeProblem",
     "DenseOperator",
     "SymToeplitzOperator",
+    "BorderedToeplitzOperator",
     "FveSystem",
     "assemble_matrix",
     "assemble_rhs",
@@ -95,7 +102,7 @@ class FdeProblem:
 
 @dataclass(frozen=True)
 class DenseOperator:
-    """Dense square operator."""
+    """Dense operator: a square matrix, or a block of one."""
 
     entries: np.ndarray
 
@@ -105,9 +112,12 @@ class DenseOperator:
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
-        if v.shape != (self.shape[0],):
+        if v.shape != (self.shape[1],):
             raise AssemblyError("dimension mismatch in matvec")
         return self.entries @ v
+
+    def diagonal(self) -> np.ndarray:
+        return np.diag(self.entries).copy()
 
     def to_dense(self) -> np.ndarray:
         return self.entries
@@ -117,8 +127,8 @@ class SymToeplitzOperator:
     """Symmetric Toeplitz operator stored by its first row.
 
     ``scale`` multiplies the whole matrix; the matrix-vector product embeds
-    the Toeplitz matrix into a circulant of size 2N and goes through real
-    FFTs, costing O(N log N).
+    the Toeplitz matrix into a circulant whose size is the first power of two
+    ``>= 2N - 1`` and goes through real FFTs, costing O(N log N).
     """
 
     def __init__(self, first_row: np.ndarray, scale: float = 1.0):
@@ -127,6 +137,7 @@ class SymToeplitzOperator:
             raise AssemblyError("first_row must be a nonempty 1-D array")
         self.first_row = row
         self.scale = float(scale)
+        self._circ_size = 1 << (2 * row.size - 2).bit_length()
         self._circ_fft: np.ndarray | None = None
 
     @property
@@ -137,9 +148,9 @@ class SymToeplitzOperator:
     def _fft(self) -> np.ndarray:
         if self._circ_fft is None:
             n = self.first_row.size
-            circ = np.zeros(2 * n)
+            circ = np.zeros(self._circ_size)
             circ[:n] = self.first_row
-            circ[n + 1 :] = self.first_row[1:][::-1]
+            circ[circ.size - n + 1 :] = self.first_row[1:][::-1]
             self._circ_fft = np.fft.rfft(circ)
         return self._circ_fft
 
@@ -148,8 +159,13 @@ class SymToeplitzOperator:
         n = self.first_row.size
         if v.shape != (n,):
             raise AssemblyError("dimension mismatch in matvec")
-        prod = np.fft.irfft(self._fft() * np.fft.rfft(v, 2 * n), 2 * n)[:n]
-        return self.scale * prod
+        size = self._circ_size
+        prod = np.fft.irfft(self._fft() * np.fft.rfft(v, size), size)[:n]
+        prod *= self.scale
+        return prod
+
+    def diagonal(self) -> np.ndarray:
+        return np.full(self.first_row.size, self.scale * self.first_row[0])
 
     def to_dense(self) -> np.ndarray:
         a = scipy.linalg.toeplitz(self.first_row)
@@ -162,7 +178,67 @@ class SymToeplitzOperator:
         return out
 
 
-LinearOperator = DenseOperator | SymToeplitzOperator
+class BorderedToeplitzOperator:
+    """Matrix whose trailing ``m x m`` block is symmetric Toeplitz:
+
+        [ rows        ]   rows: the first b rows, dense, b x N
+        [ cols | tail ]   cols: the tail rows' border columns, dense, m x b
+
+    This is the FVE matrix of a mesh whose last ``m`` nodes lie in a uniform
+    tail (constant diffusion, ``gamma = 1/2``); the ``b = N - m`` graded
+    nodes form the border.  ``step`` is the tail's step length.  It stores
+    ``N^2 - m^2`` numbers plus O(m), and a product costs ``N^2 - m^2``
+    multiply-adds plus O(m log m).
+    """
+
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, tail: SymToeplitzOperator, step: float):
+        b, n = rows.shape
+        if cols.shape != (n - b, b) or tail.shape != (n - b, n - b):
+            raise AssemblyError("border and tail shapes do not fit together")
+        self.rows, self.cols, self.tail, self.step = rows, cols, tail, float(step)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        n = self.rows.shape[1]
+        return (n, n)
+
+    @property
+    def border(self) -> int:
+        return self.rows.shape[0]
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        v = np.asarray(v, dtype=float)
+        if v.shape != (self.shape[1],):
+            raise AssemblyError("dimension mismatch in matvec")
+        b = self.border
+        out = np.empty(v.size)
+        out[:b] = self.rows @ v
+        out[b:] = self.tail.matvec(v[b:])
+        out[b:] += self.cols @ v[:b]
+        return out
+
+    def diagonal(self) -> np.ndarray:
+        return np.concatenate((np.diag(self.rows), self.tail.diagonal()))
+
+    def to_dense(self) -> np.ndarray:
+        b = self.border
+        a = np.empty(self.shape)
+        a[:b] = self.rows
+        a[b:, :b] = self.cols
+        a[b:, b:] = self.tail.to_dense()
+        return a
+
+    def scale_rows(self, h_rows: np.ndarray) -> "BorderedToeplitzOperator":
+        """Divide row ``i`` by ``h_rows[i]`` (the dense parts in place) and the
+        tail by its step, whose rows share one step up to rounding."""
+        b = self.border
+        self.rows /= h_rows[:b, None]
+        self.cols /= h_rows[b:, None]
+        tail = self.tail.with_scale(1.0 / self.step)
+        return BorderedToeplitzOperator(self.rows, self.cols, tail, self.step)
+
+
+LinearOperator = DenseOperator | SymToeplitzOperator | BorderedToeplitzOperator
 
 
 @dataclass(frozen=True)
@@ -186,23 +262,36 @@ class FveSystem:
 _BLOCK_ROWS = 64
 
 
-def assemble_matrix(grid: Grid, problem: FdeProblem) -> DenseOperator:
-    """Assemble the dense FVE coefficient matrix on an arbitrary grid.
+def assemble_matrix(
+    grid: Grid,
+    problem: FdeProblem,
+    rows: tuple[int, int] | None = None,
+    cols: tuple[int, int] | None = None,
+) -> DenseOperator:
+    """Assemble the dense FVE coefficient matrix on an arbitrary grid, or the
+    block of it in the row range ``rows`` and the column range ``cols``
+    (half-open ``(start, stop)`` pairs; the full range by default).
 
     Row ``i`` combines powers ``|x_m - x_{i-1/2}|**beta`` and
-    ``|x_m - x_{i+1/2}|**beta`` over all nodes ``m``.  The matrix is filled
-    in blocks of :data:`_BLOCK_ROWS` rows; each block evaluates the power
-    table of its own ``rows + 1`` midpoints, its first differences divided by
-    the steps and its second differences in the node index, which row ``i``
-    uses for its left midpoint and row ``i - 1`` for its right one.  The
-    three tables live in buffers allocated once per call and are filled by
-    in-place ufuncs, which write the kernel straight into the matrix rows and
-    scale them there; only each block's own square is split into its lower
-    and upper triangles.  Every entry comes from the same arithmetic whatever
-    the block size, and the memory used beyond the matrix is O(block * N).
+    ``|x_m - x_{i+1/2}|**beta`` over the nodes ``m`` of its columns.  The
+    block is filled in blocks of :data:`_BLOCK_ROWS` rows (proportionally
+    more when it has fewer columns than the matrix); each block
+    evaluates the power table of its own ``rows + 1`` midpoints, its first
+    differences divided by the steps and its second differences in the node
+    index, which row ``i`` uses for its left midpoint and row ``i - 1`` for
+    its right one.  The three tables live in buffers allocated once per call
+    and are filled by in-place ufuncs, which write the kernel straight into
+    the matrix rows and scale them there; only each block's own square is
+    split into its lower and upper triangles.  Every entry comes from the
+    same arithmetic whatever the block size and the ranges, and the memory
+    used beyond the result is O(block * N).
     """
     x = grid.points
     n = grid.n
+    r0, r1 = (0, n) if rows is None else rows
+    c0, c1 = (0, n) if cols is None else cols
+    if not (0 <= r0 <= r1 <= n and 0 <= c0 <= c1 <= n):
+        raise AssemblyError("block ranges must lie within the matrix")
     beta = float(problem.beta)
     gamma = float(problem.gamma)
     gam1 = math.gamma(beta + 1.0)
@@ -215,84 +304,87 @@ def assemble_matrix(grid: Grid, problem: FdeProblem) -> DenseOperator:
     z = 0.5 * (x[:-1] + x[1:])  # cell midpoints x_{t+1/2}, t = 0..n
     kz = problem.diffusion_at(z)
 
-    a = np.empty((n, n))
+    a = np.empty((r1 - r0, c1 - c0))
+    # column j of the block uses the nodes c0 + j .. c0 + j + 2
+    xc = x[c0 : c1 + 2]
+    inv_hc = inv_h[c0 + 1 : c1 + 2]
     # block buffers, reused by every block: powers, first and second differences
-    rows = min(_BLOCK_ROWS, n)
-    w_buf = np.empty((rows + 1, n + 2))
-    e_buf = np.empty((rows + 1, n + 1))
-    d_buf = np.empty((rows + 1, n))
-    for i0 in range(0, n, _BLOCK_ROWS):
-        i1 = min(i0 + _BLOCK_ROWS, n)
+    block = max(_BLOCK_ROWS * n // max(c1 - c0, 1), 1)
+    size = min(block, r1 - r0) + 1
+    w_buf = np.empty((size, xc.size))
+    e_buf = np.empty((size, xc.size - 1))
+    d_buf = np.empty((size, xc.size - 2))
+    for i0 in range(r0, r1, block):
+        i1 = min(i0 + block, r1)
         r = i1 - i0 + 1
-        # w[l, m] = |x_m - x_{i0+l-1/2}|**beta; row i's midpoints are rows i-i0, i-i0+1
+        # w[l, m] = |x_{c0+m} - x_{i0+l-1/2}|**beta; row i's midpoints are rows i-i0, i-i0+1
         w = w_buf[:r]
-        np.subtract(x[None, :], z[i0 : i1 + 1, None], out=w)
+        np.subtract(xc[None, :], z[i0 : i1 + 1, None], out=w)
         np.abs(w, out=w)
         w **= beta
         # e_j = (w_{j+1}-w_j)/h_{j+1}; value at column j (1-based) is e_j - e_{j-1}
         e = e_buf[:r]
         np.subtract(w[:, 1:], w[:, :-1], out=e)
-        e *= inv_h[1:]
+        e *= inv_hc
         d = d_buf[:r]
         np.subtract(e[:, 1:], e[:, :-1], out=d)
-        out = a[i0:i1]
+        out = a[i0 - r0 : i1 - r0]
         np.multiply(kz[i0:i1, None], d[:-1], out=out)
         d[1:] *= kz[i0 + 1 : i1 + 1, None]
         out -= d[1:]
 
         # left of the block's band the gamma kernel, right of it the 1-gamma one
-        lo, hi = max(i0 - 1, 0), min(i1 + 1, n)
+        lo = min(max(i0 - 1, 0, c0), c1) - c0
+        hi = max(min(i1 + 1, c1), c0) - c0
         out[:, :lo] *= gamma
         right = out[:, hi:]
         right *= 1.0 - gamma
         np.subtract(0.0, right, out=right)  # 0 - y, not -y: zeros stay +0
         sq = out[:, lo:hi]
-        sq[:] = np.tril(sq, i0 - 2 - lo) * gamma - (1.0 - gamma) * np.triu(sq, i0 + 2 - lo)
+        k = i0 - c0 - lo  # the square's column k is the block's first row's diagonal
+        sq[:] = np.tril(sq, k - 2) * gamma - (1.0 - gamma) * np.triu(sq, k + 2)
 
-        t = np.arange(i0, i1)
-        _fill_bands(out, t, t - i0, w, inv_h, kz[t], kz[t + 1], gamma)
+        if lo < hi:  # the band meets the block's columns
+            t = np.arange(i0, i1)
+            _fill_bands(out, t, t - i0, w, inv_h, kz[t], kz[t + 1], gamma, (c0, c1))
         out /= gam1
         if not np.all(np.isfinite(out)):
             raise AssemblyError("assembled matrix has non-finite entries")
     return DenseOperator(a)
 
 
-def _fill_bands(out, t, l, w, inv_h, km, kp, gamma) -> None:
-    """Overwrite the three central bands of the rows ``t`` (local rows ``l``
-    of ``out``), whose entries mix the left and right kernels.
+def _fill_bands(out, t, l, w, inv_h, km, kp, gamma, cols=None) -> None:
+    """Overwrite the entries of the three central bands, which mix the left
+    and right kernels, in the rows ``t`` (local rows ``l`` of ``out``) and the
+    columns ``cols = (c0, c1)`` (all of ``out``'s by default, local columns
+    from ``c0``).
 
-    ``w[l]`` holds the powers about row ``t``'s left midpoint and ``w[l + 1]``
-    those about its right one.
+    ``w[l]`` holds the powers about row ``t``'s left midpoint and
+    ``w[l + 1]`` those about its right one, from node ``c0`` on; the entry in
+    column ``c`` uses the nodes ``c .. c + 2`` and the steps ``h_{c+1}``,
+    ``h_{c+2}``.
     """
-    n = out.shape[1]
-    # main diagonal
-    out[l, t] = km * (
-        w[l, t] * inv_h[t + 1]
-        + (1.0 - gamma) * (w[l, t + 1] - w[l, t + 2]) * inv_h[t + 2]
-    ) - kp * (
-        gamma * (w[l + 1, t] - w[l + 1, t + 1]) * inv_h[t + 1]
-        - w[l + 1, t + 1] * inv_h[t + 2]
-    )
-    # first subdiagonal
-    sub = t >= 1
-    u, lu = t[sub], l[sub]
-    out[lu, u - 1] = km[sub] * (
-        gamma * (w[lu, u - 1] - w[lu, u]) * inv_h[u]
-        - w[lu, u] * inv_h[u + 1]
-    ) - kp[sub] * gamma * (
-        (w[lu + 1, u - 1] - w[lu + 1, u]) * inv_h[u]
-        + (w[lu + 1, u + 1] - w[lu + 1, u]) * inv_h[u + 1]
-    )
-    # first superdiagonal
-    sup = t <= n - 2
-    v, lv = t[sup], l[sup]
-    out[lv, v + 1] = km[sup] * (1.0 - gamma) * (
-        (w[lv, v + 2] - w[lv, v + 1]) * inv_h[v + 2]
-        + (w[lv, v + 2] - w[lv, v + 3]) * inv_h[v + 3]
-    ) - kp[sup] * (
-        w[lv + 1, v + 2] * inv_h[v + 2]
-        + (1.0 - gamma) * (w[lv + 1, v + 2] - w[lv + 1, v + 3]) * inv_h[v + 3]
-    )
+    c0, c1 = (0, out.shape[1]) if cols is None else cols
+    for offset in (0, -1, 1):
+        col = t + offset
+        inside = (col >= c0) & (col < c1)
+        c, li, j = col[inside], l[inside], col[inside] - c0
+        km_i, kp_i = km[inside], kp[inside]
+        w0, w1, w2 = w[li, j], w[li, j + 1], w[li, j + 2]  # about the left midpoint
+        p0, p1, p2 = w[li + 1, j], w[li + 1, j + 1], w[li + 1, j + 2]  # the right one
+        ih1, ih2 = inv_h[c + 1], inv_h[c + 2]
+        if offset == 0:
+            out[li, j] = km_i * (w0 * ih1 + (1.0 - gamma) * (w1 - w2) * ih2) - kp_i * (
+                gamma * (p0 - p1) * ih1 - p1 * ih2
+            )
+        elif offset == -1:
+            out[li, j] = km_i * (gamma * (w0 - w1) * ih1 - w1 * ih2) - kp_i * gamma * (
+                (p0 - p1) * ih1 + (p2 - p1) * ih2
+            )
+        else:
+            out[li, j] = km_i * (1.0 - gamma) * ((w1 - w0) * ih1 + (w1 - w2) * ih2) - kp_i * (
+                p1 * ih1 + (1.0 - gamma) * (p1 - p2) * ih2
+            )
 
 
 #: 8-point Gauss-Legendre rule mapped to [0, 1].
@@ -421,32 +513,68 @@ def toeplitz_coefficients(beta: float, count: int) -> np.ndarray:
 
 
 def uniform_toeplitz(
-    n: int, beta: float, diffusion: float = 1.0, gamma: float = 0.5
+    n: int,
+    beta: float,
+    diffusion: float = 1.0,
+    gamma: float = 0.5,
+    step: float | None = None,
 ) -> SymToeplitzOperator:
-    """Symmetric Toeplitz operator of the uniform-mesh discretization.
+    """Symmetric Toeplitz operator of the discretization on ``n`` nodes with
+    the uniform step ``step`` (by default ``1/(n+1)``, the uniform grid).
 
-    Valid only for constant diffusion and ``gamma = 1/2`` on the uniform
-    grid with ``n`` interior points, where the matrix entries depend on
-    ``|i - j|`` alone.
+    Valid only for constant diffusion and ``gamma = 1/2``, where the matrix
+    entries of rows and columns inside a uniform run of steps depend on
+    ``|i - j|`` alone: this is the whole matrix of the uniform grid and the
+    tail block of a mesh with a uniform tail.
     """
     if gamma != 0.5:
         raise AssemblyError("the symmetric Toeplitz form requires gamma = 1/2")
     if n < 1:
         raise AssemblyError("n must be >= 1")
-    h = 1.0 / (n + 1)
+    h = 1.0 / (n + 1) if step is None else step
     c = diffusion * h ** (beta - 1.0) / (2.0**beta * math.gamma(beta + 1.0))
     return SymToeplitzOperator(c * toeplitz_coefficients(beta, n))
 
 
-def assemble_system(grid: Grid, problem: FdeProblem) -> FveSystem:
-    """Assemble operator and right-hand side; take the Toeplitz fast path
-    when the mesh is uniform, the diffusion constant and gamma = 1/2.
+#: Steps of a uniform tail differ only by the rounding of their node
+#: coordinates in [0, 1]: by at most 2.2e-16 on the composite and blended
+#: meshes of the benchmark and 6.7e-16 on eps4, while the graded steps next
+#: to a tail differ from it by 1e-7 or more at N = 4095.
+_TAIL_STEP_TOL = 2e-15
+
+
+def _tail_start(grid: Grid) -> int:
+    """First row of the grid's uniform tail: row ``i`` (node ``x_{i+1}``) and
+    every later one have both their steps equal to the last step, to
+    :data:`_TAIL_STEP_TOL`.  0 on a uniform grid, ``n`` when there is no tail.
     """
-    uniform = np.ptp(grid.steps) <= 1e-14 * grid.steps[0]
-    const_k = not callable(problem.diffusion)
-    if uniform and const_k and problem.gamma == 0.5:
-        op: LinearOperator = uniform_toeplitz(
-            grid.n, problem.beta, float(problem.diffusion), problem.gamma
+    off = np.flatnonzero(np.abs(grid.steps - grid.steps[-1]) > _TAIL_STEP_TOL)
+    return int(off[-1]) + 1 if off.size else 0
+
+
+def assemble_system(grid: Grid, problem: FdeProblem, dense: bool = False) -> FveSystem:
+    """Assemble operator and right-hand side.
+
+    With constant diffusion and ``gamma = 1/2`` the rows and columns of a
+    uniform tail form a symmetric Toeplitz block: the uniform grid gets a
+    :class:`SymToeplitzOperator`, a graded mesh with a uniform tail a
+    :class:`BorderedToeplitzOperator` whose border rows and columns come from
+    :func:`assemble_matrix`.  Every other case, and a graded mesh when
+    ``dense`` is true (for a caller that factors the matrix), gets the dense
+    matrix of :func:`assemble_matrix`.
+    """
+    n = grid.n
+    toeplitz = not callable(problem.diffusion) and problem.gamma == 0.5
+    b = _tail_start(grid) if toeplitz else n
+    if b == 0:
+        op: LinearOperator = uniform_toeplitz(n, problem.beta, float(problem.diffusion))
+    elif b < n and not dense:
+        step = (grid.points[-1] - grid.points[b]) / (n - b + 1)
+        op = BorderedToeplitzOperator(
+            assemble_matrix(grid, problem, rows=(0, b)).entries,
+            assemble_matrix(grid, problem, rows=(b, n), cols=(0, b)).entries,
+            uniform_toeplitz(n - b, problem.beta, float(problem.diffusion), step=step),
+            step,
         )
     else:
         op = assemble_matrix(grid, problem)
@@ -458,23 +586,24 @@ def row_scale(system: FveSystem) -> FveSystem:
 
     The scaling removes the grid-dependent measure factor from each
     equation, which the multigrid hierarchy relies on.  A Toeplitz operator
-    stays Toeplitz (uniform mesh implies a scalar factor ``n + 1``).
+    stays Toeplitz (uniform mesh implies a scalar factor ``n + 1``), and so
+    does the tail of a bordered one, divided by its step.
 
-    A dense operator is scaled in place: the returned system holds the very
-    array of ``system.operator.entries``, so the argument is consumed and
-    its matrix must not be read as unscaled afterwards.  No second N x N
-    matrix is made.
+    Dense parts are scaled in place: the returned system holds the very
+    arrays of ``system.operator``, so the argument is consumed and its
+    matrix must not be read as unscaled afterwards.  No second N x N matrix
+    is made.
     """
     if system.scaled:
         raise AssemblyError("system is already row-scaled")
     h_rows = system.grid.steps[:-1]  # h_1 .. h_N
-    if isinstance(system.operator, SymToeplitzOperator):
+    op = system.operator
+    if isinstance(op, SymToeplitzOperator):
         factor = float(system.grid.n + 1)
-        op: LinearOperator = system.operator.with_scale(factor)
-        rhs = system.rhs * factor
+        return replace(system, operator=op.with_scale(factor), rhs=system.rhs * factor, scaled=True)
+    if isinstance(op, BorderedToeplitzOperator):
+        op = op.scale_rows(h_rows)
     else:
-        entries = system.operator.entries
+        entries = op.entries  # op is frozen: divide the array, not the field
         entries /= h_rows[:, None]
-        op = DenseOperator(entries)
-        rhs = system.rhs / h_rows
-    return replace(system, operator=op, rhs=rhs, scaled=True)
+    return replace(system, operator=op, rhs=system.rhs / h_rows, scaled=True)

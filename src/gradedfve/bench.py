@@ -41,7 +41,7 @@ from .mesh import (
     q_for_beta,
     uniform_grid,
 )
-from .multigrid import build_hierarchy
+from .multigrid import OmegaFallbackWarning, build_hierarchy
 
 __all__ = [
     "EPS_PRESETS",
@@ -189,6 +189,11 @@ class CaseResult:
     e_inf_nodes: float | None
     e_rel: float | None
     wall_time: float
+    # multigrid hierarchy of a pgmres solve: coarsening steps, Jacobi weight
+    # and whether no weight passed the region test (the 2/3 fallback)
+    depth: int | None = None
+    omega: float | None = None
+    omega_fallback: bool = False
 
     @property
     def it_label(self) -> str:
@@ -202,21 +207,32 @@ def run_case(cfg: CaseConfig) -> CaseResult:
     t0 = time.perf_counter()
     grid = build_case_grid(cfg.mesh, cfg.beta, cfg.n)
     problem = make_problem(cfg.beta, cfg.gamma)
-    system = assemble_system(grid, problem)
+    # a direct solve factors a dense matrix, so it gets one from the start
+    system = assemble_system(grid, problem, dense=cfg.solver == "direct")
 
     converged = True
     it: int | None = None
+    mg: dict = {}
     if cfg.solver == "direct":
         solution = np.linalg.solve(system.operator.to_dense(), system.rhs)
     else:
-        # row_scale scales a dense matrix in place and consumes the unscaled
-        # system, so the solve holds one finest matrix plus its coarse levels
+        # row_scale scales dense parts in place and consumes the unscaled
+        # system; a mesh with a uniform tail keeps only its border dense on
+        # every level, so the solve holds far less than one finest matrix
         system = row_scale(system)
         precond = None
         if cfg.solver == "pgmres":
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                precond = build_hierarchy(system).apply
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", OmegaFallbackWarning)
+                hier = build_hierarchy(system)
+            fallback = False
+            for w in caught:
+                if issubclass(w.category, OmegaFallbackWarning):
+                    fallback = True
+                else:
+                    warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+            mg = dict(depth=hier.depth, omega=hier.omega, omega_fallback=fallback)
+            precond = hier.apply
         report = gmres(
             system.operator, system.rhs, precond=precond, tol=cfg.tol, maxit=cfg.maxit
         )
@@ -226,7 +242,7 @@ def run_case(cfg: CaseConfig) -> CaseResult:
 
     wall = time.perf_counter() - t0
     if not converged:
-        return CaseResult(None, False, None, None, None, wall)
+        return CaseResult(None, False, None, None, None, wall, **mg)
 
     xs = grid.points[1:-1]
     ue = exact_solution(cfg.beta, xs)
@@ -242,7 +258,7 @@ def run_case(cfg: CaseConfig) -> CaseResult:
     )
     e_fine = float(np.abs(interp - exact_solution(cfg.beta, y)).max())
 
-    return CaseResult(it, True, e_fine, e_nodes, e_rel, wall)
+    return CaseResult(it, True, e_fine, e_nodes, e_rel, wall, **mg)
 
 
 @dataclass

@@ -7,6 +7,7 @@ completed only partially (some cells errored).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -39,7 +40,8 @@ def _add_common(p: _Parser) -> None:
 
 
 def _out_stream(path):
-    return open(path, "w", encoding="ascii") if path else sys.stdout
+    # standard output must outlive the ``with`` block that writes to it
+    return open(path, "w", encoding="ascii") if path else contextlib.nullcontext(sys.stdout)
 
 
 def _mesh_spec(args) -> MeshSpec:
@@ -119,6 +121,9 @@ def main(argv=None) -> int:
                 "e_inf_nodes": res.e_inf_nodes,
                 "e_rel": res.e_rel,
                 "wall_time": res.wall_time,
+                "depth": res.depth,
+                "omega": res.omega,
+                "omega_fallback": res.omega_fallback,
             }
             with _out_stream(args.out) as fh:
                 if args.format == "json":

@@ -2,8 +2,14 @@
 
 The hierarchy halves the number of interior points per level (keeping the
 even-indexed nodes).  The finest level is the caller's row-scaled operator;
-every coarser level rediscretizes the equation on its grid and row-scales
-it by its own ``diag(1/h_i)``.  Grid transfer uses
+every coarser level rediscretizes the equation on its grid through the same
+``assemble_system`` and ``row_scale`` path.  Every level holds an operator,
+not an array: coarsening keeps the even nodes, so a uniform tail stays a
+uniform tail, and each level of a mesh with one is a bordered Toeplitz
+operator (a pure Toeplitz one on the uniform grid) whose products cost
+O(N log N) on the tail.  Dense matrices are formed only where they are the
+point: the LU factors of the coarsest level and the small eigenproblem of
+the damping estimate.  Grid transfer uses
 piecewise-linear interpolation on the non-uniform nodes; restriction is
 the weighted transpose of the interpolation (the 1/2 factor that turns the
 transpose into full weighting on a uniform grid).  The smoother is one
@@ -21,11 +27,14 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .assembly import FdeProblem, FveSystem, assemble_matrix
+from .assembly import FdeProblem, FveSystem, LinearOperator, assemble_system, row_scale
+# unused here, but perfbench/layers.py wraps multigrid.assemble_matrix
+from .assembly import assemble_matrix  # noqa: F401
 from .mesh import Grid
 
 __all__ = [
     "MultigridError",
+    "OmegaFallbackWarning",
     "SmootherRegion",
     "DEFAULT_REGION",
     "MgLevel",
@@ -51,6 +60,10 @@ _RESTRICTION_SCALE = 0.5
 
 class MultigridError(ValueError):
     """Invalid multigrid construction request."""
+
+
+class OmegaFallbackWarning(UserWarning):
+    """No Jacobi weight passed the region test; the classical 2/3 is used."""
 
 
 @dataclass(frozen=True)
@@ -118,12 +131,6 @@ def prolongation(fine: Grid, coarse: Grid) -> scipy.sparse.csr_matrix:
     return p.tocsr()
 
 
-def _scaled_matrix(grid: Grid, problem: FdeProblem) -> np.ndarray:
-    a = assemble_matrix(grid, problem).entries
-    a /= grid.steps[:-1][:, None]
-    return a
-
-
 def estimate_omega(
     problem: FdeProblem, small_grid: Grid, matrix: np.ndarray | None = None
 ) -> float:
@@ -137,9 +144,12 @@ def estimate_omega(
     the one minimizing the damping of the oscillatory half of the spectrum
     (the eigenvalues of largest modulus) is returned; ties go to the larger
     weight.  If no candidate is admissible the classical 2/3 is returned
-    with a warning.
+    with an :class:`OmegaFallbackWarning`.
     """
-    a = _scaled_matrix(small_grid, problem) if matrix is None else matrix
+    if matrix is None:
+        a = row_scale(assemble_system(small_grid, problem)).operator.to_dense()
+    else:
+        a = matrix
     d = np.diag(a).copy()
     if np.any(d == 0.0):
         raise MultigridError("zero diagonal entry; Jacobi smoothing undefined")
@@ -161,6 +171,7 @@ def estimate_omega(
         warnings.warn(
             "no Jacobi weight keeps the smoother spectrum inside the region; "
             "falling back to 2/3",
+            OmegaFallbackWarning,
             stacklevel=2,
         )
         return OMEGA_FALLBACK
@@ -170,7 +181,7 @@ def estimate_omega(
 @dataclass
 class MgLevel:
     grid: Grid
-    matrix: np.ndarray
+    operator: LinearOperator
     diag: np.ndarray
     prolong: scipy.sparse.csr_matrix | None = None
 
@@ -195,11 +206,10 @@ class MgHierarchy:
 def build_hierarchy(system: FveSystem) -> MgHierarchy:
     """Build the V-cycle hierarchy of a row-scaled system.
 
-    Level 0 is the caller's operator, ``system.operator.to_dense()``: the
-    very array of a dense operator, a densified copy of a Toeplitz one.  The
-    coarser levels rediscretize ``system.problem`` on the coarsenings of
-    ``system.grid`` and row-scale each by its own steps; the coarsest level
-    has at most 3 interior points and is LU-factored.
+    Level 0 is the caller's operator itself.  The coarser levels are
+    ``row_scale(assemble_system(...))`` of ``system.problem`` on the
+    coarsenings of ``system.grid``; the coarsest level has at most 3
+    interior points and is LU-factored.
 
     One damping weight, estimated by :func:`estimate_omega` on the first
     level with at most 16 interior points (a member of the same mesh
@@ -216,19 +226,16 @@ def build_hierarchy(system: FveSystem) -> MgHierarchy:
         grids.append(coarsen(grids[-1]))
 
     levels: list[MgLevel] = []
-    est_matrix = None
-    est_grid = None
     for g in grids:
-        a = _scaled_matrix(g, problem) if levels else system.operator.to_dense()
-        levels.append(MgLevel(grid=g, matrix=a, diag=np.diag(a).copy()))
-        if est_grid is None and g.n <= _OMEGA_SIZE:
-            est_grid, est_matrix = g, a
+        op = row_scale(assemble_system(g, problem)).operator if levels else system.operator
+        levels.append(MgLevel(grid=g, operator=op, diag=op.diagonal()))
     for lev, coarse in zip(levels, levels[1:]):
         lev.prolong = prolongation(lev.grid, coarse.grid)
 
-    omega = estimate_omega(problem, est_grid, matrix=est_matrix)
+    est = next(lev for lev in levels if lev.grid.n <= _OMEGA_SIZE)
+    omega = estimate_omega(problem, est.grid, matrix=est.operator.to_dense())
 
-    lu = scipy.linalg.lu_factor(levels[-1].matrix)
+    lu = scipy.linalg.lu_factor(levels[-1].operator.to_dense())
     return MgHierarchy(levels, omega, lu)
 
 
@@ -238,10 +245,10 @@ def _vcycle(hier: MgHierarchy, level: int, r: np.ndarray) -> np.ndarray:
         return scipy.linalg.lu_solve(hier.coarse_lu, r)
     omega = hier.omega
     x = omega * r / lev.diag  # pre-smoothing from zero guess
-    res = r - lev.matrix @ x
+    res = r - lev.operator.matvec(x)
     rc = _RESTRICTION_SCALE * (lev.prolong.T @ res)
     x = x + lev.prolong @ _vcycle(hier, level + 1, rc)
-    x = x + omega * (r - lev.matrix @ x) / lev.diag
+    x = x + omega * (r - lev.operator.matvec(x)) / lev.diag
     return x
 
 

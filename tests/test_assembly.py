@@ -3,11 +3,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from gradedfve import assembly as asm
 from gradedfve import bench
 from gradedfve.assembly import (
     AssemblyError,
+    BorderedToeplitzOperator,
     DenseOperator,
     FdeProblem,
     SymToeplitzOperator,
@@ -261,6 +263,14 @@ class TestToeplitzOperator:
             tracemalloc.stop()
         assert peak <= 1.05 * a.nbytes
 
+    def test_fft_matvec_every_small_size(self, rng):
+        # circulant sizes 2n - 1 .. 2n, odd ones included
+        for n in range(1, 41):
+            op = SymToeplitzOperator(rng.standard_normal(n), 1.5)
+            v = rng.standard_normal(n)
+            ref = op.to_dense() @ v
+            assert np.abs(op.matvec(v) - ref).max() <= 1e-13 * np.abs(ref).max(), n
+
     def test_identity_and_zero(self, rng):
         op = DenseOperator(np.eye(5))
         v = rng.standard_normal(5)
@@ -275,6 +285,75 @@ class TestToeplitzOperator:
     def test_requires_balanced_gamma(self):
         with pytest.raises(AssemblyError):
             uniform_toeplitz(8, 0.5, gamma=0.4)
+
+
+class TestBorderedToeplitz:
+    """The bordered operator of a mesh with a uniform tail against the dense
+    assembly: its border is the same arithmetic, its tail the closed form."""
+
+    # (mesh, beta): the grids of eps1 and eps4 depend on beta through q
+    MESHES = {
+        "sqrt": (bench.MeshSpec("composite", rule="sqrt"), 0.5),
+        "log2": (bench.MeshSpec("composite", rule="log2"), 0.3),
+        "eps1": (bench.MeshSpec("graded", eps1=0.1, eps2=0.05), 0.8),
+        "eps4": (bench.MeshSpec("graded", eps1=0.45, eps2=0.05), 0.5),
+    }
+
+    @pytest.mark.parametrize("scaled", [False, True], ids=["unscaled", "scaled"])
+    @pytest.mark.parametrize("n", [127, 1023])
+    @pytest.mark.parametrize("name", list(MESHES))
+    def test_matches_dense_assembly(self, rng, name, n, scaled):
+        spec, beta = self.MESHES[name]
+        grid = bench.build_case_grid(spec, beta, n)
+        problem = FdeProblem(beta=beta, gamma=0.5)
+        system = assemble_system(grid, problem)
+        dense = assemble_matrix(grid, problem).entries
+        if scaled:
+            system = row_scale(system)
+            dense /= grid.steps[:-1][:, None]
+        op = system.operator
+        assert isinstance(op, BorderedToeplitzOperator)
+        b = op.border
+        assert 0 < b < n
+        a = op.to_dense()
+        assert a[:b].tobytes() == dense[:b].tobytes()
+        assert a[b:, :b].tobytes() == dense[b:, :b].tobytes()
+        tail = a[b:, b:]
+        assert np.abs(tail - dense[b:, b:]).max() <= 1e-11 * np.abs(dense).max()
+        assert np.array_equal(tail, scipy.linalg.toeplitz(tail[0]))
+        v = rng.standard_normal(n)
+        ref = a @ v
+        assert np.abs(op.matvec(v) - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.array_equal(op.diagonal(), np.diag(a))
+
+    def test_meshes_without_a_toeplitz_tail_stay_dense(self):
+        sqrt = composite_grid(127, CompositeRule("sqrt"))
+        eps6 = graded_grid(127, blend_coefficients(3.0, 1.0, 0.0))
+        for grid, problem in [
+            (eps6, FdeProblem(beta=0.5, gamma=0.5)),
+            (sqrt, FdeProblem(beta=0.5, gamma=0.4)),
+            (sqrt, FdeProblem(beta=0.5, gamma=0.5, diffusion=lambda x: 1.0 + x)),
+        ]:
+            assert isinstance(assemble_system(grid, problem).operator, DenseOperator)
+
+    def test_dense_request_keeps_the_dense_matrix(self):
+        grid = composite_grid(127, CompositeRule("sqrt"))
+        problem = FdeProblem(beta=0.5, gamma=0.5)
+        op = assemble_system(grid, problem, dense=True).operator
+        assert isinstance(op, DenseOperator)
+        assert op.entries.tobytes() == assemble_matrix(grid, problem).entries.tobytes()
+        uniform = assemble_system(uniform_grid(127), problem, dense=True).operator
+        assert isinstance(uniform, SymToeplitzOperator)
+
+    def test_block_ranges_are_slices_of_the_matrix(self):
+        grid = composite_grid(130, CompositeRule("sqrt"))
+        problem = FdeProblem(beta=0.7, gamma=0.3, diffusion=lambda x: 1.0 + x)
+        full = assemble_matrix(grid, problem).entries
+        for rows, cols in [((0, 130), (0, 130)), ((5, 70), (60, 72)), ((64, 65), (0, 1)), ((3, 3), (0, 9))]:
+            block = assemble_matrix(grid, problem, rows=rows, cols=cols).entries
+            assert block.tobytes() == full[slice(*rows), slice(*cols)].tobytes()
+        with pytest.raises(AssemblyError):
+            assemble_matrix(grid, problem, rows=(0, 131))
 
 
 class TestRhs:

@@ -1,11 +1,12 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from gradedfve import bench
+from gradedfve import bench, multigrid
 from gradedfve.bench import CaseConfig, MeshSpec
 from gradedfve.cli import main as cli_main
 
@@ -114,6 +115,50 @@ class TestRunCase:
         assert res.converged
         assert peak <= 1.6 * 8 * n * n
 
+    @pytest.mark.parametrize(
+        "spec", [MeshSpec("uniform"), MeshSpec("composite", rule="sqrt")], ids=["uniform", "sqrt"]
+    )
+    def test_pgmres_on_a_uniform_tail_holds_no_dense_matrix(self, spec):
+        # every level keeps only its graded border dense, the tail is Toeplitz
+        n = 2**10 - 1
+        tracemalloc.start()
+        try:
+            res = bench.run_case(CaseConfig(0.5, 0.5, spec, n))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.converged
+        assert peak <= 0.35 * 8 * n * n
+
+    def test_hierarchy_is_reported(self):
+        spec = MeshSpec("composite", rule="sqrt")
+        res = bench.run_case(CaseConfig(0.5, 0.5, spec, 63))
+        assert res.depth == 4  # 63 -> 31 -> 15 -> 7 -> 3
+        assert 0.0 < res.omega < 2.0 and not res.omega_fallback
+        direct = bench.run_case(CaseConfig(0.5, 0.5, spec, 63, "direct"))
+        assert direct.depth is None and direct.omega is None
+
+    def test_omega_fallback_is_recorded(self, monkeypatch):
+        # a region left of nothing admits no weight
+        monkeypatch.setattr(multigrid, "DEFAULT_REGION", multigrid.SmootherRegion(x_min=2.0, x_max=3.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the fallback warning is recorded, not shown
+            res = bench.run_case(CaseConfig(0.5, 0.5, MeshSpec("graded", eps1=1.0, eps2=0.0), 63))
+        assert res.omega_fallback
+        assert res.omega == multigrid.OMEGA_FALLBACK
+
+    def test_other_hierarchy_warnings_are_not_hidden(self, monkeypatch):
+        build = bench.build_hierarchy
+
+        def noisy(system):
+            warnings.warn("unrelated", RuntimeWarning)
+            return build(system)
+
+        monkeypatch.setattr(bench, "build_hierarchy", noisy)
+        with pytest.warns(RuntimeWarning, match="unrelated"):
+            res = bench.run_case(CaseConfig(0.5, 0.5, MeshSpec("uniform"), 15))
+        assert not res.omega_fallback
+
     def test_nonconvergent_case_reports_dash(self):
         res = bench.run_case(
             CaseConfig(0.7, 1.0, MeshSpec("graded", eps1=1.0, eps2=0.0), 2**7 - 1)
@@ -194,6 +239,12 @@ class TestCli:
         payload = json.loads(out.read_text())
         assert payload["converged"] is True
         assert payload["e_inf"] > 0
+
+    def test_solve_reports_the_hierarchy(self, capsys):
+        assert cli_main(["solve", "--mesh", "uniform", "--n", "31"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["depth"] == 3 and payload["omega"] > 0
+        assert payload["omega_fallback"] is False
 
     def test_table_csv(self, tmp_path):
         out = tmp_path / "t3.csv"

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 import scipy.sparse
 
+from gradedfve import bench
 from gradedfve.assembly import (
+    BorderedToeplitzOperator,
     FdeProblem,
     SymToeplitzOperator,
     assemble_matrix,
@@ -188,22 +190,44 @@ class TestHierarchy:
         hier = scaled_hierarchy(grid, prob)
         lev = hier.levels[2]
         direct = assemble_matrix(lev.grid, prob).entries / lev.grid.steps[:-1][:, None]
-        assert np.abs(lev.matrix[3] - direct[3]).max() <= 1e-12 * np.abs(direct).max()
+        assert np.abs(lev.operator.to_dense()[3] - direct[3]).max() <= 1e-12 * np.abs(direct).max()
 
     def test_dense_level_zero_is_the_system_operator(self):
         grid = graded_grid(2**5 - 1, blend_coefficients(3.0, 1.0, 0.0))
         system = row_scale(assemble_system(grid, FdeProblem(beta=0.5, gamma=0.5)))
         hier = build_hierarchy(system)
-        assert np.shares_memory(hier.levels[0].matrix, system.operator.entries)
+        assert np.shares_memory(hier.levels[0].operator.entries, system.operator.entries)
 
     def test_toeplitz_level_zero_matches_assembly(self):
         grid = uniform_grid(2**5 - 1)
         prob = FdeProblem(beta=0.5, gamma=0.5)
         system = row_scale(assemble_system(grid, prob))
         assert isinstance(system.operator, SymToeplitzOperator)
-        level0 = build_hierarchy(system).levels[0].matrix
+        level0 = build_hierarchy(system).levels[0].operator.to_dense()
         direct = assemble_matrix(grid, prob).entries / grid.steps[:-1][:, None]
         assert np.abs(level0 - direct).max() <= 1e-12 * np.abs(direct).max()
+
+    @pytest.mark.parametrize(
+        "spec,beta",
+        [
+            (bench.MeshSpec("composite", rule="sqrt"), 0.5),
+            (bench.MeshSpec("graded", eps1=0.1, eps2=0.05), 0.8),
+        ],
+        ids=["sqrt", "eps1"],
+    )
+    def test_every_level_keeps_the_coarsened_tail(self, spec, beta):
+        grid = bench.build_case_grid(spec, beta, 2**10 - 1)
+        hier = scaled_hierarchy(grid, FdeProblem(beta=beta, gamma=0.5))
+        for fine, coarse in zip(hier.levels, hier.levels[1:]):
+            assert isinstance(coarse.operator, BorderedToeplitzOperator)
+            fine_tail = fine.grid.points[fine.operator.border + 1 : -1]
+            coarse_tail = coarse.grid.points[coarse.operator.border + 1 : -1]
+            kept = fine_tail[np.isin(fine_tail, coarse.grid.points)]
+            # all kept tail nodes but at most the first, whose left coarse step is graded
+            assert len(coarse_tail) >= len(kept) - 1
+            assert np.array_equal(coarse_tail, kept[len(kept) - len(coarse_tail) :])
+            assert coarse.operator.step == pytest.approx(2.0 * fine.operator.step, rel=1e-12)
+            assert np.array_equal(coarse.diag, coarse.operator.diagonal())
 
     def test_unscaled_system_rejected(self):
         system = assemble_system(uniform_grid(15), FdeProblem(beta=0.5, gamma=0.5))
@@ -241,11 +265,11 @@ class TestVcycle:
     def test_laplacian_contraction(self, rng, k):
         n = 2**k - 1
         hier = scaled_hierarchy(uniform_grid(n), FdeProblem(beta=0.0, gamma=0.5))
-        a = hier.levels[0].matrix
+        a = hier.levels[0].operator
         e = rng.standard_normal(n)
         rho = 1.0
         for _ in range(25):
-            e_new = e - vcycle(hier, a @ e)
+            e_new = e - vcycle(hier, a.matvec(e))
             rho = np.linalg.norm(e_new) / np.linalg.norm(e)
             e = e_new / np.linalg.norm(e_new)
         assert rho < 0.2
