@@ -49,6 +49,7 @@ __all__ = [
     "FveSystem",
     "assemble_matrix",
     "assemble_rhs",
+    "assemble_operator",
     "assemble_system",
     "toeplitz_coefficients",
     "uniform_toeplitz",
@@ -552,8 +553,10 @@ def _tail_start(grid: Grid) -> int:
     return int(off[-1]) + 1 if off.size else 0
 
 
-def assemble_system(grid: Grid, problem: FdeProblem, dense: bool = False) -> FveSystem:
-    """Assemble operator and right-hand side.
+def assemble_operator(
+    grid: Grid, problem: FdeProblem, dense: bool = False, scaled: bool = False
+) -> LinearOperator:
+    """Assemble the coefficient operator alone, row-scaled if ``scaled``.
 
     With constant diffusion and ``gamma = 1/2`` the rows and columns of a
     uniform tail form a symmetric Toeplitz block: the uniform grid gets a
@@ -561,7 +564,9 @@ def assemble_system(grid: Grid, problem: FdeProblem, dense: bool = False) -> Fve
     :class:`BorderedToeplitzOperator` whose border rows and columns come from
     :func:`assemble_matrix`.  Every other case, and a graded mesh when
     ``dense`` is true (for a caller that factors the matrix), gets the dense
-    matrix of :func:`assemble_matrix`.
+    matrix of :func:`assemble_matrix`.  ``scaled`` applies the row scaling of
+    :func:`row_scale` to the operator, for callers (the coarse multigrid
+    levels) that need no right-hand side.
     """
     n = grid.n
     toeplitz = not callable(problem.diffusion) and problem.gamma == 0.5
@@ -578,7 +583,26 @@ def assemble_system(grid: Grid, problem: FdeProblem, dense: bool = False) -> Fve
         )
     else:
         op = assemble_matrix(grid, problem)
-    return FveSystem(op, assemble_rhs(grid, problem), grid, problem)
+    return _scale_rows(op, grid) if scaled else op
+
+
+def assemble_system(grid: Grid, problem: FdeProblem, dense: bool = False) -> FveSystem:
+    """Assemble the operator of :func:`assemble_operator` and the right-hand
+    side of :func:`assemble_rhs`."""
+    return FveSystem(assemble_operator(grid, problem, dense), assemble_rhs(grid, problem), grid, problem)
+
+
+def _scale_rows(op: LinearOperator, grid: Grid) -> LinearOperator:
+    """Divide row ``i`` of ``op`` by ``h_i``: a Toeplitz operator (a uniform
+    mesh) by the scalar ``1/(n + 1)``, dense parts in place."""
+    if isinstance(op, SymToeplitzOperator):
+        return op.with_scale(float(grid.n + 1))
+    h_rows = grid.steps[:-1]  # h_1 .. h_N
+    if isinstance(op, BorderedToeplitzOperator):
+        return op.scale_rows(h_rows)
+    entries = op.entries  # op is frozen: divide the array, not the field
+    entries /= h_rows[:, None]
+    return op
 
 
 def row_scale(system: FveSystem) -> FveSystem:
@@ -596,14 +620,9 @@ def row_scale(system: FveSystem) -> FveSystem:
     """
     if system.scaled:
         raise AssemblyError("system is already row-scaled")
-    h_rows = system.grid.steps[:-1]  # h_1 .. h_N
-    op = system.operator
+    op, grid = system.operator, system.grid
     if isinstance(op, SymToeplitzOperator):
-        factor = float(system.grid.n + 1)
-        return replace(system, operator=op.with_scale(factor), rhs=system.rhs * factor, scaled=True)
-    if isinstance(op, BorderedToeplitzOperator):
-        op = op.scale_rows(h_rows)
+        rhs = system.rhs * float(grid.n + 1)
     else:
-        entries = op.entries  # op is frozen: divide the array, not the field
-        entries /= h_rows[:, None]
-    return replace(system, operator=op, rhs=system.rhs / h_rows, scaled=True)
+        rhs = system.rhs / grid.steps[:-1]
+    return replace(system, operator=_scale_rows(op, grid), rhs=rhs, scaled=True)

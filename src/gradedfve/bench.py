@@ -349,6 +349,11 @@ def _fmt_cell(c) -> str:
     return str(c)
 
 
+def _err_cell(exc: Exception) -> str:
+    """Table cell of a case that raised: ``ERR: <type>: <message>``."""
+    return f"ERR: {type(exc).__name__}: {exc}"
+
+
 _T2_MESHES: list[tuple[str, MeshSpec]] = [
     ("sqrt", MeshSpec("composite", rule="sqrt")),
     ("log2", MeshSpec("composite", rule="log2")),
@@ -386,9 +391,9 @@ def _sweep_grid_columns(
                         res = run_case(
                             CaseConfig(beta, gamma, spec, n1p - 1, "pgmres", tol, maxit)
                         )
-                    except Exception:
+                    except Exception as exc:
                         complete = False
-                        row += ["ERR", "ERR", "ERR"]
+                        row += [_err_cell(exc)] * 3
                         prev[name] = None
                         continue
                     it = res.it_label or None
@@ -416,10 +421,11 @@ def table_sweep(table_id: int, overrides: dict | None = None) -> TableResult:
 
     ``overrides`` may shrink a sweep for time-boxed runs: recognized keys
     are ``betas``, ``gammas``, ``n_list``, ``meshes`` (subset of column
-    names), ``tol``, ``maxit``.  Cells that raise are reported as ``ERR``
-    and flagged through ``TableResult.complete``.  The ``e_inf`` column of
-    table 3 is the nodal maximum ``e_inf_nodes``; the other tables report the
-    refined-mesh ``e_inf``.
+    names), ``tol``, ``maxit``.  Cells that raise are reported as
+    ``ERR: <exception type>: <message>`` and flagged through
+    ``TableResult.complete``.  The ``e_inf`` column of table 3 is the nodal
+    maximum ``e_inf_nodes``; the other tables report the refined-mesh
+    ``e_inf``.
     """
     ov = dict(overrides or {})
     tol = ov.get("tol", 1e-7)
@@ -443,9 +449,9 @@ def table_sweep(table_id: int, overrides: dict | None = None) -> TableResult:
                     try:
                         res = scan_qopt(beta, gamma, e1, e2, n)
                         row += [res.q_opt, res.e_opt, res.e_beta]
-                    except Exception:
+                    except Exception as exc:
                         complete = False
-                        row += ["ERR", "ERR", "ERR"]
+                        row += [_err_cell(exc)] * 3
                 rows.append(row)
         return TableResult(1, columns, rows, complete)
 
@@ -476,9 +482,9 @@ def table_sweep(table_id: int, overrides: dict | None = None) -> TableResult:
                     CaseConfig(beta, gamma, spec, n1 + n2, "pgmres", tol, maxit)
                 )
                 rows.append([n1, n2, res.it_label or None, res.e_inf_nodes, res.e_rel])
-            except Exception:
+            except Exception as exc:
                 complete = False
-                rows.append([n1, n2, "ERR", "ERR", "ERR"])
+                rows.append([n1, n2] + [_err_cell(exc)] * 3)
         return TableResult(3, columns, rows, complete)
 
     if table_id == 4:

@@ -2,20 +2,21 @@
 
 The hierarchy halves the number of interior points per level (keeping the
 even-indexed nodes).  The finest level is the caller's row-scaled operator;
-every coarser level rediscretizes the equation on its grid through the same
-``assemble_system`` and ``row_scale`` path.  Every level holds an operator,
-not an array: coarsening keeps the even nodes, so a uniform tail stays a
-uniform tail, and each level of a mesh with one is a bordered Toeplitz
-operator (a pure Toeplitz one on the uniform grid) whose products cost
-O(N log N) on the tail.  Dense matrices are formed only where they are the
-point: the LU factors of the coarsest level and the small eigenproblem of
-the damping estimate.  Grid transfer uses
-piecewise-linear interpolation on the non-uniform nodes; restriction is
-the weighted transpose of the interpolation (the 1/2 factor that turns the
-transpose into full weighting on a uniform grid).  The smoother is one
-damped-Jacobi sweep before and after coarse-grid correction, with the
-damping weight estimated once from the spectrum of the Jacobi iteration
-matrix on a small rediscretization of the same problem.
+every coarser level rediscretizes the operator alone on its grid through
+``assemble_operator``, row-scaled like the finest one and with no
+right-hand side.  Every level holds an operator, not an array: coarsening
+keeps the even nodes, so a uniform tail stays a uniform tail, and each level
+of a mesh with one is a bordered Toeplitz operator (a pure Toeplitz one on
+the uniform grid) whose products cost O(N log N) on the tail.  Dense
+matrices are formed only where they are the point: the LU factors of the
+coarsest level and the small eigenproblem of the damping estimate.  Grid
+transfer uses piecewise-linear interpolation on the non-uniform nodes;
+restriction is the weighted transpose of the interpolation (the 1/2 factor
+that turns the transpose into full weighting on a uniform grid), stored
+once per level.  The smoother is one damped-Jacobi sweep before and after
+coarse-grid correction, with the damping weight estimated once from the
+spectrum of the Jacobi iteration matrix on a small rediscretization of the
+same problem.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .assembly import FdeProblem, FveSystem, LinearOperator, assemble_system, row_scale
+from .assembly import FdeProblem, FveSystem, LinearOperator, assemble_operator
 # unused here, but perfbench/layers.py wraps multigrid.assemble_matrix
 from .assembly import assemble_matrix  # noqa: F401
 from .mesh import Grid
@@ -84,12 +85,16 @@ class SmootherRegion:
         x = np.asarray(x, dtype=float)
         return np.sqrt(np.maximum(1.0 - x * x, 0.0)) + self.slope * (x - 1.0)
 
-    def contains(self, z) -> bool:
-        """True if every entry of ``z`` lies strictly inside the lens."""
-        z = np.atleast_1d(np.asarray(z, dtype=complex))
+    def inside(self, z) -> np.ndarray:
+        """Which entries of ``z`` lie strictly inside the lens, elementwise."""
+        z = np.asarray(z, dtype=complex)
         x = z.real
         ok = (x >= self.x_min) & (x <= self.x_max)
-        return bool(np.all(ok & (np.abs(z.imag) < self.boundary(x))))
+        return ok & (np.abs(z.imag) < self.boundary(x))
+
+    def contains(self, z) -> bool:
+        """True if every entry of ``z`` lies strictly inside the lens."""
+        return bool(np.all(self.inside(z)))
 
 
 DEFAULT_REGION = SmootherRegion()
@@ -139,15 +144,16 @@ def estimate_omega(
     The scaled system is assembled on ``small_grid`` (a member of the same
     mesh family with at most ~2^4 interior points), the eigenvalues
     ``lam_j`` of ``D^{-1} A`` are computed, and the weight is scanned over
-    ``1.995, 1.990, ..., 0.005``.  Among the candidates for which the whole
-    smoother spectrum ``1 - omega*lam_j`` sits inside :data:`DEFAULT_REGION`,
-    the one minimizing the damping of the oscillatory half of the spectrum
-    (the eigenvalues of largest modulus) is returned; ties go to the larger
-    weight.  If no candidate is admissible the classical 2/3 is returned
-    with an :class:`OmegaFallbackWarning`.
+    ``1.995, 1.990, ..., 0.005`` (all candidates in one array expression).
+    Among the candidates for which the whole smoother spectrum
+    ``1 - omega*lam_j`` sits inside :data:`DEFAULT_REGION`, the one
+    minimizing the damping of the oscillatory half of the spectrum (the
+    eigenvalues of largest modulus) is returned; ties (within 1e-15) go to
+    the larger weight.  If no candidate is admissible the classical 2/3 is
+    returned with an :class:`OmegaFallbackWarning`.
     """
     if matrix is None:
-        a = row_scale(assemble_system(small_grid, problem)).operator.to_dense()
+        a = assemble_operator(small_grid, problem, scaled=True).to_dense()
     else:
         a = matrix
     d = np.diag(a).copy()
@@ -156,14 +162,12 @@ def estimate_omega(
     lam = np.linalg.eigvals(a / d[:, None])
     upper = lam[np.argsort(np.abs(lam))][lam.size // 2 :]
 
+    omegas = np.arange(399, 0, -1) * 0.005
+    admissible = DEFAULT_REGION.inside(1.0 - omegas[:, None] * lam).all(axis=1)
+    damps = np.abs(1.0 - omegas[admissible, None] * upper).max(axis=1)
     best = None
     best_damp = np.inf
-    for k in range(399, 0, -1):
-        omega = k * 0.005
-        z = 1.0 - omega * lam
-        if not DEFAULT_REGION.contains(z):
-            continue
-        damp = float(np.abs(1.0 - omega * upper).max())
+    for omega, damp in zip(omegas[admissible].tolist(), damps.tolist()):
         if damp < best_damp - 1e-15:
             best_damp = damp
             best = omega
@@ -184,6 +188,8 @@ class MgLevel:
     operator: LinearOperator
     diag: np.ndarray
     prolong: scipy.sparse.csr_matrix | None = None
+    # prolong.T, made once: a CSC view that shares prolong's arrays
+    restrict: scipy.sparse.csc_matrix | None = None
 
 
 @dataclass
@@ -207,9 +213,9 @@ def build_hierarchy(system: FveSystem) -> MgHierarchy:
     """Build the V-cycle hierarchy of a row-scaled system.
 
     Level 0 is the caller's operator itself.  The coarser levels are
-    ``row_scale(assemble_system(...))`` of ``system.problem`` on the
-    coarsenings of ``system.grid``; the coarsest level has at most 3
-    interior points and is LU-factored.
+    ``assemble_operator(..., scaled=True)`` of ``system.problem`` on the
+    coarsenings of ``system.grid``, with no right-hand side; the coarsest
+    level has at most 3 interior points and is LU-factored.
 
     One damping weight, estimated by :func:`estimate_omega` on the first
     level with at most 16 interior points (a member of the same mesh
@@ -227,10 +233,11 @@ def build_hierarchy(system: FveSystem) -> MgHierarchy:
 
     levels: list[MgLevel] = []
     for g in grids:
-        op = row_scale(assemble_system(g, problem)).operator if levels else system.operator
+        op = assemble_operator(g, problem, scaled=True) if levels else system.operator
         levels.append(MgLevel(grid=g, operator=op, diag=op.diagonal()))
     for lev, coarse in zip(levels, levels[1:]):
         lev.prolong = prolongation(lev.grid, coarse.grid)
+        lev.restrict = lev.prolong.T
 
     est = next(lev for lev in levels if lev.grid.n <= _OMEGA_SIZE)
     omega = estimate_omega(problem, est.grid, matrix=est.operator.to_dense())
@@ -246,7 +253,7 @@ def _vcycle(hier: MgHierarchy, level: int, r: np.ndarray) -> np.ndarray:
     omega = hier.omega
     x = omega * r / lev.diag  # pre-smoothing from zero guess
     res = r - lev.operator.matvec(x)
-    rc = _RESTRICTION_SCALE * (lev.prolong.T @ res)
+    rc = _RESTRICTION_SCALE * (lev.restrict @ res)
     x = x + lev.prolong @ _vcycle(hier, level + 1, rc)
     x = x + omega * (r - lev.operator.matvec(x)) / lev.diag
     return x

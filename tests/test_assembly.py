@@ -14,6 +14,7 @@ from gradedfve.assembly import (
     FdeProblem,
     SymToeplitzOperator,
     assemble_matrix,
+    assemble_operator,
     assemble_rhs,
     assemble_system,
     row_scale,
@@ -458,6 +459,25 @@ class TestSystemAndScaling:
         u1 = np.linalg.solve(entries, rhs)
         u2 = np.linalg.solve(scaled.operator.entries, scaled.rhs)
         assert np.abs(u1 - u2).max() <= 1e-10 * np.abs(u1).max()
+
+    @pytest.mark.parametrize(
+        "grid,gamma",
+        [
+            (uniform_grid(31), 0.5),
+            (composite_grid(63, CompositeRule("sqrt")), 0.5),
+            (graded_grid(31, blend_coefficients(3.0, 1.0, 0.0)), 0.5),
+            (composite_grid(63, CompositeRule("sqrt")), 0.3),
+        ],
+        ids=["toeplitz", "bordered", "dense", "dense-gamma"],
+    )
+    def test_operator_path_matches_the_scaled_system(self, grid, gamma):
+        prob = FdeProblem(beta=0.5, gamma=gamma, source=lambda x: np.ones_like(x))
+        via_system = row_scale(assemble_system(grid, prob)).operator
+        alone = assemble_operator(grid, prob, scaled=True)
+        assert type(alone) is type(via_system)
+        assert np.array_equal(alone.to_dense(), via_system.to_dense())
+        unscaled = assemble_operator(grid, prob)
+        assert np.array_equal(unscaled.to_dense(), assemble_system(grid, prob).operator.to_dense())
 
     def test_double_scaling_refused(self):
         sys = assemble_system(uniform_grid(8), FdeProblem(beta=0.5, gamma=0.5))

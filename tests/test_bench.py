@@ -159,6 +159,17 @@ class TestRunCase:
             res = bench.run_case(CaseConfig(0.5, 0.5, MeshSpec("uniform"), 15))
         assert not res.omega_fallback
 
+    def test_only_the_finest_level_integrates_a_load(self, monkeypatch):
+        from gradedfve import assembly
+
+        calls = []
+        rhs = assembly.assemble_rhs
+        monkeypatch.setattr(assembly, "assemble_rhs", lambda g, p: calls.append(g.n) or rhs(g, p))
+        for spec in (MeshSpec("graded", eps1=1.0, eps2=0.0), MeshSpec("composite", rule="sqrt")):
+            calls.clear()
+            res = bench.run_case(CaseConfig(0.5, 0.5, spec, 63))
+            assert res.depth == 4 and calls == [63]
+
     def test_nonconvergent_case_reports_dash(self):
         res = bench.run_case(
             CaseConfig(0.7, 1.0, MeshSpec("graded", eps1=1.0, eps2=0.0), 2**7 - 1)
@@ -216,6 +227,26 @@ class TestTableSweep:
         q_opt = row[t.columns.index("eps6_q_opt")]
         assert 1.0 <= q_opt <= 9.0
 
+    @pytest.mark.parametrize(
+        "table_id,overrides",
+        [
+            (1, {"gammas": [0.5], "betas": [0.5], "n": 2**5 - 1, "meshes": ["eps6"]}),
+            (2, {"betas": [0.5], "n_list": [2**4], "meshes": ["eps6"]}),
+            (3, {"pairs": [(8, 16)]}),
+        ],
+        ids=["table1", "table2", "table3"],
+    )
+    def test_failed_cells_carry_the_exception(self, monkeypatch, table_id, overrides):
+        def broken(cfg):
+            raise RuntimeError("no solve today")
+
+        monkeypatch.setattr(bench, "run_case", broken)
+        t = bench.table_sweep(table_id, overrides)
+        assert not t.complete
+        errs = [c for c in t.rows[0] if isinstance(c, str) and c.startswith("ERR")]
+        assert errs == ["ERR: RuntimeError: no solve today"] * 3
+        assert "ERR: RuntimeError: no solve today" in t.to_csv()
+
     def test_determinism(self):
         ov = {"betas": [0.5], "n_list": [2**4], "meshes": ["eps6"]}
         a = bench.table_sweep(2, ov).to_csv()
@@ -270,6 +301,7 @@ class TestCli:
             (["qopt", "--n", "15", "--qmin", "3", "--qmax", "2"], "q range must not decrease"),
             (["solve", "--n", "15", "--maxit", "0"], "maxit must be >= 1"),
             (["solve", "--n", "15", "--tol", "0"], "tol must be positive"),
+            (["eigcmp", "--grid", "fine", "--n", "512"], "physical memory"),
         ],
     )
     def test_invalid_sizes_exit_1_with_one_message(self, capsys, argv, message):

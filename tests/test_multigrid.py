@@ -17,7 +17,9 @@ from gradedfve.assembly import (
 from gradedfve.mesh import blend_coefficients, graded_grid, uniform_grid
 from gradedfve.multigrid import (
     DEFAULT_REGION,
+    OMEGA_FALLBACK,
     MultigridError,
+    OmegaFallbackWarning,
     SmootherRegion,
     build_hierarchy,
     coarsen,
@@ -57,7 +59,36 @@ def loop_prolongation(fine, coarse):
     return scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n, nc)).tocsr()
 
 
+def loop_omega(a):
+    """The damping-weight scan one candidate at a time, kept as an oracle."""
+    d = np.diag(a)
+    lam = np.linalg.eigvals(a / d[:, None])
+    upper = lam[np.argsort(np.abs(lam))][lam.size // 2 :]
+    best, best_damp = None, np.inf
+    for k in range(399, 0, -1):
+        omega = k * 0.005
+        if not DEFAULT_REGION.contains(1.0 - omega * lam):
+            continue
+        damp = float(np.abs(1.0 - omega * upper).max())
+        if damp < best_damp - 1e-15:
+            best_damp, best = damp, omega
+    return None if best is None else round(best, 3)
+
+
 class TestRegion:
+    @pytest.mark.parametrize("beta", [0.0, 0.2, 0.5, 0.8])
+    @pytest.mark.parametrize("gamma", [0.5, 0.3, 1.0])
+    @pytest.mark.parametrize("n", [3, 7, 15])
+    def test_scan_matches_the_loop(self, beta, gamma, n):
+        grid = graded_grid(n, blend_coefficients(2.5, 1.0, 0.0))
+        a = row_scale(assemble_system(grid, FdeProblem(beta=beta, gamma=gamma))).operator.to_dense()
+        expected = loop_omega(a)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", OmegaFallbackWarning)
+            omega = estimate_omega(None, None, matrix=a)
+        assert omega == (OMEGA_FALLBACK if expected is None else expected)
+        assert type(omega) is float
+
     def test_boundary_nonnegative_on_interval(self):
         xs = np.linspace(DEFAULT_REGION.x_min, DEFAULT_REGION.x_max, 2001)
         assert np.all(DEFAULT_REGION.boundary(xs) >= -1e-12)
@@ -228,6 +259,14 @@ class TestHierarchy:
             assert np.array_equal(coarse_tail, kept[len(kept) - len(coarse_tail) :])
             assert coarse.operator.step == pytest.approx(2.0 * fine.operator.step, rel=1e-12)
             assert np.array_equal(coarse.diag, coarse.operator.diagonal())
+
+    def test_restriction_is_the_stored_transpose(self):
+        grid = graded_grid(31, blend_coefficients(2.0, 1.0, 0.0))
+        hier = scaled_hierarchy(grid, FdeProblem(beta=0.5, gamma=0.5))
+        for lev in hier.levels[:-1]:
+            assert (lev.restrict != lev.prolong.T).nnz == 0
+            assert np.shares_memory(lev.restrict.data, lev.prolong.data)
+        assert hier.levels[-1].restrict is None
 
     def test_unscaled_system_rejected(self):
         system = assemble_system(uniform_grid(15), FdeProblem(beta=0.5, gamma=0.5))

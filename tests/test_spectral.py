@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from gradedfve import spectral as sp
-from gradedfve.assembly import FdeProblem, assemble_matrix
+from gradedfve.assembly import FdeProblem, assemble_matrix, toeplitz_coefficients
 from gradedfve.cli import main as cli_main
 from gradedfve.mesh import blend_coefficients, graded_grid, uniform_grid
 
@@ -43,6 +44,63 @@ class TestGeneratingFunction:
         th = 2.0 ** -np.arange(3, 11)
         vals = sp.symbol_p(2**12, 0.5, th) / th**2
         assert np.all(np.diff(vals) > 0)
+
+
+def direct_sum(n_terms, beta, theta):
+    """The cosine series summed one term at a time, kept as an oracle."""
+    t = toeplitz_coefficients(beta, n_terms)
+    k = np.arange(1, n_terms)
+    return t[0] + 2.0 * (np.cos(np.outer(theta, k)) @ t[1:])
+
+
+class TestBlockedSummation:
+    """``symbol_p`` sums the series by blocked angle addition and GEMMs."""
+
+    @pytest.mark.parametrize("beta", [0.2, 0.5, 0.8])
+    def test_matches_mpmath_at_4096_terms(self, beta):
+        mpmath = pytest.importorskip("mpmath")
+        n_terms = 4096
+        thetas = np.geomspace(1e-6, math.pi, 12)
+        got = sp.symbol_p(n_terms, beta, thetas)
+        t = [mpmath.mpf(float(v)) for v in toeplitz_coefficients(beta, n_terms)]
+        with mpmath.workdps(30):
+            for th, value in zip(thetas, got):
+                x = mpmath.mpf(float(th))
+                ref = t[0] + 2 * mpmath.fsum(t[k] * mpmath.cos(k * x) for k in range(1, n_terms))
+                assert abs(value - float(ref)) <= 1e-14
+
+    @pytest.mark.parametrize("n_terms", [1, 2, 3, 17, 4097])
+    def test_matches_the_direct_sum(self, n_terms):
+        thetas = np.linspace(-math.pi, math.pi, 301)
+        got = sp.symbol_p(n_terms, 0.5, thetas)
+        assert np.abs(got - direct_sum(n_terms, 0.5, thetas)).max() <= 1e-14
+
+    @pytest.mark.parametrize("n_terms", [17, 4096])
+    def test_even_bit_for_bit(self, n_terms):
+        thetas = np.linspace(0.0, math.pi, 1001)  # several chunks
+        assert np.array_equal(sp.symbol_p(n_terms, 0.5, -thetas), sp.symbol_p(n_terms, 0.5, thetas))
+
+    def test_scalar_in_float_out(self):
+        value = sp.symbol_p(64, 0.5, 1.0)
+        assert type(value) is float
+        assert value == sp.symbol_p(64, 0.5, np.array([1.0]))[0]
+
+    def test_array_shape_is_kept(self):
+        thetas = np.linspace(0.1, 3.0, 6)
+        got = sp.symbol_p(64, 0.5, thetas.reshape(2, 3))
+        assert got.shape == (2, 3)
+        assert np.array_equal(got.ravel(), sp.symbol_p(64, 0.5, thetas))
+
+    def test_memory_stays_bounded(self):
+        # a (points x terms) cosine table would be 134 MB here
+        thetas = np.arange(1, 4097) * math.pi / 4097
+        tracemalloc.start()
+        try:
+            sp.symbol_p(4096, 0.5, thetas)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6
 
 
 def symbol_at(x, theta, beta, **kw):
