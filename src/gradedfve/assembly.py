@@ -10,11 +10,12 @@ D_right are the left/right Caputo derivatives of order ``1 - beta``,
 ``0 < beta < 1``.  Integrating over the control volumes
 ``[x_{i-1/2}, x_{i+1/2}]`` with piecewise-linear trial functions yields a
 dense N x N system.  With constant K and gamma = 1/2, the rows and columns
-of the nodes in a uniform run of steps form a symmetric Toeplitz block.  On
-the uniform grid that is the whole matrix; a graded mesh that ends in a
-uniform tail (the composite and blended meshes) gets a bordered operator:
-dense rows and columns for its graded nodes around a Toeplitz tail, whose
-product goes through FFTs.
+of the nodes in a uniform run of steps form a symmetric Toeplitz block, so a
+grid that ends in a uniform tail gets a bordered operator: dense rows and
+columns for its graded nodes around a Toeplitz tail, whose product goes
+through FFTs.  The uniform grid is the bordered operator with no border;
+every other operator is a dense matrix.  Both kinds divide their rows in
+place.
 
 Every matrix entry is a short combination of powers of distances between
 cell midpoints ``x_{i +- 1/2}`` and nodes ``x_m``; the node coordinates
@@ -22,11 +23,10 @@ double as the prefix sums of the step lengths, so each entry costs O(1) and
 the whole assembly O(N^2).  The dense assembly is blocked: it fills the
 matrix, or a block of rows and columns of it, a few dozen rows at a time
 through block buffers allocated once per call, so its peak memory is the
-result plus O(block * N).  Row scaling divides dense parts in place.  A
-preconditioned solve on a mesh without a tail (a pure power map, variable
-diffusion or gamma != 1/2) holds one finest matrix plus its coarse levels,
-about 1.36x the finest matrix at N + 1 = 4096; with a tail it holds only the
-borders of its levels.
+result plus O(block * N).  A preconditioned solve on a mesh without a tail
+(a pure power map, variable diffusion or gamma != 1/2) holds one finest
+matrix plus its coarse levels, about 1.36x the finest matrix at N + 1 = 4096;
+with a tail it holds only the borders of its levels.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from typing import Callable
 import numpy as np
 import scipy.linalg
 
+from ._memory import require_memory
 from .mesh import Grid
 
 __all__ = [
@@ -123,21 +124,25 @@ class DenseOperator:
     def to_dense(self) -> np.ndarray:
         return self.entries
 
+    def scale_rows(self, h_rows: np.ndarray) -> "DenseOperator":
+        """Divide row ``i`` by ``h_rows[i]`` in place."""
+        np.divide(self.entries, h_rows[:, None], out=self.entries)  # frozen: no rebinding
+        return self
+
 
 class SymToeplitzOperator:
     """Symmetric Toeplitz operator stored by its first row.
 
-    ``scale`` multiplies the whole matrix; the matrix-vector product embeds
-    the Toeplitz matrix into a circulant whose size is the first power of two
-    ``>= 2N - 1`` and goes through real FFTs, costing O(N log N).
+    The matrix-vector product embeds the Toeplitz matrix into a circulant
+    whose size is the first power of two ``>= 2N - 1`` and goes through real
+    FFTs, costing O(N log N).
     """
 
-    def __init__(self, first_row: np.ndarray, scale: float = 1.0):
+    def __init__(self, first_row: np.ndarray):
         row = np.asarray(first_row, dtype=float)
         if row.ndim != 1 or row.size == 0:
             raise AssemblyError("first_row must be a nonempty 1-D array")
         self.first_row = row
-        self.scale = float(scale)
         self._circ_size = 1 << (2 * row.size - 2).bit_length()
         self._circ_fft: np.ndarray | None = None
 
@@ -161,22 +166,13 @@ class SymToeplitzOperator:
         if v.shape != (n,):
             raise AssemblyError("dimension mismatch in matvec")
         size = self._circ_size
-        prod = np.fft.irfft(self._fft() * np.fft.rfft(v, size), size)[:n]
-        prod *= self.scale
-        return prod
+        return np.fft.irfft(self._fft() * np.fft.rfft(v, size), size)[:n]
 
     def diagonal(self) -> np.ndarray:
-        return np.full(self.first_row.size, self.scale * self.first_row[0])
+        return np.full(self.first_row.size, self.first_row[0])
 
     def to_dense(self) -> np.ndarray:
-        a = scipy.linalg.toeplitz(self.first_row)
-        a *= self.scale
-        return a
-
-    def with_scale(self, factor: float) -> "SymToeplitzOperator":
-        out = SymToeplitzOperator(self.first_row, self.scale * factor)
-        out._circ_fft = self._circ_fft
-        return out
+        return scipy.linalg.toeplitz(self.first_row)
 
 
 class BorderedToeplitzOperator:
@@ -187,9 +183,10 @@ class BorderedToeplitzOperator:
 
     This is the FVE matrix of a mesh whose last ``m`` nodes lie in a uniform
     tail (constant diffusion, ``gamma = 1/2``); the ``b = N - m`` graded
-    nodes form the border.  ``step`` is the tail's step length.  It stores
-    ``N^2 - m^2`` numbers plus O(m), and a product costs ``N^2 - m^2``
-    multiply-adds plus O(m log m).
+    nodes form the border, which is empty (``b = 0``) on the uniform grid.
+    ``step`` is the tail's step length.  It stores ``N^2 - m^2`` numbers
+    plus O(m), and a product costs ``N^2 - m^2`` multiply-adds plus
+    O(m log m).
     """
 
     def __init__(self, rows: np.ndarray, cols: np.ndarray, tail: SymToeplitzOperator, step: float):
@@ -226,20 +223,24 @@ class BorderedToeplitzOperator:
         a = np.empty(self.shape)
         a[:b] = self.rows
         a[b:, :b] = self.cols
-        a[b:, b:] = self.tail.to_dense()
+        t = self.tail.first_row  # tail row i is t[i:0:-1] followed by t[:m-i]
+        windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((t[:0:-1], t)), t.size)
+        a[b:, b:] = windows[::-1]  # copied straight in: no second m x m matrix
         return a
 
     def scale_rows(self, h_rows: np.ndarray) -> "BorderedToeplitzOperator":
-        """Divide row ``i`` by ``h_rows[i]`` (the dense parts in place) and the
-        tail by its step, whose rows share one step up to rounding."""
+        """Divide row ``i`` by ``h_rows[i]`` in place, the tail by its step,
+        whose rows share one step up to rounding.  The tail is replaced by a
+        new Toeplitz operator, so no circulant FFT of the unscaled row
+        survives."""
         b = self.border
         self.rows /= h_rows[:b, None]
         self.cols /= h_rows[b:, None]
-        tail = self.tail.with_scale(1.0 / self.step)
-        return BorderedToeplitzOperator(self.rows, self.cols, tail, self.step)
+        self.tail = SymToeplitzOperator(self.tail.first_row / self.step)
+        return self
 
 
-LinearOperator = DenseOperator | SymToeplitzOperator | BorderedToeplitzOperator
+LinearOperator = DenseOperator | BorderedToeplitzOperator
 
 
 @dataclass(frozen=True)
@@ -293,6 +294,8 @@ def assemble_matrix(
     c0, c1 = (0, n) if cols is None else cols
     if not (0 <= r0 <= r1 <= n and 0 <= c0 <= c1 <= n):
         raise AssemblyError("block ranges must lie within the matrix")
+    need = 8 * (r1 - r0) * (c1 - c0)
+    require_memory(need, f"a {r1 - r0} x {c1 - c0} matrix block", AssemblyError)
     beta = float(problem.beta)
     gamma = float(problem.gamma)
     gam1 = math.gamma(beta + 1.0)
@@ -514,22 +517,16 @@ def toeplitz_coefficients(beta: float, count: int) -> np.ndarray:
 
 
 def uniform_toeplitz(
-    n: int,
-    beta: float,
-    diffusion: float = 1.0,
-    gamma: float = 0.5,
-    step: float | None = None,
+    n: int, beta: float, diffusion: float = 1.0, step: float | None = None
 ) -> SymToeplitzOperator:
     """Symmetric Toeplitz operator of the discretization on ``n`` nodes with
     the uniform step ``step`` (by default ``1/(n+1)``, the uniform grid).
 
     Valid only for constant diffusion and ``gamma = 1/2``, where the matrix
     entries of rows and columns inside a uniform run of steps depend on
-    ``|i - j|`` alone: this is the whole matrix of the uniform grid and the
-    tail block of a mesh with a uniform tail.
+    ``|i - j|`` alone: this is the tail block of a mesh with a uniform tail,
+    the whole matrix on the uniform grid.
     """
-    if gamma != 0.5:
-        raise AssemblyError("the symmetric Toeplitz form requires gamma = 1/2")
     if n < 1:
         raise AssemblyError("n must be >= 1")
     h = 1.0 / (n + 1) if step is None else step
@@ -559,23 +556,21 @@ def assemble_operator(
     """Assemble the coefficient operator alone, row-scaled if ``scaled``.
 
     With constant diffusion and ``gamma = 1/2`` the rows and columns of a
-    uniform tail form a symmetric Toeplitz block: the uniform grid gets a
-    :class:`SymToeplitzOperator`, a graded mesh with a uniform tail a
-    :class:`BorderedToeplitzOperator` whose border rows and columns come from
-    :func:`assemble_matrix`.  Every other case, and a graded mesh when
-    ``dense`` is true (for a caller that factors the matrix), gets the dense
-    matrix of :func:`assemble_matrix`.  ``scaled`` applies the row scaling of
+    uniform tail form a symmetric Toeplitz block: a grid with a uniform tail
+    gets a :class:`BorderedToeplitzOperator` whose border rows and columns
+    come from :func:`assemble_matrix` (the uniform grid one with no border).
+    Every other case, and every grid when ``dense`` is true (for a caller
+    that factors the matrix), gets the dense matrix of
+    :func:`assemble_matrix`.  ``scaled`` applies the row scaling of
     :func:`row_scale` to the operator, for callers (the coarse multigrid
     levels) that need no right-hand side.
     """
     n = grid.n
-    toeplitz = not callable(problem.diffusion) and problem.gamma == 0.5
+    toeplitz = not (dense or callable(problem.diffusion)) and problem.gamma == 0.5
     b = _tail_start(grid) if toeplitz else n
-    if b == 0:
-        op: LinearOperator = uniform_toeplitz(n, problem.beta, float(problem.diffusion))
-    elif b < n and not dense:
+    if b < n:
         step = (grid.points[-1] - grid.points[b]) / (n - b + 1)
-        op = BorderedToeplitzOperator(
+        op: LinearOperator = BorderedToeplitzOperator(
             assemble_matrix(grid, problem, rows=(0, b)).entries,
             assemble_matrix(grid, problem, rows=(b, n), cols=(0, b)).entries,
             uniform_toeplitz(n - b, problem.beta, float(problem.diffusion), step=step),
@@ -583,7 +578,7 @@ def assemble_operator(
         )
     else:
         op = assemble_matrix(grid, problem)
-    return _scale_rows(op, grid) if scaled else op
+    return op.scale_rows(grid.steps[:-1]) if scaled else op
 
 
 def assemble_system(grid: Grid, problem: FdeProblem, dense: bool = False) -> FveSystem:
@@ -592,37 +587,22 @@ def assemble_system(grid: Grid, problem: FdeProblem, dense: bool = False) -> Fve
     return FveSystem(assemble_operator(grid, problem, dense), assemble_rhs(grid, problem), grid, problem)
 
 
-def _scale_rows(op: LinearOperator, grid: Grid) -> LinearOperator:
-    """Divide row ``i`` of ``op`` by ``h_i``: a Toeplitz operator (a uniform
-    mesh) by the scalar ``1/(n + 1)``, dense parts in place."""
-    if isinstance(op, SymToeplitzOperator):
-        return op.with_scale(float(grid.n + 1))
-    h_rows = grid.steps[:-1]  # h_1 .. h_N
-    if isinstance(op, BorderedToeplitzOperator):
-        return op.scale_rows(h_rows)
-    entries = op.entries  # op is frozen: divide the array, not the field
-    entries /= h_rows[:, None]
-    return op
-
-
 def row_scale(system: FveSystem) -> FveSystem:
     """Multiply both sides of the system by ``diag(1/h_i)``.
 
     The scaling removes the grid-dependent measure factor from each
-    equation, which the multigrid hierarchy relies on.  A Toeplitz operator
-    stays Toeplitz (uniform mesh implies a scalar factor ``n + 1``), and so
-    does the tail of a bordered one, divided by its step.
+    equation, which the multigrid hierarchy relies on.  The operator's
+    ``scale_rows`` divides it in place: a dense matrix row by row, a
+    bordered operator's border row by row and its Toeplitz tail by the
+    tail's step, so it stays Toeplitz.
 
-    Dense parts are scaled in place: the returned system holds the very
-    arrays of ``system.operator``, so the argument is consumed and its
-    matrix must not be read as unscaled afterwards.  No second N x N matrix
-    is made.
+    The returned system holds the very operator of ``system``, so the
+    argument is consumed and its matrix must not be read as unscaled
+    afterwards.  No second N x N matrix is made.
     """
     if system.scaled:
         raise AssemblyError("system is already row-scaled")
-    op, grid = system.operator, system.grid
-    if isinstance(op, SymToeplitzOperator):
-        rhs = system.rhs * float(grid.n + 1)
-    else:
-        rhs = system.rhs / grid.steps[:-1]
-    return replace(system, operator=_scale_rows(op, grid), rhs=rhs, scaled=True)
+    h_rows = system.grid.steps[:-1]  # h_1 .. h_N
+    return replace(
+        system, operator=system.operator.scale_rows(h_rows), rhs=system.rhs / h_rows, scaled=True
+    )

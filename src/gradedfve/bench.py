@@ -21,7 +21,6 @@ import io
 import json
 import math
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -41,7 +40,7 @@ from .mesh import (
     q_for_beta,
     uniform_grid,
 )
-from .multigrid import OmegaFallbackWarning, build_hierarchy
+from .multigrid import build_hierarchy
 
 __all__ = [
     "EPS_PRESETS",
@@ -216,22 +215,14 @@ def run_case(cfg: CaseConfig) -> CaseResult:
     if cfg.solver == "direct":
         solution = np.linalg.solve(system.operator.to_dense(), system.rhs)
     else:
-        # row_scale scales dense parts in place and consumes the unscaled
+        # row_scale scales the operator in place and consumes the unscaled
         # system; a mesh with a uniform tail keeps only its border dense on
         # every level, so the solve holds far less than one finest matrix
         system = row_scale(system)
         precond = None
         if cfg.solver == "pgmres":
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always", OmegaFallbackWarning)
-                hier = build_hierarchy(system)
-            fallback = False
-            for w in caught:
-                if issubclass(w.category, OmegaFallbackWarning):
-                    fallback = True
-                else:
-                    warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-            mg = dict(depth=hier.depth, omega=hier.omega, omega_fallback=fallback)
+            hier = build_hierarchy(system)
+            mg = dict(depth=hier.depth, omega=hier.omega, omega_fallback=hier.omega_fallback)
             precond = hier.apply
         report = gmres(
             system.operator, system.rhs, precond=precond, tol=cfg.tol, maxit=cfg.maxit

@@ -14,6 +14,8 @@ from typing import Callable
 
 import numpy as np
 
+from ._memory import require_memory
+
 __all__ = ["SolveReport", "gmres"]
 
 _REORTH_TOL = 1e-8
@@ -47,7 +49,7 @@ def gmres(
 
     Parameters
     ----------
-    op : DenseOperator or SymToeplitzOperator
+    op : object with a ``matvec`` method
         The system operator; only its ``matvec`` is used.
     b : ndarray
         Right-hand side.
@@ -59,10 +61,13 @@ def gmres(
         Relative residual tolerance.
     maxit : int
         Maximum number of iterations; running out is reported via
-        ``converged=False``, not raised.
+        ``converged=False``, not raised.  The Krylov basis and the Hessenberg
+        matrix for ``maxit`` steps are allocated up front, so a ``maxit``
+        whose storage exceeds physical memory raises ``ValueError``.
     """
     b = np.asarray(b, dtype=float)
     n = b.size
+    require_memory(8 * (maxit + 1) * (n + maxit), f"GMRES storage for {maxit} iterations")
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return SolveReport(0, np.zeros(0), True, np.zeros(n))

@@ -6,8 +6,8 @@ every coarser level rediscretizes the operator alone on its grid through
 ``assemble_operator``, row-scaled like the finest one and with no
 right-hand side.  Every level holds an operator, not an array: coarsening
 keeps the even nodes, so a uniform tail stays a uniform tail, and each level
-of a mesh with one is a bordered Toeplitz operator (a pure Toeplitz one on
-the uniform grid) whose products cost O(N log N) on the tail.  Dense
+of a mesh with one is a bordered Toeplitz operator (with no border on the
+uniform grid) whose products cost O(N log N) on the tail.  Dense
 matrices are formed only where they are the point: the LU factors of the
 coarsest level and the small eigenproblem of the damping estimate.  Grid
 transfer uses piecewise-linear interpolation on the non-uniform nodes;
@@ -21,21 +21,19 @@ same problem.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .assembly import FdeProblem, FveSystem, LinearOperator, assemble_operator
+from .assembly import FveSystem, LinearOperator, assemble_operator
 # unused here, but perfbench/layers.py wraps multigrid.assemble_matrix
 from .assembly import assemble_matrix  # noqa: F401
 from .mesh import Grid
 
 __all__ = [
     "MultigridError",
-    "OmegaFallbackWarning",
     "SmootherRegion",
     "DEFAULT_REGION",
     "MgLevel",
@@ -61,10 +59,6 @@ _RESTRICTION_SCALE = 0.5
 
 class MultigridError(ValueError):
     """Invalid multigrid construction request."""
-
-
-class OmegaFallbackWarning(UserWarning):
-    """No Jacobi weight passed the region test; the classical 2/3 is used."""
 
 
 @dataclass(frozen=True)
@@ -136,13 +130,12 @@ def prolongation(fine: Grid, coarse: Grid) -> scipy.sparse.csr_matrix:
     return p.tocsr()
 
 
-def estimate_omega(
-    problem: FdeProblem, small_grid: Grid, matrix: np.ndarray | None = None
-) -> float:
-    """Estimate the Jacobi damping weight from a small rediscretization.
+def estimate_omega(a: np.ndarray) -> float:
+    """Estimate the Jacobi damping weight from the dense row-scaled matrix
+    ``a`` of a small rediscretization.
 
-    The scaled system is assembled on ``small_grid`` (a member of the same
-    mesh family with at most ~2^4 interior points), the eigenvalues
+    The hierarchy passes the matrix of its first level with at most ~2^4
+    interior points (a member of the same mesh family).  The eigenvalues
     ``lam_j`` of ``D^{-1} A`` are computed, and the weight is scanned over
     ``1.995, 1.990, ..., 0.005`` (all candidates in one array expression).
     Among the candidates for which the whole smoother spectrum
@@ -150,12 +143,9 @@ def estimate_omega(
     minimizing the damping of the oscillatory half of the spectrum (the
     eigenvalues of largest modulus) is returned; ties (within 1e-15) go to
     the larger weight.  If no candidate is admissible the classical 2/3 is
-    returned with an :class:`OmegaFallbackWarning`.
+    returned; no scanned weight (a multiple of 0.005, rounded to 3 digits)
+    equals it, so :attr:`MgHierarchy.omega_fallback` can tell.
     """
-    if matrix is None:
-        a = assemble_operator(small_grid, problem, scaled=True).to_dense()
-    else:
-        a = matrix
     d = np.diag(a).copy()
     if np.any(d == 0.0):
         raise MultigridError("zero diagonal entry; Jacobi smoothing undefined")
@@ -171,15 +161,7 @@ def estimate_omega(
         if damp < best_damp - 1e-15:
             best_damp = damp
             best = omega
-    if best is None:
-        warnings.warn(
-            "no Jacobi weight keeps the smoother spectrum inside the region; "
-            "falling back to 2/3",
-            OmegaFallbackWarning,
-            stacklevel=2,
-        )
-        return OMEGA_FALLBACK
-    return round(best, 3)
+    return OMEGA_FALLBACK if best is None else round(best, 3)
 
 
 @dataclass
@@ -204,6 +186,12 @@ class MgHierarchy:
     def depth(self) -> int:
         """Number of coarsening steps."""
         return len(self.levels) - 1
+
+    @property
+    def omega_fallback(self) -> bool:
+        """True when no scanned weight passed the region test and the
+        classical 2/3 is used."""
+        return self.omega == OMEGA_FALLBACK
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         return vcycle(self, r)
@@ -240,7 +228,7 @@ def build_hierarchy(system: FveSystem) -> MgHierarchy:
         lev.restrict = lev.prolong.T
 
     est = next(lev for lev in levels if lev.grid.n <= _OMEGA_SIZE)
-    omega = estimate_omega(problem, est.grid, matrix=est.operator.to_dense())
+    omega = estimate_omega(est.operator.to_dense())
 
     lu = scipy.linalg.lu_factor(levels[-1].operator.to_dense())
     return MgHierarchy(levels, omega, lu)

@@ -15,13 +15,13 @@ a given grading strength.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 import scipy.linalg
 
+from ._memory import require_memory
 from .assembly import FdeProblem, assemble_matrix, toeplitz_coefficients
 from .mesh import blend_coefficients, graded_grid
 
@@ -164,14 +164,8 @@ def eig_vs_symbol(
         raise ValueError("grid_tag must be 'coarse-(i)' or 'fine-(ii)'")
     if n > 2**9:
         raise ValueError("dense eigensolve limited to n <= 512")
-    if tag == "fine-(ii)":
-        need = n**4 * 8  # the table of n^2 x n^2 samples
-        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        if need > have:
-            raise ValueError(
-                f"the fine sampling grid at n = {n} needs {need / 1e9:.3g} GB, "
-                f"more than the {have / 1e9:.3g} GB of physical memory"
-            )
+    if tag == "fine-(ii)":  # the table of n^2 x n^2 samples
+        require_memory(n**4 * 8, f"the fine sampling grid at n = {n}")
 
     a = _power_grid_matrix(beta, q, n)
     h = 1.0 / (n + 1)

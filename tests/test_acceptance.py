@@ -17,7 +17,6 @@ about ``0.6 * x_1**0.1`` whatever the solver does.
 """
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +26,7 @@ from gradedfve import bench, spectral as sp
 from gradedfve.assembly import (
     FdeProblem,
     assemble_matrix,
+    assemble_operator,
     assemble_system,
     row_scale,
     uniform_toeplitz,
@@ -41,8 +41,6 @@ from gradedfve.multigrid import (
     coarsen,
     vcycle,
 )
-
-warnings.filterwarnings("ignore", message="no Jacobi weight")
 
 FACTOR = 1.5
 IT_TOL = 2
@@ -419,7 +417,9 @@ def test_criterion_7_multigrid_suite(rng):
             violations.append(f"contraction {rho:.3f} >= 0.2 at n=2^{k}-1")
     # the estimated weight lies in the admissible containment interval
     ntilde = 15
-    omega = estimate_omega(FdeProblem(beta=0.0, gamma=0.5), uniform_grid(ntilde))
+    omega = estimate_omega(
+        assemble_operator(uniform_grid(ntilde), FdeProblem(beta=0.0, gamma=0.5), scaled=True).to_dense()
+    )
     lam = 1.0 - np.cos(np.arange(1, ntilde + 1) * math.pi / (ntilde + 1))
     checked += 1
     if not DEFAULT_REGION.contains(1.0 - omega * lam):

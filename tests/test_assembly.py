@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from gradedfve import _memory
 from gradedfve import assembly as asm
 from gradedfve import bench
 from gradedfve.assembly import (
@@ -255,7 +256,8 @@ class TestToeplitzOperator:
         assert worst <= 1e-11
 
     def test_to_dense_makes_one_matrix(self):
-        op = uniform_toeplitz(2**10 - 1, 0.5).with_scale(3.0)
+        grid = uniform_grid(2**10 - 1)
+        op = assemble_operator(grid, FdeProblem(beta=0.5, gamma=0.5), scaled=True)
         tracemalloc.start()
         try:
             a = op.to_dense()
@@ -267,7 +269,7 @@ class TestToeplitzOperator:
     def test_fft_matvec_every_small_size(self, rng):
         # circulant sizes 2n - 1 .. 2n, odd ones included
         for n in range(1, 41):
-            op = SymToeplitzOperator(rng.standard_normal(n), 1.5)
+            op = SymToeplitzOperator(rng.standard_normal(n))
             v = rng.standard_normal(n)
             ref = op.to_dense() @ v
             assert np.abs(op.matvec(v) - ref).max() <= 1e-13 * np.abs(ref).max(), n
@@ -283,17 +285,15 @@ class TestToeplitzOperator:
         with pytest.raises(AssemblyError):
             op.matvec(np.ones(9))
 
-    def test_requires_balanced_gamma(self):
-        with pytest.raises(AssemblyError):
-            uniform_toeplitz(8, 0.5, gamma=0.4)
-
 
 class TestBorderedToeplitz:
     """The bordered operator of a mesh with a uniform tail against the dense
     assembly: its border is the same arithmetic, its tail the closed form."""
 
-    # (mesh, beta): the grids of eps1 and eps4 depend on beta through q
+    # (mesh, beta): the grids of eps1 and eps4 depend on beta through q; the
+    # uniform grid is all tail, with no border
     MESHES = {
+        "uniform": (bench.MeshSpec("uniform"), 0.7),
         "sqrt": (bench.MeshSpec("composite", rule="sqrt"), 0.5),
         "log2": (bench.MeshSpec("composite", rule="log2"), 0.3),
         "eps1": (bench.MeshSpec("graded", eps1=0.1, eps2=0.05), 0.8),
@@ -315,7 +315,7 @@ class TestBorderedToeplitz:
         op = system.operator
         assert isinstance(op, BorderedToeplitzOperator)
         b = op.border
-        assert 0 < b < n
+        assert b == 0 if name == "uniform" else 0 < b < n
         a = op.to_dense()
         assert a[:b].tobytes() == dense[:b].tobytes()
         assert a[b:, :b].tobytes() == dense[b:, :b].tobytes()
@@ -338,13 +338,11 @@ class TestBorderedToeplitz:
             assert isinstance(assemble_system(grid, problem).operator, DenseOperator)
 
     def test_dense_request_keeps_the_dense_matrix(self):
-        grid = composite_grid(127, CompositeRule("sqrt"))
         problem = FdeProblem(beta=0.5, gamma=0.5)
-        op = assemble_system(grid, problem, dense=True).operator
-        assert isinstance(op, DenseOperator)
-        assert op.entries.tobytes() == assemble_matrix(grid, problem).entries.tobytes()
-        uniform = assemble_system(uniform_grid(127), problem, dense=True).operator
-        assert isinstance(uniform, SymToeplitzOperator)
+        for grid in (composite_grid(127, CompositeRule("sqrt")), uniform_grid(127)):
+            op = assemble_system(grid, problem, dense=True).operator
+            assert isinstance(op, DenseOperator)
+            assert op.entries.tobytes() == assemble_matrix(grid, problem).entries.tobytes()
 
     def test_block_ranges_are_slices_of_the_matrix(self):
         grid = composite_grid(130, CompositeRule("sqrt"))
@@ -355,6 +353,15 @@ class TestBorderedToeplitz:
             assert block.tobytes() == full[slice(*rows), slice(*cols)].tobytes()
         with pytest.raises(AssemblyError):
             assemble_matrix(grid, problem, rows=(0, 131))
+
+    def test_matrix_beyond_physical_memory_is_refused(self, monkeypatch):
+        monkeypatch.setattr(_memory, "physical_memory", lambda: 4 * 2**20)
+        grid = uniform_grid(1023)
+        problem = FdeProblem(beta=0.5, gamma=0.5)
+        with pytest.raises(AssemblyError, match="physical memory"):
+            assemble_matrix(grid, problem)
+        # the bordered operator of the same grid stores no N x N block
+        assert assemble_operator(grid, problem).border == 0
 
 
 class TestRhs:
@@ -423,16 +430,29 @@ class TestRhs:
 class TestSystemAndScaling:
     def test_auto_picks_toeplitz(self):
         sys = assemble_system(uniform_grid(16), FdeProblem(beta=0.5, gamma=0.5))
-        assert isinstance(sys.operator, SymToeplitzOperator)
+        assert isinstance(sys.operator, BorderedToeplitzOperator)
+        assert sys.operator.border == 0
         sys2 = assemble_system(uniform_grid(16), FdeProblem(beta=0.5, gamma=0.4))
         assert isinstance(sys2.operator, DenseOperator)
 
     def test_toeplitz_scaling_is_scalar(self):
         sys = assemble_system(uniform_grid(16), FdeProblem(beta=0.5, gamma=0.5))
+        row = sys.operator.tail.first_row
         scaled = row_scale(sys)
-        assert isinstance(scaled.operator, SymToeplitzOperator)
-        assert scaled.operator.scale == pytest.approx(17.0 * sys.operator.scale)
+        assert isinstance(scaled.operator, BorderedToeplitzOperator)
+        assert scaled.operator.tail.first_row == pytest.approx(17.0 * row)
         assert scaled.scaled
+
+    @pytest.mark.parametrize("kind", ["uniform", "composite"])
+    def test_product_after_scaling_uses_the_scaled_tail(self, rng, kind):
+        # the first product caches the tail's circulant FFT; scaling must not reuse it
+        grid = bench.build_case_grid(bench.MeshSpec(kind, rule="sqrt"), 0.5, 255)
+        system = assemble_system(grid, FdeProblem(beta=0.5, gamma=0.5))
+        v = rng.standard_normal(grid.n)
+        system.operator.matvec(v)
+        op = row_scale(system).operator
+        ref = op.to_dense() @ v
+        assert np.abs(op.matvec(v) - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_dense_rows_divided(self):
         grid = graded_grid(16, blend_coefficients(3.0, 1.0, 0.0))

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gradedfve import bench, multigrid
+from gradedfve import _memory, bench, multigrid
 from gradedfve.bench import CaseConfig, MeshSpec
 from gradedfve.cli import main as cli_main
 
@@ -308,6 +308,17 @@ class TestCli:
         assert cli_main(argv) == 1
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["solve", "--n", "15", "--maxit", "2000"], ["solve", "--solver", "direct", "--n", "1023"]],
+        ids=["krylov", "direct"],
+    )
+    def test_requests_beyond_physical_memory_exit_1(self, monkeypatch, capsys, argv):
+        monkeypatch.setattr(_memory, "physical_memory", lambda: 4 * 2**20)
+        assert cli_main(argv) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "physical memory" in lines[0]
 
     def test_qopt_and_symbol_and_glt5_and_eigcmp(self, tmp_path):
         assert cli_main(

@@ -1,9 +1,7 @@
-import warnings
-
 import numpy as np
 import pytest
 
-from gradedfve import bench
+from gradedfve import _memory, bench
 from gradedfve.assembly import (
     DenseOperator,
     FdeProblem,
@@ -35,6 +33,13 @@ class TestBasics:
         rep = gmres(DenseOperator(np.eye(4)), np.zeros(4))
         assert rep.converged and rep.iterations == 0
         assert np.array_equal(rep.solution, np.zeros(4))
+
+    def test_storage_beyond_physical_memory_is_refused(self, monkeypatch):
+        monkeypatch.setattr(_memory, "physical_memory", lambda: 4 * 2**20)
+        op = DenseOperator(np.eye(200))
+        with pytest.raises(ValueError, match="physical memory"):
+            gmres(op, np.ones(200), maxit=1000)  # 9.6 MB of Krylov storage
+        assert gmres(op, np.ones(200), maxit=20).converged
 
     def test_matches_direct_solve(self, rng):
         a = rng.standard_normal((20, 20)) + 20 * np.eye(20)
@@ -79,9 +84,7 @@ class TestOnFveSystems:
         grid = graded_grid(n, blend_coefficients(3.0, 1.0, 0.0))
         system, prob = scaled_test_system(0.5, 0.5, grid)
         plain = gmres(system.operator, system.rhs, tol=1e-7, maxit=100)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            hier = build_hierarchy(system)
+        hier = build_hierarchy(system)
         pre = gmres(system.operator, system.rhs, precond=hier.apply, tol=1e-7, maxit=100)
         assert plain.converged and pre.converged
         diff = np.linalg.norm(plain.solution - pre.solution)
@@ -105,9 +108,7 @@ class TestOnFveSystems:
     def test_nonconvergence_flagged_not_raised(self):
         grid = graded_grid(2**6 - 1, blend_coefficients(17 / 3, 1.0, 0.0))
         system, prob = scaled_test_system(0.7, 1.0, grid)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            hier = build_hierarchy(system)
+        hier = build_hierarchy(system)
         rep = gmres(system.operator, system.rhs, precond=hier.apply, tol=1e-7, maxit=20)
         assert not rep.converged
         assert rep.iterations == 20
@@ -118,9 +119,7 @@ class TestOnFveSystems:
         # of (A V) y would keep falling there, the true residual does not
         grid = bench.build_case_grid(MeshSpec("graded", eps1=1.0, eps2=0.0), 0.7, 2**7 - 1)
         system, _ = scaled_test_system(0.7, 1.0, grid)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            hier = build_hierarchy(system)
+        hier = build_hierarchy(system)
         rep = gmres(system.operator, system.rhs, precond=hier.apply, tol=1e-7, maxit=100)
         assert not rep.converged
         b = system.rhs

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -9,8 +8,8 @@ from gradedfve import bench
 from gradedfve.assembly import (
     BorderedToeplitzOperator,
     FdeProblem,
-    SymToeplitzOperator,
     assemble_matrix,
+    assemble_operator,
     assemble_system,
     row_scale,
 )
@@ -19,7 +18,6 @@ from gradedfve.multigrid import (
     DEFAULT_REGION,
     OMEGA_FALLBACK,
     MultigridError,
-    OmegaFallbackWarning,
     SmootherRegion,
     build_hierarchy,
     coarsen,
@@ -83,9 +81,7 @@ class TestRegion:
         grid = graded_grid(n, blend_coefficients(2.5, 1.0, 0.0))
         a = row_scale(assemble_system(grid, FdeProblem(beta=beta, gamma=gamma))).operator.to_dense()
         expected = loop_omega(a)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", OmegaFallbackWarning)
-            omega = estimate_omega(None, None, matrix=a)
+        omega = estimate_omega(a)
         assert omega == (OMEGA_FALLBACK if expected is None else expected)
         assert type(omega) is float
 
@@ -179,7 +175,7 @@ class TestOmegaEstimate:
         # damping max(|1-w|, |1-1.5w|) is minimized at w = 0.8
         a = np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.0], [0.5, 0.0, 1.0]])
         assert np.allclose(np.sort(np.linalg.eigvals(a)), [0.5, 1.0, 1.5])
-        omega = estimate_omega(None, None, matrix=a)
+        omega = estimate_omega(a)
         assert omega == pytest.approx(0.8)
         assert omega <= 1.0879
 
@@ -187,7 +183,7 @@ class TestOmegaEstimate:
         ntilde = 15
         grid = uniform_grid(ntilde)
         prob = FdeProblem(beta=0.0, gamma=0.5)
-        omega = estimate_omega(prob, grid)
+        omega = estimate_omega(assemble_operator(grid, prob, scaled=True).to_dense())
         # closed-form Jacobi spectrum of the scaled discrete Laplacian
         lam = 1.0 - np.cos(np.arange(1, ntilde + 1) * math.pi / (ntilde + 1))
         assert DEFAULT_REGION.contains(1.0 - omega * lam)
@@ -198,14 +194,13 @@ class TestOmegaEstimate:
 
     def test_fallback_for_skew_dominated_spectrum(self):
         a = np.array([[1.0, -100.0], [100.0, 1.0]])
-        with pytest.warns(UserWarning):
-            omega = estimate_omega(None, None, matrix=a)
+        omega = estimate_omega(a)
         assert omega == pytest.approx(2.0 / 3.0)
 
     def test_zero_diagonal_rejected(self):
         a = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(MultigridError):
-            estimate_omega(None, None, matrix=a)
+            estimate_omega(a)
 
 
 class TestHierarchy:
@@ -233,7 +228,8 @@ class TestHierarchy:
         grid = uniform_grid(2**5 - 1)
         prob = FdeProblem(beta=0.5, gamma=0.5)
         system = row_scale(assemble_system(grid, prob))
-        assert isinstance(system.operator, SymToeplitzOperator)
+        assert isinstance(system.operator, BorderedToeplitzOperator)
+        assert system.operator.border == 0
         level0 = build_hierarchy(system).levels[0].operator.to_dense()
         direct = assemble_matrix(grid, prob).entries / grid.steps[:-1][:, None]
         assert np.abs(level0 - direct).max() <= 1e-12 * np.abs(direct).max()

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from gradedfve import _memory
 from gradedfve import spectral as sp
 from gradedfve.assembly import FdeProblem, assemble_matrix, toeplitz_coefficients
 from gradedfve.cli import main as cli_main
@@ -164,6 +165,11 @@ class TestEigVsSymbol:
         fine = sp.eig_vs_symbol(0.5, 2.0, 2**6, "coarse")
         assert fine.grid_tag == "coarse-(i)"
         assert fine.sorted_samples.shape == (2**6,)
+
+    def test_fine_grid_beyond_physical_memory_is_refused(self, monkeypatch):
+        monkeypatch.setattr(_memory, "physical_memory", lambda: 4 * 2**20)
+        with pytest.raises(ValueError, match="physical memory"):
+            sp.eig_vs_symbol(0.5, 2.0, 2**5, "fine")  # 8.4 MB of samples
 
     def test_uniform_distribution_matches(self):
         rep = sp.eig_vs_symbol(0.5, 1.0, 2**6, "fine")
