@@ -36,7 +36,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from ._memory import require_memory
 from .mesh import Grid
@@ -171,8 +170,15 @@ class SymToeplitzOperator:
     def diagonal(self) -> np.ndarray:
         return np.full(self.first_row.size, self.first_row[0])
 
-    def to_dense(self) -> np.ndarray:
-        return scipy.linalg.toeplitz(self.first_row)
+    def to_dense(self, out: np.ndarray | None = None) -> np.ndarray:
+        """The matrix, written into ``out`` (an ``N x N`` array or view) when
+        given: row ``i`` is ``t[i:0:-1]`` followed by ``t[:N-i]``, copied
+        straight from a sliding window over the row reflected about ``t_0``."""
+        t = self.first_row
+        out = np.empty(self.shape) if out is None else out
+        windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((t[:0:-1], t)), t.size)
+        out[:] = windows[::-1]
+        return out
 
 
 class BorderedToeplitzOperator:
@@ -223,9 +229,7 @@ class BorderedToeplitzOperator:
         a = np.empty(self.shape)
         a[:b] = self.rows
         a[b:, :b] = self.cols
-        t = self.tail.first_row  # tail row i is t[i:0:-1] followed by t[:m-i]
-        windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((t[:0:-1], t)), t.size)
-        a[b:, b:] = windows[::-1]  # copied straight in: no second m x m matrix
+        self.tail.to_dense(out=a[b:, b:])  # written in place: no second m x m matrix
         return a
 
     def scale_rows(self, h_rows: np.ndarray) -> "BorderedToeplitzOperator":

@@ -27,6 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from . import mesh as meshmod
+from ._memory import require_memory
 from .assembly import FdeProblem, assemble_system, row_scale
 from .krylov import gmres
 from .mesh import (
@@ -206,6 +207,8 @@ def run_case(cfg: CaseConfig) -> CaseResult:
     t0 = time.perf_counter()
     grid = build_case_grid(cfg.mesh, cfg.beta, cfg.n)
     problem = make_problem(cfg.beta, cfg.gamma)
+    if cfg.solver == "direct":  # np.linalg.solve factors a copy of the matrix
+        require_memory(2 * 8 * cfg.n**2, f"a direct solve at N = {cfg.n} (matrix and LU factors)")
     # a direct solve factors a dense matrix, so it gets one from the start
     system = assemble_system(grid, problem, dense=cfg.solver == "direct")
 

@@ -3,8 +3,12 @@
 The stopping rule follows the experiment protocol used throughout this
 package: zero initial guess and iteration until the *true* relative
 residual ``||b - A x_k|| / ||b||`` drops below the tolerance, regardless of
-any preconditioner.  The orthogonalization is modified Gram-Schmidt with a
-single conditional reorthogonalization pass.
+any preconditioner.  The products ``A v_j`` of the Krylov basis vectors,
+which the preconditioned Arnoldi step forms anyway, are kept, so each
+iteration tracks ``A x_k = sum_j y_j (A v_j)`` without a further product;
+one real product ``A x_k`` confirms the residual before the iteration
+stops.  The orthogonalization is modified Gram-Schmidt with a single
+conditional reorthogonalization pass.
 """
 
 from __future__ import annotations
@@ -25,8 +29,11 @@ _REORTH_TOL = 1e-8
 class SolveReport:
     """Outcome of an iterative solve.
 
-    ``residual_history[k]`` is the true relative residual after ``k + 1``
-    iterations; ``converged`` is true iff the final entry is below the
+    ``residual_history[k]`` is the relative residual after ``k + 1``
+    iterations, formed from the kept products ``A v_j``, so it equals the
+    true residual up to rounding.  An entry below the tolerance, and the
+    final entry, is the true residual ``||b - A x_k|| / ||b||`` of a real
+    product; ``converged`` is true iff the final entry is below the
     tolerance used for the solve.  ``breakdown`` flags a numerical Arnoldi
     breakdown that was not a converged (happy) one.
     """
@@ -57,22 +64,26 @@ def gmres(
         Approximate inverse applied on the left (e.g. one multigrid
         V-cycle).  The Krylov space is built for the preconditioned
         operator but the stopping test uses the unpreconditioned residual.
+        It must not modify its argument, which is a kept product ``A v_j``.
     tol : float
         Relative residual tolerance.
     maxit : int
         Maximum number of iterations; running out is reported via
         ``converged=False``, not raised.  The Krylov basis and the Hessenberg
-        matrix for ``maxit`` steps are allocated up front, so a ``maxit``
-        whose storage exceeds physical memory raises ``ValueError``.
+        matrix for ``maxit`` steps are allocated up front and the kept
+        products grow by one vector per iteration, so a ``maxit`` whose
+        storage exceeds physical memory raises ``ValueError``.
     """
     b = np.asarray(b, dtype=float)
     n = b.size
-    require_memory(8 * (maxit + 1) * (n + maxit), f"GMRES storage for {maxit} iterations")
+    require_memory(8 * ((maxit + 1) * (n + maxit) + maxit * n),
+                   f"GMRES storage for {maxit} iterations")
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return SolveReport(0, np.zeros(0), True, np.zeros(n))
 
-    apply_m = precond if precond is not None else (lambda v: v)
+    # w is orthogonalized in place, so it must not be the kept product A v_k
+    apply_m = precond if precond is not None else np.copy
 
     r0 = apply_m(b)
     r0norm = float(np.linalg.norm(r0))
@@ -88,13 +99,21 @@ def gmres(
     g = np.zeros(maxit + 1)
     g[0] = r0norm
 
+    def confirm(y: np.ndarray) -> tuple[np.ndarray, float]:
+        """The iterate of the coefficients ``y`` and its true residual."""
+        x = y @ v[: y.size]
+        return x, float(np.linalg.norm(b - op.matvec(x))) / bnorm
+
+    av: list[np.ndarray] = []  # A v_j, one per iteration
+    y = None
     history: list[float] = []
     solution = np.zeros(n)
     converged = False
     breakdown = False
 
     for k in range(maxit):
-        w = apply_m(op.matvec(v[k]))
+        av.append(op.matvec(v[k]))
+        w = apply_m(av[k])
         wnorm_in = float(np.linalg.norm(w))
         for j in range(k + 1):
             h[j, k] = v[j] @ w
@@ -118,7 +137,11 @@ def gmres(
         denom = float(np.hypot(h[k, k], h[k + 1, k]))
         if denom == 0.0:
             breakdown = True
-            history.append(history[-1] if history else 1.0)
+            if y is None:
+                history.append(1.0)
+            else:  # the previous iterate stands
+                solution, res = confirm(y)
+                history.append(res)
             break
         cs[k] = h[k, k] / denom
         sn[k] = h[k + 1, k] / denom
@@ -127,13 +150,17 @@ def gmres(
         g[k + 1] = -sn[k] * g[k]
         g[k] = cs[k] * g[k]
 
-        # current iterate and true residual
+        # residual of the current iterate from the kept products
         y = np.linalg.solve(h[: k + 1, : k + 1], g[: k + 1])
-        solution = y @ v[: k + 1]
-        true_res = float(np.linalg.norm(b - op.matvec(solution))) / bnorm
-        history.append(true_res)
+        ax = y[0] * av[0]
+        for j in range(1, k + 1):
+            ax += y[j] * av[j]
+        res = float(np.linalg.norm(b - ax)) / bnorm
+        if res < tol or happy or k == maxit - 1:
+            solution, res = confirm(y)
+        history.append(res)
 
-        if true_res < tol:
+        if res < tol:
             converged = True
             break
         if happy:

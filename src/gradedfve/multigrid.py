@@ -8,15 +8,16 @@ right-hand side.  Every level holds an operator, not an array: coarsening
 keeps the even nodes, so a uniform tail stays a uniform tail, and each level
 of a mesh with one is a bordered Toeplitz operator (with no border on the
 uniform grid) whose products cost O(N log N) on the tail.  Dense
-matrices are formed only where they are the point: the LU factors of the
-coarsest level and the small eigenproblem of the damping estimate.  Grid
-transfer uses piecewise-linear interpolation on the non-uniform nodes;
-restriction is the weighted transpose of the interpolation (the 1/2 factor
-that turns the transpose into full weighting on a uniform grid), stored
-once per level.  The smoother is one damped-Jacobi sweep before and after
-coarse-grid correction, with the damping weight estimated once from the
-spectrum of the Jacobi iteration matrix on a small rediscretization of the
-same problem.
+matrices are formed only where they are the point: the at most 3 x 3
+coarsest level, solved directly, and the small eigenproblem of the damping
+estimate.  Grid transfer uses piecewise-linear interpolation on the
+non-uniform nodes, stored as its two weights per odd fine node and applied
+with strided slices; restriction is the weighted transpose of the
+interpolation (the 1/2 factor that turns the transpose into full weighting
+on a uniform grid), which shares those weights.  The smoother is one
+damped-Jacobi sweep before and after coarse-grid correction, with the
+damping weight estimated once from the spectrum of the Jacobi iteration
+matrix on a small rediscretization of the same problem.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
 
 from .assembly import FveSystem, LinearOperator, assemble_operator
 # unused here, but perfbench/layers.py wraps multigrid.assemble_matrix
@@ -104,7 +103,53 @@ def coarsen(grid: Grid) -> Grid:
     return Grid(np.concatenate(([x[0]], x[2 : 2 * nc + 1 : 2], [x[-1]])))
 
 
-def prolongation(fine: Grid, coarse: Grid) -> scipy.sparse.csr_matrix:
+class Interpolation:
+    """Linear interpolation from the ``nc = n // 2`` coarse to the ``n`` fine
+    interior nodes, or, as :attr:`T`, its transpose, which shares its weights.
+
+    Fine row ``2k - 1`` (node ``2k``) copies coarse entry ``k - 1``; fine row
+    ``2k`` (node ``2k + 1``) takes ``left[k - 1]`` times coarse entry
+    ``k - 1`` (for ``k >= 1``) plus ``right[k]`` times coarse entry ``k``
+    (for ``k < nc``).  ``@`` applies it to a vector or to the columns of a
+    2-D array with strided slices, adding the terms of each output entry
+    to zero in the order a compressed sparse row (or, transposed, column)
+    product adds them.
+    """
+
+    def __init__(self, n: int, left: np.ndarray, right: np.ndarray, transposed: bool = False):
+        self.n, self.left, self.right, self.transposed = n, left, right, transposed
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        n, nc = self.n, self.n // 2
+        return (nc, n) if self.transposed else (n, nc)
+
+    @property
+    def T(self) -> "Interpolation":
+        return Interpolation(self.n, self.left, self.right, not self.transposed)
+
+    def __matmul__(self, y: np.ndarray) -> np.ndarray:
+        rows, cols = self.shape
+        if y.shape[:1] != (cols,) or y.ndim > 2:
+            raise MultigridError("grid transfer takes a vector or a 2-D array of matching length")
+        left, right = self.left, self.right
+        if y.ndim == 2:  # weights broadcast over the columns of y
+            left, right = left[:, None], right[:, None]
+        nl, nc = left.shape[0], right.shape[0]
+        out = np.zeros((rows,) + y.shape[1:])
+        if self.transposed:  # coarse entry k: fine rows 2k, 2k + 1, 2k + 2
+            out += right * y[0::2][:nc]
+            out += y[1::2]
+            out[:nl] += left * y[2::2][:nl]
+        else:
+            odd = out[0::2]  # fine rows 2k, nodes 2k + 1
+            odd[1:] += left * y[:nl]
+            odd[:nc] += right * y
+            out[1::2] += y
+        return out
+
+
+def prolongation(fine: Grid, coarse: Grid) -> Interpolation:
     """Linear interpolation from coarse to fine interior nodes.
 
     Even fine nodes coincide with coarse nodes and are copied; odd fine
@@ -116,18 +161,10 @@ def prolongation(fine: Grid, coarse: Grid) -> scipy.sparse.csr_matrix:
     if nc != n // 2 or not np.array_equal(coarse.points[1:-1], fine.points[2 : 2 * nc + 1 : 2]):
         raise MultigridError("coarse grid is not the coarsening of the fine grid")
     xf = fine.points
-    even = np.arange(2, n + 1, 2)  # fine nodes 2k coincide with coarse node k
     odd = np.arange(1, n + 1, 2)
     k = (odd - 1) // 2  # left coarse neighbour of fine node 2k+1 (0 = boundary)
     wl = (xf[2 * k + 2] - xf[odd]) / (xf[2 * k + 2] - xf[2 * k])
-    left = k >= 1
-    right = k + 1 <= nc
-    # left weights precede right ones, so each row lists its columns in order
-    rows = np.concatenate((even - 1, odd[left] - 1, odd[right] - 1))
-    cols = np.concatenate((even // 2 - 1, k[left] - 1, k[right]))
-    vals = np.concatenate((np.ones(even.size), wl[left], 1.0 - wl[right]))
-    p = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n, nc))
-    return p.tocsr()
+    return Interpolation(n, wl[1:], 1.0 - wl[:nc])
 
 
 def estimate_omega(a: np.ndarray) -> float:
@@ -169,9 +206,9 @@ class MgLevel:
     grid: Grid
     operator: LinearOperator
     diag: np.ndarray
-    prolong: scipy.sparse.csr_matrix | None = None
-    # prolong.T, made once: a CSC view that shares prolong's arrays
-    restrict: scipy.sparse.csc_matrix | None = None
+    prolong: Interpolation | None = None
+    # prolong.T, made once; it shares prolong's weights
+    restrict: Interpolation | None = None
 
 
 @dataclass
@@ -180,7 +217,8 @@ class MgHierarchy:
 
     levels: list[MgLevel]
     omega: float
-    coarse_lu: tuple = field(repr=False, default=None)
+    # the dense matrix of the coarsest level, at most 3 x 3
+    coarse_matrix: np.ndarray | None = field(repr=False, default=None)
 
     @property
     def depth(self) -> int:
@@ -203,7 +241,8 @@ def build_hierarchy(system: FveSystem) -> MgHierarchy:
     Level 0 is the caller's operator itself.  The coarser levels are
     ``assemble_operator(..., scaled=True)`` of ``system.problem`` on the
     coarsenings of ``system.grid``, with no right-hand side; the coarsest
-    level has at most 3 interior points and is LU-factored.
+    level has at most 3 interior points, and its dense matrix is kept for
+    the direct solve at the bottom of the V-cycle.
 
     One damping weight, estimated by :func:`estimate_omega` on the first
     level with at most 16 interior points (a member of the same mesh
@@ -230,14 +269,13 @@ def build_hierarchy(system: FveSystem) -> MgHierarchy:
     est = next(lev for lev in levels if lev.grid.n <= _OMEGA_SIZE)
     omega = estimate_omega(est.operator.to_dense())
 
-    lu = scipy.linalg.lu_factor(levels[-1].operator.to_dense())
-    return MgHierarchy(levels, omega, lu)
+    return MgHierarchy(levels, omega, levels[-1].operator.to_dense())
 
 
 def _vcycle(hier: MgHierarchy, level: int, r: np.ndarray) -> np.ndarray:
     lev = hier.levels[level]
     if level == len(hier.levels) - 1:
-        return scipy.linalg.lu_solve(hier.coarse_lu, r)
+        return np.linalg.solve(hier.coarse_matrix, r)
     omega = hier.omega
     x = omega * r / lev.diag  # pre-smoothing from zero guess
     res = r - lev.operator.matvec(x)

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from ._memory import require_memory
 from .assembly import FdeProblem, assemble_matrix, toeplitz_coefficients
@@ -169,7 +168,7 @@ def eig_vs_symbol(
 
     a = _power_grid_matrix(beta, q, n)
     h = 1.0 / (n + 1)
-    eigs = scipy.linalg.eigvals(h ** (1.0 - beta) * a)
+    eigs = np.linalg.eigvals(h ** (1.0 - beta) * a)
     radius = float(np.abs(eigs).max())
     if np.abs(eigs.imag).max() < 1e-8 * radius:
         sorted_eigs: np.ndarray = np.sort(eigs.real)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -9,6 +10,10 @@ import pytest
 from gradedfve import _memory, bench, multigrid
 from gradedfve.bench import CaseConfig, MeshSpec
 from gradedfve.cli import main as cli_main
+
+# a size whose dense matrix (0.52 MB) fits a patched physical memory of 1.5x
+# the matrix, while the matrix and the copy a direct solve factors do not
+DIRECT_N = 255
 
 
 class TestProblemSetup:
@@ -170,6 +175,15 @@ class TestRunCase:
             res = bench.run_case(CaseConfig(0.5, 0.5, spec, 63))
             assert res.depth == 4 and calls == [63]
 
+    def test_direct_solve_without_room_for_its_factors_is_refused(self, monkeypatch):
+        n = DIRECT_N
+        monkeypatch.setattr(_memory, "physical_memory", lambda: int(1.5 * 8 * n * n))
+        cfg = CaseConfig(0.5, 0.5, MeshSpec("graded", eps1=1.0, eps2=0.0), n, "direct")
+        with pytest.raises(ValueError, match="physical memory"):
+            bench.run_case(cfg)
+        # the preconditioned solve holds the same dense matrix and no copy of it
+        assert bench.run_case(dataclasses.replace(cfg, solver="pgmres")).converged
+
     def test_nonconvergent_case_reports_dash(self):
         res = bench.run_case(
             CaseConfig(0.7, 1.0, MeshSpec("graded", eps1=1.0, eps2=0.0), 2**7 - 1)
@@ -317,6 +331,13 @@ class TestCli:
     def test_requests_beyond_physical_memory_exit_1(self, monkeypatch, capsys, argv):
         monkeypatch.setattr(_memory, "physical_memory", lambda: 4 * 2**20)
         assert cli_main(argv) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "physical memory" in lines[0]
+
+    def test_direct_solve_without_room_for_its_factors_exits_1(self, monkeypatch, capsys):
+        n = DIRECT_N
+        monkeypatch.setattr(_memory, "physical_memory", lambda: int(1.5 * 8 * n * n))
+        assert cli_main(["solve", "--solver", "direct", "--n", str(n)]) == 1
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and "physical memory" in lines[0]
 

@@ -38,7 +38,7 @@ class TestBasics:
         monkeypatch.setattr(_memory, "physical_memory", lambda: 4 * 2**20)
         op = DenseOperator(np.eye(200))
         with pytest.raises(ValueError, match="physical memory"):
-            gmres(op, np.ones(200), maxit=1000)  # 9.6 MB of Krylov storage
+            gmres(op, np.ones(200), maxit=1000)  # 11.2 MB of Krylov storage
         assert gmres(op, np.ones(200), maxit=20).converged
 
     def test_matches_direct_solve(self, rng):

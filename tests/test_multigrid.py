@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 
 from gradedfve import bench
@@ -13,7 +14,7 @@ from gradedfve.assembly import (
     assemble_system,
     row_scale,
 )
-from gradedfve.mesh import blend_coefficients, graded_grid, uniform_grid
+from gradedfve.mesh import blend_coefficients, composite_grid_from_counts, graded_grid, uniform_grid
 from gradedfve.multigrid import (
     DEFAULT_REGION,
     OMEGA_FALLBACK,
@@ -55,6 +56,33 @@ def loop_prolongation(fine, coarse):
             cols.append(k)
             vals.append(1.0 - wl)
     return scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n, nc)).tocsr()
+
+
+def reference_vcycle(hier, r):
+    """The V-cycle with sparse-matrix transfers from :func:`loop_prolongation`
+    and an LU factorization at the bottom, kept as an oracle."""
+    lu = scipy.linalg.lu_factor(hier.levels[-1].operator.to_dense())
+
+    def cycle(level, r):
+        lev = hier.levels[level]
+        if level == len(hier.levels) - 1:
+            return scipy.linalg.lu_solve(lu, r)
+        p = loop_prolongation(lev.grid, hier.levels[level + 1].grid)
+        x = hier.omega * r / lev.diag
+        res = r - lev.operator.matvec(x)
+        x = x + p @ cycle(level + 1, 0.5 * (p.T @ res))
+        return x + hier.omega * (r - lev.operator.matvec(x)) / lev.diag
+
+    return cycle(0, r)
+
+
+# odd and even sizes; table 3's composite meshes have an even N = n1 + n2
+TRANSFER_GRIDS = {
+    "graded30": lambda: graded_grid(30, blend_coefficients(3.0, 0.45, 0.05)),
+    "graded31": lambda: graded_grid(31, blend_coefficients(3.0, 0.45, 0.05)),
+    "composite263": lambda: composite_grid_from_counts(8, 255),
+    "composite264": lambda: composite_grid_from_counts(8, 256),
+}
 
 
 def loop_omega(a):
@@ -121,7 +149,7 @@ class TestCoarsen:
 class TestProlongation:
     def test_uniform_classical_stencil(self):
         fine = uniform_grid(7)
-        p = prolongation(fine, coarsen(fine)).toarray()
+        p = prolongation(fine, coarsen(fine)) @ np.eye(3)
         # coarse node k feeds fine nodes 2k-1, 2k, 2k+1 with 1/2, 1, 1/2
         expected = np.array(
             [
@@ -139,7 +167,7 @@ class TestProlongation:
     def test_coincident_rows_are_unit(self):
         fine = graded_grid(15, blend_coefficients(3.0, 1.0, 0.0))
         coarse = coarsen(fine)
-        p = prolongation(fine, coarse).toarray()
+        p = prolongation(fine, coarse) @ np.eye(coarse.n)
         for k in range(1, coarse.n + 1):
             row = p[2 * k - 1]
             assert row[k - 1] == 1.0 and np.count_nonzero(row) == 1
@@ -156,16 +184,36 @@ class TestProlongation:
     def test_matches_loop_construction(self, n):
         fine = graded_grid(n, blend_coefficients(3.0, 0.45, 0.05))
         coarse = coarsen(fine)
-        p = prolongation(fine, coarse)
+        p = scipy.sparse.csr_matrix(prolongation(fine, coarse) @ np.eye(coarse.n))
         ref = loop_prolongation(fine, coarse)
         assert p.shape == ref.shape
         assert np.array_equal(p.indptr, ref.indptr)
         assert np.array_equal(p.indices, ref.indices)
         assert np.array_equal(p.data, ref.data)
 
+    @pytest.mark.parametrize("name", TRANSFER_GRIDS)
+    def test_products_match_the_sparse_reference_bytes(self, name, rng):
+        fine = TRANSFER_GRIDS[name]()
+        coarse = coarsen(fine)
+        n, nc = fine.n, coarse.n
+        p = prolongation(fine, coarse)
+        ref = loop_prolongation(fine, coarse)
+        assert p.shape == ref.shape and p.T.shape == (nc, n)
+        for y in (np.eye(nc), rng.standard_normal(nc)):
+            assert (p @ y).tobytes() == (ref @ y).tobytes()
+        for r in (np.eye(n), rng.standard_normal(n)):
+            assert (p.T @ r).tobytes() == (ref.T @ r).tobytes()
+
     def test_rejects_mismatched_grids(self):
         with pytest.raises(MultigridError):
             prolongation(uniform_grid(15), uniform_grid(5))
+
+    def test_rejects_operands_of_the_wrong_shape(self):
+        fine = uniform_grid(15)
+        p = prolongation(fine, coarsen(fine))
+        for transfer, bad in ((p, np.zeros(15)), (p.T, np.zeros(7)), (p, np.zeros((7, 2, 2)))):
+            with pytest.raises(MultigridError):
+                transfer @ bad
 
 
 class TestOmegaEstimate:
@@ -260,8 +308,10 @@ class TestHierarchy:
         grid = graded_grid(31, blend_coefficients(2.0, 1.0, 0.0))
         hier = scaled_hierarchy(grid, FdeProblem(beta=0.5, gamma=0.5))
         for lev in hier.levels[:-1]:
-            assert (lev.restrict != lev.prolong.T).nnz == 0
-            assert np.shares_memory(lev.restrict.data, lev.prolong.data)
+            eye = np.eye(lev.grid.n)
+            assert np.count_nonzero(lev.restrict @ eye != lev.prolong.T @ eye) == 0
+            assert np.shares_memory(lev.restrict.left, lev.prolong.left)
+            assert np.shares_memory(lev.restrict.right, lev.prolong.right)
         assert hier.levels[-1].restrict is None
 
     def test_unscaled_system_rejected(self):
@@ -290,6 +340,13 @@ class TestVcycle:
         m = np.column_stack([vcycle(hier, e) for e in np.eye(n)])
         r = rng.standard_normal(n)
         assert np.abs(m @ r - vcycle(hier, r)).max() <= 1e-11 * np.abs(m @ r).max()
+
+    @pytest.mark.parametrize("name", TRANSFER_GRIDS)
+    @pytest.mark.parametrize("gamma", [0.5, 0.3])
+    def test_matches_sparse_lu_reference_bytes(self, rng, name, gamma):
+        hier = scaled_hierarchy(TRANSFER_GRIDS[name](), FdeProblem(beta=0.6, gamma=gamma))
+        r = rng.standard_normal(hier.levels[0].grid.n)
+        assert vcycle(hier, r).tobytes() == reference_vcycle(hier, r).tobytes()
 
     def test_dimension_mismatch(self):
         hier = scaled_hierarchy(uniform_grid(15), FdeProblem(beta=0.5, gamma=0.5))
