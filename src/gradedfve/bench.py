@@ -57,6 +57,7 @@ __all__ = [
     "run_case",
     "scan_qopt",
     "table_sweep",
+    "write_csv",
 ]
 
 #: Named blending-parameter presets used throughout the benchmark tables.
@@ -312,6 +313,20 @@ def scan_qopt(
 # table sweeps
 
 
+def write_csv(fh, columns: Sequence[str], rows, digits: int = 6) -> None:
+    """Write a header and rows as CSV to ``fh``.
+
+    A ``None`` cell reads ``-`` and a float is written to ``digits``
+    significant digits; any other cell is written as ``str``.
+    """
+    w = csv.writer(fh, lineterminator="\n")
+    w.writerow(columns)
+    for row in rows:
+        w.writerow(
+            ["-" if c is None else f"{c:.{digits}g}" if isinstance(c, float) else c for c in row]
+        )
+
+
 @dataclass
 class TableResult:
     table_id: int
@@ -321,177 +336,119 @@ class TableResult:
 
     def to_csv(self) -> str:
         buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(self.columns)
-        for row in self.rows:
-            w.writerow([_fmt_cell(c) for c in row])
+        write_csv(buf, self.columns, self.rows)
         return buf.getvalue()
 
     def to_json(self) -> str:
-        recs = [
-            {col: (None if c is None else c) for col, c in zip(self.columns, row)}
-            for row in self.rows
-        ]
+        recs = [dict(zip(self.columns, row)) for row in self.rows]
         return json.dumps({"table": self.table_id, "rows": recs}, indent=2)
 
 
-def _fmt_cell(c) -> str:
-    if c is None:
-        return "-"
-    if isinstance(c, float):
-        return f"{c:.6g}"
-    return str(c)
+_COMPOSITE_RULES = ("sqrt", "log2")
+_SOLVER = {"tol": CaseConfig.tol, "maxit": CaseConfig.maxit}
+
+#: Each table's parameters; an override may replace these keys and no other.
+_TABLES: dict[int, dict] = {
+    1: dict(gammas=[0.3, 0.5, 0.7], betas=[0.2, 0.5, 0.8], n=2**10 - 1, meshes=list(EPS_PRESETS)),
+    2: dict(gammas=[0.5], betas=[0.2, 0.5, 0.8], n_list=[2**k for k in range(4, 11)],
+            meshes=[*_COMPOSITE_RULES, "eps1", "eps2", "eps4", "eps6"], **_SOLVER),
+    3: dict(pairs=[(2**3, 2**8), (2**4, 2**9), (2**5, 2**10)], beta=0.9, gamma=0.5, **_SOLVER),
+    4: dict(gammas=[0.0, 1.0], betas=[0.1, 0.3, 0.7], n_list=[2**k for k in range(5, 11)],
+            meshes=[*_COMPOSITE_RULES, "eps1", "eps4", "eps6"], **_SOLVER),
+}
 
 
-def _err_cell(exc: Exception) -> str:
-    """Table cell of a case that raised: ``ERR: <type>: <message>``."""
-    return f"ERR: {type(exc).__name__}: {exc}"
+def _case(table_id: int, p: dict, key: tuple, mesh: str | None) -> tuple | CaseConfig:
+    """One table case: the ``scan_qopt`` arguments for table 1, else the
+    ``CaseConfig`` of a solve."""
+    if table_id == 1:
+        gamma, beta, _ = key
+        return (beta, gamma, *EPS_PRESETS[mesh], p["n"])
+    if table_id == 3:
+        n1, n2 = key
+        spec, beta, gamma, n = MeshSpec("composite", n1=n1, n2=n2), p["beta"], p["gamma"], n1 + n2
+    else:
+        gamma, beta, n1p = key
+        n = n1p - 1
+        if mesh in _COMPOSITE_RULES:
+            spec = MeshSpec("composite", rule=mesh)
+        else:
+            eps1, eps2 = EPS_PRESETS[mesh]
+            spec = MeshSpec("graded", eps1=eps1, eps2=eps2)
+    return CaseConfig(beta, gamma, spec, n, "pgmres", p["tol"], p["maxit"])
 
 
-_T2_MESHES: list[tuple[str, MeshSpec]] = [
-    ("sqrt", MeshSpec("composite", rule="sqrt")),
-    ("log2", MeshSpec("composite", rule="log2")),
-    ("eps1", MeshSpec("graded", eps1=0.1, eps2=0.05)),
-    ("eps2", MeshSpec("graded", eps1=0.2, eps2=0.05)),
-    ("eps4", MeshSpec("graded", eps1=0.45, eps2=0.05)),
-    ("eps6", MeshSpec("graded", eps1=1.0, eps2=0.0)),
-]
-_T4_MESHES = [m for m in _T2_MESHES if m[0] not in ("eps2",)]
-
-
-def _sweep_grid_columns(
-    table_id: int,
-    betas: Sequence[float],
-    gammas: Sequence[float],
-    n_list: Sequence[int],
-    meshes: Sequence[tuple[str, MeshSpec]],
-    with_ord: bool,
-    tol: float,
-    maxit: int,
-) -> TableResult:
-    columns = ["gamma", "beta", "n_plus_1"]
-    for name, _ in meshes:
-        columns += [f"{name}_it", f"{name}_e_inf"]
-        columns += [f"{name}_ord"] if with_ord else [f"{name}_e_rel"]
-    rows = []
-    complete = True
-    for gamma in gammas:
-        for beta in betas:
-            prev: dict[str, float | None] = {name: None for name, _ in meshes}
-            for n1p in n_list:
-                row: list = [gamma, beta, n1p]
-                for name, spec in meshes:
-                    try:
-                        res = run_case(
-                            CaseConfig(beta, gamma, spec, n1p - 1, "pgmres", tol, maxit)
-                        )
-                    except Exception as exc:
-                        complete = False
-                        row += [_err_cell(exc)] * 3
-                        prev[name] = None
-                        continue
-                    it = res.it_label or None
-                    if not res.converged:
-                        row += [it, None, None]
-                        prev[name] = None
-                        continue
-                    third: float | None
-                    if with_ord:
-                        third = (
-                            math.log2(prev[name] / res.e_inf)
-                            if prev[name] is not None
-                            else None
-                        )
-                        prev[name] = res.e_inf
-                    else:
-                        third = res.e_rel
-                    row += [it, res.e_inf, third]
-                rows.append(row)
-    return TableResult(table_id, columns, rows, complete)
+def _case_cells(table_id: int, case: tuple | CaseConfig) -> tuple[list, bool]:
+    """The three cells of one case and whether it ran; a case that raises
+    fills them with ``ERR: <exception type>: <message>``."""
+    try:
+        if table_id == 1:
+            res = scan_qopt(*case)
+            return [res.q_opt, res.e_opt, res.e_beta], True
+        res = run_case(case)
+        e = res.e_inf_nodes if table_id == 3 else res.e_inf
+        return [res.it_label or None, e, res.e_rel], True
+    except Exception as exc:
+        return [f"ERR: {type(exc).__name__}: {exc}"] * 3, False
 
 
 def table_sweep(table_id: int, overrides: dict | None = None) -> TableResult:
     """Run one of the four bundled benchmark tables.
 
-    ``overrides`` may shrink a sweep for time-boxed runs: recognized keys
-    are ``betas``, ``gammas``, ``n_list``, ``meshes`` (subset of column
-    names), ``tol``, ``maxit``.  Cells that raise are reported as
-    ``ERR: <exception type>: <message>`` and flagged through
-    ``TableResult.complete``.  The ``e_inf`` column of table 3 is the nodal
-    maximum ``e_inf_nodes``; the other tables report the refined-mesh
-    ``e_inf``.
+    ``overrides`` may shrink a sweep for time-boxed runs, replacing only the
+    keys its table reads: table 1 ``gammas``, ``betas``, ``n``, ``meshes``;
+    tables 2 and 4 ``gammas``, ``betas``, ``n_list``, ``meshes``, ``tol``,
+    ``maxit``; table 3 ``pairs``, ``beta``, ``gamma``, ``tol``, ``maxit``.
+    ``meshes`` keeps a subset of the table's mesh columns, in the table's
+    order.  Any other key, a mesh that is not a column of the table, or a
+    ``tol``, ``maxit`` or size that ``CaseConfig`` rejects raises
+    ``ValueError`` before any case runs.  Cells of a case that raises read
+    ``ERR: <exception type>: <message>`` and clear ``TableResult.complete``.
+    The ``e_inf`` column of table 3 is the nodal maximum ``e_inf_nodes``;
+    the other tables report the refined-mesh ``e_inf``, and table 2's ``ord``
+    is the ``log2`` of the previous size's ``e_inf`` over this one's.
     """
+    if table_id not in _TABLES:
+        raise ValueError("table_id must be 1, 2, 3 or 4")
+    defaults = _TABLES[table_id]
     ov = dict(overrides or {})
-    tol = ov.get("tol", 1e-7)
-    maxit = ov.get("maxit", 100)
+    unread = sorted(set(ov) - set(defaults))
+    if unread:
+        raise ValueError(f"table {table_id} does not read {', '.join(unread)}; "
+                         f"it reads {', '.join(defaults)}")
+    p = {**defaults, **ov}
+    foreign = [str(m) for m in p.get("meshes", ()) if m not in defaults["meshes"]]
+    if foreign:
+        raise ValueError(f"table {table_id} has no mesh column {', '.join(foreign)}; "
+                         f"its columns are {', '.join(defaults['meshes'])}")
 
     if table_id == 1:
-        gammas = ov.get("gammas", [0.3, 0.5, 0.7])
-        betas = ov.get("betas", [0.2, 0.5, 0.8])
-        n = ov.get("n", 2**10 - 1)
-        eps_names = ov.get("meshes", ["eps1", "eps2", "eps3", "eps4", "eps5", "eps6"])
-        columns = ["gamma", "beta", "q_beta"]
-        for name in eps_names:
-            columns += [f"{name}_q_opt", f"{name}_e_opt", f"{name}_e_beta"]
-        rows = []
-        complete = True
-        for gamma in gammas:
-            for beta in betas:
-                row: list = [gamma, beta, q_for_beta(beta, n)]
-                for name in eps_names:
-                    e1, e2 = EPS_PRESETS[name]
-                    try:
-                        res = scan_qopt(beta, gamma, e1, e2, n)
-                        row += [res.q_opt, res.e_opt, res.e_beta]
-                    except Exception as exc:
-                        complete = False
-                        row += [_err_cell(exc)] * 3
-                rows.append(row)
-        return TableResult(1, columns, rows, complete)
+        head, cells = ["gamma", "beta", "q_beta"], ["q_opt", "e_opt", "e_beta"]
+        keys = [(g, b, q_for_beta(b, p["n"])) for g in p["gammas"] for b in p["betas"]]
+    elif table_id == 3:
+        head, cells = ["n1", "n2"], ["it", "e_inf", "e_rel"]
+        keys = [tuple(pair) for pair in p["pairs"]]
+    else:
+        head = ["gamma", "beta", "n_plus_1"]
+        cells = ["it", "e_inf", "ord" if table_id == 2 else "e_rel"]
+        keys = [(g, b, n1p) for g in p["gammas"] for b in p["betas"] for n1p in p["n_list"]]
+    meshes = [m for m in defaults["meshes"] if m in p["meshes"]] if "meshes" in p else [None]
+    columns = head + [c if m is None else f"{m}_{c}" for m in meshes for c in cells]
+    plan = [(key, [(m, _case(table_id, p, key, m)) for m in meshes]) for key in keys]
 
-    if table_id == 2:
-        meshes = [m for m in _T2_MESHES if m[0] in ov.get("meshes", [n for n, _ in _T2_MESHES])]
-        return _sweep_grid_columns(
-            2,
-            ov.get("betas", [0.2, 0.5, 0.8]),
-            ov.get("gammas", [0.5]),
-            ov.get("n_list", [2**k for k in range(4, 11)]),
-            meshes,
-            with_ord=True,
-            tol=tol,
-            maxit=maxit,
-        )
-
-    if table_id == 3:
-        pairs = ov.get("pairs", [(2**3, 2**8), (2**4, 2**9), (2**5, 2**10)])
-        beta = ov.get("beta", 0.9)
-        gamma = ov.get("gamma", 0.5)
-        columns = ["n1", "n2", "it", "e_inf", "e_rel"]
-        rows = []
-        complete = True
-        for n1, n2 in pairs:
-            spec = MeshSpec("composite", n1=n1, n2=n2)
-            try:
-                res = run_case(
-                    CaseConfig(beta, gamma, spec, n1 + n2, "pgmres", tol, maxit)
-                )
-                rows.append([n1, n2, res.it_label or None, res.e_inf_nodes, res.e_rel])
-            except Exception as exc:
-                complete = False
-                rows.append([n1, n2] + [_err_cell(exc)] * 3)
-        return TableResult(3, columns, rows, complete)
-
-    if table_id == 4:
-        meshes = [m for m in _T4_MESHES if m[0] in ov.get("meshes", [n for n, _ in _T4_MESHES])]
-        return _sweep_grid_columns(
-            4,
-            ov.get("betas", [0.1, 0.3, 0.7]),
-            ov.get("gammas", [0.0, 1.0]),
-            ov.get("n_list", [2**k for k in range(5, 11)]),
-            meshes,
-            with_ord=False,
-            tol=tol,
-            maxit=maxit,
-        )
-
-    raise ValueError("table_id must be 1, 2, 3 or 4")
+    rows = []
+    complete = True
+    last_e: dict = {}  # (gamma, beta, mesh) -> e_inf of the previous size
+    for key, cases in plan:
+        row = list(key)
+        for m, case in cases:
+            out, ok = _case_cells(table_id, case)
+            complete &= ok
+            e = out[1] if ok else None
+            if table_id == 2 and e is not None:
+                e_prev = last_e.get((*key[:2], m))
+                out[2] = None if e_prev is None else math.log2(e_prev / e)
+            last_e[(*key[:2], m)] = e
+            row += out
+        rows.append(row)
+    return TableResult(table_id, columns, rows, complete)

@@ -70,9 +70,9 @@ def main(argv=None) -> int:
     p.add_argument("--id", type=int, required=True, choices=[1, 2, 3, 4])
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--betas", type=float, nargs="*", default=None)
-    p.add_argument("--gammas", type=float, nargs="*", default=None)
-    p.add_argument("--n-list", type=int, nargs="*", default=None)
+    p.add_argument("--betas", type=float, nargs="+", default=None)
+    p.add_argument("--gammas", type=float, nargs="+", default=None)
+    p.add_argument("--n-list", type=int, nargs="+", default=None)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--maxit", type=int, default=None)
 
@@ -130,22 +130,15 @@ def main(argv=None) -> int:
                     json.dump(payload, fh, indent=2)
                     fh.write("\n")
                 else:
-                    fh.write(",".join(payload) + "\n")
-                    fh.write(",".join("-" if v is None else f"{v:.6g}" if isinstance(v, float) else str(v) for v in payload.values()) + "\n")
+                    bench.write_csv(fh, list(payload), [payload.values()])
             return 0
 
         if args.command == "table":
-            overrides = {}
-            if args.betas:
-                overrides["betas"] = args.betas
-            if args.gammas:
-                overrides["gammas"] = args.gammas
-            if args.n_list:
-                overrides["n_list"] = args.n_list
-            if args.tol is not None:
-                overrides["tol"] = args.tol
-            if args.maxit is not None:
-                overrides["maxit"] = args.maxit
+            overrides = {
+                key: value
+                for key in ("betas", "gammas", "n_list", "tol", "maxit")
+                if (value := getattr(args, key)) is not None
+            }
             result = bench.table_sweep(args.id, overrides)
             with _out_stream(args.out) as fh:
                 fh.write(result.to_csv() if args.format == "csv" else result.to_json() + "\n")
@@ -165,45 +158,38 @@ def main(argv=None) -> int:
                     )
                     fh.write("\n")
                 else:
-                    fh.write("q,e_inf\n")
-                    for q, e in res.scanned:
-                        fh.write(f"{q:.6g},{e:.6g}\n")
+                    bench.write_csv(fh, ["q", "e_inf"], res.scanned)
             return 0
 
         if args.command == "symbol":
             thetas = np.linspace(-np.pi, np.pi, args.points)
             values = spectral.symbol_p(args.n_terms, args.beta, thetas)
             with _out_stream(args.out) as fh:
-                fh.write("theta,p\n")
-                for t, v in zip(thetas, values):
-                    fh.write(f"{t:.17g},{v:.17g}\n")
+                bench.write_csv(fh, ["theta", "p"], zip(thetas, values), digits=17)
             return 0
 
         if args.command == "glt5":
             if args.beta_grid and args.q_grid:
                 signs = spectral.glt5_region(args.beta_grid, args.q_grid)
                 with _out_stream(args.out) as fh:
-                    fh.write("beta,q,sign\n")
-                    for i, b in enumerate(args.beta_grid):
-                        for j, q in enumerate(args.q_grid):
-                            fh.write(f"{b:.6g},{q:.6g},{signs[i, j]}\n")
+                    rows = ([b, q, signs[i, j]] for i, b in enumerate(args.beta_grid)
+                            for j, q in enumerate(args.q_grid))
+                    bench.write_csv(fh, ["beta", "q", "sign"], rows)
                 return 0
             if args.beta is None or args.q is None:
                 parser.error("glt5 needs either --beta and --q or both grids")
             values = spectral.glt5_sequence(args.beta, args.q, args.n_list)
             with _out_stream(args.out) as fh:
-                fh.write("n,s\n")
-                for n, v in zip(args.n_list, values):
-                    fh.write(f"{n},{v:.17g}\n")
+                bench.write_csv(fh, ["n", "s"], zip(args.n_list, values), digits=17)
             return 0
 
         if args.command == "eigcmp":
             report = spectral.eig_vs_symbol(args.beta, args.q, args.n, args.grid_tag)
             with _out_stream(args.out) as fh:
                 fh.write(f"# grid={report.grid_tag} sup_gap={report.sup_gap:.17g}\n")
-                fh.write("index,eigenvalue,symbol_sample\n")
-                for i, (e, s) in enumerate(zip(report.sorted_eigs, report.sorted_samples)):
-                    fh.write(f"{i},{complex(e).real:.17g},{s:.17g}\n")
+                rows = ([i, complex(e).real, s]
+                        for i, (e, s) in enumerate(zip(report.sorted_eigs, report.sorted_samples)))
+                bench.write_csv(fh, ["index", "eigenvalue", "symbol_sample"], rows, digits=17)
             return 0
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

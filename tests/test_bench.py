@@ -261,6 +261,31 @@ class TestTableSweep:
         assert errs == ["ERR: RuntimeError: no solve today"] * 3
         assert "ERR: RuntimeError: no solve today" in t.to_csv()
 
+    @pytest.mark.parametrize(
+        "table_id,overrides,message",
+        [
+            (3, {"pairs": [(8, 16)], "betas": [0.2]}, "table 3 does not read betas"),
+            (1, {"gammas": [0.5], "betas": [0.5], "n": 15, "meshes": ["eps6"], "n_list": [16]},
+             "table 1 does not read n_list"),
+            (1, {"gammas": [0.5], "betas": [0.5], "n": 15, "meshes": ["eps6"], "n_list": [16],
+                 "tol": 1e-3}, "table 1 does not read n_list, tol"),
+            (2, {"betas": [0.5], "n_list": [16], "meshes": ["eps3"]}, "table 2 has no mesh column eps3"),
+        ],
+        ids=["table3-betas", "table1-n_list", "table1-tol", "table2-eps3"],
+    )
+    def test_unread_keys_and_foreign_meshes_raise(self, table_id, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            bench.table_sweep(table_id, overrides)
+
+    @pytest.mark.parametrize("overrides", [{"tol": 0.0}, {"maxit": 0}], ids=["tol", "maxit"])
+    def test_bad_tol_or_maxit_stops_before_any_case(self, monkeypatch, overrides):
+        def never(cfg):
+            raise AssertionError("no case may run")
+
+        monkeypatch.setattr(bench, "run_case", never)
+        with pytest.raises(ValueError, match="tol must be positive|maxit must be >= 1"):
+            bench.table_sweep(2, {"betas": [0.5], "n_list": [16], **overrides})
+
     def test_determinism(self):
         ov = {"betas": [0.5], "n_list": [2**4], "meshes": ["eps6"]}
         a = bench.table_sweep(2, ov).to_csv()
@@ -316,11 +341,21 @@ class TestCli:
             (["solve", "--n", "15", "--maxit", "0"], "maxit must be >= 1"),
             (["solve", "--n", "15", "--tol", "0"], "tol must be positive"),
             (["eigcmp", "--grid", "fine", "--n", "512"], "physical memory"),
+            (["table", "--id", "3", "--betas", "0.2"], "table 3 does not read betas"),
+            (["table", "--id", "3", "--betas"], "--betas: expected at least one argument"),
+            (["table", "--id", "2", "--tol", "0"], "tol must be positive"),
         ],
     )
     def test_invalid_sizes_exit_1_with_one_message(self, capsys, argv, message):
-        assert cli_main(argv) == 1
+        try:
+            code, usage = cli_main(argv), False
+        except SystemExit as exc:  # the parser prints its usage before the error
+            code, usage = exc.code, True
+        assert code == 1
         lines = capsys.readouterr().err.splitlines()
+        if usage:
+            assert lines[0].startswith("usage: ")
+            lines = [line for line in lines if not line.startswith(("usage: ", " "))]
         assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
 
     @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from gradedfve import _memory
+from gradedfve import _memory, bench
 from gradedfve import spectral as sp
 from gradedfve.assembly import FdeProblem, assemble_matrix, toeplitz_coefficients
 from gradedfve.cli import main as cli_main
@@ -211,7 +211,13 @@ class TestTraceNormSequence:
 
 
 class TestEmitters:
-    """The CLI is the one writer of the spectral CSV files."""
+    """The CLI writes every CSV through ``bench.write_csv``: spectral values
+    round-trip exactly, the other outputs carry 6 significant digits and a
+    missing value reads ``-``."""
+
+    @staticmethod
+    def _cells(path):
+        return [line.split(",") for line in path.read_text().splitlines()]
 
     def test_csv_outputs(self, tmp_path):
         assert cli_main(
@@ -220,6 +226,10 @@ class TestEmitters:
         ) == 0
         lines = (tmp_path / "s.csv").read_text().splitlines()
         assert lines[0] == "n,s" and len(lines) == 1 + 2
+        seq = sp.glt5_sequence(0.5, 2.0, [16, 32])
+        assert [[int(n), float(v)] for n, v in self._cells(tmp_path / "s.csv")[1:]] == [
+            [16, seq[0]], [32, seq[1]]
+        ]
 
         assert cli_main(
             ["glt5", "--beta-grid", "0.2", "0.5", "--q-grid", "2.0", "4.0", "6.0",
@@ -227,6 +237,12 @@ class TestEmitters:
         ) == 0
         lines = (tmp_path / "r.csv").read_text().splitlines()
         assert lines[0] == "beta,q,sign" and len(lines) == 1 + 2 * 3
+        signs = sp.glt5_region([0.2, 0.5], [2.0, 4.0, 6.0])
+        assert self._cells(tmp_path / "r.csv")[1:] == [
+            [f"{b:.6g}", f"{q:.6g}", str(signs[i, j])]
+            for i, b in enumerate([0.2, 0.5])
+            for j, q in enumerate([2.0, 4.0, 6.0])
+        ]
 
         assert cli_main(
             ["eigcmp", "--beta", "0.5", "--q", "2.0", "--n", "16",
@@ -235,3 +251,53 @@ class TestEmitters:
         lines = (tmp_path / "e.csv").read_text().splitlines()
         assert lines[0].startswith("# grid=coarse-(i) sup_gap=")
         assert lines[1] == "index,eigenvalue,symbol_sample" and len(lines) == 2 + 16
+        report = sp.eig_vs_symbol(0.5, 2.0, 16, "coarse")
+        assert float(lines[0].split("sup_gap=")[1]) == report.sup_gap
+        assert [[int(i), float(e), float(s)] for i, e, s in self._cells(tmp_path / "e.csv")[2:]] == [
+            [i, complex(e).real, s]
+            for i, (e, s) in enumerate(zip(report.sorted_eigs, report.sorted_samples))
+        ]
+
+        assert cli_main(
+            ["symbol", "--beta", "0.5", "--points", "9", "--n-terms", "64",
+             "--out", str(tmp_path / "p.csv")]
+        ) == 0
+        rows = self._cells(tmp_path / "p.csv")
+        thetas = np.linspace(-np.pi, np.pi, 9)
+        assert rows[0] == ["theta", "p"]
+        assert [[float(t), float(v)] for t, v in rows[1:]] == [
+            list(pair) for pair in zip(thetas, sp.symbol_p(64, 0.5, thetas))
+        ]
+
+        assert cli_main(
+            ["qopt", "--beta", "0.5", "--n", "15", "--qmin", "2", "--qmax", "3",
+             "--qstep", "0.5", "--format", "csv", "--out", str(tmp_path / "q.csv")]
+        ) == 0
+        rows = self._cells(tmp_path / "q.csv")
+        scan = bench.scan_qopt(0.5, 0.5, 1.0, 0.0, 15, (2.0, 3.0), 0.5)
+        assert rows[0] == ["q", "e_inf"]
+        assert rows[1:] == [[f"{q:.6g}", f"{e:.6g}"] for q, e in scan.scanned]
+
+        for solver in ("pgmres", "direct"):
+            out = tmp_path / f"{solver}.csv"
+            assert cli_main(
+                ["solve", "--mesh", "composite", "--rule", "sqrt", "--n", "63",
+                 "--solver", solver, "--format", "csv", "--out", str(out)]
+            ) == 0
+            header, cells = self._cells(out)
+            assert header == ["it", "converged", "e_inf", "e_inf_nodes", "e_rel",
+                              "wall_time", "depth", "omega", "omega_fallback"]
+            row = dict(zip(header, cells))
+            res = bench.run_case(
+                bench.CaseConfig(0.5, 0.5, bench.MeshSpec("composite", rule="sqrt"), 63, solver)
+            )
+            assert row["wall_time"] == f"{float(row['wall_time']):.6g}"
+            for key in ("e_inf", "e_inf_nodes", "e_rel"):
+                assert row[key] == f"{getattr(res, key):.6g}"
+            assert row["converged"] == "True" and row["omega_fallback"] == "False"
+            if solver == "direct":
+                assert [row["it"], row["depth"], row["omega"]] == ["-", "-", "-"]
+            else:
+                assert [row["it"], row["depth"], row["omega"]] == [
+                    str(res.it), str(res.depth), f"{res.omega:.6g}"
+                ]
