@@ -17,23 +17,32 @@ through FFTs.  The uniform grid is the bordered operator with no border;
 every other operator is a dense matrix.  Both kinds divide their rows in
 place.
 
-Every matrix entry is a short combination of powers of distances between
-cell midpoints ``x_{i +- 1/2}`` and nodes ``x_m``; the node coordinates
-double as the prefix sums of the step lengths, so each entry costs O(1) and
-the whole assembly O(N^2).  The dense assembly is blocked: it fills the
-matrix, or a block of rows and columns of it, a few dozen rows at a time
-through block buffers allocated once per call, so its peak memory is the
-result plus O(block * N).  A preconditioned solve on a mesh without a tail
-(a pure power map, variable diffusion or gamma != 1/2) holds one finest
-matrix plus its coarse levels, about 1.36x the finest matrix at N + 1 = 4096;
-with a tail it holds only the borders of its levels.
+The scheme is assembled as it is derived: equation ``i`` is the flux
+``-K (gamma D_left^{1-beta} + (1-gamma) D_right^{1-beta}) u`` at the right
+end ``z_{i+1}`` of its control volume minus the flux at its left end
+``z_i``.  With piecewise-linear functions the flux at a midpoint is a
+sum of piece fluxes, one per piece ``[x_k, x_{k+1}]``, each a difference of
+powers ``|x_m - z|**beta`` at the piece's two nodes divided by its length
+and weighted by gamma left of ``z`` and by gamma - 1 right of it; the
+piece that holds ``z`` is split by it.  A hat's flux is the difference of
+the piece fluxes of the two pieces it lies on, so one formula gives every
+matrix entry and, through the two boundary half-hats, the Dirichlet terms
+of the right-hand side; the node coordinates double as the prefix sums of
+the step lengths, so each entry costs O(1) and the whole assembly O(N^2).
+The dense assembly is blocked: it fills the matrix, or a block of rows and
+columns of it, a few dozen rows at a time through block buffers allocated
+once per call, so its peak memory is the result plus O(block * N).  A
+preconditioned solve on a mesh without a tail (a pure power map, variable
+diffusion or gamma != 1/2) holds one finest matrix plus its coarse levels,
+about 1.36x the finest matrix at N + 1 = 4096; with a tail it holds only
+the borders of its levels.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -263,8 +272,8 @@ class FveSystem:
             raise AssemblyError("system dimensions are inconsistent")
 
 
-#: Rows per assembly block, so that a block's power table and its second
-#: differences stay in L2 cache; at N = 4095, 16 to 256 rows are within noise.
+#: Rows per assembly block, so that a block's power table and its two flux
+#: tables stay in L2 cache; at N = 4095, 16 to 256 rows are within noise.
 _BLOCK_ROWS = 64
 
 
@@ -278,21 +287,25 @@ def assemble_matrix(
     block of it in the row range ``rows`` and the column range ``cols``
     (half-open ``(start, stop)`` pairs; the full range by default).
 
-    Row ``i`` combines powers ``|x_m - x_{i-1/2}|**beta`` and
-    ``|x_m - x_{i+1/2}|**beta`` over the nodes ``m`` of its columns.  The
-    block is filled in blocks of :data:`_BLOCK_ROWS` rows (proportionally
-    more when it has fewer columns than the matrix); each block
-    evaluates the power table of its own ``rows + 1`` midpoints, its first
-    differences divided by the steps and its second differences in the node
-    index, which row ``i`` uses for its left midpoint and row ``i - 1`` for
-    its right one.  The three tables live in buffers allocated once per call
-    and are filled by in-place ufuncs, which write the kernel straight into
-    the matrix rows and scale them there; only each block's own square is
-    split into its lower and upper triangles.  Every entry comes from the
-    same arithmetic whatever the block size and the ranges, and the memory
-    used beyond the result is O(block * N).
+    Equation ``i`` is the flux at ``z_{i+1}`` minus the flux at ``z_i``,
+    the ends of its control volume.  The hat of node ``m`` rises over piece
+    ``m - 1`` and falls over piece ``m``, so with the piece fluxes ``Q`` of
+    :func:`_piece_fluxes` its flux at ``z_t`` is
+    ``-K(z_t) F[t, m] / Gamma(beta + 1)``, where the hat flux is
+    ``F[t, m] = Q[t, m] - Q[t, m - 1]``, and column ``j`` (node ``j + 1``)
+    holds
+
+        A[i, j] = (K(z_i) F[i, j+1] - K(z_{i+1}) F[i+1, j+1]) / Gamma(beta + 1).
+
+    The block is filled in blocks of :data:`_BLOCK_ROWS` rows (proportionally
+    more when it has fewer columns than the matrix): each block takes the
+    piece fluxes of its own ``rows + 1`` midpoints and their hat fluxes in a
+    third buffer allocated once per call, which row ``i`` uses for its left
+    midpoint and row ``i - 1`` for its right one, and writes the combination
+    straight into the matrix rows.  Every entry comes from the same
+    arithmetic whatever the block size and the ranges, and the memory used
+    beyond the result is O(block * N).
     """
-    x = grid.points
     n = grid.n
     r0, r1 = (0, n) if rows is None else rows
     c0, c1 = (0, n) if cols is None else cols
@@ -300,99 +313,78 @@ def assemble_matrix(
         raise AssemblyError("block ranges must lie within the matrix")
     need = 8 * (r1 - r0) * (c1 - c0)
     require_memory(need, f"a {r1 - r0} x {c1 - c0} matrix block", AssemblyError)
-    beta = float(problem.beta)
-    gamma = float(problem.gamma)
-    gam1 = math.gamma(beta + 1.0)
-
-    hp = np.empty(n + 2)
-    hp[1:] = grid.steps
-    hp[0] = 1.0  # unused slot
-    inv_h = 1.0 / hp
-
-    z = 0.5 * (x[:-1] + x[1:])  # cell midpoints x_{t+1/2}, t = 0..n
-    kz = problem.diffusion_at(z)
+    gam1 = math.gamma(float(problem.beta) + 1.0)
+    x = grid.points
+    kz = problem.diffusion_at(0.5 * (x[:-1] + x[1:]))
 
     a = np.empty((r1 - r0, c1 - c0))
-    # column j of the block uses the nodes c0 + j .. c0 + j + 2
-    xc = x[c0 : c1 + 2]
-    inv_hc = inv_h[c0 + 1 : c1 + 2]
-    # block buffers, reused by every block: powers, first and second differences
     block = max(_BLOCK_ROWS * n // max(c1 - c0, 1), 1)
-    size = min(block, r1 - r0) + 1
-    w_buf = np.empty((size, xc.size))
-    e_buf = np.empty((size, xc.size - 1))
-    d_buf = np.empty((size, xc.size - 2))
-    for i0 in range(r0, r1, block):
-        i1 = min(i0 + block, r1)
-        r = i1 - i0 + 1
-        # w[l, m] = |x_{c0+m} - x_{i0+l-1/2}|**beta; row i's midpoints are rows i-i0, i-i0+1
-        w = w_buf[:r]
-        np.subtract(xc[None, :], z[i0 : i1 + 1, None], out=w)
-        np.abs(w, out=w)
-        w **= beta
-        # e_j = (w_{j+1}-w_j)/h_{j+1}; value at column j (1-based) is e_j - e_{j-1}
-        e = e_buf[:r]
-        np.subtract(w[:, 1:], w[:, :-1], out=e)
-        e *= inv_hc
-        d = d_buf[:r]
-        np.subtract(e[:, 1:], e[:, :-1], out=d)
+    f_buf = np.empty((min(block, r1 - r0) + 1, c1 - c0))
+    # columns c0 .. c1 - 1 are the hats of nodes c0 + 1 .. c1, on pieces c0 .. c1
+    for i0, i1, q in _piece_fluxes(grid, problem, (r0, r1), (c0, c1 + 1), block):
+        f = f_buf[: i1 - i0 + 1]
+        np.subtract(q[:, 1:], q[:, :-1], out=f)
         out = a[i0 - r0 : i1 - r0]
-        np.multiply(kz[i0:i1, None], d[:-1], out=out)
-        d[1:] *= kz[i0 + 1 : i1 + 1, None]
-        out -= d[1:]
-
-        # left of the block's band the gamma kernel, right of it the 1-gamma one
-        lo = min(max(i0 - 1, 0, c0), c1) - c0
-        hi = max(min(i1 + 1, c1), c0) - c0
-        out[:, :lo] *= gamma
-        right = out[:, hi:]
-        right *= 1.0 - gamma
-        np.subtract(0.0, right, out=right)  # 0 - y, not -y: zeros stay +0
-        sq = out[:, lo:hi]
-        k = i0 - c0 - lo  # the square's column k is the block's first row's diagonal
-        sq[:] = np.tril(sq, k - 2) * gamma - (1.0 - gamma) * np.triu(sq, k + 2)
-
-        if lo < hi:  # the band meets the block's columns
-            t = np.arange(i0, i1)
-            _fill_bands(out, t, t - i0, w, inv_h, kz[t], kz[t + 1], gamma, (c0, c1))
+        np.multiply(kz[i0:i1, None], f[:-1], out=out)
+        f[1:] *= kz[i0 + 1 : i1 + 1, None]
+        out -= f[1:]
         out /= gam1
         if not np.all(np.isfinite(out)):
             raise AssemblyError("assembled matrix has non-finite entries")
     return DenseOperator(a)
 
 
-def _fill_bands(out, t, l, w, inv_h, km, kp, gamma, cols=None) -> None:
-    """Overwrite the entries of the three central bands, which mix the left
-    and right kernels, in the rows ``t`` (local rows ``l`` of ``out``) and the
-    columns ``cols = (c0, c1)`` (all of ``out``'s by default, local columns
-    from ``c0``).
+def _piece_fluxes(
+    grid: Grid, problem: FdeProblem, rows: tuple[int, int], pieces: tuple[int, int], block: int
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Yield the piece fluxes at the midpoints of the equations ``rows`` over
+    the pieces ``pieces`` (half-open ``(start, stop)`` pairs), block after
+    block of ``block`` equations.
 
-    ``w[l]`` holds the powers about row ``t``'s left midpoint and
-    ``w[l + 1]`` those about its right one, from node ``c0`` on; the entry in
-    column ``c`` uses the nodes ``c .. c + 2`` and the steps ``h_{c+1}``,
-    ``h_{c+2}``.
+    Piece ``k`` is ``[x_k, x_{k+1}]`` of length ``h_k``, and ``z_t`` is the
+    midpoint of piece ``t``.  With ``w_m = |x_m - z_t|**beta`` and
+    ``e_k = (w_{k+1} - w_k) / h_k``, the flux at ``z_t`` of the function
+    that rises linearly by 1 over piece ``k`` and is constant elsewhere is
+    ``K(z_t) Q[t, k] / Gamma(beta + 1)``, with ``Q[t, k] = gamma * e_k``
+    for a piece left of ``z_t`` (``k < t``) and ``(gamma - 1) * e_k`` for
+    one right of it (``k > t``); the piece split by the midpoint has
+    ``Q[t, t] = -(gamma * w_t + (1 - gamma) * w_{t+1}) / h_t``.
+
+    Equations ``i0 .. i1 - 1`` read the midpoints ``i0 .. i1``, so each
+    block yields ``(i0, i1, q)`` with ``q[l, p] = Q[i0 + l, k0 + p]`` in
+    ``i1 - i0 + 1`` rows.  ``q`` and the power table are buffers allocated
+    once per call and filled by in-place ufuncs.  The weights ``gamma`` and
+    ``gamma - 1`` depend on ``k - t`` alone, so every block reads them from a
+    Toeplitz window over one vector.
     """
-    c0, c1 = (0, out.shape[1]) if cols is None else cols
-    for offset in (0, -1, 1):
-        col = t + offset
-        inside = (col >= c0) & (col < c1)
-        c, li, j = col[inside], l[inside], col[inside] - c0
-        km_i, kp_i = km[inside], kp[inside]
-        w0, w1, w2 = w[li, j], w[li, j + 1], w[li, j + 2]  # about the left midpoint
-        p0, p1, p2 = w[li + 1, j], w[li + 1, j + 1], w[li + 1, j + 2]  # the right one
-        ih1, ih2 = inv_h[c + 1], inv_h[c + 2]
-        if offset == 0:
-            out[li, j] = km_i * (w0 * ih1 + (1.0 - gamma) * (w1 - w2) * ih2) - kp_i * (
-                gamma * (p0 - p1) * ih1 - p1 * ih2
-            )
-        elif offset == -1:
-            out[li, j] = km_i * (gamma * (w0 - w1) * ih1 - w1 * ih2) - kp_i * gamma * (
-                (p0 - p1) * ih1 + (p2 - p1) * ih2
-            )
-        else:
-            out[li, j] = km_i * (1.0 - gamma) * ((w1 - w0) * ih1 + (w1 - w2) * ih2) - kp_i * (
-                p1 * ih1 + (1.0 - gamma) * (p1 - p2) * ih2
-            )
+    x = grid.points
+    r0, r1 = rows
+    k0, k1 = pieces
+    beta = float(problem.beta)
+    gamma = float(problem.gamma)
+    z = 0.5 * (x[:-1] + x[1:])
+    xk = x[k0 : k1 + 1]
+    inv_h = 1.0 / grid.steps[k0:k1]
+    # weight j belongs to k - t = j + k0 - r1, so the midpoint z_t reads window r1 - t
+    d = np.arange(k0 - r1, k1 - r0)
+    weights = np.lib.stride_tricks.sliding_window_view(np.where(d < 0, gamma, gamma - 1.0), k1 - k0)
+    size = min(block, r1 - r0) + 1
+    w_buf = np.empty((size, xk.size))
+    q_buf = np.empty((size, k1 - k0))
+    for i0 in range(r0, r1, block):
+        i1 = min(i0 + block, r1)
+        w = w_buf[: i1 - i0 + 1]
+        np.subtract(xk[None, :], z[i0 : i1 + 1, None], out=w)
+        np.abs(w, out=w)
+        w **= beta
+        q = q_buf[: i1 - i0 + 1]
+        np.subtract(w[:, 1:], w[:, :-1], out=q)
+        q *= inv_h
+        q *= weights[r1 - i1 : r1 - i0 + 1][::-1]
+        t = np.arange(max(i0, k0), min(i1 + 1, k1))  # the midpoints whose piece is in range
+        l, p = t - i0, t - k0
+        q[l, p] = -(gamma * w[l, p] + (1.0 - gamma) * w[l, p + 1]) * inv_h[p]
+        yield i0, i1, q
 
 
 #: 8-point Gauss-Legendre rule mapped to [0, 1].
@@ -440,15 +432,15 @@ def assemble_rhs(grid: Grid, problem: FdeProblem) -> np.ndarray:
     The load of equation ``i`` is the integral of the source over its control
     volume ``[x_{i-1/2}, x_{i+1/2}]``, computed by :func:`_control_volume_loads`
     to near machine precision even for sources singular at x = 0 or x = 1.
-    The boundary contributions enter through kernels evaluated at the cell
-    midpoints; the first and last midpoints carry modified kernels because
-    they sit outside ``[x_1, x_N]``.
+    The boundary values enter through the two boundary half-hats, which
+    fall over piece 0 and rise over piece ``N``: the flux of
+    ``u_left`` times the first plus ``u_right`` times the second at the
+    midpoint ``z_t`` is ``-K(z_t) g_t / Gamma(beta + 1)`` with
+    ``g_t = u_left Q[t, 0] - u_right Q[t, N]``, from the piece fluxes of
+    :func:`_piece_fluxes` (the arithmetic of the matrix), and equation ``i``
+    moves its flux difference to this side.
     """
-    x = grid.points
     n = grid.n
-    beta = float(problem.beta)
-    gamma = float(problem.gamma)
-    gam1 = math.gamma(beta + 1.0)
     ul = float(problem.u_left)
     ur = float(problem.u_right)
 
@@ -460,34 +452,14 @@ def assemble_rhs(grid: Grid, problem: FdeProblem) -> np.ndarray:
     if ul == 0.0 and ur == 0.0:
         return b
 
-    z = 0.5 * (x[:-1] + x[1:])
-    kz = problem.diffusion_at(z)
-    h1 = grid.steps[0]
-    hn1 = grid.steps[-1]
-    x1 = x[1]
-    xn = x[n]
+    def flux(piece: int) -> np.ndarray:  # Q[t, piece] at every midpoint, in one block
+        ((_, _, q),) = _piece_fluxes(grid, problem, (0, n), (piece, piece + 1), n)
+        return q[:, 0]
 
-    g = np.empty(n + 1)
-    zi = z[1:-1] if n >= 2 else z[1:0]
-    # interior midpoints x_{3/2} .. x_{N-1/2}
-    g[1:n] = (ul * gamma / h1) * ((zi - x1) ** beta - zi**beta) + (
-        ur * (1.0 - gamma) / hn1
-    ) * ((1.0 - zi) ** beta - (xn - zi) ** beta)
-    # leftmost midpoint x_{1/2} sits left of x_1
-    z0 = z[0]
-    g[0] = -(ul * gamma / h1) * z0**beta + (1.0 - gamma) * (
-        -(ul / h1) * (x1 - z0) ** beta
-        + (ur / hn1) * ((1.0 - z0) ** beta - (xn - z0) ** beta)
-    )
-    # rightmost midpoint x_{N+1/2} sits right of x_N
-    zn = z[n]
-    g[n] = (
-        (ul * gamma / h1) * ((zn - x1) ** beta - zn**beta)
-        + (ur * gamma / hn1) * (zn - xn) ** beta
-        + (ur * (1.0 - gamma) / hn1) * (1.0 - zn) ** beta
-    )
-
-    b += (kz[1:] * g[1:] - kz[:-1] * g[:-1]) / gam1
+    x = grid.points
+    kz = problem.diffusion_at(0.5 * (x[:-1] + x[1:]))
+    g = ul * flux(0) - ur * flux(n)
+    b += (kz[1:] * g[1:] - kz[:-1] * g[:-1]) / math.gamma(float(problem.beta) + 1.0)
     if not np.all(np.isfinite(b)):
         raise AssemblyError("assembled right-hand side has non-finite entries")
     return b

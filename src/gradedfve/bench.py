@@ -180,6 +180,7 @@ class CaseConfig:
             raise ValueError("maxit must be >= 1")
         if not self.tol > 0.0:
             raise ValueError("tol must be positive")
+        FdeProblem(self.beta, self.gamma)  # raises on a beta or gamma out of range
 
 
 @dataclass
@@ -363,6 +364,7 @@ def _case(table_id: int, p: dict, key: tuple, mesh: str | None) -> tuple | CaseC
     ``CaseConfig`` of a solve."""
     if table_id == 1:
         gamma, beta, _ = key
+        FdeProblem(beta, gamma)  # raises on a beta or gamma out of range
         return (beta, gamma, *EPS_PRESETS[mesh], p["n"])
     if table_id == 3:
         n1, n2 = key
@@ -401,9 +403,10 @@ def table_sweep(table_id: int, overrides: dict | None = None) -> TableResult:
     ``maxit``; table 3 ``pairs``, ``beta``, ``gamma``, ``tol``, ``maxit``.
     ``meshes`` keeps a subset of the table's mesh columns, in the table's
     order.  Any other key, a mesh that is not a column of the table, or a
-    ``tol``, ``maxit`` or size that ``CaseConfig`` rejects raises
-    ``ValueError`` before any case runs.  Cells of a case that raises read
-    ``ERR: <exception type>: <message>`` and clear ``TableResult.complete``.
+    ``beta``, ``gamma``, ``tol``, ``maxit`` or size that ``CaseConfig``
+    rejects raises ``ValueError`` before any case runs.  Cells of a case
+    that raises read ``ERR: <exception type>: <message>`` and clear
+    ``TableResult.complete``.
     The ``e_inf`` column of table 3 is the nodal maximum ``e_inf_nodes``;
     the other tables report the refined-mesh ``e_inf``, and table 2's ``ord``
     is the ``log2`` of the previous size's ``e_inf`` over this one's.

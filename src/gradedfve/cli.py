@@ -93,9 +93,9 @@ def main(argv=None) -> int:
     p = sub.add_parser("glt5", help="trace-norm asymmetry sequence or sign map")
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--q", type=float, default=None)
-    p.add_argument("--n-list", type=int, nargs="*", default=[2**k for k in range(4, 10)])
-    p.add_argument("--beta-grid", type=float, nargs="*", default=None)
-    p.add_argument("--q-grid", type=float, nargs="*", default=None)
+    p.add_argument("--n-list", type=int, nargs="+", default=[2**k for k in range(4, 10)])
+    p.add_argument("--beta-grid", type=float, nargs="+", default=None)
+    p.add_argument("--q-grid", type=float, nargs="+", default=None)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("eigcmp", help="sorted eigenvalues vs sorted symbol samples")
@@ -169,7 +169,9 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "glt5":
-            if args.beta_grid and args.q_grid:
+            if (args.beta_grid is None) != (args.q_grid is None):
+                parser.error("glt5 needs both --beta-grid and --q-grid, or neither")
+            if args.beta_grid is not None:
                 signs = spectral.glt5_region(args.beta_grid, args.q_grid)
                 with _out_stream(args.out) as fh:
                     rows = ([b, q, signs[i, j]] for i, b in enumerate(args.beta_grid)

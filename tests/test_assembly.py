@@ -75,29 +75,93 @@ def literal_matrix(grid, beta, gamma, diffusion=lambda x: np.ones_like(x)):
     return a
 
 
+def mpmath_flux_matrix(grid, beta, gamma):
+    """The piece-flux/hat-flux formula of the assembly, with constant unit
+    diffusion, in 40-digit mpmath at the float nodes and midpoints."""
+    mpmath = pytest.importorskip("mpmath")
+    x = grid.points
+    n = grid.n
+    z = 0.5 * (x[:-1] + x[1:])
+    with mpmath.workdps(40):
+        beta, gamma = mpmath.mpf(beta), mpmath.mpf(gamma)
+        xs = [mpmath.mpf(float(v)) for v in x]
+        h = [xs[k + 1] - xs[k] for k in range(n + 1)]
+        flux = []  # hat fluxes F[t, m], nodes m = 1 .. n
+        for t in range(n + 1):
+            zt = mpmath.mpf(float(z[t]))
+            w = [abs(xm - zt) ** beta for xm in xs]
+            q = [
+                gamma * (w[k + 1] - w[k]) / h[k] if k < t
+                else (gamma - 1) * (w[k + 1] - w[k]) / h[k] if k > t
+                else -(gamma * w[k] + (1 - gamma) * w[k + 1]) / h[k]
+                for k in range(n + 1)
+            ]
+            flux.append([q[m] - q[m - 1] for m in range(1, n + 1)])
+        gam1 = mpmath.gamma(beta + 1)
+        return np.array([[float((flux[i][j] - flux[i + 1][j]) / gam1) for j in range(n)] for i in range(n)])
+
+
+def mpmath_boundary_rhs(grid, beta, gamma, u_left, u_right, diffusion):
+    """Independent oracle for the Dirichlet terms, in 40-digit mpmath.
+
+    The function with nodal values ``u_left, 0, ..., 0, u_right`` (the two
+    boundary half-hats) has slope ``-u_left / h_0`` on the first piece and
+    ``u_right / h_N`` on the last.  Its flux at a midpoint ``z`` is
+    ``K(z) (gamma I_left + (1 - gamma) I_right)`` of that slope, where
+    ``I_left`` integrates ``(z - s)**(beta - 1) / Gamma(beta)`` over the part
+    of each piece left of ``z`` and ``I_right`` integrates
+    ``(s - z)**(beta - 1) / Gamma(beta)`` over the part right of it, both in
+    closed form.  Equation ``i`` gets the flux at ``z_{i+1}`` minus the flux
+    at ``z_i``; the second array is ``|flux(z_i)| + |flux(z_{i+1})|``, the
+    scale of that difference.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    x = grid.points
+    n = grid.n
+    z = 0.5 * (x[:-1] + x[1:])
+    kz = diffusion(z)
+    with mpmath.workdps(40):
+        beta, gamma = mpmath.mpf(beta), mpmath.mpf(gamma)
+        gam1 = mpmath.gamma(beta + 1)
+        xs = [mpmath.mpf(float(v)) for v in x]
+        slopes = {0: -u_left / (xs[1] - xs[0]), n: u_right / (xs[n + 1] - xs[n])}
+        flux = []
+        for t in range(n + 1):
+            zt = mpmath.mpf(float(z[t]))
+            total = mpmath.mpf(0)
+            for k, slope in slopes.items():
+                lo, hi = xs[k], xs[k + 1]
+                if lo < zt:
+                    total += gamma * slope * ((zt - lo) ** beta - (zt - min(hi, zt)) ** beta) / gam1
+                if hi > zt:
+                    total += (1 - gamma) * slope * ((hi - zt) ** beta - (max(lo, zt) - zt) ** beta) / gam1
+            flux.append(total * mpmath.mpf(float(kz[t])))
+        rhs = np.array([float(flux[i + 1] - flux[i]) for i in range(n)])
+        scale = np.array([float(abs(flux[i + 1]) + abs(flux[i])) for i in range(n)])
+    return rhs, scale
+
+
 def unfused_matrix(grid, problem):
-    """Reference for the fused block kernel: the same entries computed with
-    one whole-block temporary per operation, in the order the fused kernel
-    must reproduce bit for bit."""
+    """Reference for the fused block kernel: the piece fluxes, the hat fluxes
+    and the matrix rows computed with one whole-block temporary per
+    operation, in the order the fused kernel must reproduce bit for bit."""
     x = grid.points
     n = grid.n
     beta, gamma = float(problem.beta), float(problem.gamma)
-    hp = np.concatenate(([1.0], grid.steps))
-    inv_h = 1.0 / hp
+    inv_h = 1.0 / grid.steps
     z = 0.5 * (x[:-1] + x[1:])
     kz = problem.diffusion_at(z)
+    pieces = np.arange(n + 1)
     a = np.empty((n, n))
     for i0 in range(0, n, asm._BLOCK_ROWS):
         i1 = min(i0 + asm._BLOCK_ROWS, n)
+        t = np.arange(i0, i1 + 1)[:, None]
         w = np.abs(x[None, :] - z[i0 : i1 + 1, None]) ** beta
-        d = (w[:, :-2] - w[:, 1:-1]) * inv_h[1:-1] + (w[:, 2:] - w[:, 1:-1]) * inv_h[2:]
-        m0 = kz[i0:i1, None] * d[:-1] - kz[i0 + 1 : i1 + 1, None] * d[1:]
-        out = a[i0:i1]
-        np.multiply(np.tril(m0, i0 - 2), gamma, out=out)
-        out -= (1.0 - gamma) * np.triu(m0, i0 + 2)
-        t = np.arange(i0, i1)
-        asm._fill_bands(out, t, t - i0, w, inv_h, kz[t], kz[t + 1], gamma)
-        out /= math.gamma(beta + 1.0)
+        q = (w[:, 1:] - w[:, :-1]) * inv_h * np.where(pieces < t, gamma, gamma - 1.0)
+        split = -(gamma * w[:, :-1] + (1.0 - gamma) * w[:, 1:]) * inv_h
+        q = np.where(pieces == t, split, q)
+        f = q[:, 1:] - q[:, :-1]
+        a[i0:i1] = (kz[i0:i1, None] * f[:-1] - kz[i0 + 1 : i1 + 1, None] * f[1:]) / math.gamma(beta + 1.0)
     return a
 
 
@@ -124,6 +188,23 @@ class TestAgainstLiteralOracle:
         mine = assemble_matrix(grid, FdeProblem(beta=0.6, gamma=0.4, diffusion=k)).entries
         ref = literal_matrix(grid, 0.6, 0.4, diffusion=k)
         assert np.abs(mine - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize(
+        "grid", [uniform_grid(31), composite_grid(31, CompositeRule("sqrt"))], ids=["uniform", "sqrt"]
+    )
+    def test_matches_the_flux_formula_in_mpmath(self, grid):
+        """Rounding only: every row within 1e-12 of its largest entry.
+
+        Graded grids with a first step near 1e-16 (eps6 at the capped
+        exponent) are not covered: there the powers ``|x_m - z_t|**beta``
+        of far midpoints cancel in their differences, and the float matrix
+        is 2 to 92% off this formula in some rows (ROADMAP item 1)."""
+        for beta in (0.2, 0.5, 0.8):
+            for gamma in (0.3, 0.5):
+                mine = assemble_matrix(grid, FdeProblem(beta=beta, gamma=gamma)).entries
+                ref = mpmath_flux_matrix(grid, beta, gamma)
+                err = np.abs(mine - ref).max(axis=1) / np.abs(ref).max(axis=1)
+                assert err.max() <= 1e-12, (beta, gamma)
 
 
 class TestBlockedAssembly:
@@ -384,6 +465,26 @@ class TestRhs:
         assert b[0] == pytest.approx(2.0 / h, rel=1e-12)
         assert b[-1] == pytest.approx(3.0 / h, rel=1e-12)
         assert np.abs(b[1:-1]).max() <= 1e-12 / h
+
+    @pytest.mark.parametrize(
+        "grid,tol",
+        [
+            (uniform_grid(24), 1e-13),
+            (graded_grid(20, blend_coefficients(2.0, 1.0, 0.0)), 1e-12),
+            # first step 1e-4: the far midpoints' powers cancel in e_0
+            (graded_grid(20, blend_coefficients(3.0, 0.2, 0.05)), 1e-11),
+            (composite_grid_from_counts(5, 20), 1e-12),
+        ],
+        ids=["uniform", "graded", "graded-q3", "composite"],
+    )
+    def test_boundary_terms_match_the_half_hat_fluxes(self, grid, tol):
+        for beta in (0.3, 0.8):
+            for gamma in (0.0, 0.3, 1.0):
+                for k in (lambda x: np.ones_like(x), lambda x: 1.0 + 0.5 * np.asarray(x)):
+                    problem = FdeProblem(beta=beta, gamma=gamma, diffusion=k, u_left=0.7, u_right=1.3)
+                    ref, scale = mpmath_boundary_rhs(grid, beta, gamma, 0.7, 1.3, k)
+                    err = np.abs(assemble_rhs(grid, problem) - ref) / scale
+                    assert err.max() <= tol, (beta, gamma)
 
     def test_single_interior_point(self):
         grid = uniform_grid(1)

@@ -286,6 +286,25 @@ class TestTableSweep:
         with pytest.raises(ValueError, match="tol must be positive|maxit must be >= 1"):
             bench.table_sweep(2, {"betas": [0.5], "n_list": [16], **overrides})
 
+    @pytest.mark.parametrize(
+        "table_id,overrides,message",
+        [
+            (1, {"gammas": [2.0], "n": 15, "meshes": ["eps6"]}, "gamma"),
+            (2, {"betas": [1.5], "n_list": [16]}, "beta"),
+            (3, {"pairs": [(8, 16)], "gamma": -0.1}, "gamma"),
+            (4, {"gammas": [2.0], "betas": [0.5], "n_list": [16]}, "gamma"),
+        ],
+        ids=["table1", "table2", "table3", "table4"],
+    )
+    def test_bad_beta_or_gamma_stops_before_any_case(self, monkeypatch, table_id, overrides, message):
+        def never(*args):
+            raise AssertionError("no case may run")
+
+        monkeypatch.setattr(bench, "run_case", never)
+        monkeypatch.setattr(bench, "scan_qopt", never)
+        with pytest.raises(ValueError, match=rf"{message} must lie in \[0, 1\]"):
+            bench.table_sweep(table_id, overrides)
+
     def test_determinism(self):
         ov = {"betas": [0.5], "n_list": [2**4], "meshes": ["eps6"]}
         a = bench.table_sweep(2, ov).to_csv()
@@ -344,6 +363,14 @@ class TestCli:
             (["table", "--id", "3", "--betas", "0.2"], "table 3 does not read betas"),
             (["table", "--id", "3", "--betas"], "--betas: expected at least one argument"),
             (["table", "--id", "2", "--tol", "0"], "tol must be positive"),
+            (["table", "--id", "2", "--betas", "1.5", "--n-list", "16"], "beta must lie in [0, 1]"),
+            (["table", "--id", "4", "--gammas", "2", "--betas", "0.5", "--n-list", "16"],
+             "gamma must lie in [0, 1]"),
+            (["glt5", "--beta", "0.5", "--q", "2", "--n-list"], "--n-list: expected at least one argument"),
+            (["glt5", "--beta-grid", "--q-grid", "2"], "--beta-grid: expected at least one argument"),
+            (["glt5", "--beta-grid", "0.5", "--q-grid"], "--q-grid: expected at least one argument"),
+            (["glt5", "--beta", "0.5", "--q", "2", "--beta-grid", "0.5"], "both --beta-grid and --q-grid"),
+            (["glt5", "--q-grid", "2"], "both --beta-grid and --q-grid"),
         ],
     )
     def test_invalid_sizes_exit_1_with_one_message(self, capsys, argv, message):
