@@ -32,10 +32,11 @@ the step lengths, so each entry costs O(1) and the whole assembly O(N^2).
 The dense assembly is blocked: it fills the matrix, or a block of rows and
 columns of it, a few dozen rows at a time through block buffers allocated
 once per call, so its peak memory is the result plus O(block * N).  A
-preconditioned solve on a mesh without a tail (a pure power map, variable
-diffusion or gamma != 1/2) holds one finest matrix plus its coarse levels,
-about 1.36x the finest matrix at N + 1 = 4096; with a tail it holds only
-the borders of its levels.
+preconditioned solve on a pure power mesh with odd N and constant diffusion
+holds one finest matrix, whose scaled leading blocks are its coarse levels
+(1.05x the finest matrix at N + 1 = 4096); other meshes without a tail, or
+variable diffusion, add rediscretized coarse levels, and a mesh with a tail
+holds only the borders of its levels.
 """
 
 from __future__ import annotations
@@ -112,9 +113,14 @@ class FdeProblem:
 
 @dataclass(frozen=True)
 class DenseOperator:
-    """Dense operator: a square matrix, or a block of one."""
+    """Dense operator: ``scale`` times a square matrix, or a block of one.
+
+    ``entries`` may be a view of a larger matrix: a coarse multigrid level
+    of a self-similar grid is a scaled leading block of the finest matrix.
+    """
 
     entries: np.ndarray
+    scale: float = 1.0
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -124,13 +130,13 @@ class DenseOperator:
         v = np.asarray(v, dtype=float)
         if v.shape != (self.shape[1],):
             raise AssemblyError("dimension mismatch in matvec")
-        return self.entries @ v
+        return self.scale * (self.entries @ v)
 
     def diagonal(self) -> np.ndarray:
-        return np.diag(self.entries).copy()
+        return self.scale * np.diag(self.entries)
 
     def to_dense(self) -> np.ndarray:
-        return self.entries
+        return self.entries if self.scale == 1.0 else self.scale * self.entries
 
     def scale_rows(self, h_rows: np.ndarray) -> "DenseOperator":
         """Divide row ``i`` by ``h_rows[i]`` in place."""

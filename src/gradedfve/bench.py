@@ -191,11 +191,15 @@ class CaseResult:
     e_inf_nodes: float | None
     e_rel: float | None
     wall_time: float
-    # multigrid hierarchy of a pgmres solve: coarsening steps, Jacobi weight
-    # and whether no weight passed the region test (the 2/3 fallback)
+    # multigrid hierarchy of a pgmres solve: coarsening steps, Jacobi weight,
+    # whether no weight passed the region test (the 2/3 fallback) and how
+    # many coarse levels were assembled rather than viewed in the finest matrix
     depth: int | None = None
     omega: float | None = None
     omega_fallback: bool = False
+    reassembled: int | None = None
+    # GMRES stopped on an Arnoldi breakdown that was not convergence
+    breakdown: bool = False
 
     @property
     def it_label(self) -> str:
@@ -216,7 +220,7 @@ def run_case(cfg: CaseConfig) -> CaseResult:
 
     converged = True
     it: int | None = None
-    mg: dict = {}
+    info: dict = {}
     if cfg.solver == "direct":
         solution = np.linalg.solve(system.operator.to_dense(), system.rhs)
     else:
@@ -227,18 +231,20 @@ def run_case(cfg: CaseConfig) -> CaseResult:
         precond = None
         if cfg.solver == "pgmres":
             hier = build_hierarchy(system)
-            mg = dict(depth=hier.depth, omega=hier.omega, omega_fallback=hier.omega_fallback)
+            info = dict(depth=hier.depth, omega=hier.omega, omega_fallback=hier.omega_fallback,
+                        reassembled=hier.reassembled)
             precond = hier.apply
         report = gmres(
             system.operator, system.rhs, precond=precond, tol=cfg.tol, maxit=cfg.maxit
         )
         solution = report.solution
         converged = report.converged
+        info["breakdown"] = report.breakdown
         it = report.iterations if report.converged else None
 
     wall = time.perf_counter() - t0
     if not converged:
-        return CaseResult(None, False, None, None, None, wall, **mg)
+        return CaseResult(None, False, None, None, None, wall, **info)
 
     xs = grid.points[1:-1]
     ue = exact_solution(cfg.beta, xs)
@@ -254,7 +260,7 @@ def run_case(cfg: CaseConfig) -> CaseResult:
     )
     e_fine = float(np.abs(interp - exact_solution(cfg.beta, y)).max())
 
-    return CaseResult(it, True, e_fine, e_nodes, e_rel, wall, **mg)
+    return CaseResult(it, True, e_fine, e_nodes, e_rel, wall, **info)
 
 
 @dataclass

@@ -124,6 +124,8 @@ def main(argv=None) -> int:
                 "depth": res.depth,
                 "omega": res.omega,
                 "omega_fallback": res.omega_fallback,
+                "reassembled": res.reassembled,
+                "breakdown": res.breakdown,
             }
             with _out_stream(args.out) as fh:
                 if args.format == "json":

@@ -1,16 +1,21 @@
 """Geometric multigrid for the row-scaled FVE systems.
 
 The hierarchy halves the number of interior points per level (keeping the
-even-indexed nodes).  The finest level is the caller's row-scaled operator;
-every coarser level rediscretizes the operator alone on its grid through
+even-indexed nodes).  The finest level is the caller's row-scaled operator.
+A coarser level whose grid is the finest grid's leading nodes stretched to
+[0, 1] (an odd-N power-mapped grid) is, with constant diffusion and a
+dense finest matrix, a scaled view of that matrix's leading block, with
+no assembly: a solve on a pure power mesh holds about one finest matrix
+(1.05x at N + 1 = 4096; rediscretized levels would make it 1.37x).  Every
+other coarser level rediscretizes the operator alone on its grid through
 ``assemble_operator``, row-scaled like the finest one and with no
-right-hand side.  Every level holds an operator, not an array: coarsening
-keeps the even nodes, so a uniform tail stays a uniform tail, and each level
-of a mesh with one is a bordered Toeplitz operator (with no border on the
-uniform grid) whose products cost O(N log N) on the tail.  Dense
-matrices are formed only where they are the point: the at most 3 x 3
-coarsest level, solved directly, and the small eigenproblem of the damping
-estimate.  Grid transfer uses piecewise-linear interpolation on the
+right-hand side.  Every level holds an operator, not an array:
+coarsening keeps the even nodes, so a uniform tail stays a uniform tail,
+and each level of a mesh with one is a bordered Toeplitz operator (with no
+border on the uniform grid) whose products cost O(N log N) on the tail.
+Dense matrices are formed only where they are the point: the at most
+3 x 3 coarsest level, solved directly, and the small eigenproblem of the
+damping estimate.  Grid transfer uses piecewise-linear interpolation on the
 non-uniform nodes, stored as its two weights per odd fine node and applied
 with strided slices; restriction is the weighted transpose of the
 interpolation (the 1/2 factor that turns the transpose into full weighting
@@ -26,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import FveSystem, LinearOperator, assemble_operator
+from .assembly import DenseOperator, FveSystem, LinearOperator, assemble_operator
 # unused here, but perfbench/layers.py wraps multigrid.assemble_matrix
 from .assembly import assemble_matrix  # noqa: F401
 from .mesh import Grid
@@ -54,6 +59,11 @@ _OMEGA_SIZE = 16
 #: full weighting on uniform grids, which pairs with rediscretized row-scaled
 #: coarse operators.
 _RESTRICTION_SCALE = 0.5
+
+#: Relative distance within which a coarse grid's nodes count as the finest
+#: grid's leading nodes stretched to [0, 1]; rounding puts them at most
+#: 3.1e-16 apart on power grids with q from 1 to 9 at N + 1 = 32 ... 4096.
+_SIMILAR_TOL = 4 * np.finfo(float).eps
 
 
 class MultigridError(ValueError):
@@ -219,6 +229,8 @@ class MgHierarchy:
     omega: float
     # the dense matrix of the coarsest level, at most 3 x 3
     coarse_matrix: np.ndarray | None = field(repr=False, default=None)
+    # coarse levels assembled on their own grid; the others view level 0
+    reassembled: int = 0
 
     @property
     def depth(self) -> int:
@@ -235,14 +247,38 @@ class MgHierarchy:
         return vcycle(self, r)
 
 
+def _leading_block(system: FveSystem, coarse: Grid) -> DenseOperator | None:
+    """The row-scaled operator on ``coarse`` as a scaled view of the finest
+    matrix, or None when that does not hold.
+
+    When the coarse nodes are the finest nodes ``x_0 .. x_{n+1}`` divided by
+    ``s = x_{n+1}`` (to :data:`_SIMILAR_TOL`), rows and columns ``0 .. n-1``
+    of the finest matrix read only those nodes and their midpoints.
+    Stretching a grid by ``1/s`` multiplies ``|x - z|**beta`` by
+    ``s**-beta`` and each ``1/h``, and the row scaling, by ``s``, so with
+    constant diffusion the coarse operator is ``s**(2 - beta)`` times that
+    leading block.
+    """
+    op, x, n = system.operator, system.grid.points, coarse.n
+    if not isinstance(op, DenseOperator) or callable(system.problem.diffusion):
+        return None
+    s = x[n + 1]
+    if np.any(np.abs(coarse.points - x[: n + 2] / s) > _SIMILAR_TOL * coarse.points):
+        return None
+    return DenseOperator(op.entries[:n, :n], op.scale * s ** (2.0 - system.problem.beta))
+
+
 def build_hierarchy(system: FveSystem) -> MgHierarchy:
     """Build the V-cycle hierarchy of a row-scaled system.
 
-    Level 0 is the caller's operator itself.  The coarser levels are
-    ``assemble_operator(..., scaled=True)`` of ``system.problem`` on the
-    coarsenings of ``system.grid``, with no right-hand side; the coarsest
-    level has at most 3 interior points, and its dense matrix is kept for
-    the direct solve at the bottom of the V-cycle.
+    Level 0 is the caller's operator itself.  A coarser level is the scaled
+    view of level 0 of :func:`_leading_block` where one exists (odd-N
+    power-mapped grids with constant diffusion and a dense level 0), and
+    otherwise ``assemble_operator(..., scaled=True)`` of ``system.problem``
+    on its coarsening of ``system.grid``, with no right-hand side, counted
+    in :attr:`MgHierarchy.reassembled`.  The coarsest level has at most 3
+    interior points, and its dense matrix is kept for the direct solve at
+    the bottom of the V-cycle.
 
     One damping weight, estimated by :func:`estimate_omega` on the first
     level with at most 16 interior points (a member of the same mesh
@@ -258,9 +294,13 @@ def build_hierarchy(system: FveSystem) -> MgHierarchy:
     while grids[-1].n > 3:
         grids.append(coarsen(grids[-1]))
 
-    levels: list[MgLevel] = []
-    for g in grids:
-        op = assemble_operator(g, problem, scaled=True) if levels else system.operator
+    levels = [MgLevel(grid=grid, operator=system.operator, diag=system.operator.diagonal())]
+    reassembled = 0
+    for g in grids[1:]:
+        op = _leading_block(system, g)
+        if op is None:
+            op = assemble_operator(g, problem, scaled=True)
+            reassembled += 1
         levels.append(MgLevel(grid=g, operator=op, diag=op.diagonal()))
     for lev, coarse in zip(levels, levels[1:]):
         lev.prolong = prolongation(lev.grid, coarse.grid)
@@ -269,7 +309,7 @@ def build_hierarchy(system: FveSystem) -> MgHierarchy:
     est = next(lev for lev in levels if lev.grid.n <= _OMEGA_SIZE)
     omega = estimate_omega(est.operator.to_dense())
 
-    return MgHierarchy(levels, omega, levels[-1].operator.to_dense())
+    return MgHierarchy(levels, omega, levels[-1].operator.to_dense(), reassembled)
 
 
 def _vcycle(hier: MgHierarchy, level: int, r: np.ndarray) -> np.ndarray:

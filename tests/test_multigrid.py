@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
-from gradedfve import bench
+from gradedfve import bench, multigrid
 from gradedfve.assembly import (
     BorderedToeplitzOperator,
     FdeProblem,
@@ -14,7 +14,13 @@ from gradedfve.assembly import (
     assemble_system,
     row_scale,
 )
-from gradedfve.mesh import blend_coefficients, composite_grid_from_counts, graded_grid, uniform_grid
+from gradedfve.mesh import (
+    blend_coefficients,
+    composite_grid_from_counts,
+    graded_grid,
+    q_for_beta,
+    uniform_grid,
+)
 from gradedfve.multigrid import (
     DEFAULT_REGION,
     OMEGA_FALLBACK,
@@ -318,6 +324,81 @@ class TestHierarchy:
         system = assemble_system(uniform_grid(15), FdeProblem(beta=0.5, gamma=0.5))
         with pytest.raises(MultigridError):
             build_hierarchy(system)
+
+
+def power_grid(beta, n):
+    """The pure power grid ``x = xi**q`` of the eps6 mesh, at the capped
+    order-optimal exponent."""
+    return graded_grid(n, blend_coefficients(q_for_beta(beta, n), 1.0, 0.0))
+
+
+def counted_hierarchy(monkeypatch, system):
+    """The hierarchy of ``system`` and the sizes of the levels it assembled."""
+    assembled = []
+    assemble = multigrid.assemble_operator
+
+    def counting(grid, problem, **kwargs):
+        assembled.append(grid.n)
+        return assemble(grid, problem, **kwargs)
+
+    monkeypatch.setattr(multigrid, "assemble_operator", counting)
+    return build_hierarchy(system), assembled
+
+
+# dense level 0, constant diffusion, odd N: every coarse grid is the finest
+# grid's leading nodes stretched to [0, 1]
+SELF_SIMILAR = [
+    pytest.param(lambda n, b=beta: power_grid(b, n), beta, gamma, id=f"power-{beta}-{gamma}")
+    for beta in (0.2, 0.5, 0.8)
+    for gamma in (0.0, 0.3, 0.5, 1.0)
+] + [pytest.param(uniform_grid, 0.5, 0.3, id="uniform-0.5-0.3")]
+
+# each breaks one property the views rely on
+REASSEMBLED = {
+    "eps1": (lambda: bench.build_case_grid(bench.MeshSpec("graded", eps1=0.1, eps2=0.05), 0.8, 255),
+             FdeProblem(beta=0.8, gamma=0.3)),
+    "sqrt": (lambda: bench.build_case_grid(bench.MeshSpec("composite", rule="sqrt"), 0.5, 255),
+             FdeProblem(beta=0.5, gamma=0.3)),
+    "variable-K": (lambda: power_grid(0.5, 255),
+                   FdeProblem(beta=0.5, gamma=0.3, diffusion=lambda x: 1.0 + x)),
+    "even-N": (lambda: power_grid(0.5, 256), FdeProblem(beta=0.5, gamma=0.3)),
+    "toeplitz-level-0": (lambda: uniform_grid(255), FdeProblem(beta=0.5, gamma=0.5)),
+}
+
+
+class TestSelfSimilarLevels:
+    @pytest.mark.parametrize("n", [31, 255, 1023])
+    @pytest.mark.parametrize("make_grid,beta,gamma", SELF_SIMILAR)
+    def test_coarse_levels_view_level_zero(self, monkeypatch, make_grid, beta, gamma, n):
+        system = row_scale(assemble_system(make_grid(n), FdeProblem(beta=beta, gamma=gamma)))
+        hier, assembled = counted_hierarchy(monkeypatch, system)
+        assert assembled == [] and hier.reassembled == 0
+        for lev in hier.levels[1:]:
+            assert np.shares_memory(lev.operator.entries, system.operator.entries)
+
+    @pytest.mark.parametrize("n", [31, 255, 1023])
+    @pytest.mark.parametrize("make_grid,beta,gamma", SELF_SIMILAR)
+    def test_views_match_a_rediscretization(self, make_grid, beta, gamma, n):
+        # both versions cancel (ROADMAP item 1) at beta = 0.8: at N = 31
+        # (x_1 = 2.8e-14) they differ by 2.3e-14 of max|A_l| in entry (0, 0),
+        # and each is 0.7-1.4e-14 off a 40-digit evaluation of the same
+        # formula; at beta <= 0.5 they differ by <= 9e-16
+        problem = FdeProblem(beta=beta, gamma=gamma)
+        hier = scaled_hierarchy(make_grid(n), problem)
+        grid = hier.levels[0].grid
+        for lev in hier.levels[1:]:
+            grid = coarsen(grid)
+            ref = assemble_operator(grid, problem, scaled=True).to_dense()
+            assert np.abs(lev.operator.to_dense() - ref).max() <= 5e-14 * np.abs(ref).max()
+            assert np.array_equal(lev.diag, np.diag(lev.operator.to_dense()))
+
+    @pytest.mark.parametrize("name", REASSEMBLED)
+    def test_every_other_hierarchy_reassembles_its_levels(self, monkeypatch, name):
+        make_grid, problem = REASSEMBLED[name]
+        system = row_scale(assemble_system(make_grid(), problem))
+        hier, assembled = counted_hierarchy(monkeypatch, system)
+        assert assembled == [lev.grid.n for lev in hier.levels[1:]]
+        assert hier.reassembled == hier.depth
 
 
 class TestVcycle:

@@ -286,7 +286,8 @@ class TestEmitters:
             ) == 0
             header, cells = self._cells(out)
             assert header == ["it", "converged", "e_inf", "e_inf_nodes", "e_rel",
-                              "wall_time", "depth", "omega", "omega_fallback"]
+                              "wall_time", "depth", "omega", "omega_fallback",
+                              "reassembled", "breakdown"]
             row = dict(zip(header, cells))
             res = bench.run_case(
                 bench.CaseConfig(0.5, 0.5, bench.MeshSpec("composite", rule="sqrt"), 63, solver)
@@ -295,9 +296,10 @@ class TestEmitters:
             for key in ("e_inf", "e_inf_nodes", "e_rel"):
                 assert row[key] == f"{getattr(res, key):.6g}"
             assert row["converged"] == "True" and row["omega_fallback"] == "False"
+            assert row["breakdown"] == "False"
             if solver == "direct":
-                assert [row["it"], row["depth"], row["omega"]] == ["-", "-", "-"]
+                assert [row["it"], row["depth"], row["omega"], row["reassembled"]] == ["-"] * 4
             else:
-                assert [row["it"], row["depth"], row["omega"]] == [
-                    str(res.it), str(res.depth), f"{res.omega:.6g}"
+                assert [row["it"], row["depth"], row["omega"], row["reassembled"]] == [
+                    str(res.it), str(res.depth), f"{res.omega:.6g}", str(res.reassembled)
                 ]
