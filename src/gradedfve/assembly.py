@@ -532,23 +532,20 @@ def _tail_start(grid: Grid) -> int:
     return int(off[-1]) + 1 if off.size else 0
 
 
-def assemble_operator(
-    grid: Grid, problem: FdeProblem, dense: bool = False, scaled: bool = False
-) -> LinearOperator:
+def assemble_operator(grid: Grid, problem: FdeProblem, scaled: bool = False) -> LinearOperator:
     """Assemble the coefficient operator alone, row-scaled if ``scaled``.
 
     With constant diffusion and ``gamma = 1/2`` the rows and columns of a
     uniform tail form a symmetric Toeplitz block: a grid with a uniform tail
     gets a :class:`BorderedToeplitzOperator` whose border rows and columns
     come from :func:`assemble_matrix` (the uniform grid one with no border).
-    Every other case, and every grid when ``dense`` is true (for a caller
-    that factors the matrix), gets the dense matrix of
-    :func:`assemble_matrix`.  ``scaled`` applies the row scaling of
-    :func:`row_scale` to the operator, for callers (the coarse multigrid
-    levels) that need no right-hand side.
+    Every other case gets the dense matrix of :func:`assemble_matrix`, which
+    is also what a caller that factors the matrix calls directly.
+    ``scaled`` applies the row scaling of :func:`row_scale` to the operator,
+    for callers (the coarse multigrid levels) that need no right-hand side.
     """
     n = grid.n
-    toeplitz = not (dense or callable(problem.diffusion)) and problem.gamma == 0.5
+    toeplitz = not callable(problem.diffusion) and problem.gamma == 0.5
     b = _tail_start(grid) if toeplitz else n
     if b < n:
         step = (grid.points[-1] - grid.points[b]) / (n - b + 1)
@@ -563,10 +560,10 @@ def assemble_operator(
     return op.scale_rows(grid.steps[:-1]) if scaled else op
 
 
-def assemble_system(grid: Grid, problem: FdeProblem, dense: bool = False) -> FveSystem:
+def assemble_system(grid: Grid, problem: FdeProblem) -> FveSystem:
     """Assemble the operator of :func:`assemble_operator` and the right-hand
     side of :func:`assemble_rhs`."""
-    return FveSystem(assemble_operator(grid, problem, dense), assemble_rhs(grid, problem), grid, problem)
+    return FveSystem(assemble_operator(grid, problem), assemble_rhs(grid, problem), grid, problem)
 
 
 def row_scale(system: FveSystem) -> FveSystem:

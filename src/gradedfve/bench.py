@@ -21,12 +21,12 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
 
-from . import mesh as meshmod
+from . import assembly
 from ._memory import require_memory
 from .assembly import FdeProblem, assemble_system, row_scale
 from .krylov import gmres
@@ -97,6 +97,10 @@ def make_problem(beta: float, gamma: float) -> FdeProblem:
     )
 
 
+#: The ``MeshSpec`` fields each mesh kind reads.
+_MESH_FIELDS = {"uniform": (), "graded": ("q", "eps1", "eps2"), "composite": ("rule", "n1")}
+
+
 @dataclass(frozen=True)
 class MeshSpec:
     """Mesh family selector for a benchmark case.
@@ -104,9 +108,13 @@ class MeshSpec:
     ``kind`` is one of ``"uniform"``, ``"graded"``, ``"composite"``.  For
     graded meshes ``q=None`` selects the capped order-optimal exponent for
     the case's beta; an explicit ``q`` is still capped so the first step
-    never collapses below the floating-point floor.  Composite meshes are
-    driven either by a named ``rule`` (``"sqrt"`` or ``"log2"``) or by
-    explicit part sizes ``n1``/``n2`` (overriding the case size).
+    never collapses below the floating-point floor.  ``eps1``/``eps2`` are
+    the blend of :func:`~gradedfve.mesh.blend_coefficients`.  A composite
+    mesh of ``n`` interior points puts ``n1`` of them in the dyadic part and
+    ``n - n1`` in the uniform part, with ``n1`` given either by a named
+    ``rule`` (``"sqrt"`` or ``"log2"``) or explicitly.  A field that the
+    kind does not read, set to anything but its default, raises
+    ``ValueError``.
     """
 
     kind: str = "graded"
@@ -115,21 +123,29 @@ class MeshSpec:
     eps2: float = 0.0
     rule: str | None = None
     n1: int | None = None
-    n2: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("uniform", "graded", "composite"):
+        if self.kind not in _MESH_FIELDS:
             raise ValueError("mesh kind must be uniform, graded or composite")
-        if self.kind == "composite" and self.rule is None and self.n1 is None:
-            raise ValueError("composite mesh needs a rule or explicit counts")
-        if (self.n1 is None) != (self.n2 is None):
-            raise ValueError("explicit composite counts need both n1 and n2")
-        if self.n1 is not None and min(self.n1, self.n2) < 1:
-            raise ValueError("n1 and n2 must be >= 1")
+        unread = [f.name for f in fields(self)
+                  if f.name not in ("kind", *_MESH_FIELDS[self.kind])
+                  and getattr(self, f.name) != f.default]
+        if unread:
+            raise ValueError(f"a {self.kind} mesh does not read {', '.join(unread)}")
+        if self.kind == "composite" and (self.rule is None) == (self.n1 is None):
+            raise ValueError("a composite mesh needs exactly one of rule and n1")
 
     def coefficients(self, beta: float, n: int) -> BlendCoeffs:
         q = q_for_beta(beta, n) if self.q is None else min(self.q, q_cap(n))
         return blend_coefficients(q, self.eps1, self.eps2)
+
+    def composite_n1(self, n: int) -> int:
+        """Dyadic points of the composite grid with ``n`` interior points:
+        the rule's value, or the explicit ``n1``."""
+        n1 = self.n1 if self.rule is None else CompositeRule(self.rule)(n)
+        if not 1 <= n1 < n:
+            raise ValueError(f"a composite mesh needs 1 <= n1 < n; got n1 = {n1} at n = {n}")
+        return n1
 
     def refined(self, beta: float, n: int) -> Grid:
         """Once-refined member of the family of the ``n``-point case grid,
@@ -142,12 +158,8 @@ class MeshSpec:
             return uniform_grid(2 * n + 1)
         if self.kind == "graded":
             return graded_grid(2 * n + 1, self.coefficients(beta, n))
-        if self.n1 is not None:
-            n1, n2 = self.n1, self.n2
-        else:
-            n1 = CompositeRule(self.rule)(n)
-            n2 = n - n1
-        return composite_grid_from_counts(n1 + 1, 2 * n2 + 1)
+        n1 = self.composite_n1(n)
+        return composite_grid_from_counts(n1 + 1, 2 * (n - n1) + 1)
 
 
 def build_case_grid(spec: MeshSpec, beta: float, n: int) -> Grid:
@@ -155,10 +167,8 @@ def build_case_grid(spec: MeshSpec, beta: float, n: int) -> Grid:
         return uniform_grid(n)
     if spec.kind == "graded":
         return graded_grid(n, spec.coefficients(beta, n))
-    if spec.n1 is not None:
-        return composite_grid_from_counts(spec.n1, spec.n2)
-    rule = CompositeRule(spec.rule)
-    return meshmod.composite_grid(n, rule)
+    n1 = spec.composite_n1(n)
+    return composite_grid_from_counts(n1, n - n1)
 
 
 @dataclass(frozen=True)
@@ -181,6 +191,8 @@ class CaseConfig:
         if not self.tol > 0.0:
             raise ValueError("tol must be positive")
         FdeProblem(self.beta, self.gamma)  # raises on a beta or gamma out of range
+        if self.mesh.kind == "composite":
+            self.mesh.composite_n1(self.n)  # raises on counts that do not fit n
 
 
 @dataclass
@@ -213,21 +225,20 @@ def run_case(cfg: CaseConfig) -> CaseResult:
     t0 = time.perf_counter()
     grid = build_case_grid(cfg.mesh, cfg.beta, cfg.n)
     problem = make_problem(cfg.beta, cfg.gamma)
-    if cfg.solver == "direct":  # np.linalg.solve factors a copy of the matrix
-        require_memory(2 * 8 * cfg.n**2, f"a direct solve at N = {cfg.n} (matrix and LU factors)")
-    # a direct solve factors a dense matrix, so it gets one from the start
-    system = assemble_system(grid, problem, dense=cfg.solver == "direct")
-
     converged = True
     it: int | None = None
     info: dict = {}
     if cfg.solver == "direct":
-        solution = np.linalg.solve(system.operator.to_dense(), system.rhs)
+        # np.linalg.solve factors a copy of the whole dense matrix
+        require_memory(2 * 8 * cfg.n**2, f"a direct solve at N = {cfg.n} (matrix and LU factors)")
+        solution = np.linalg.solve(
+            assembly.assemble_matrix(grid, problem).entries, assembly.assemble_rhs(grid, problem)
+        )
     else:
         # row_scale scales the operator in place and consumes the unscaled
         # system; a mesh with a uniform tail keeps only its border dense on
         # every level, so the solve holds far less than one finest matrix
-        system = row_scale(system)
+        system = row_scale(assemble_system(grid, problem))
         precond = None
         if cfg.solver == "pgmres":
             hier = build_hierarchy(system)
@@ -374,7 +385,7 @@ def _case(table_id: int, p: dict, key: tuple, mesh: str | None) -> tuple | CaseC
         return (beta, gamma, *EPS_PRESETS[mesh], p["n"])
     if table_id == 3:
         n1, n2 = key
-        spec, beta, gamma, n = MeshSpec("composite", n1=n1, n2=n2), p["beta"], p["gamma"], n1 + n2
+        spec, beta, gamma, n = MeshSpec("composite", n1=n1), p["beta"], p["gamma"], n1 + n2
     else:
         gamma, beta, n1p = key
         n = n1p - 1

@@ -24,19 +24,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_common(p: _Parser) -> None:
+def _add_case(p: _Parser) -> None:
+    """The flags ``solve`` and ``qopt`` share: the problem, the blend and the size."""
     p.add_argument("--beta", type=float, default=0.5)
     p.add_argument("--gamma", type=float, default=0.5)
-    p.add_argument("--mesh", choices=["uniform", "graded", "composite"], default="graded")
-    p.add_argument("--q", type=float, default=None, help="grading exponent (default: capped order-optimal)")
     p.add_argument("--eps1", type=float, default=1.0)
     p.add_argument("--eps2", type=float, default=0.0)
-    p.add_argument("--rule", choices=["sqrt", "log2"], default=None)
-    p.add_argument("--n1", type=int, default=None)
-    p.add_argument("--n2", type=int, default=None)
     p.add_argument("--n", type=int, default=2**8 - 1, help="number of interior points")
-    p.add_argument("--tol", type=float, default=1e-7)
-    p.add_argument("--maxit", type=int, default=100)
 
 
 def _out_stream(path):
@@ -44,24 +38,18 @@ def _out_stream(path):
     return open(path, "w", encoding="ascii") if path else contextlib.nullcontext(sys.stdout)
 
 
-def _mesh_spec(args) -> MeshSpec:
-    return MeshSpec(
-        kind=args.mesh,
-        q=args.q,
-        eps1=args.eps1,
-        eps2=args.eps2,
-        rule=args.rule,
-        n1=args.n1,
-        n2=args.n2,
-    )
-
-
 def main(argv=None) -> int:
     parser = _Parser(prog="gradedfve", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="solve one case and report errors")
-    _add_common(p)
+    _add_case(p)
+    p.add_argument("--mesh", choices=["uniform", "graded", "composite"], default="graded")
+    p.add_argument("--q", type=float, default=None, help="grading exponent (default: capped order-optimal)")
+    p.add_argument("--rule", choices=["sqrt", "log2"], default=None)
+    p.add_argument("--n1", type=int, default=None, help="dyadic points of a composite mesh, out of --n")
+    p.add_argument("--tol", type=float, default=1e-7)
+    p.add_argument("--maxit", type=int, default=100)
     p.add_argument("--solver", choices=["pgmres", "gmres", "direct"], default="pgmres")
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=["csv", "json"], default="json")
@@ -77,7 +65,7 @@ def main(argv=None) -> int:
     p.add_argument("--maxit", type=int, default=None)
 
     p = sub.add_parser("qopt", help="scan the grading exponent for minimal error")
-    _add_common(p)
+    _add_case(p)
     p.add_argument("--qmin", type=float, default=1.0)
     p.add_argument("--qmax", type=float, default=9.0)
     p.add_argument("--qstep", type=float, default=0.1)
@@ -93,7 +81,8 @@ def main(argv=None) -> int:
     p = sub.add_parser("glt5", help="trace-norm asymmetry sequence or sign map")
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--q", type=float, default=None)
-    p.add_argument("--n-list", type=int, nargs="+", default=[2**k for k in range(4, 10)])
+    p.add_argument("--n-list", type=int, nargs="+", default=None,
+                   help="sequence sizes (default: 16 32 ... 512)")
     p.add_argument("--beta-grid", type=float, nargs="+", default=None)
     p.add_argument("--q-grid", type=float, nargs="+", default=None)
     p.add_argument("--out", default=None)
@@ -109,10 +98,8 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "solve":
-            cfg = CaseConfig(
-                args.beta, args.gamma, _mesh_spec(args), args.n,
-                args.solver, args.tol, args.maxit,
-            )
+            mesh = MeshSpec(args.mesh, args.q, args.eps1, args.eps2, args.rule, args.n1)
+            cfg = CaseConfig(args.beta, args.gamma, mesh, args.n, args.solver, args.tol, args.maxit)
             res = bench.run_case(cfg)
             payload = {
                 "it": res.it_label or None,
@@ -174,6 +161,11 @@ def main(argv=None) -> int:
             if (args.beta_grid is None) != (args.q_grid is None):
                 parser.error("glt5 needs both --beta-grid and --q-grid, or neither")
             if args.beta_grid is not None:
+                unread = [flag for flag, value in
+                          (("--beta", args.beta), ("--q", args.q), ("--n-list", args.n_list))
+                          if value is not None]
+                if unread:
+                    parser.error(f"the glt5 sign map does not read {', '.join(unread)}")
                 signs = spectral.glt5_region(args.beta_grid, args.q_grid)
                 with _out_stream(args.out) as fh:
                     rows = ([b, q, signs[i, j]] for i, b in enumerate(args.beta_grid)
@@ -182,9 +174,10 @@ def main(argv=None) -> int:
                 return 0
             if args.beta is None or args.q is None:
                 parser.error("glt5 needs either --beta and --q or both grids")
-            values = spectral.glt5_sequence(args.beta, args.q, args.n_list)
+            n_list = args.n_list or [2**k for k in range(4, 10)]
+            values = spectral.glt5_sequence(args.beta, args.q, n_list)
             with _out_stream(args.out) as fh:
-                bench.write_csv(fh, ["n", "s"], zip(args.n_list, values), digits=17)
+                bench.write_csv(fh, ["n", "s"], zip(n_list, values), digits=17)
             return 0
 
         if args.command == "eigcmp":

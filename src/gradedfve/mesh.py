@@ -42,7 +42,11 @@ __all__ = [
 FIRST_STEP_FLOOR = 1e-16
 
 _STEP_SUM_TOL = 1e-12
-_BLEND_RESIDUAL_TOL = 1e-10
+#: Shortest quadratic segment of a blended map.  It keeps the denominator
+#: ``eps2 (2 - 2 eps1 - eps2)`` positive despite the 1e-14 slack allowed in
+#: ``eps1 + eps2 <= 1``, and the quadratic's coefficients, of order
+#: ``q / eps2``, far from overflow.
+_MIN_BLEND = 1e-12
 
 
 class MeshError(ValueError):
@@ -102,12 +106,9 @@ class BlendCoeffs:
 
     The map is ``x**q`` on ``[0, eps1]``, the quadratic ``a x^2 + b x + c``
     on ``[eps1, eps1+eps2]`` and the line ``m x + p`` on ``[eps1+eps2, 1]``.
-    ``mode`` records which segments are active:
-
-    * ``"full-power"``  -- pure power map, no blending (eps1 = 1).
-    * ``"c1-blend"``    -- all three segments, C^1 at both joins.
-    * ``"quad-to-one"`` -- power then quadratic reaching 1 (eps1+eps2 = 1).
-    * ``"c0-join"``     -- power then line, continuous only (eps2 = 0).
+    A segment of length zero holds no point: ``eps1 = 1`` is the pure
+    power map, ``eps2 = 0`` joins the power to the line, and
+    ``eps1 + eps2 = 1`` carries the quadratic to 1.
     """
 
     q: float
@@ -118,11 +119,10 @@ class BlendCoeffs:
     c: float
     m: float
     p: float
-    mode: str
 
 
 def blend_coefficients(q: float, eps1: float, eps2: float) -> BlendCoeffs:
-    """Solve for the quadratic/linear segments joining ``x**q`` to 1.
+    """Join ``x**q`` to the line through (1, 1) by a quadratic, in closed form.
 
     Parameters
     ----------
@@ -130,85 +130,37 @@ def blend_coefficients(q: float, eps1: float, eps2: float) -> BlendCoeffs:
         Grading exponent, ``q >= 1``.
     eps1, eps2 : float
         Lengths of the power segment and of the quadratic transition, with
-        ``0 < eps1 + eps2 <= 1`` and ``eps2 >= 0``.
+        ``0 < eps1 + eps2 <= 1``; ``eps2`` is 0 or at least 1e-12.
 
     Returns
     -------
     BlendCoeffs
-        With mode selected from the segment layout; in ``c1-blend`` mode the
-        five matching conditions (value and slope at both joins, value 1 at
-        x = 1) are solved as a dense 5x5 system and the residuals are checked
-        below 1e-10.
+        With ``d = q eps1**(q-1)`` the quadratic is
+        ``eps1**q + d (x - eps1) + a (x - eps1)**2`` with
+        ``a = (1 - eps1**q - d (1 - eps1)) / (eps2 (2 - 2 eps1 - eps2))``,
+        and the line has slope ``m = d + 2 a eps2`` and value 1 at x = 1, so
+        value and slope match at both joins.  With ``eps2 = 0`` the line
+        joins the power continuously, with slope
+        ``(1 - eps1**q) / (1 - eps1)``.
     """
     if not q >= 1.0:
         raise MeshError("grading exponent must satisfy q >= 1")
-    if eps2 < 0.0:
-        raise MeshError("eps2 must be nonnegative")
-    if eps1 <= 0.0:
+    if eps2 != 0.0 and not eps2 >= _MIN_BLEND:
+        raise MeshError(f"eps2 must be 0 or at least {_MIN_BLEND:g}")
+    if not eps1 > 0.0:
         raise MeshError("eps1 must be positive")
-    s = eps1 + eps2
-    if s > 1.0 + 1e-14:
+    if eps1 + eps2 > 1.0 + 1e-14:
         raise MeshError("eps1 + eps2 must not exceed 1")
 
-    if eps2 == 0.0:
-        if eps1 >= 1.0:
-            return BlendCoeffs(q, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, "full-power")
-        # no quadratic segment: continuous join, slope generally jumps
-        m = (1.0 - eps1**q) / (1.0 - eps1)
-        return BlendCoeffs(q, eps1, 0.0, 0.0, 0.0, 0.0, m, 1.0 - m, "c0-join")
-
-    if s >= 1.0 - 1e-14:
-        # quadratic carries the map all the way to 1: value/slope at eps1,
-        # value 1 at x = 1
-        g3 = np.array(
-            [
-                [eps1**2, eps1, 1.0],
-                [2.0 * eps1, 1.0, 0.0],
-                [1.0, 1.0, 1.0],
-            ]
-        )
-        rhs3 = np.array([eps1**q, q * eps1 ** (q - 1.0), 1.0])
-        a, b, c = np.linalg.solve(g3, rhs3)
-        coeffs = BlendCoeffs(q, eps1, eps2, a, b, c, 0.0, 0.0, "quad-to-one")
-        _check_blend_residuals(coeffs)
-        return coeffs
-
-    g5 = np.array(
-        [
-            [eps1**2, eps1, 1.0, 0.0, 0.0],
-            [s**2, s, 1.0, -s, -1.0],
-            [2.0 * eps1, 1.0, 0.0, 0.0, 0.0],
-            [2.0 * s, 1.0, 0.0, -1.0, 0.0],
-            [0.0, 0.0, 0.0, 1.0, 1.0],
-        ]
-    )
-    rhs5 = np.array([eps1**q, 0.0, q * eps1 ** (q - 1.0), 0.0, 1.0])
-    try:
-        a, b, c, m, p = np.linalg.solve(g5, rhs5)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by det
-        raise MeshError("singular blend system") from exc
-    coeffs = BlendCoeffs(q, eps1, eps2, a, b, c, m, p, "c1-blend")
-    _check_blend_residuals(coeffs)
-    return coeffs
-
-
-def _check_blend_residuals(coeffs: BlendCoeffs) -> None:
-    """Verify the matching conditions actually hold after the solve."""
-    q, e1 = coeffs.q, coeffs.eps1
-    s = e1 + coeffs.eps2
-    quad = lambda x: coeffs.a * x * x + coeffs.b * x + coeffs.c
-    dquad = lambda x: 2.0 * coeffs.a * x + coeffs.b
-    res = [
-        quad(e1) - e1**q,
-        dquad(e1) - q * e1 ** (q - 1.0),
-    ]
-    if coeffs.mode == "c1-blend":
-        lin = coeffs.m * s + coeffs.p
-        res += [quad(s) - lin, dquad(s) - coeffs.m, coeffs.m + coeffs.p - 1.0]
-    else:  # quad-to-one
-        res += [quad(1.0) - 1.0]
-    if max(abs(r) for r in res) > _BLEND_RESIDUAL_TOL:
-        raise MeshError("blend coefficient solve failed the residual check")
+    top, d = eps1**q, q * eps1 ** (q - 1.0)
+    if eps2 > 0.0:
+        a = (1.0 - top - d * (1.0 - eps1)) / (eps2 * (2.0 - 2.0 * eps1 - eps2))
+        m = d + 2.0 * a * eps2
+    else:  # no quadratic segment; a pure power map (eps1 = 1) has no line either
+        a = 0.0
+        m = (1.0 - top) / (1.0 - eps1) if eps1 < 1.0 else d
+    b = d - 2.0 * a * eps1
+    return BlendCoeffs(q, eps1, eps2, a, b, top - eps1 * (d - a * eps1), m, 1.0 - m)
 
 
 def graded_map_eval(coeffs: BlendCoeffs, xhat):
@@ -219,19 +171,11 @@ def graded_map_eval(coeffs: BlendCoeffs, xhat):
     x = np.asarray(xhat, dtype=float)
     if np.any(x < 0.0) or np.any(x > 1.0):
         raise MeshError("grading map evaluated outside [0, 1]")
-    if coeffs.mode == "full-power":
-        out = x**coeffs.q
-    else:
-        s = coeffs.eps1 + coeffs.eps2
-        out = np.where(
-            x <= coeffs.eps1,
-            x**coeffs.q,
-            np.where(
-                x <= s,
-                coeffs.a * x * x + coeffs.b * x + coeffs.c,
-                coeffs.m * x + coeffs.p,
-            ),
-        )
+    c = coeffs
+    # the quadratic as its value at eps1 plus (x - eps1) times a difference
+    # quotient, which does not cancel the large terms of a x^2 + b x + c
+    quad = c.eps1**c.q + (x - c.eps1) * (c.a * (x + c.eps1) + c.b)
+    out = np.where(x <= c.eps1, x**c.q, np.where(x <= c.eps1 + c.eps2, quad, c.m * x + c.p))
     if np.isscalar(xhat):
         return float(out)
     return out
@@ -270,7 +214,7 @@ def graded_grid(n: int, coeffs: BlendCoeffs) -> Grid:
     if n < 1:
         raise MeshError("n must be >= 1")
     h = 1.0 / (n + 1)
-    if coeffs.mode != "full-power" and h > coeffs.eps1:
+    if h > coeffs.eps1:
         raise MeshError(
             "uniform step exceeds the power segment; increase n or eps1"
         )

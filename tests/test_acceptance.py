@@ -259,7 +259,7 @@ def test_criterion_3_composite_solver_cells():
     checked = 0
     for n1, n2, it_ref, e_ref in T3_CELLS:
         res = bench.run_case(
-            CaseConfig(0.9, 0.5, MeshSpec("composite", n1=n1, n2=n2), n1 + n2, "pgmres")
+            CaseConfig(0.9, 0.5, MeshSpec("composite", n1=n1), n1 + n2, "pgmres")
         )
         cell = f"(n1,n2)=({n1},{n2})"
         checked += 1

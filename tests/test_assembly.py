@@ -418,12 +418,24 @@ class TestBorderedToeplitz:
         ]:
             assert isinstance(assemble_system(grid, problem).operator, DenseOperator)
 
-    def test_dense_request_keeps_the_dense_matrix(self):
-        problem = FdeProblem(beta=0.5, gamma=0.5)
-        for grid in (composite_grid(127, CompositeRule("sqrt")), uniform_grid(127)):
-            op = assemble_system(grid, problem, dense=True).operator
-            assert isinstance(op, DenseOperator)
-            assert op.entries.tobytes() == assemble_matrix(grid, problem).entries.tobytes()
+    def test_dense_request_keeps_the_dense_matrix(self, monkeypatch):
+        # a direct solve factors the whole dense matrix, also on the grids whose
+        # iterative solves get a bordered Toeplitz operator
+        shapes = []
+
+        def recording(grid, problem, **blocks):
+            shapes.append(blocks)
+            return assemble_matrix(grid, problem, **blocks)
+
+        monkeypatch.setattr(asm, "assemble_matrix", recording)
+        problem = bench.make_problem(0.5, 0.5)
+        for spec in (bench.MeshSpec("composite", rule="sqrt"), bench.MeshSpec("uniform")):
+            shapes.clear()
+            res = bench.run_case(bench.CaseConfig(0.5, 0.5, spec, 127, "direct"))
+            assert shapes == [{}]  # one call, for the whole matrix
+            grid = bench.build_case_grid(spec, 0.5, 127)
+            u = np.linalg.solve(assemble_matrix(grid, problem).entries, assemble_rhs(grid, problem))
+            assert res.e_inf_nodes == np.abs(u - grid.points[1:-1] ** 0.5).max()
 
     def test_block_ranges_are_slices_of_the_matrix(self):
         grid = composite_grid(130, CompositeRule("sqrt"))
@@ -550,7 +562,7 @@ class TestSystemAndScaling:
     @pytest.mark.parametrize("kind", ["uniform", "composite"])
     def test_product_after_scaling_uses_the_scaled_tail(self, rng, kind):
         # the first product caches the tail's circulant FFT; scaling must not reuse it
-        grid = bench.build_case_grid(bench.MeshSpec(kind, rule="sqrt"), 0.5, 255)
+        grid = bench.build_case_grid(bench.MeshSpec(kind, rule="sqrt" if kind == "composite" else None), 0.5, 255)
         system = assemble_system(grid, FdeProblem(beta=0.5, gamma=0.5))
         v = rng.standard_normal(grid.n)
         system.operator.matvec(v)

@@ -36,14 +36,25 @@ class TestProblemSetup:
 
 
     def test_mesh_spec_counts_validation(self):
-        with pytest.raises(ValueError):
-            MeshSpec("composite", n1=8)
-        with pytest.raises(ValueError):
-            MeshSpec("composite", n2=8, rule="sqrt")
-        with pytest.raises(ValueError):
-            MeshSpec("composite", n1=8, n2=0)
+        with pytest.raises(ValueError, match="exactly one of rule and n1"):
+            MeshSpec("composite", n1=8, rule="sqrt")
+        for n1 in (0, 8):
+            with pytest.raises(ValueError, match="1 <= n1 < n"):
+                CaseConfig(0.5, 0.5, MeshSpec("composite", n1=n1), 8)
         with pytest.raises(ValueError):
             CaseConfig(0.5, 0.5, MeshSpec("uniform"), 0)
+
+    @pytest.mark.parametrize(
+        "kwargs,unread",
+        [
+            (dict(kind="uniform", q=3.0, eps1=0.3, rule="sqrt", n1=4), "q, eps1, rule, n1"),
+            (dict(kind="graded", rule="log2"), "rule"),
+            (dict(kind="composite", n1=3, eps2=0.05), "eps2"),
+        ],
+    )
+    def test_mesh_spec_rejects_fields_its_kind_does_not_read(self, kwargs, unread):
+        with pytest.raises(ValueError, match=f"mesh does not read {unread}$"):
+            MeshSpec(**kwargs)
 
     @pytest.mark.parametrize(
         "spec",
@@ -52,7 +63,7 @@ class TestProblemSetup:
             MeshSpec("graded", eps1=0.1, eps2=0.05),
             MeshSpec("graded", q=30.0),
             MeshSpec("composite", rule="sqrt"),
-            MeshSpec("composite", n1=5, n2=40),
+            MeshSpec("composite", n1=5),
         ],
         ids=["uniform", "eps1", "capped", "sqrt", "counts"],
     )
@@ -356,6 +367,12 @@ class TestCli:
         # gamma = 1/2: the uniform grid is a Toeplitz operator on every level
         assert payload["reassembled"] == 3 and payload["breakdown"] is False
 
+    def test_solve_composite_counts_go_with_n(self, capsys):
+        assert cli_main(["solve", "--mesh", "composite", "--n1", "3", "--n", "7"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        ref = bench.run_case(CaseConfig(0.5, 0.5, MeshSpec("composite", n1=3), 7))
+        assert payload["e_inf"] == ref.e_inf and payload["it"] == ref.it_label
+
     def test_table_csv(self, tmp_path):
         out = tmp_path / "t3.csv"
         code = cli_main(["table", "--id", "3", "--out", str(out)])
@@ -371,8 +388,8 @@ class TestCli:
     @pytest.mark.parametrize(
         "argv,message",
         [
-            (["solve", "--mesh", "composite", "--n1", "8"], "both n1 and n2"),
-            (["solve", "--mesh", "composite", "--n1", "0", "--n2", "8"], "n1 and n2 must be >= 1"),
+            (["solve", "--mesh", "composite", "--n1", "8", "--n", "8"], "needs 1 <= n1 < n"),
+            (["solve", "--mesh", "composite", "--n1", "0"], "needs 1 <= n1 < n"),
             (["solve", "--n", "0"], "n must be >= 1"),
             (["qopt", "--n", "0"], "n must be >= 1"),
             (["symbol", "--beta", "0.5", "--n-terms", "0"], "coefficients must be >= 1"),
@@ -392,6 +409,20 @@ class TestCli:
             (["glt5", "--beta-grid", "0.5", "--q-grid"], "--q-grid: expected at least one argument"),
             (["glt5", "--beta", "0.5", "--q", "2", "--beta-grid", "0.5"], "both --beta-grid and --q-grid"),
             (["glt5", "--q-grid", "2"], "both --beta-grid and --q-grid"),
+            (["qopt", "--mesh", "composite", "--rule", "log2", "--tol", "-1", "--maxit", "0",
+              "--n1", "3", "--n", "15", "--qstep", "4"], "unrecognized arguments: --mesh composite"),
+            (["solve", "--mesh", "uniform", "--q", "3", "--rule", "sqrt", "--n1", "4", "--n2", "5",
+              "--eps1", "0.3", "--n", "31"], "unrecognized arguments: --n2 5"),
+            (["solve", "--mesh", "uniform", "--q", "3", "--rule", "sqrt", "--n1", "4",
+              "--eps1", "0.3", "--n", "31"], "a uniform mesh does not read q, eps1, rule, n1"),
+            (["solve", "--mesh", "composite", "--rule", "sqrt", "--n1", "3", "--n2", "4", "--n", "1000"],
+             "unrecognized arguments: --n2 4"),
+            (["solve", "--mesh", "composite", "--rule", "sqrt", "--n1", "3", "--n", "1000"],
+             "exactly one of rule and n1"),
+            (["glt5", "--beta", "0.5", "--q", "2", "--beta-grid", "0.3", "--q-grid", "3", "--n-list", "99"],
+             "the glt5 sign map does not read --beta, --q, --n-list"),
+            (["glt5", "--n-list", "16", "--beta-grid", "0.3", "--q-grid", "3"],
+             "the glt5 sign map does not read --n-list"),
         ],
     )
     def test_invalid_sizes_exit_1_with_one_message(self, capsys, argv, message):

@@ -100,7 +100,7 @@ class TestOnFveSystems:
 
     def test_reference_iteration_count_composite(self):
         res = bench.run_case(
-            CaseConfig(0.9, 0.5, MeshSpec("composite", n1=2**5, n2=2**10), 2**5 + 2**10)
+            CaseConfig(0.9, 0.5, MeshSpec("composite", n1=2**5), 2**5 + 2**10)
         )
         assert res.converged
         assert abs(res.it - 8) <= 2

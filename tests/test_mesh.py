@@ -59,7 +59,6 @@ class TestBlendCoefficients:
         assert np.isclose(np.linalg.det(g5), -0.0775)
 
         c = blend_coefficients(3.0, e1, e2)
-        assert c.mode == "c1-blend"
         residuals = [
             c.a * e1**2 + c.b * e1 + c.c - e1**3,
             2 * c.a * e1 + c.b - 3 * e1**2,
@@ -71,12 +70,10 @@ class TestBlendCoefficients:
 
     def test_full_power_mode(self):
         c = blend_coefficients(3.0, 1.0, 0.0)
-        assert c.mode == "full-power"
         assert graded_map_eval(c, 0.3) == pytest.approx(0.3**3, rel=1e-15)
 
     def test_c0_join_mode(self):
         c = blend_coefficients(3.0, 0.25, 0.0)
-        assert c.mode == "c0-join"
         assert c.m == pytest.approx((1 - 0.25**3) / (1 - 0.25))
         assert c.p == pytest.approx(1 - c.m)
         # continuity at the join, but slope may jump
@@ -85,7 +82,6 @@ class TestBlendCoefficients:
 
     def test_quad_to_one_mode(self):
         c = blend_coefficients(3.0, 0.6, 0.4)
-        assert c.mode == "quad-to-one"
         assert graded_map_eval(c, 1.0) == pytest.approx(1.0, abs=1e-12)
         assert graded_map_eval(c, 0.6) == pytest.approx(0.6**3, rel=1e-10)
         # slope continuity at the join
@@ -96,7 +92,7 @@ class TestBlendCoefficients:
 
     @pytest.mark.parametrize(
         "q,e1,e2",
-        [(2.0, 0.2, -0.01), (2.0, 0.7, 0.4), (0.5, 0.2, 0.05), (2.0, 0.0, 0.5)],
+        [(2.0, 0.2, -0.01), (2.0, 0.7, 0.4), (0.5, 0.2, 0.05), (2.0, 0.0, 0.5), (2.0, 0.5, 1e-13)],
     )
     def test_rejects_bad_parameters(self, q, e1, e2):
         with pytest.raises(MeshError):
@@ -120,6 +116,36 @@ class TestGradedMap:
             graded_map_eval(c, 1.5)
         with pytest.raises(MeshError):
             graded_map_eval(c, np.array([0.2, -0.1]))
+
+
+@st.composite
+def blend_parameters(draw):
+    q = draw(st.floats(1.0, 9.0))
+    eps1 = draw(st.floats(0.0, 1.0, exclude_min=True))
+    room = 1.0 - eps1  # eps2 is 0 or at least 1e-12
+    eps2 = draw(st.just(0.0) | st.floats(1e-12, room)) if room >= 1e-12 else 0.0
+    return q, eps1, eps2
+
+
+@settings(max_examples=300, deadline=None)
+@given(blend_parameters())
+def test_blend_map_properties(params):
+    q, e1, e2 = params
+    c = blend_coefficients(q, e1, e2)
+    g = lambda x: graded_map_eval(c, x)
+    assert g(0.0) == 0.0 and g(1.0) == pytest.approx(1.0, abs=1e-12)
+    assert np.all(np.diff(g(np.linspace(0.0, 1.0, 4097))) > 0.0)
+    s = e1 + e2
+    for join in (e1, s):  # each segment meets the next one
+        if join < 1.0:
+            assert abs(g(np.nextafter(join, 2.0)) - g(join)) <= 1e-12
+    if e2 > 0.0:
+        # slopes of the power, the quadratic and the line meet, to 1e-12 of
+        # the quadratic's coefficients (of order q / e2, so b carries their
+        # rounding)
+        scale = 1e-12 * max(1.0, abs(c.a))
+        assert abs(2.0 * c.a * e1 + c.b - q * e1 ** (q - 1.0)) <= scale
+        assert abs(2.0 * c.a * s + c.b - c.m) <= scale
 
 
 class TestGradingExponent:
