@@ -30,8 +30,10 @@ matrix entry and, through the two boundary half-hats, the Dirichlet terms
 of the right-hand side; the node coordinates double as the prefix sums of
 the step lengths, so each entry costs O(1) and the whole assembly O(N^2).
 The dense assembly is blocked: it fills the matrix, or a block of rows and
-columns of it, a few dozen rows at a time through block buffers allocated
-once per call, so its peak memory is the result plus O(block * N).  A
+columns of it, through three block buffers allocated once per call, each
+holding as many rows as fit in a fixed budget of entries, so the buffers
+stay in L2 cache and the peak memory is the result plus a bound that does
+not grow with N (until one row outgrows the budget).  A
 preconditioned solve on a pure power mesh with odd N and constant diffusion
 holds one finest matrix, whose scaled leading blocks are its coarse levels
 (1.05x the finest matrix at N + 1 = 4096); other meshes without a tail, or
@@ -86,9 +88,10 @@ class FdeProblem:
     evaluate the assembly formulas at their classical limits (discrete
     Laplacian at 0, tridiagonal skew form at 1) and are used for structural
     checks.  ``diffusion`` may be a constant or a callable; it is sampled at
-    the cell midpoints and must be positive there.  ``source`` is integrated
-    over the control volumes, so it is evaluated at quadrature points strictly
-    inside (0, 1); it may be singular at either end of the interval.
+    the cell midpoints and must be positive and finite there.  ``source`` is
+    integrated over the control volumes, so it is evaluated at quadrature
+    points strictly inside (0, 1); it may be singular at either end of the
+    interval.
     """
 
     beta: float
@@ -106,8 +109,8 @@ class FdeProblem:
 
     def diffusion_at(self, x: np.ndarray) -> np.ndarray:
         k = np.asarray(_as_coefficient(self.diffusion)(x), dtype=float)
-        if np.any(k <= 0.0):
-            raise AssemblyError("diffusion coefficient must be positive")
+        if not np.all((k > 0.0) & (k < np.inf)):  # NaN fails both
+            raise AssemblyError("diffusion coefficient must be positive and finite")
         return k
 
 
@@ -278,9 +281,11 @@ class FveSystem:
             raise AssemblyError("system dimensions are inconsistent")
 
 
-#: Rows per assembly block, so that a block's power table and its two flux
-#: tables stay in L2 cache; at N = 4095, 16 to 256 rows are within noise.
-_BLOCK_ROWS = 64
+#: Entries per assembly block buffer (512 KB): a block takes as many rows as
+#: fit (15 at N = 4095), so its power table and its two flux tables stay in
+#: a 2 MB L2 cache and the working memory does not grow with N; at
+#: N = 4095, 64-row blocks took 1.0 to 1.05 times as long.
+_BLOCK_ENTRIES = 2**16
 
 
 def assemble_matrix(
@@ -303,14 +308,17 @@ def assemble_matrix(
 
         A[i, j] = (K(z_i) F[i, j+1] - K(z_{i+1}) F[i+1, j+1]) / Gamma(beta + 1).
 
-    The block is filled in blocks of :data:`_BLOCK_ROWS` rows (proportionally
-    more when it has fewer columns than the matrix): each block takes the
-    piece fluxes of its own ``rows + 1`` midpoints and their hat fluxes in a
-    third buffer allocated once per call, which row ``i`` uses for its left
-    midpoint and row ``i - 1`` for its right one, and writes the combination
-    straight into the matrix rows.  Every entry comes from the same
-    arithmetic whatever the block size and the ranges, and the memory used
-    beyond the result is O(block * N).
+    The block is filled a few rows at a time, as many as keep each block
+    buffer within :data:`_BLOCK_ENTRIES` entries (at least one row; more
+    rows when the block has fewer columns): each block takes the piece
+    fluxes of its own ``rows + 1`` midpoints and their hat fluxes in a
+    third buffer allocated once per call, scales the hat fluxes at each
+    midpoint by its ``K`` once (row ``i`` uses midpoint ``i`` on its left
+    and row ``i - 1`` on its right), and writes the differences straight
+    into the matrix rows.  Every entry comes from the same arithmetic
+    whatever the block size and the ranges, and the memory used beyond the
+    result is three buffers of :data:`_BLOCK_ENTRIES` entries, whatever N
+    (up to ``N + 2 = _BLOCK_ENTRIES`` columns).
     """
     n = grid.n
     r0, r1 = (0, n) if rows is None else rows
@@ -324,18 +332,19 @@ def assemble_matrix(
     kz = problem.diffusion_at(0.5 * (x[:-1] + x[1:]))
 
     a = np.empty((r1 - r0, c1 - c0))
-    block = max(_BLOCK_ROWS * n // max(c1 - c0, 1), 1)
+    block = max(_BLOCK_ENTRIES // (c1 - c0 + 2), 1)  # the power table has c1 - c0 + 2 columns
     f_buf = np.empty((min(block, r1 - r0) + 1, c1 - c0))
     # columns c0 .. c1 - 1 are the hats of nodes c0 + 1 .. c1, on pieces c0 .. c1
     for i0, i1, q in _piece_fluxes(grid, problem, (r0, r1), (c0, c1 + 1), block):
         f = f_buf[: i1 - i0 + 1]
         np.subtract(q[:, 1:], q[:, :-1], out=f)
+        f *= kz[i0 : i1 + 1, None]
         out = a[i0 - r0 : i1 - r0]
-        np.multiply(kz[i0:i1, None], f[:-1], out=out)
-        f[1:] *= kz[i0 + 1 : i1 + 1, None]
-        out -= f[1:]
+        np.subtract(f[:-1], f[1:], out=out)
         out /= gam1
-        if not np.all(np.isfinite(out)):
+        with np.errstate(invalid="ignore", over="ignore"):
+            total = out.sum()  # finite only if every entry is
+        if not np.isfinite(total) and not np.all(np.isfinite(out)):
             raise AssemblyError("assembled matrix has non-finite entries")
     return DenseOperator(a)
 

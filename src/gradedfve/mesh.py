@@ -74,6 +74,8 @@ class Grid:
             raise MeshError("grid needs at least one interior point")
         if pts[0] != 0.0 or pts[-1] != 1.0:
             raise MeshError("grid must span [0, 1] exactly")
+        if not np.all(np.isfinite(pts)):  # NaN would pass both tests below
+            raise MeshError("grid points must be finite")
         steps = np.diff(pts)
         if np.any(steps <= 0.0):
             raise MeshError("grid points must be strictly increasing")

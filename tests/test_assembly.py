@@ -153,8 +153,8 @@ def unfused_matrix(grid, problem):
     kz = problem.diffusion_at(z)
     pieces = np.arange(n + 1)
     a = np.empty((n, n))
-    for i0 in range(0, n, asm._BLOCK_ROWS):
-        i1 = min(i0 + asm._BLOCK_ROWS, n)
+    for i0 in range(0, n, 64):
+        i1 = min(i0 + 64, n)
         t = np.arange(i0, i1 + 1)[:, None]
         w = np.abs(x[None, :] - z[i0 : i1 + 1, None]) ** beta
         q = (w[:, 1:] - w[:, :-1]) * inv_h * np.where(pieces < t, gamma, gamma - 1.0)
@@ -223,7 +223,7 @@ class TestBlockedAssembly:
         problem = FdeProblem(beta=0.7, gamma=gamma, diffusion=lambda x: 1.0 + x)
         default = assemble_matrix(grid, problem).entries
         for rows in (1, grid.n + 1):
-            monkeypatch.setattr(asm, "_BLOCK_ROWS", rows)
+            monkeypatch.setattr(asm, "_BLOCK_ENTRIES", rows * (grid.n + 2))
             assert np.array_equal(assemble_matrix(grid, problem).entries, default)
 
     FUSED_GRIDS = dict(GRIDS, sqrt255=composite_grid(255, CompositeRule("sqrt")))
@@ -249,6 +249,29 @@ class TestBlockedAssembly:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * op.entries.nbytes
+
+    def test_finite_check_survives_an_overflowing_block_sum(self):
+        # finite entries up to 1.6e308 whose sum overflows: no error and no warning
+        a = assemble_matrix(uniform_grid(4), FdeProblem(beta=0.5, gamma=0.0, diffusion=7e307)).entries
+        with np.errstate(over="ignore"):
+            assert np.all(np.isfinite(a)) and a.sum() == np.inf
+        # entries that overflow are refused
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(AssemblyError, match="non-finite entries"):
+                assemble_matrix(uniform_grid(16), FdeProblem(beta=0.5, gamma=0.0, diffusion=5e307))
+
+    @pytest.mark.parametrize("n", [2**10 - 1, 2**11 - 1])
+    def test_working_memory_does_not_grow_with_n(self, n):
+        # three block buffers of _BLOCK_ENTRIES entries each, 1.5 MB, whatever n
+        grid = graded_grid(n, blend_coefficients(q_cap(n), 1.0, 0.0))
+        problem = FdeProblem(beta=0.5, gamma=0.3)
+        tracemalloc.start()
+        try:
+            op = assemble_matrix(grid, problem)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - op.entries.nbytes <= 2 * 2**20
 
 
 class TestStructuralLimits:
@@ -437,13 +460,29 @@ class TestBorderedToeplitz:
             u = np.linalg.solve(assemble_matrix(grid, problem).entries, assemble_rhs(grid, problem))
             assert res.e_inf_nodes == np.abs(u - grid.points[1:-1] ** 0.5).max()
 
-    def test_block_ranges_are_slices_of_the_matrix(self):
+    def test_block_ranges_are_slices_of_the_matrix(self, monkeypatch):
         grid = composite_grid(130, CompositeRule("sqrt"))
         problem = FdeProblem(beta=0.7, gamma=0.3, diffusion=lambda x: 1.0 + x)
         full = assemble_matrix(grid, problem).entries
-        for rows, cols in [((0, 130), (0, 130)), ((5, 70), (60, 72)), ((64, 65), (0, 1)), ((3, 3), (0, 9))]:
-            block = assemble_matrix(grid, problem, rows=rows, cols=cols).entries
-            assert block.tobytes() == full[slice(*rows), slice(*cols)].tobytes()
+        b = asm._tail_start(grid)
+        assert 0 < b < 130
+        ranges = [
+            ((0, 130), (0, 130)),
+            ((5, 70), (60, 72)),
+            ((64, 65), (0, 1)),
+            ((3, 3), (0, 9)),
+            ((70, 130), (0, 40)),  # every node left of every midpoint
+            ((0, 40), (70, 130)),  # every node right of every midpoint
+            ((0, b), (0, 130)),  # the two blocks of the bordered operator
+            ((b, 130), (0, b)),
+        ]
+        for rows, cols in ranges:
+            ref = full[slice(*rows), slice(*cols)].tobytes()
+            # the default budget, then blocks of 1 and of 3 rows
+            for budget in (asm._BLOCK_ENTRIES, cols[1] - cols[0] + 2, 3 * (cols[1] - cols[0] + 2)):
+                monkeypatch.setattr(asm, "_BLOCK_ENTRIES", budget)
+                block = assemble_matrix(grid, problem, rows=rows, cols=cols).entries
+                assert block.tobytes() == ref, (rows, cols, budget)
         with pytest.raises(AssemblyError):
             assemble_matrix(grid, problem, rows=(0, 131))
 
@@ -627,3 +666,16 @@ class TestSystemAndScaling:
             FdeProblem(beta=0.5, gamma=-0.1)
         with pytest.raises(AssemblyError):
             assemble_matrix(uniform_grid(4), FdeProblem(beta=0.5, gamma=0.5, diffusion=-1.0))
+
+    @pytest.mark.parametrize(
+        "diffusion",
+        [math.nan, math.inf, lambda x: np.where(np.abs(x - 0.5) < 0.05, math.nan, 1.0)],
+        ids=["nan", "inf", "nan_at_one_midpoint"],
+    )
+    def test_non_finite_diffusion_is_refused(self, diffusion):
+        grid = uniform_grid(4)  # midpoints 0.1, 0.3, ..., 0.9: one at 1/2
+        # nonzero boundary values, so that the right-hand side reads K too
+        problem = FdeProblem(beta=0.5, gamma=0.5, diffusion=diffusion, u_left=1.0, u_right=0.5)
+        for assemble in (assemble_matrix, assemble_rhs):
+            with pytest.raises(AssemblyError, match="positive and finite"):
+                assemble(grid, problem)

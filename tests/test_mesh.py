@@ -249,6 +249,11 @@ class TestGridObject:
         with pytest.raises(ValueError):
             g.points[0] = 0.5
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_rejects_a_non_finite_interior_node(self, bad):
+        with pytest.raises(MeshError, match="finite"):
+            mesh.Grid(np.array([0.0, bad, 0.5, 1.0]))
+
 
 @st.composite
 def any_grid(draw):
