@@ -421,6 +421,8 @@ def _control_volume_loads(grid: Grid, source) -> np.ndarray:
     ``t`` is formed from its length with ``log1p``, so it keeps full relative
     precision on fine meshes.
     """
+    # each table below holds 8 bytes per point, 8 points per half volume
+    require_memory(8 * 8 * 2 * grid.n, f"a {2 * grid.n} x 8 quadrature table", AssemblyError)
     x = grid.points
     ends = np.empty(2 * grid.n + 1)  # x_{1/2}, x_1, x_{3/2}, ..., x_N, x_{N+1/2}
     ends[0::2] = 0.5 * (x[:-1] + x[1:])
@@ -492,6 +494,7 @@ def toeplitz_coefficients(beta: float, count: int) -> np.ndarray:
     """
     if count < 1:
         raise AssemblyError("the number of coefficients must be >= 1")
+    require_memory(8 * count, f"a table of {count} coefficients", AssemblyError)
     t = np.empty(count)
     t[0] = 3.0 - 3.0**beta
     if count > 1:

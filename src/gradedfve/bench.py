@@ -17,8 +17,6 @@ relative error ``e_rel`` is the nodal discrete 2-norm ratio.
 from __future__ import annotations
 
 import csv
-import io
-import json
 import math
 import time
 from dataclasses import dataclass, field, fields
@@ -223,14 +221,15 @@ class CaseResult:
 def run_case(cfg: CaseConfig) -> CaseResult:
     """Build, solve and measure one benchmark case."""
     t0 = time.perf_counter()
+    if cfg.solver == "direct":
+        # np.linalg.solve factors a copy of the whole dense matrix
+        require_memory(2 * 8 * cfg.n**2, f"a direct solve at N = {cfg.n} (matrix and LU factors)")
     grid = build_case_grid(cfg.mesh, cfg.beta, cfg.n)
     problem = make_problem(cfg.beta, cfg.gamma)
     converged = True
     it: int | None = None
     info: dict = {}
     if cfg.solver == "direct":
-        # np.linalg.solve factors a copy of the whole dense matrix
-        require_memory(2 * 8 * cfg.n**2, f"a direct solve at N = {cfg.n} (matrix and LU factors)")
         solution = np.linalg.solve(
             assembly.assemble_matrix(grid, problem).entries, assembly.assemble_rhs(grid, problem)
         )
@@ -314,17 +313,12 @@ def scan_qopt(
     if qb not in candidates:
         candidates.append(qb)
 
-    scanned = []
-    results = {}
-    for q in candidates:
-        cfg = CaseConfig(
-            beta, gamma, MeshSpec("graded", q=q, eps1=eps1, eps2=eps2), n, "direct"
-        )
-        e = run_case(cfg).e_inf
-        results[q] = e
-        scanned.append((q, e))
-    q_opt = min(results, key=lambda q: results[q])
-    return QOptResult(q_opt, results[q_opt], qb, results[qb], scanned)
+    errors = {
+        q: run_case(CaseConfig(beta, gamma, MeshSpec("graded", q, eps1, eps2), n, "direct")).e_inf
+        for q in candidates
+    }
+    q_opt = min(errors, key=errors.get)
+    return QOptResult(q_opt, errors[q_opt], qb, errors[qb], list(errors.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -351,15 +345,6 @@ class TableResult:
     columns: list[str]
     rows: list[list]
     complete: bool
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        write_csv(buf, self.columns, self.rows)
-        return buf.getvalue()
-
-    def to_json(self) -> str:
-        recs = [dict(zip(self.columns, row)) for row in self.rows]
-        return json.dumps({"table": self.table_id, "rows": recs}, indent=2)
 
 
 _COMPOSITE_RULES = ("sqrt", "log2")

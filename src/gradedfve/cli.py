@@ -8,12 +8,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import sys
 
 import numpy as np
 
 from . import bench, spectral
+from ._memory import require_memory
 from .bench import CaseConfig, MeshSpec
 
 
@@ -28,8 +30,8 @@ def _add_case(p: _Parser) -> None:
     """The flags ``solve`` and ``qopt`` share: the problem, the blend and the size."""
     p.add_argument("--beta", type=float, default=0.5)
     p.add_argument("--gamma", type=float, default=0.5)
-    p.add_argument("--eps1", type=float, default=1.0)
-    p.add_argument("--eps2", type=float, default=0.0)
+    p.add_argument("--eps1", type=float, default=MeshSpec.eps1)
+    p.add_argument("--eps2", type=float, default=MeshSpec.eps2)
     p.add_argument("--n", type=int, default=2**8 - 1, help="number of interior points")
 
 
@@ -48,9 +50,9 @@ def main(argv=None) -> int:
     p.add_argument("--q", type=float, default=None, help="grading exponent (default: capped order-optimal)")
     p.add_argument("--rule", choices=["sqrt", "log2"], default=None)
     p.add_argument("--n1", type=int, default=None, help="dyadic points of a composite mesh, out of --n")
-    p.add_argument("--tol", type=float, default=1e-7)
-    p.add_argument("--maxit", type=int, default=100)
-    p.add_argument("--solver", choices=["pgmres", "gmres", "direct"], default="pgmres")
+    p.add_argument("--tol", type=float, default=CaseConfig.tol)
+    p.add_argument("--maxit", type=int, default=CaseConfig.maxit)
+    p.add_argument("--solver", choices=["pgmres", "gmres", "direct"], default=CaseConfig.solver)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=["csv", "json"], default="json")
 
@@ -96,68 +98,39 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
 
+    # each command fills in what it writes: CSV columns and rows, or with
+    # --format json a record; the eigcmp CSV opens with a comment line
+    record, comment, digits, code = None, "", 6, 0
     try:
         if args.command == "solve":
             mesh = MeshSpec(args.mesh, args.q, args.eps1, args.eps2, args.rule, args.n1)
             cfg = CaseConfig(args.beta, args.gamma, mesh, args.n, args.solver, args.tol, args.maxit)
             res = bench.run_case(cfg)
-            payload = {
-                "it": res.it_label or None,
-                "converged": res.converged,
-                "e_inf": res.e_inf,
-                "e_inf_nodes": res.e_inf_nodes,
-                "e_rel": res.e_rel,
-                "wall_time": res.wall_time,
-                "depth": res.depth,
-                "omega": res.omega,
-                "omega_fallback": res.omega_fallback,
-                "reassembled": res.reassembled,
-                "breakdown": res.breakdown,
-            }
-            with _out_stream(args.out) as fh:
-                if args.format == "json":
-                    json.dump(payload, fh, indent=2)
-                    fh.write("\n")
-                else:
-                    bench.write_csv(fh, list(payload), [payload.values()])
-            return 0
-
-        if args.command == "table":
+            record = dataclasses.asdict(res) | {"it": res.it_label or None}
+            columns, rows = list(record), [record.values()]
+        elif args.command == "table":
             overrides = {
                 key: value
                 for key in ("betas", "gammas", "n_list", "tol", "maxit")
                 if (value := getattr(args, key)) is not None
             }
             result = bench.table_sweep(args.id, overrides)
-            with _out_stream(args.out) as fh:
-                fh.write(result.to_csv() if args.format == "csv" else result.to_json() + "\n")
-            return 0 if result.complete else 2
-
-        if args.command == "qopt":
+            columns, rows = result.columns, result.rows
+            record = {"table": result.table_id, "rows": [dict(zip(columns, row)) for row in rows]}
+            code = 0 if result.complete else 2
+        elif args.command == "qopt":
             res = bench.scan_qopt(
                 args.beta, args.gamma, args.eps1, args.eps2, args.n,
                 (args.qmin, args.qmax), args.qstep,
             )
-            with _out_stream(args.out) as fh:
-                if args.format == "json":
-                    json.dump(
-                        {"q_opt": res.q_opt, "e_opt": res.e_opt,
-                         "q_beta": res.q_beta, "e_beta": res.e_beta},
-                        fh, indent=2,
-                    )
-                    fh.write("\n")
-                else:
-                    bench.write_csv(fh, ["q", "e_inf"], res.scanned)
-            return 0
-
-        if args.command == "symbol":
+            record = dataclasses.asdict(res)
+            columns, rows = ["q", "e_inf"], record.pop("scanned")
+        elif args.command == "symbol":
+            require_memory(8 * args.points, f"a table of {args.points} theta points")
             thetas = np.linspace(-np.pi, np.pi, args.points)
             values = spectral.symbol_p(args.n_terms, args.beta, thetas)
-            with _out_stream(args.out) as fh:
-                bench.write_csv(fh, ["theta", "p"], zip(thetas, values), digits=17)
-            return 0
-
-        if args.command == "glt5":
+            columns, rows, digits = ["theta", "p"], zip(thetas, values), 17
+        elif args.command == "glt5":
             if (args.beta_grid is None) != (args.q_grid is None):
                 parser.error("glt5 needs both --beta-grid and --q-grid, or neither")
             if args.beta_grid is not None:
@@ -167,32 +140,33 @@ def main(argv=None) -> int:
                 if unread:
                     parser.error(f"the glt5 sign map does not read {', '.join(unread)}")
                 signs = spectral.glt5_region(args.beta_grid, args.q_grid)
-                with _out_stream(args.out) as fh:
-                    rows = ([b, q, signs[i, j]] for i, b in enumerate(args.beta_grid)
-                            for j, q in enumerate(args.q_grid))
-                    bench.write_csv(fh, ["beta", "q", "sign"], rows)
-                return 0
-            if args.beta is None or args.q is None:
+                columns = ["beta", "q", "sign"]
+                rows = ([b, q, signs[i, j]] for i, b in enumerate(args.beta_grid)
+                        for j, q in enumerate(args.q_grid))
+            elif args.beta is None or args.q is None:
                 parser.error("glt5 needs either --beta and --q or both grids")
-            n_list = args.n_list or [2**k for k in range(4, 10)]
-            values = spectral.glt5_sequence(args.beta, args.q, n_list)
-            with _out_stream(args.out) as fh:
-                bench.write_csv(fh, ["n", "s"], zip(n_list, values), digits=17)
-            return 0
-
-        if args.command == "eigcmp":
+            else:
+                n_list = args.n_list or [2**k for k in range(4, 10)]
+                values = spectral.glt5_sequence(args.beta, args.q, n_list)
+                columns, rows, digits = ["n", "s"], zip(n_list, values), 17
+        else:  # eigcmp
             report = spectral.eig_vs_symbol(args.beta, args.q, args.n, args.grid_tag)
-            with _out_stream(args.out) as fh:
-                fh.write(f"# grid={report.grid_tag} sup_gap={report.sup_gap:.17g}\n")
-                rows = ([i, complex(e).real, s]
-                        for i, (e, s) in enumerate(zip(report.sorted_eigs, report.sorted_samples)))
-                bench.write_csv(fh, ["index", "eigenvalue", "symbol_sample"], rows, digits=17)
-            return 0
+            comment = f"# grid={report.grid_tag} sup_gap={report.sup_gap:.17g}\n"
+            columns, digits = ["index", "eigenvalue", "symbol_sample"], 17
+            rows = ([i, complex(e).real, s]
+                    for i, (e, s) in enumerate(zip(report.sorted_eigs, report.sorted_samples)))
+
+        with _out_stream(args.out) as fh:
+            if getattr(args, "format", "csv") == "json":
+                json.dump(record, fh, indent=2)
+                fh.write("\n")
+            else:
+                fh.write(comment)
+                bench.write_csv(fh, columns, rows, digits)
+        return code
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-
-    return 1
 
 
 if __name__ == "__main__":

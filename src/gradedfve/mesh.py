@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._memory import require_memory
+
 __all__ = [
     "MeshError",
     "Grid",
@@ -41,7 +43,6 @@ __all__ = [
 #: capped so that the first mapped step never drops below this value.
 FIRST_STEP_FLOOR = 1e-16
 
-_STEP_SUM_TOL = 1e-12
 #: Shortest quadratic segment of a blended map.  It keeps the denominator
 #: ``eps2 (2 - 2 eps1 - eps2)`` positive despite the 1e-14 slack allowed in
 #: ``eps1 + eps2 <= 1``, and the quadratic's coefficients, of order
@@ -79,8 +80,6 @@ class Grid:
         steps = np.diff(pts)
         if np.any(steps <= 0.0):
             raise MeshError("grid points must be strictly increasing")
-        if abs(steps.sum() - 1.0) > _STEP_SUM_TOL:
-            raise MeshError("step lengths do not sum to 1")
         for name, arr in (("points", pts), ("steps", steps)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -95,6 +94,7 @@ def uniform_grid(n: int) -> Grid:
     """Uniform grid with ``n`` interior points, step ``1/(n+1)``."""
     if n < 1:
         raise MeshError("n must be >= 1")
+    require_memory(8 * (n + 2), f"a grid of {n} interior points", MeshError)
     return Grid(np.arange(n + 2, dtype=float) / (n + 1))
 
 
@@ -106,8 +106,9 @@ def uniform_grid(n: int) -> Grid:
 class BlendCoeffs:
     """Coefficients of the piecewise map used to grade a mesh.
 
-    The map is ``x**q`` on ``[0, eps1]``, the quadratic ``a x^2 + b x + c``
-    on ``[eps1, eps1+eps2]`` and the line ``m x + p`` on ``[eps1+eps2, 1]``.
+    The map is ``x**q`` on ``[0, eps1]``, the quadratic
+    ``eps1**q + (x - eps1) (a (x + eps1) + b)`` on ``[eps1, eps1+eps2]`` and
+    the line ``m x + p`` on ``[eps1+eps2, 1]``.
     A segment of length zero holds no point: ``eps1 = 1`` is the pure
     power map, ``eps2 = 0`` joins the power to the line, and
     ``eps1 + eps2 = 1`` carries the quadratic to 1.
@@ -118,7 +119,6 @@ class BlendCoeffs:
     eps2: float
     a: float
     b: float
-    c: float
     m: float
     p: float
 
@@ -161,8 +161,7 @@ def blend_coefficients(q: float, eps1: float, eps2: float) -> BlendCoeffs:
     else:  # no quadratic segment; a pure power map (eps1 = 1) has no line either
         a = 0.0
         m = (1.0 - top) / (1.0 - eps1) if eps1 < 1.0 else d
-    b = d - 2.0 * a * eps1
-    return BlendCoeffs(q, eps1, eps2, a, b, top - eps1 * (d - a * eps1), m, 1.0 - m)
+    return BlendCoeffs(q, eps1, eps2, a, d - 2.0 * a * eps1, m, 1.0 - m)
 
 
 def graded_map_eval(coeffs: BlendCoeffs, xhat):
@@ -175,7 +174,7 @@ def graded_map_eval(coeffs: BlendCoeffs, xhat):
         raise MeshError("grading map evaluated outside [0, 1]")
     c = coeffs
     # the quadratic as its value at eps1 plus (x - eps1) times a difference
-    # quotient, which does not cancel the large terms of a x^2 + b x + c
+    # quotient, which does not cancel the large terms of its monomial form
     quad = c.eps1**c.q + (x - c.eps1) * (c.a * (x + c.eps1) + c.b)
     out = np.where(x <= c.eps1, x**c.q, np.where(x <= c.eps1 + c.eps2, quad, c.m * x + c.p))
     if np.isscalar(xhat):
@@ -215,6 +214,7 @@ def graded_grid(n: int, coeffs: BlendCoeffs) -> Grid:
     """
     if n < 1:
         raise MeshError("n must be >= 1")
+    require_memory(8 * (n + 2), f"a grid of {n} interior points", MeshError)
     h = 1.0 / (n + 1)
     if h > coeffs.eps1:
         raise MeshError(
@@ -256,6 +256,7 @@ def composite_grid_from_counts(n1: int, n2: int) -> Grid:
     """
     if n1 < 1 or n2 < 1:
         raise MeshError("n1 and n2 must be >= 1")
+    require_memory(8 * (n1 + n2 + 2), f"a grid of {n1 + n2} interior points", MeshError)
     h = 1.0 / (n2 + 1)
     dyadic = h * np.exp2(np.arange(-n1, 0, dtype=float))  # x_i = 2^(i-1-n1) h
     uniform = h * np.arange(1, n2 + 1, dtype=float)

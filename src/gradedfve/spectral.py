@@ -139,7 +139,7 @@ def eig_vs_symbol(
     beta: float,
     q: float,
     n: int,
-    grid_tag: str = "fine-(ii)",
+    grid_tag: str = "fine",
     n_terms: int = DEFAULT_SYMBOL_TERMS,
 ) -> DistributionReport:
     """Compare eigenvalues of the scaled matrix with sorted symbol samples.
@@ -147,9 +147,10 @@ def eig_vs_symbol(
     The matrix is assembled on the pure power-graded mesh ``x = xhat**q``
     with balanced anisotropy and unit diffusion, scaled by ``h**(1-beta)``
     with ``h = 1/(n+1)``.  The symbol is sampled on one of two product
-    grids: the coarse tag uses ``sqrt(n)`` points per axis (n samples in
-    total), the fine tag ``n**2`` points per axis, reduced to ``n``
-    midpoint quantiles of the sorted sample pool.  ``sup_gap`` is the
+    grids: ``"coarse"`` uses ``sqrt(n)`` points per axis (n samples in
+    total), ``"fine"`` ``n**2`` points per axis, reduced to ``n``
+    midpoint quantiles of the sorted sample pool; the report labels them
+    ``coarse-(i)`` and ``fine-(ii)``.  ``sup_gap`` is the
     maximum absolute difference of the matched sorted sequences (real
     parts; eigenvalues are reported complex only when their imaginary
     parts are non-negligible against the spectral radius), with the single
@@ -158,13 +159,15 @@ def eig_vs_symbol(
     so the extreme order statistics carry no distributional information.
     The full matched sequences are returned untrimmed.
     """
-    tag = {"coarse": "coarse-(i)", "fine": "fine-(ii)"}.get(grid_tag, grid_tag)
-    if tag not in ("coarse-(i)", "fine-(ii)"):
-        raise ValueError("grid_tag must be 'coarse-(i)' or 'fine-(ii)'")
+    label = {"coarse": "coarse-(i)", "fine": "fine-(ii)"}.get(grid_tag)
+    if label is None:
+        raise ValueError("grid_tag must be 'coarse' or 'fine'")
     if n > 2**9:
         raise ValueError("dense eigensolve limited to n <= 512")
-    if tag == "fine-(ii)":  # the table of n^2 x n^2 samples
-        require_memory(n**4 * 8, f"the fine sampling grid at n = {n}")
+    m = math.isqrt(n) if grid_tag == "coarse" else n * n  # sampling points per axis
+    if grid_tag == "coarse" and m * m != n:
+        raise ValueError("the coarse sampling grid needs n to be a perfect square")
+    require_memory(m * m * 8, f"the {grid_tag} sampling grid at n = {n}")
 
     a = _power_grid_matrix(beta, q, n)
     h = 1.0 / (n + 1)
@@ -175,17 +178,8 @@ def eig_vs_symbol(
     else:
         sorted_eigs = eigs[np.argsort(eigs.real)]
 
-    if tag == "coarse-(i)":
-        m = math.isqrt(n)
-        if m * m != n:
-            raise ValueError("the coarse sampling grid needs n to be a perfect square")
-        xs = np.arange(1, m + 1) / m
-        thetas = np.arange(1, m + 1) * math.pi / (m + 1)
-    else:
-        m2 = n * n
-        xs = np.arange(1, m2 + 1) / m2
-        thetas = np.arange(1, m2 + 1) * math.pi / (m2 + 1)
-
+    xs = np.arange(1, m + 1) / m
+    thetas = np.arange(1, m + 1) * math.pi / (m + 1)
     table = sample_symbol(
         beta, xs, thetas, gprime=lambda x: q * x ** (q - 1.0), n_terms=n_terms
     )
@@ -198,7 +192,7 @@ def eig_vs_symbol(
 
     gaps = np.abs(np.asarray(sorted_eigs).real - samples)
     gap = float(gaps[1:-1].max() if gaps.size > 2 else gaps.max())
-    return DistributionReport(sorted_eigs, samples, gap, tag)
+    return DistributionReport(sorted_eigs, samples, gap, label)
 
 
 def glt5_sequence(beta: float, q: float, n_list: Sequence[int]) -> np.ndarray:

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import json
 import math
 import tracemalloc
@@ -14,6 +15,12 @@ from gradedfve.cli import main as cli_main
 # a size whose dense matrix (0.52 MB) fits a patched physical memory of 1.5x
 # the matrix, while the matrix and the copy a direct solve factors do not
 DIRECT_N = 255
+
+
+def table_csv(t: bench.TableResult) -> str:
+    buf = io.StringIO()
+    bench.write_csv(buf, t.columns, t.rows)
+    return buf.getvalue()
 
 
 class TestProblemSetup:
@@ -243,10 +250,7 @@ class TestTableSweep:
         t = bench.table_sweep(3, {"pairs": [(8, 256)]})
         assert t.columns == ["n1", "n2", "it", "e_inf", "e_rel"]
         assert len(t.rows) == 1 and t.complete
-        csv_text = t.to_csv()
-        assert csv_text.splitlines()[0] == "n1,n2,it,e_inf,e_rel"
-        payload = json.loads(t.to_json())
-        assert payload["table"] == 3
+        assert table_csv(t).splitlines()[0] == "n1,n2,it,e_inf,e_rel"
 
     def test_table2_override_and_ord(self):
         t = bench.table_sweep(
@@ -289,7 +293,7 @@ class TestTableSweep:
         assert not t.complete
         errs = [c for c in t.rows[0] if isinstance(c, str) and c.startswith("ERR")]
         assert errs == ["ERR: RuntimeError: no solve today"] * 3
-        assert "ERR: RuntimeError: no solve today" in t.to_csv()
+        assert "ERR: RuntimeError: no solve today" in table_csv(t)
 
     @pytest.mark.parametrize(
         "table_id,overrides,message",
@@ -337,8 +341,8 @@ class TestTableSweep:
 
     def test_determinism(self):
         ov = {"betas": [0.5], "n_list": [2**4], "meshes": ["eps6"]}
-        a = bench.table_sweep(2, ov).to_csv()
-        b = bench.table_sweep(2, ov).to_csv()
+        a = table_csv(bench.table_sweep(2, ov))
+        b = table_csv(bench.table_sweep(2, ov))
         assert a == b
 
     def test_bad_table_id(self):
@@ -359,6 +363,12 @@ class TestCli:
         assert payload["converged"] is True
         assert payload["e_inf"] > 0
 
+    def test_solve_json_keys_are_the_case_result_fields(self, capsys):
+        assert cli_main(["solve", "--n", "15", "--maxit", "3"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert list(payload) == [f.name for f in dataclasses.fields(bench.CaseResult)]
+        assert payload["it"] == "-" and payload["converged"] is False
+
     def test_solve_reports_the_hierarchy(self, capsys):
         assert cli_main(["solve", "--mesh", "uniform", "--n", "31"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -378,6 +388,12 @@ class TestCli:
         code = cli_main(["table", "--id", "3", "--out", str(out)])
         assert code == 0
         assert out.read_text().startswith("n1,n2,it,e_inf,e_rel")
+
+    def test_table_json(self, capsys):
+        assert cli_main(["table", "--id", "3", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["table"] == 3 and len(payload["rows"]) == 3
+        assert all(list(row) == ["n1", "n2", "it", "e_inf", "e_rel"] for row in payload["rows"])
 
     def test_config_error_exit_code(self, capsys):
         assert cli_main(["solve", "--mesh", "composite", "--n", "31"]) == 1
@@ -423,6 +439,7 @@ class TestCli:
              "the glt5 sign map does not read --beta, --q, --n-list"),
             (["glt5", "--n-list", "16", "--beta-grid", "0.3", "--q-grid", "3"],
              "the glt5 sign map does not read --n-list"),
+            (["glt5", "--beta", "0.5"], "glt5 needs either --beta and --q or both grids"),
         ],
     )
     def test_invalid_sizes_exit_1_with_one_message(self, capsys, argv, message):
@@ -439,12 +456,32 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "argv",
-        [["solve", "--n", "15", "--maxit", "2000"], ["solve", "--solver", "direct", "--n", "1023"]],
-        ids=["krylov", "direct"],
+        [
+            ["solve", "--n", "15", "--maxit", "2000"],
+            ["solve", "--solver", "direct", "--n", "1023"],
+            # one array of 2**18 + 1 doubles is 8 bytes more than the patched memory
+            ["symbol", "--beta", "0.5", "--n-terms", str(2**18 + 1)],
+            ["symbol", "--beta", "0.5", "--points", str(2**18 + 1)],
+            ["solve", "--mesh", "uniform", "--n", str(2**18 + 1)],
+            ["solve", "--solver", "direct", "--n", str(2**18 + 1)],
+            ["qopt", "--n", str(2**18 + 1)],
+            # the grid fits, its 2 N x 8 quadrature table does not
+            ["solve", "--mesh", "uniform", "--n", str(2**14 + 1)],
+        ],
+        ids=["krylov", "direct", "symbol-terms", "symbol-points", "uniform-grid", "direct-grid",
+             "qopt", "quadrature"],
     )
     def test_requests_beyond_physical_memory_exit_1(self, monkeypatch, capsys, argv):
-        monkeypatch.setattr(_memory, "physical_memory", lambda: 4 * 2**20)
-        assert cli_main(argv) == 1
+        # the request is refused before anything near its size is allocated
+        memory = 2 * 2**20
+        monkeypatch.setattr(_memory, "physical_memory", lambda: memory)
+        tracemalloc.start()
+        try:
+            code = cli_main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 1 and peak < memory
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and "physical memory" in lines[0]
 

@@ -66,6 +66,36 @@ class TestBasics:
         assert len(rep.residual_history) == 5
 
 
+class TestBreakdown:
+    """Arnoldi breakdowns on A = I, forced by singular preconditioners."""
+
+    @pytest.mark.parametrize(
+        "m,b,history",
+        [
+            # M b = e1 and M e1 = 0: the first step has nothing to rotate
+            (np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([0.0, 1.0]), [1.0]),
+            # M shifts e3 -> e2 -> e1 -> 0: the second step breaks down and
+            # the first iterate, x = 0, stands
+            (np.diag([1.0, 1.0], 1), np.array([0.0, 0.0, 1.0]), [1.0, 1.0]),
+        ],
+        ids=["first-step", "previous-iterate"],
+    )
+    def test_rotation_breakdown_returns_zero(self, m, b, history):
+        rep = gmres(DenseOperator(np.eye(b.size)), b, precond=lambda r: m @ r)
+        assert rep.breakdown and not rep.converged
+        assert rep.iterations == len(history)
+        assert rep.residual_history.tolist() == history
+        assert np.array_equal(rep.solution, np.zeros(b.size))
+
+    def test_happy_breakdown_short_of_the_tolerance(self):
+        # M = diag(1, 0) keeps the Krylov space at span(e1)
+        m = np.diag([1.0, 0.0])
+        rep = gmres(DenseOperator(np.eye(2)), np.ones(2), precond=lambda r: m @ r)
+        assert rep.breakdown and not rep.converged and rep.iterations == 1
+        assert rep.residual_history[0] == pytest.approx(2**-0.5, rel=1e-15)
+        assert np.array_equal(rep.solution, [1.0, 0.0])
+
+
 class TestOnFveSystems:
     def test_laplacian_limit_matches_tridiagonal_solve(self):
         n = 2**6 - 1

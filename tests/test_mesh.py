@@ -40,7 +40,9 @@ class TestUniform:
 class TestBlendCoefficients:
     def test_identity_map_for_q1(self):
         c = blend_coefficients(1.0, 0.2, 0.05)
-        assert np.allclose([c.a, c.b, c.c, c.m, c.p], [0, 1, 0, 1, 0], atol=1e-12)
+        assert np.allclose([c.a, c.b, c.m, c.p], [0, 1, 1, 0], atol=1e-12)
+        xs = np.linspace(0.0, 1.0, 41)
+        assert np.allclose(graded_map_eval(c, xs), xs, rtol=0, atol=1e-15)
 
     def test_c1_blend_determinant_and_residuals(self):
         # the closed-form determinant of the 5x5 matching system
@@ -60,9 +62,11 @@ class TestBlendCoefficients:
 
         c = blend_coefficients(3.0, e1, e2)
         residuals = [
-            c.a * e1**2 + c.b * e1 + c.c - e1**3,
+            # the quadratic just right of eps1 against the power at eps1
+            graded_map_eval(c, np.nextafter(e1, 1.0)) - e1**3,
             2 * c.a * e1 + c.b - 3 * e1**2,
-            c.a * s**2 + c.b * s + c.c - (c.m * s + c.p),
+            # the quadratic at eps1 + eps2 against the line there
+            graded_map_eval(c, s) - (c.m * s + c.p),
             2 * c.a * s + c.b - c.m,
             c.m + c.p - 1.0,
         ]

@@ -1,0 +1,82 @@
+"""Every input check of the library refuses what it exists to refuse."""
+
+import numpy as np
+import pytest
+
+from gradedfve import spectral
+from gradedfve.assembly import (
+    AssemblyError,
+    BorderedToeplitzOperator,
+    DenseOperator,
+    FdeProblem,
+    FveSystem,
+    SymToeplitzOperator,
+    assemble_rhs,
+    assemble_system,
+    row_scale,
+    uniform_toeplitz,
+)
+from gradedfve.mesh import (
+    CompositeRule,
+    Grid,
+    MeshError,
+    blend_coefficients,
+    composite_grid_from_counts,
+    graded_grid,
+    q_for_beta,
+    uniform_grid,
+)
+from gradedfve.multigrid import MultigridError, build_hierarchy
+
+PROBLEM = FdeProblem(0.5, 0.5)
+
+
+def bordered(cols_shape):
+    """A 3 x 3 operator with one border row around a 2 x 2 Toeplitz tail."""
+    return BorderedToeplitzOperator(
+        np.zeros((1, 3)), np.zeros(cols_shape), SymToeplitzOperator(np.ones(2)), 0.25
+    )
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda: DenseOperator(np.eye(2)).matvec(np.ones(3)), AssemblyError, "dimension mismatch"),
+        (lambda: bordered((2, 1)).matvec(np.ones(2)), AssemblyError, "dimension mismatch"),
+        (lambda: SymToeplitzOperator(np.array([])), AssemblyError, "nonempty 1-D array"),
+        (lambda: bordered((1, 1)), AssemblyError, "shapes do not fit"),
+        (lambda: FveSystem(DenseOperator(np.eye(2)), np.zeros(2), uniform_grid(3), PROBLEM),
+         AssemblyError, "dimensions are inconsistent"),
+        (lambda: assemble_rhs(uniform_grid(3), FdeProblem(0.5, 0.5, source=lambda x: np.ones(3))),
+         AssemblyError, "one value per evaluation point"),
+        (lambda: assemble_rhs(uniform_grid(3), FdeProblem(0.5, 0.5, u_left=np.nan)),
+         AssemblyError, "right-hand side has non-finite entries"),
+        (lambda: uniform_toeplitz(0, 0.5), AssemblyError, "n must be >= 1"),
+        (lambda: Grid(np.array([0.0, 1.0])), MeshError, "at least one interior point"),
+        (lambda: Grid(np.array([0.0, 0.5, 0.9])), MeshError, "span \\[0, 1\\]"),
+        (lambda: Grid(np.array([0.0, 0.6, 0.4, 1.0])), MeshError, "strictly increasing"),
+        (lambda: q_for_beta(1.0, 15), MeshError, "beta must lie in \\(0, 1\\)"),
+        (lambda: graded_grid(0, blend_coefficients(2.0, 1.0, 0.0)), MeshError, "n must be >= 1"),
+        # (1/16)**400 underflows to 0, the left end
+        (lambda: graded_grid(15, blend_coefficients(400.0, 1.0, 0.0)), MeshError, "collapsed a step"),
+        (lambda: CompositeRule("cube"), MeshError, "selector must be"),
+        (lambda: composite_grid_from_counts(0, 5), MeshError, "n1 and n2 must be >= 1"),
+        (lambda: build_hierarchy(row_scale(assemble_system(uniform_grid(3), PROBLEM))),
+         MultigridError, "at least 4 interior points"),
+        (lambda: spectral.eig_vs_symbol(0.5, 2.0, 513), ValueError, "n <= 512"),
+        (lambda: spectral.eig_vs_symbol(0.5, 2.0, 15, "coarse"), ValueError, "perfect square"),
+        (lambda: spectral.eig_vs_symbol(0.5, 2.0, 16, "fine-(ii)"), ValueError,
+         "grid_tag must be 'coarse' or 'fine'"),
+        (lambda: spectral.glt5_sequence(0.5, 2.0, [2048]), ValueError, "n <= 1024"),
+    ],
+    ids=[
+        "dense-matvec", "bordered-matvec", "empty-toeplitz-row", "bordered-shapes",
+        "system-dimensions", "source-length", "non-finite-rhs", "uniform-toeplitz-n",
+        "grid-size", "grid-span", "grid-order", "q-for-beta", "graded-n", "graded-collapse",
+        "composite-rule", "composite-counts", "hierarchy-size", "eig-size", "eig-coarse-square",
+        "eig-tag", "glt5-size",
+    ],
+)
+def test_bad_input_is_refused(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
