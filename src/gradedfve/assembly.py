@@ -11,11 +11,12 @@ D_right are the left/right Caputo derivatives of order ``1 - beta``,
 ``[x_{i-1/2}, x_{i+1/2}]`` with piecewise-linear trial functions yields a
 dense N x N system.  With constant K and gamma = 1/2, the rows and columns
 of the nodes in a uniform run of steps form a symmetric Toeplitz block, so a
-grid that ends in a uniform tail gets a bordered operator: dense rows and
-columns for its graded nodes around a Toeplitz tail, whose product goes
-through FFTs.  The uniform grid is the bordered operator with no border;
-every other operator is a dense matrix.  Both kinds divide their rows in
-place.
+grid that ends in a uniform tail gets a Toeplitz operator: dense rows and
+columns for its graded nodes (the border) around a Toeplitz tail, whose
+product goes through FFTs.  The uniform grid is the Toeplitz operator with
+no border; every other operator is a dense matrix.  The two kinds answer
+one protocol (``shape``, ``matvec``, ``diagonal``, ``to_dense`` and
+``scale_rows``, which divides their rows in place).
 
 The scheme is assembled as it is derived: equation ``i`` is the flux
 ``-K (gamma D_left^{1-beta} + (1-gamma) D_right^{1-beta}) u`` at the right
@@ -57,7 +58,6 @@ __all__ = [
     "FdeProblem",
     "DenseOperator",
     "SymToeplitzOperator",
-    "BorderedToeplitzOperator",
     "FveSystem",
     "assemble_matrix",
     "assemble_rhs",
@@ -148,76 +148,39 @@ class DenseOperator:
 
 
 class SymToeplitzOperator:
-    """Symmetric Toeplitz operator stored by its first row.
-
-    The matrix-vector product embeds the Toeplitz matrix into a circulant
-    whose size is the first power of two ``>= 2N - 1`` and goes through real
-    FFTs, costing O(N log N).
-    """
-
-    def __init__(self, first_row: np.ndarray):
-        row = np.asarray(first_row, dtype=float)
-        if row.ndim != 1 or row.size == 0:
-            raise AssemblyError("first_row must be a nonempty 1-D array")
-        self.first_row = row
-        self._circ_size = 1 << (2 * row.size - 2).bit_length()
-        self._circ_fft: np.ndarray | None = None
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        n = self.first_row.size
-        return (n, n)
-
-    def _fft(self) -> np.ndarray:
-        if self._circ_fft is None:
-            n = self.first_row.size
-            circ = np.zeros(self._circ_size)
-            circ[:n] = self.first_row
-            circ[circ.size - n + 1 :] = self.first_row[1:][::-1]
-            self._circ_fft = np.fft.rfft(circ)
-        return self._circ_fft
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        n = self.first_row.size
-        if v.shape != (n,):
-            raise AssemblyError("dimension mismatch in matvec")
-        size = self._circ_size
-        return np.fft.irfft(self._fft() * np.fft.rfft(v, size), size)[:n]
-
-    def diagonal(self) -> np.ndarray:
-        return np.full(self.first_row.size, self.first_row[0])
-
-    def to_dense(self, out: np.ndarray | None = None) -> np.ndarray:
-        """The matrix, written into ``out`` (an ``N x N`` array or view) when
-        given: row ``i`` is ``t[i:0:-1]`` followed by ``t[:N-i]``, copied
-        straight from a sliding window over the row reflected about ``t_0``."""
-        t = self.first_row
-        out = np.empty(self.shape) if out is None else out
-        windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((t[:0:-1], t)), t.size)
-        out[:] = windows[::-1]
-        return out
-
-
-class BorderedToeplitzOperator:
     """Matrix whose trailing ``m x m`` block is symmetric Toeplitz:
 
         [ rows        ]   rows: the first b rows, dense, b x N
         [ cols | tail ]   cols: the tail rows' border columns, dense, m x b
 
     This is the FVE matrix of a mesh whose last ``m`` nodes lie in a uniform
-    tail (constant diffusion, ``gamma = 1/2``); the ``b = N - m`` graded
-    nodes form the border, which is empty (``b = 0``) on the uniform grid.
-    ``step`` is the tail's step length.  It stores ``N^2 - m^2`` numbers
-    plus O(m), and a product costs ``N^2 - m^2`` multiply-adds plus
-    O(m log m).
+    tail of step ``step`` (constant diffusion, ``gamma = 1/2``); the
+    ``b = N - m`` graded nodes form the border, which is empty by default,
+    as on the uniform grid.  The tail is stored by its first row.  It
+    stores ``N^2 - m^2`` numbers plus O(m), and a product costs
+    ``N^2 - m^2`` multiply-adds plus real FFTs of a circulant embedding of
+    the tail, whose size is the first power of two ``>= 2m - 1``.
     """
 
-    def __init__(self, rows: np.ndarray, cols: np.ndarray, tail: SymToeplitzOperator, step: float):
+    def __init__(
+        self,
+        first_row: np.ndarray,
+        step: float,
+        rows: np.ndarray | None = None,
+        cols: np.ndarray | None = None,
+    ):
+        row = np.asarray(first_row, dtype=float)
+        if row.ndim != 1 or row.size == 0:
+            raise AssemblyError("first_row must be a nonempty 1-D array")
+        m = row.size
+        rows = np.empty((0, m)) if rows is None else rows
+        cols = np.empty((m, 0)) if cols is None else cols
         b, n = rows.shape
-        if cols.shape != (n - b, b) or tail.shape != (n - b, n - b):
+        if n != b + m or cols.shape != (m, b):
             raise AssemblyError("border and tail shapes do not fit together")
-        self.rows, self.cols, self.tail, self.step = rows, cols, tail, float(step)
+        self.rows, self.cols, self.first_row, self.step = rows, cols, row, float(step)
+        self._circ_size = 1 << (2 * m - 2).bit_length()
+        self._circ_fft: np.ndarray | None = None
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -228,41 +191,54 @@ class BorderedToeplitzOperator:
     def border(self) -> int:
         return self.rows.shape[0]
 
+    def _fft(self) -> np.ndarray:
+        if self._circ_fft is None:
+            t = self.first_row
+            circ = np.zeros(self._circ_size)
+            circ[: t.size] = t
+            circ[circ.size - t.size + 1 :] = t[1:][::-1]
+            self._circ_fft = np.fft.rfft(circ)
+        return self._circ_fft
+
     def matvec(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
         if v.shape != (self.shape[1],):
             raise AssemblyError("dimension mismatch in matvec")
-        b = self.border
+        b, size = self.border, self._circ_size
         out = np.empty(v.size)
         out[:b] = self.rows @ v
-        out[b:] = self.tail.matvec(v[b:])
+        out[b:] = np.fft.irfft(self._fft() * np.fft.rfft(v[b:], size), size)[: v.size - b]
         out[b:] += self.cols @ v[:b]
         return out
 
     def diagonal(self) -> np.ndarray:
-        return np.concatenate((np.diag(self.rows), self.tail.diagonal()))
+        return np.concatenate((np.diag(self.rows), np.full(self.first_row.size, self.first_row[0])))
 
     def to_dense(self) -> np.ndarray:
-        b = self.border
+        """The matrix: the border, then tail row ``i`` as ``t[i:0:-1]``
+        followed by ``t[:m-i]``, copied straight from a sliding window over
+        the first row reflected about ``t_0``."""
+        b, t = self.border, self.first_row
         a = np.empty(self.shape)
         a[:b] = self.rows
         a[b:, :b] = self.cols
-        self.tail.to_dense(out=a[b:, b:])  # written in place: no second m x m matrix
+        windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((t[:0:-1], t)), t.size)
+        a[b:, b:] = windows[::-1]
         return a
 
-    def scale_rows(self, h_rows: np.ndarray) -> "BorderedToeplitzOperator":
+    def scale_rows(self, h_rows: np.ndarray) -> "SymToeplitzOperator":
         """Divide row ``i`` by ``h_rows[i]`` in place, the tail by its step,
-        whose rows share one step up to rounding.  The tail is replaced by a
-        new Toeplitz operator, so no circulant FFT of the unscaled row
-        survives."""
+        whose rows share one step up to rounding, so it stays Toeplitz; the
+        circulant FFT of the unscaled tail is dropped."""
         b = self.border
         self.rows /= h_rows[:b, None]
         self.cols /= h_rows[b:, None]
-        self.tail = SymToeplitzOperator(self.tail.first_row / self.step)
+        self.first_row = self.first_row / self.step
+        self._circ_fft = None
         return self
 
 
-LinearOperator = DenseOperator | BorderedToeplitzOperator
+LinearOperator = DenseOperator | SymToeplitzOperator
 
 
 @dataclass(frozen=True)
@@ -421,8 +397,10 @@ def _control_volume_loads(grid: Grid, source) -> np.ndarray:
     ``t`` is formed from its length with ``log1p``, so it keeps full relative
     precision on fine meshes.
     """
-    # each table below holds 8 bytes per point, 8 points per half volume
-    require_memory(8 * 8 * 2 * grid.n, f"a {2 * grid.n} x 8 quadrature table", AssemblyError)
+    # each table below holds 8 bytes per point, 8 points per half volume; the
+    # tables and their temporaries peak at 6.5 tables (tracemalloc, N = 4095
+    # and 65535), so the guard counts 7
+    require_memory(7 * 8 * 8 * 2 * grid.n, f"7 {2 * grid.n} x 8 quadrature tables", AssemblyError)
     x = grid.points
     ends = np.empty(2 * grid.n + 1)  # x_{1/2}, x_1, x_{3/2}, ..., x_N, x_{N+1/2}
     ends[0::2] = 0.5 * (x[:-1] + x[1:])
@@ -513,8 +491,9 @@ def toeplitz_coefficients(beta: float, count: int) -> np.ndarray:
 def uniform_toeplitz(
     n: int, beta: float, diffusion: float = 1.0, step: float | None = None
 ) -> SymToeplitzOperator:
-    """Symmetric Toeplitz operator of the discretization on ``n`` nodes with
-    the uniform step ``step`` (by default ``1/(n+1)``, the uniform grid).
+    """Symmetric Toeplitz operator, with no border, of the discretization on
+    ``n`` nodes with the uniform step ``step`` (by default ``1/(n+1)``, the
+    uniform grid).
 
     Valid only for constant diffusion and ``gamma = 1/2``, where the matrix
     entries of rows and columns inside a uniform run of steps depend on
@@ -525,7 +504,7 @@ def uniform_toeplitz(
         raise AssemblyError("n must be >= 1")
     h = 1.0 / (n + 1) if step is None else step
     c = diffusion * h ** (beta - 1.0) / (2.0**beta * math.gamma(beta + 1.0))
-    return SymToeplitzOperator(c * toeplitz_coefficients(beta, n))
+    return SymToeplitzOperator(c * toeplitz_coefficients(beta, n), h)
 
 
 #: Steps of a uniform tail differ only by the rounding of their node
@@ -549,8 +528,9 @@ def assemble_operator(grid: Grid, problem: FdeProblem, scaled: bool = False) -> 
 
     With constant diffusion and ``gamma = 1/2`` the rows and columns of a
     uniform tail form a symmetric Toeplitz block: a grid with a uniform tail
-    gets a :class:`BorderedToeplitzOperator` whose border rows and columns
-    come from :func:`assemble_matrix` (the uniform grid one with no border).
+    gets a :class:`SymToeplitzOperator` whose tail comes from
+    :func:`uniform_toeplitz` and whose border rows and columns come from
+    :func:`assemble_matrix` (the uniform grid one with no border).
     Every other case gets the dense matrix of :func:`assemble_matrix`, which
     is also what a caller that factors the matrix calls directly.
     ``scaled`` applies the row scaling of :func:`row_scale` to the operator,
@@ -561,11 +541,12 @@ def assemble_operator(grid: Grid, problem: FdeProblem, scaled: bool = False) -> 
     b = _tail_start(grid) if toeplitz else n
     if b < n:
         step = (grid.points[-1] - grid.points[b]) / (n - b + 1)
-        op: LinearOperator = BorderedToeplitzOperator(
+        tail = uniform_toeplitz(n - b, problem.beta, float(problem.diffusion), step=step)
+        op: LinearOperator = SymToeplitzOperator(
+            tail.first_row,
+            step,
             assemble_matrix(grid, problem, rows=(0, b)).entries,
             assemble_matrix(grid, problem, rows=(b, n), cols=(0, b)).entries,
-            uniform_toeplitz(n - b, problem.beta, float(problem.diffusion), step=step),
-            step,
         )
     else:
         op = assemble_matrix(grid, problem)
@@ -584,8 +565,8 @@ def row_scale(system: FveSystem) -> FveSystem:
     The scaling removes the grid-dependent measure factor from each
     equation, which the multigrid hierarchy relies on.  The operator's
     ``scale_rows`` divides it in place: a dense matrix row by row, a
-    bordered operator's border row by row and its Toeplitz tail by the
-    tail's step, so it stays Toeplitz.
+    Toeplitz operator's border row by row and its tail by the tail's step,
+    so it stays Toeplitz.
 
     The returned system holds the very operator of ``system``, so the
     argument is consumed and its matrix must not be read as unscaled

@@ -211,12 +211,6 @@ class CaseResult:
     # GMRES stopped on an Arnoldi breakdown that was not convergence
     breakdown: bool = False
 
-    @property
-    def it_label(self) -> str:
-        if self.it is None and not self.converged:
-            return "-"
-        return "" if self.it is None else str(self.it)
-
 
 def run_case(cfg: CaseConfig) -> CaseResult:
     """Build, solve and measure one benchmark case."""
@@ -391,7 +385,7 @@ def _case_cells(table_id: int, case: tuple | CaseConfig) -> tuple[list, bool]:
             return [res.q_opt, res.e_opt, res.e_beta], True
         res = run_case(case)
         e = res.e_inf_nodes if table_id == 3 else res.e_inf
-        return [res.it_label or None, e, res.e_rel], True
+        return [res.it, e, res.e_rel], True
     except Exception as exc:
         return [f"ERR: {type(exc).__name__}: {exc}"] * 3, False
 

@@ -106,7 +106,7 @@ def main(argv=None) -> int:
             mesh = MeshSpec(args.mesh, args.q, args.eps1, args.eps2, args.rule, args.n1)
             cfg = CaseConfig(args.beta, args.gamma, mesh, args.n, args.solver, args.tol, args.maxit)
             res = bench.run_case(cfg)
-            record = dataclasses.asdict(res) | {"it": res.it_label or None}
+            record = dataclasses.asdict(res)
             columns, rows = list(record), [record.values()]
         elif args.command == "table":
             overrides = {

@@ -11,8 +11,9 @@ other coarser level rediscretizes the operator alone on its grid through
 ``assemble_operator``, row-scaled like the finest one and with no
 right-hand side.  Every level holds an operator, not an array:
 coarsening keeps the even nodes, so a uniform tail stays a uniform tail,
-and each level of a mesh with one is a bordered Toeplitz operator (with no
-border on the uniform grid) whose products cost O(N log N) on the tail.
+and each level of a mesh with one is a Toeplitz operator, dense only on the
+border of its graded nodes (none on the uniform grid), whose products cost
+O(N log N) on the tail.
 Dense matrices are formed only where they are the point: the at most
 3 x 3 coarsest level, solved directly, and the small eigenproblem of the
 damping estimate.  Grid transfer uses piecewise-linear interpolation on the
@@ -120,10 +121,9 @@ class Interpolation:
     Fine row ``2k - 1`` (node ``2k``) copies coarse entry ``k - 1``; fine row
     ``2k`` (node ``2k + 1``) takes ``left[k - 1]`` times coarse entry
     ``k - 1`` (for ``k >= 1``) plus ``right[k]`` times coarse entry ``k``
-    (for ``k < nc``).  ``@`` applies it to a vector or to the columns of a
-    2-D array with strided slices, adding the terms of each output entry
-    to zero in the order a compressed sparse row (or, transposed, column)
-    product adds them.
+    (for ``k < nc``).  ``@`` applies it to a vector with strided slices,
+    adding the terms of each output entry to zero in the order a compressed
+    sparse row (or, transposed, column) product adds them.
     """
 
     def __init__(self, n: int, left: np.ndarray, right: np.ndarray, transposed: bool = False):
@@ -140,13 +140,11 @@ class Interpolation:
 
     def __matmul__(self, y: np.ndarray) -> np.ndarray:
         rows, cols = self.shape
-        if y.shape[:1] != (cols,) or y.ndim > 2:
-            raise MultigridError("grid transfer takes a vector or a 2-D array of matching length")
+        if y.shape != (cols,):
+            raise MultigridError("grid transfer takes a vector of matching length")
         left, right = self.left, self.right
-        if y.ndim == 2:  # weights broadcast over the columns of y
-            left, right = left[:, None], right[:, None]
-        nl, nc = left.shape[0], right.shape[0]
-        out = np.zeros((rows,) + y.shape[1:])
+        nl, nc = left.size, right.size
+        out = np.zeros(rows)
         if self.transposed:  # coarse entry k: fine rows 2k, 2k + 1, 2k + 2
             out += right * y[0::2][:nc]
             out += y[1::2]

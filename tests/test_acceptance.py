@@ -264,7 +264,7 @@ def test_criterion_3_composite_solver_cells():
         cell = f"(n1,n2)=({n1},{n2})"
         checked += 1
         if not res.converged or abs(res.it - it_ref) > 1:
-            violations.append(f"{cell}: it={res.it_label} vs {it_ref}+-1")
+            violations.append(f"{cell}: it={res.it} vs {it_ref}+-1")
         checked += 1
         if not _in_band(res.e_inf_nodes, e_ref):
             violations.append(
@@ -282,7 +282,7 @@ def test_criterion_4_anisotropic_spot_checks():
         CaseConfig(0.1, 0.0, MeshSpec("graded", eps1=1.0, eps2=0.0), 2**8 - 1, "pgmres")
     )
     if not res.converged or abs(res.it - 7) > 1:
-        violations.append(f"gamma=0 beta=0.1: it={res.it_label} vs 7+-1")
+        violations.append(f"gamma=0 beta=0.1: it={res.it} vs 7+-1")
     if not _in_band(res.e_inf, 1.8e-4):
         violations.append(f"gamma=0 beta=0.1: e_inf={res.e_inf:.2e} vs 1.8e-4")
     res = bench.run_case(

@@ -1,18 +1,20 @@
 import math
 import tracemalloc
+import typing
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from gradedfve import _memory
 from gradedfve import assembly as asm
 from gradedfve import bench
 from gradedfve.assembly import (
     AssemblyError,
-    BorderedToeplitzOperator,
     DenseOperator,
     FdeProblem,
+    LinearOperator,
     SymToeplitzOperator,
     assemble_matrix,
     assemble_operator,
@@ -373,7 +375,7 @@ class TestToeplitzOperator:
     def test_fft_matvec_every_small_size(self, rng):
         # circulant sizes 2n - 1 .. 2n, odd ones included
         for n in range(1, 41):
-            op = SymToeplitzOperator(rng.standard_normal(n))
+            op = SymToeplitzOperator(rng.standard_normal(n), 1.0)
             v = rng.standard_normal(n)
             ref = op.to_dense() @ v
             assert np.abs(op.matvec(v) - ref).max() <= 1e-13 * np.abs(ref).max(), n
@@ -417,7 +419,7 @@ class TestBorderedToeplitz:
             system = row_scale(system)
             dense /= grid.steps[:-1][:, None]
         op = system.operator
-        assert isinstance(op, BorderedToeplitzOperator)
+        assert isinstance(op, SymToeplitzOperator)
         b = op.border
         assert b == 0 if name == "uniform" else 0 < b < n
         a = op.to_dense()
@@ -494,6 +496,65 @@ class TestBorderedToeplitz:
             assemble_matrix(grid, problem)
         # the bordered operator of the same grid stores no N x N block
         assert assemble_operator(grid, problem).border == 0
+
+
+#: Mesh families of the property test: the uniform grid, the composite
+#: rules and the graded presets whose tail, where they have one, differs
+PROPERTY_MESHES = {
+    "uniform": bench.MeshSpec("uniform"),
+    "sqrt": bench.MeshSpec("composite", rule="sqrt"),
+    "log2": bench.MeshSpec("composite", rule="log2"),
+    **{
+        name: bench.MeshSpec("graded", eps1=eps1, eps2=eps2)
+        for name, (eps1, eps2) in bench.EPS_PRESETS.items()
+        if name in ("eps1", "eps4", "eps6")
+    },
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    mesh=st.sampled_from(list(PROPERTY_MESHES)),
+    n=st.integers(9, 80),  # eps1 needs a step of at most 0.1
+    beta=st.floats(0.05, 0.95),
+    gamma=st.sampled_from([0.3, 0.5]),
+    variable=st.booleans(),
+    scaled=st.booleans(),
+)
+def test_every_operator_kind_agrees_with_the_dense_assembly(mesh, n, beta, gamma, variable, scaled):
+    """Both operator kinds answer one protocol, and each answers it with
+    the dense assembly: border entries bit for bit, the Toeplitz tail to
+    1e-11 of max|A|."""
+    kinds = typing.get_args(LinearOperator)
+    grid = bench.build_case_grid(PROPERTY_MESHES[mesh], beta, n)
+    problem = FdeProblem(beta, gamma, diffusion=(lambda x: 1.0 + x) if variable else 1.0)
+    op = assemble_operator(grid, problem, scaled=scaled)
+    assert isinstance(op, kinds) and op.shape == (n, n)
+    toeplitz = gamma == 0.5 and not variable and asm._tail_start(grid) < n
+    assert isinstance(op, SymToeplitzOperator) == toeplitz
+    b = op.border if toeplitz else n
+    dense = assemble_matrix(grid, problem).entries
+    if scaled:
+        dense /= grid.steps[:-1][:, None]
+    a = op.to_dense()
+    assert a[:b].tobytes() == dense[:b].tobytes()
+    assert a[b:, :b].tobytes() == dense[b:, :b].tobytes()
+    scale = np.abs(dense).max()
+    assert np.abs(a[b:, b:] - dense[b:, b:]).max(initial=0.0) <= 1e-11 * scale
+    assert np.array_equal(op.diagonal(), np.diag(a))
+    v = np.random.default_rng(n).standard_normal(n)
+    assert np.abs(op.matvec(v) - dense @ v).max() <= 1e-11 * scale * np.abs(v).sum()
+    # the tail alone, on the uniform grid of its size, answers the same
+    # protocol; a product before the scaling must not outlive it
+    top = uniform_toeplitz(n, beta)
+    assert isinstance(top, kinds)
+    top.matvec(v)
+    uniform = uniform_grid(n)
+    ref = assemble_matrix(uniform, FdeProblem(beta, 0.5)).entries / uniform.steps[:-1][:, None]
+    top.scale_rows(uniform.steps[:-1])
+    scale = np.abs(ref).max()
+    assert np.abs(top.to_dense() - ref).max() <= 1e-11 * scale
+    assert np.abs(top.matvec(v) - ref @ v).max() <= 1e-11 * scale * np.abs(v).sum()
 
 
 class TestRhs:
@@ -585,17 +646,17 @@ class TestRhs:
 class TestSystemAndScaling:
     def test_auto_picks_toeplitz(self):
         sys = assemble_system(uniform_grid(16), FdeProblem(beta=0.5, gamma=0.5))
-        assert isinstance(sys.operator, BorderedToeplitzOperator)
+        assert isinstance(sys.operator, SymToeplitzOperator)
         assert sys.operator.border == 0
         sys2 = assemble_system(uniform_grid(16), FdeProblem(beta=0.5, gamma=0.4))
         assert isinstance(sys2.operator, DenseOperator)
 
     def test_toeplitz_scaling_is_scalar(self):
         sys = assemble_system(uniform_grid(16), FdeProblem(beta=0.5, gamma=0.5))
-        row = sys.operator.tail.first_row
+        row = sys.operator.first_row
         scaled = row_scale(sys)
-        assert isinstance(scaled.operator, BorderedToeplitzOperator)
-        assert scaled.operator.tail.first_row == pytest.approx(17.0 * row)
+        assert isinstance(scaled.operator, SymToeplitzOperator)
+        assert scaled.operator.first_row == pytest.approx(17.0 * row)
         assert scaled.scaled
 
     @pytest.mark.parametrize("kind", ["uniform", "composite"])

@@ -196,7 +196,7 @@ class TestRunCase:
 
         monkeypatch.setattr(bench, "build_hierarchy", annihilating)
         res = bench.run_case(CaseConfig(0.5, 0.5, MeshSpec("uniform"), 15))
-        assert res.breakdown and not res.converged and res.it_label == "-"
+        assert res.breakdown and not res.converged and res.it is None
         assert cli_main(["solve", "--mesh", "uniform", "--n", "15"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["breakdown"] is True and payload["converged"] is False
@@ -226,7 +226,7 @@ class TestRunCase:
             CaseConfig(0.7, 1.0, MeshSpec("graded", eps1=1.0, eps2=0.0), 2**7 - 1)
         )
         assert not res.converged
-        assert res.it_label == "-"
+        assert res.it is None
         assert res.e_inf is None
 
 
@@ -367,7 +367,7 @@ class TestCli:
         assert cli_main(["solve", "--n", "15", "--maxit", "3"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert list(payload) == [f.name for f in dataclasses.fields(bench.CaseResult)]
-        assert payload["it"] == "-" and payload["converged"] is False
+        assert payload["it"] is None and payload["converged"] is False
 
     def test_solve_reports_the_hierarchy(self, capsys):
         assert cli_main(["solve", "--mesh", "uniform", "--n", "31"]) == 0
@@ -381,7 +381,7 @@ class TestCli:
         assert cli_main(["solve", "--mesh", "composite", "--n1", "3", "--n", "7"]) == 0
         payload = json.loads(capsys.readouterr().out)
         ref = bench.run_case(CaseConfig(0.5, 0.5, MeshSpec("composite", n1=3), 7))
-        assert payload["e_inf"] == ref.e_inf and payload["it"] == ref.it_label
+        assert payload["e_inf"] == ref.e_inf and payload["it"] == ref.it and ref.it > 0
 
     def test_table_csv(self, tmp_path):
         out = tmp_path / "t3.csv"
@@ -394,6 +394,7 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["table"] == 3 and len(payload["rows"]) == 3
         assert all(list(row) == ["n1", "n2", "it", "e_inf", "e_rel"] for row in payload["rows"])
+        assert all(type(row["it"]) is int for row in payload["rows"])  # a number, not a label
 
     def test_config_error_exit_code(self, capsys):
         assert cli_main(["solve", "--mesh", "composite", "--n", "31"]) == 1

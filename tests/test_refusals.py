@@ -1,12 +1,13 @@
 """Every input check of the library refuses what it exists to refuse."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from gradedfve import spectral
+from gradedfve import _memory, spectral
 from gradedfve.assembly import (
     AssemblyError,
-    BorderedToeplitzOperator,
     DenseOperator,
     FdeProblem,
     FveSystem,
@@ -33,9 +34,7 @@ PROBLEM = FdeProblem(0.5, 0.5)
 
 def bordered(cols_shape):
     """A 3 x 3 operator with one border row around a 2 x 2 Toeplitz tail."""
-    return BorderedToeplitzOperator(
-        np.zeros((1, 3)), np.zeros(cols_shape), SymToeplitzOperator(np.ones(2)), 0.25
-    )
+    return SymToeplitzOperator(np.ones(2), 0.25, np.zeros((1, 3)), np.zeros(cols_shape))
 
 
 @pytest.mark.parametrize(
@@ -43,7 +42,7 @@ def bordered(cols_shape):
     [
         (lambda: DenseOperator(np.eye(2)).matvec(np.ones(3)), AssemblyError, "dimension mismatch"),
         (lambda: bordered((2, 1)).matvec(np.ones(2)), AssemblyError, "dimension mismatch"),
-        (lambda: SymToeplitzOperator(np.array([])), AssemblyError, "nonempty 1-D array"),
+        (lambda: SymToeplitzOperator(np.array([]), 1.0), AssemblyError, "nonempty 1-D array"),
         (lambda: bordered((1, 1)), AssemblyError, "shapes do not fit"),
         (lambda: FveSystem(DenseOperator(np.eye(2)), np.zeros(2), uniform_grid(3), PROBLEM),
          AssemblyError, "dimensions are inconsistent"),
@@ -80,3 +79,21 @@ def bordered(cols_shape):
 def test_bad_input_is_refused(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+def test_quadrature_tables_are_guarded_together(monkeypatch):
+    # the load keeps several 2N x 8 tables alive at once: room for three is
+    # refused, and the seven the guard counts hold the whole load
+    grid, problem = uniform_grid(4095), FdeProblem(0.5, 0.5, source=np.ones_like)
+    table = 8 * 8 * 2 * grid.n
+    monkeypatch.setattr(_memory, "physical_memory", lambda: 3 * table)
+    with pytest.raises(AssemblyError, match="quadrature tables"):
+        assemble_rhs(grid, problem)
+    monkeypatch.setattr(_memory, "physical_memory", lambda: 7 * table)
+    tracemalloc.start()
+    try:
+        assemble_rhs(grid, problem)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * table
