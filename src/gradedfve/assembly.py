@@ -27,9 +27,10 @@ powers ``|x_m - z|**beta`` at the piece's two nodes divided by its length
 and weighted by gamma left of ``z`` and by gamma - 1 right of it; the
 piece that holds ``z`` is split by it.  A hat's flux is the difference of
 the piece fluxes of the two pieces it lies on, so one formula gives every
-matrix entry and, through the two boundary half-hats, the Dirichlet terms
-of the right-hand side; the node coordinates double as the prefix sums of
-the step lengths, so each entry costs O(1) and the whole assembly O(N^2).
+matrix entry, the first row of a Toeplitz tail included, and, through the
+two boundary half-hats, the Dirichlet terms of the right-hand side; the
+node coordinates double as the prefix sums of the step lengths, so each
+entry costs O(1) and the whole assembly O(N^2).
 The dense assembly is blocked: it fills the matrix, or a block of rows and
 columns of it, through three block buffers allocated once per call, each
 holding as many rows as fit in a fixed budget of entries, so the buffers
@@ -51,7 +52,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from ._memory import require_memory
-from .mesh import Grid
+from .mesh import Grid, uniform_grid
 
 __all__ = [
     "AssemblyError",
@@ -63,7 +64,6 @@ __all__ = [
     "assemble_rhs",
     "assemble_operator",
     "assemble_system",
-    "toeplitz_coefficients",
     "uniform_toeplitz",
     "row_scale",
 ]
@@ -154,9 +154,9 @@ class SymToeplitzOperator:
         [ cols | tail ]   cols: the tail rows' border columns, dense, m x b
 
     This is the FVE matrix of a mesh whose last ``m`` nodes lie in a uniform
-    tail of step ``step`` (constant diffusion, ``gamma = 1/2``); the
-    ``b = N - m`` graded nodes form the border, which is empty by default,
-    as on the uniform grid.  The tail is stored by its first row.  It
+    tail (constant diffusion, ``gamma = 1/2``); the ``b = N - m`` graded
+    nodes form the border, which is empty by default, as on the uniform
+    grid.  The tail is stored by its first row, row ``b`` of the matrix.  It
     stores ``N^2 - m^2`` numbers plus O(m), and a product costs
     ``N^2 - m^2`` multiply-adds plus real FFTs of a circulant embedding of
     the tail, whose size is the first power of two ``>= 2m - 1``.
@@ -165,7 +165,6 @@ class SymToeplitzOperator:
     def __init__(
         self,
         first_row: np.ndarray,
-        step: float,
         rows: np.ndarray | None = None,
         cols: np.ndarray | None = None,
     ):
@@ -178,7 +177,7 @@ class SymToeplitzOperator:
         b, n = rows.shape
         if n != b + m or cols.shape != (m, b):
             raise AssemblyError("border and tail shapes do not fit together")
-        self.rows, self.cols, self.first_row, self.step = rows, cols, row, float(step)
+        self.rows, self.cols, self.first_row = rows, cols, row
         self._circ_size = 1 << (2 * m - 2).bit_length()
         self._circ_fft: np.ndarray | None = None
 
@@ -227,13 +226,14 @@ class SymToeplitzOperator:
         return a
 
     def scale_rows(self, h_rows: np.ndarray) -> "SymToeplitzOperator":
-        """Divide row ``i`` by ``h_rows[i]`` in place, the tail by its step,
-        whose rows share one step up to rounding, so it stays Toeplitz; the
-        circulant FFT of the unscaled tail is dropped."""
+        """Divide row ``i`` by ``h_rows[i]`` in place, the tail by
+        ``h_rows[b]``, the step of its first row: the tail rows share one step
+        up to rounding, so it stays Toeplitz; the circulant FFT of the
+        unscaled tail is dropped."""
         b = self.border
         self.rows /= h_rows[:b, None]
         self.cols /= h_rows[b:, None]
-        self.first_row = self.first_row / self.step
+        self.first_row = self.first_row / h_rows[b]
         self._circ_fft = None
         return self
 
@@ -460,51 +460,17 @@ def assemble_rhs(grid: Grid, problem: FdeProblem) -> np.ndarray:
     return b
 
 
-def toeplitz_coefficients(beta: float, count: int) -> np.ndarray:
-    """First ``count`` entries ``t_0, t_1, ...`` of the uniform-mesh first row,
-    normalized.
-
-    With constant diffusion ``K`` and ``gamma = 1/2`` on a uniform mesh of
-    step ``h``, entry ``(i, j)`` of the FVE matrix is
-    ``K h^(beta-1) / (2^beta Gamma(beta+1)) * t_|i-j|``.  The same numbers are
-    the cosine coefficients of the generating function
-    ``t_0 + 2 sum t_k cos(k theta)``.
-    """
-    if count < 1:
-        raise AssemblyError("the number of coefficients must be >= 1")
-    require_memory(8 * count, f"a table of {count} coefficients", AssemblyError)
-    t = np.empty(count)
-    t[0] = 3.0 - 3.0**beta
-    if count > 1:
-        t[1] = 0.5 * (3.0 ** (beta + 1.0) - 4.0 - 5.0**beta)
-    if count > 2:
-        k = np.arange(2.0, count)
-        t[2:] = 0.5 * (
-            3.0 * (2.0 * k + 1.0) ** beta
-            - 3.0 * (2.0 * k - 1.0) ** beta
-            + (2.0 * k - 3.0) ** beta
-            - (2.0 * k + 3.0) ** beta
-        )
-    return t
-
-
-def uniform_toeplitz(
-    n: int, beta: float, diffusion: float = 1.0, step: float | None = None
-) -> SymToeplitzOperator:
+def uniform_toeplitz(n: int, beta: float, diffusion: float = 1.0) -> LinearOperator:
     """Symmetric Toeplitz operator, with no border, of the discretization on
-    ``n`` nodes with the uniform step ``step`` (by default ``1/(n+1)``, the
-    uniform grid).
+    the uniform grid of ``n`` nodes.
 
     Valid only for constant diffusion and ``gamma = 1/2``, where the matrix
     entries of rows and columns inside a uniform run of steps depend on
-    ``|i - j|`` alone: this is the tail block of a mesh with a uniform tail,
-    the whole matrix on the uniform grid.
+    ``|i - j|`` alone.
     """
     if n < 1:
         raise AssemblyError("n must be >= 1")
-    h = 1.0 / (n + 1) if step is None else step
-    c = diffusion * h ** (beta - 1.0) / (2.0**beta * math.gamma(beta + 1.0))
-    return SymToeplitzOperator(c * toeplitz_coefficients(beta, n), h)
+    return assemble_operator(uniform_grid(n), FdeProblem(beta, 0.5, diffusion))
 
 
 #: Steps of a uniform tail differ only by the rounding of their node
@@ -528,8 +494,8 @@ def assemble_operator(grid: Grid, problem: FdeProblem, scaled: bool = False) -> 
 
     With constant diffusion and ``gamma = 1/2`` the rows and columns of a
     uniform tail form a symmetric Toeplitz block: a grid with a uniform tail
-    gets a :class:`SymToeplitzOperator` whose tail comes from
-    :func:`uniform_toeplitz` and whose border rows and columns come from
+    gets a :class:`SymToeplitzOperator` whose border rows and columns and
+    the tail's first row, row ``b`` of the matrix, come from
     :func:`assemble_matrix` (the uniform grid one with no border).
     Every other case gets the dense matrix of :func:`assemble_matrix`, which
     is also what a caller that factors the matrix calls directly.
@@ -540,11 +506,8 @@ def assemble_operator(grid: Grid, problem: FdeProblem, scaled: bool = False) -> 
     toeplitz = not callable(problem.diffusion) and problem.gamma == 0.5
     b = _tail_start(grid) if toeplitz else n
     if b < n:
-        step = (grid.points[-1] - grid.points[b]) / (n - b + 1)
-        tail = uniform_toeplitz(n - b, problem.beta, float(problem.diffusion), step=step)
         op: LinearOperator = SymToeplitzOperator(
-            tail.first_row,
-            step,
+            assemble_matrix(grid, problem, rows=(b, b + 1), cols=(b, n)).entries[0],
             assemble_matrix(grid, problem, rows=(0, b)).entries,
             assemble_matrix(grid, problem, rows=(b, n), cols=(0, b)).entries,
         )
@@ -554,9 +517,12 @@ def assemble_operator(grid: Grid, problem: FdeProblem, scaled: bool = False) -> 
 
 
 def assemble_system(grid: Grid, problem: FdeProblem) -> FveSystem:
-    """Assemble the operator of :func:`assemble_operator` and the right-hand
-    side of :func:`assemble_rhs`."""
-    return FveSystem(assemble_operator(grid, problem), assemble_rhs(grid, problem), grid, problem)
+    """Assemble the right-hand side of :func:`assemble_rhs`, then the
+    operator of :func:`assemble_operator`.  The right-hand side goes first:
+    its quadrature guard counts the solve's largest O(N) need, so a grid too
+    large for memory is refused before the operator's buffers are made."""
+    rhs = assemble_rhs(grid, problem)
+    return FveSystem(assemble_operator(grid, problem), rhs, grid, problem)
 
 
 def row_scale(system: FveSystem) -> FveSystem:
@@ -565,8 +531,8 @@ def row_scale(system: FveSystem) -> FveSystem:
     The scaling removes the grid-dependent measure factor from each
     equation, which the multigrid hierarchy relies on.  The operator's
     ``scale_rows`` divides it in place: a dense matrix row by row, a
-    Toeplitz operator's border row by row and its tail by the tail's step,
-    so it stays Toeplitz.
+    Toeplitz operator's border row by row and its tail by the step of the
+    tail's first row, so it stays Toeplitz.
 
     The returned system holds the very operator of ``system``, so the
     argument is consumed and its matrix must not be read as unscaled

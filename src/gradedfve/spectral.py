@@ -21,13 +21,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._memory import require_memory
-from .assembly import FdeProblem, assemble_matrix, toeplitz_coefficients
+from .assembly import AssemblyError, FdeProblem, assemble_matrix
 from .mesh import blend_coefficients, graded_grid
 
 __all__ = [
     "DEFAULT_SYMBOL_TERMS",
     "SymbolSample",
     "DistributionReport",
+    "toeplitz_coefficients",
     "symbol_p",
     "sample_symbol",
     "eig_vs_symbol",
@@ -62,6 +63,34 @@ class DistributionReport:
     sorted_samples: np.ndarray
     sup_gap: float
     grid_tag: str
+
+
+def toeplitz_coefficients(beta: float, count: int) -> np.ndarray:
+    """First ``count`` entries ``t_0, t_1, ...`` of the uniform-mesh first row,
+    normalized.
+
+    With constant diffusion ``K`` and ``gamma = 1/2`` on a uniform mesh of
+    step ``h``, entry ``(i, j)`` of the FVE matrix is
+    ``K h^(beta-1) / (2^beta Gamma(beta+1)) * t_|i-j|``.  The same numbers are
+    the cosine coefficients of the generating function
+    ``t_0 + 2 sum t_k cos(k theta)``.
+    """
+    if count < 1:
+        raise AssemblyError("the number of coefficients must be >= 1")
+    require_memory(8 * count, f"a table of {count} coefficients", AssemblyError)
+    t = np.empty(count)
+    t[0] = 3.0 - 3.0**beta
+    if count > 1:
+        t[1] = 0.5 * (3.0 ** (beta + 1.0) - 4.0 - 5.0**beta)
+    if count > 2:
+        k = np.arange(2.0, count)
+        t[2:] = 0.5 * (
+            3.0 * (2.0 * k + 1.0) ** beta
+            - 3.0 * (2.0 * k - 1.0) ** beta
+            + (2.0 * k - 3.0) ** beta
+            - (2.0 * k + 3.0) ** beta
+        )
+    return t
 
 
 def symbol_p(n_terms: int, beta: float, theta):

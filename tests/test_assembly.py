@@ -375,7 +375,7 @@ class TestToeplitzOperator:
     def test_fft_matvec_every_small_size(self, rng):
         # circulant sizes 2n - 1 .. 2n, odd ones included
         for n in range(1, 41):
-            op = SymToeplitzOperator(rng.standard_normal(n), 1.0)
+            op = SymToeplitzOperator(rng.standard_normal(n))
             v = rng.standard_normal(n)
             ref = op.to_dense() @ v
             assert np.abs(op.matvec(v) - ref).max() <= 1e-13 * np.abs(ref).max(), n
@@ -394,7 +394,8 @@ class TestToeplitzOperator:
 
 class TestBorderedToeplitz:
     """The bordered operator of a mesh with a uniform tail against the dense
-    assembly: its border is the same arithmetic, its tail the closed form."""
+    assembly: its border and the tail's first row, row ``b`` of the matrix,
+    are the same arithmetic, and the later tail rows repeat that row."""
 
     # (mesh, beta): the grids of eps1 and eps4 depend on beta through q; the
     # uniform grid is all tail, with no border
@@ -423,7 +424,7 @@ class TestBorderedToeplitz:
         b = op.border
         assert b == 0 if name == "uniform" else 0 < b < n
         a = op.to_dense()
-        assert a[:b].tobytes() == dense[:b].tobytes()
+        assert a[: b + 1].tobytes() == dense[: b + 1].tobytes()  # the border and row b
         assert a[b:, :b].tobytes() == dense[b:, :b].tobytes()
         tail = a[b:, b:]
         assert np.abs(tail - dense[b:, b:]).max() <= 1e-11 * np.abs(dense).max()
@@ -523,8 +524,8 @@ PROPERTY_MESHES = {
 )
 def test_every_operator_kind_agrees_with_the_dense_assembly(mesh, n, beta, gamma, variable, scaled):
     """Both operator kinds answer one protocol, and each answers it with
-    the dense assembly: border entries bit for bit, the Toeplitz tail to
-    1e-11 of max|A|."""
+    the dense assembly: border entries and the tail's first row bit for
+    bit, the rest of the Toeplitz tail to 1e-11 of max|A|."""
     kinds = typing.get_args(LinearOperator)
     grid = bench.build_case_grid(PROPERTY_MESHES[mesh], beta, n)
     problem = FdeProblem(beta, gamma, diffusion=(lambda x: 1.0 + x) if variable else 1.0)
@@ -537,7 +538,7 @@ def test_every_operator_kind_agrees_with_the_dense_assembly(mesh, n, beta, gamma
     if scaled:
         dense /= grid.steps[:-1][:, None]
     a = op.to_dense()
-    assert a[:b].tobytes() == dense[:b].tobytes()
+    assert a[: b + 1].tobytes() == dense[: b + 1].tobytes()
     assert a[b:, :b].tobytes() == dense[b:, :b].tobytes()
     scale = np.abs(dense).max()
     assert np.abs(a[b:, b:] - dense[b:, b:]).max(initial=0.0) <= 1e-11 * scale

@@ -314,7 +314,7 @@ class TestHierarchy:
             # all kept tail nodes but at most the first, whose left coarse step is graded
             assert len(coarse_tail) >= len(kept) - 1
             assert np.array_equal(coarse_tail, kept[len(kept) - len(coarse_tail) :])
-            assert coarse.operator.step == pytest.approx(2.0 * fine.operator.step, rel=1e-12)
+            assert coarse.grid.steps[-1] == pytest.approx(2.0 * fine.grid.steps[-1], rel=1e-12)
             assert np.array_equal(coarse.diag, coarse.operator.diagonal())
 
     def test_restriction_is_the_stored_transpose(self):

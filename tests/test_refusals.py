@@ -17,6 +17,7 @@ from gradedfve.assembly import (
     row_scale,
     uniform_toeplitz,
 )
+from gradedfve.cli import main as cli_main
 from gradedfve.mesh import (
     CompositeRule,
     Grid,
@@ -34,7 +35,7 @@ PROBLEM = FdeProblem(0.5, 0.5)
 
 def bordered(cols_shape):
     """A 3 x 3 operator with one border row around a 2 x 2 Toeplitz tail."""
-    return SymToeplitzOperator(np.ones(2), 0.25, np.zeros((1, 3)), np.zeros(cols_shape))
+    return SymToeplitzOperator(np.ones(2), np.zeros((1, 3)), np.zeros(cols_shape))
 
 
 @pytest.mark.parametrize(
@@ -42,7 +43,7 @@ def bordered(cols_shape):
     [
         (lambda: DenseOperator(np.eye(2)).matvec(np.ones(3)), AssemblyError, "dimension mismatch"),
         (lambda: bordered((2, 1)).matvec(np.ones(2)), AssemblyError, "dimension mismatch"),
-        (lambda: SymToeplitzOperator(np.array([]), 1.0), AssemblyError, "nonempty 1-D array"),
+        (lambda: SymToeplitzOperator(np.array([])), AssemblyError, "nonempty 1-D array"),
         (lambda: bordered((1, 1)), AssemblyError, "shapes do not fit"),
         (lambda: FveSystem(DenseOperator(np.eye(2)), np.zeros(2), uniform_grid(3), PROBLEM),
          AssemblyError, "dimensions are inconsistent"),
@@ -97,3 +98,22 @@ def test_quadrature_tables_are_guarded_together(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 7 * table
+
+
+@pytest.mark.parametrize(
+    "mesh",
+    [["--mesh", "uniform"], ["--mesh", "composite", "--rule", "sqrt"], ["--mesh", "graded"]],
+    ids=["uniform", "sqrt", "graded"],
+)
+def test_solve_beyond_physical_memory_is_refused_before_assembly(monkeypatch, mesh):
+    # the right-hand side is assembled first, and its guard counts the
+    # solve's largest O(N) need, so the operator's buffers are never made
+    monkeypatch.setattr(_memory, "physical_memory", lambda: 2**20)
+    tracemalloc.start()
+    try:
+        code = cli_main(["solve", *mesh, "--n", "16385"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert peak < 2**20

@@ -7,7 +7,7 @@ import scipy.linalg
 
 from gradedfve import _memory, bench
 from gradedfve import spectral as sp
-from gradedfve.assembly import FdeProblem, assemble_matrix, toeplitz_coefficients
+from gradedfve.assembly import FdeProblem, assemble_matrix, uniform_toeplitz
 from gradedfve.cli import main as cli_main
 from gradedfve.mesh import blend_coefficients, graded_grid, uniform_grid
 
@@ -46,10 +46,20 @@ class TestGeneratingFunction:
         vals = sp.symbol_p(2**12, 0.5, th) / th**2
         assert np.all(np.diff(vals) > 0)
 
+    @pytest.mark.parametrize("beta", [0.05, 0.5, 0.8, 0.95])
+    @pytest.mark.parametrize("n", [1, 16, 255, 4095])
+    def test_coefficients_are_the_scaled_uniform_first_row(self, n, beta):
+        # the closed form of the coefficients against the flux kernel's row
+        h = 1.0 / (n + 1)
+        c = h ** (beta - 1.0) / (2.0**beta * math.gamma(beta + 1.0))
+        row = uniform_toeplitz(n, beta).first_row
+        err = np.abs(c * sp.toeplitz_coefficients(beta, n) - row).max()
+        assert err <= 1e-10 * abs(row[0])
+
 
 def direct_sum(n_terms, beta, theta):
     """The cosine series summed one term at a time, kept as an oracle."""
-    t = toeplitz_coefficients(beta, n_terms)
+    t = sp.toeplitz_coefficients(beta, n_terms)
     k = np.arange(1, n_terms)
     return t[0] + 2.0 * (np.cos(np.outer(theta, k)) @ t[1:])
 
@@ -63,7 +73,7 @@ class TestBlockedSummation:
         n_terms = 4096
         thetas = np.geomspace(1e-6, math.pi, 12)
         got = sp.symbol_p(n_terms, beta, thetas)
-        t = [mpmath.mpf(float(v)) for v in toeplitz_coefficients(beta, n_terms)]
+        t = [mpmath.mpf(float(v)) for v in sp.toeplitz_coefficients(beta, n_terms)]
         with mpmath.workdps(30):
             for th, value in zip(thetas, got):
                 x = mpmath.mpf(float(th))
