@@ -494,9 +494,10 @@ def assemble_operator(grid: Grid, problem: FdeProblem, scaled: bool = False) -> 
 
     With constant diffusion and ``gamma = 1/2`` the rows and columns of a
     uniform tail form a symmetric Toeplitz block: a grid with a uniform tail
-    gets a :class:`SymToeplitzOperator` whose border rows and columns and
-    the tail's first row, row ``b`` of the matrix, come from
-    :func:`assemble_matrix` (the uniform grid one with no border).
+    gets a :class:`SymToeplitzOperator` whose border rows and the tail's
+    first row, rows ``0 .. b`` of the matrix, come from one
+    :func:`assemble_matrix` block and the border columns from a second
+    (the uniform grid one with no border).
     Every other case gets the dense matrix of :func:`assemble_matrix`, which
     is also what a caller that factors the matrix calls directly.
     ``scaled`` applies the row scaling of :func:`row_scale` to the operator,
@@ -506,10 +507,9 @@ def assemble_operator(grid: Grid, problem: FdeProblem, scaled: bool = False) -> 
     toeplitz = not callable(problem.diffusion) and problem.gamma == 0.5
     b = _tail_start(grid) if toeplitz else n
     if b < n:
+        top = assemble_matrix(grid, problem, rows=(0, b + 1)).entries
         op: LinearOperator = SymToeplitzOperator(
-            assemble_matrix(grid, problem, rows=(b, b + 1), cols=(b, n)).entries[0],
-            assemble_matrix(grid, problem, rows=(0, b)).entries,
-            assemble_matrix(grid, problem, rows=(b, n), cols=(0, b)).entries,
+            top[b, b:], top[:b], assemble_matrix(grid, problem, rows=(b, n), cols=(0, b)).entries
         )
     else:
         op = assemble_matrix(grid, problem)

@@ -7,8 +7,9 @@ any preconditioner.  The products ``A v_j`` of the Krylov basis vectors,
 which the preconditioned Arnoldi step forms anyway, are kept, so each
 iteration tracks ``A x_k = sum_j y_j (A v_j)`` without a further product;
 one real product ``A x_k`` confirms the residual before the iteration
-stops.  The orthogonalization is modified Gram-Schmidt with a single
-conditional reorthogonalization pass.
+stops.  The orthogonalization is classical Gram-Schmidt applied twice, each
+pass two matrix-vector products with the basis, and each iteration solves
+the small Hessenberg least-squares problem afresh by one QR factorization.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ import numpy as np
 from ._memory import require_memory
 
 __all__ = ["SolveReport", "gmres"]
-
-_REORTH_TOL = 1e-8
 
 
 @dataclass
@@ -94,10 +93,6 @@ def gmres(
     v = np.zeros((maxit + 1, n))
     v[0] = r0 / r0norm
     h = np.zeros((maxit + 1, maxit))
-    cs = np.zeros(maxit)
-    sn = np.zeros(maxit)
-    g = np.zeros(maxit + 1)
-    g[0] = r0norm
 
     def confirm(y: np.ndarray) -> tuple[np.ndarray, float]:
         """The iterate of the coefficients ``y`` and its true residual."""
@@ -105,7 +100,7 @@ def gmres(
         return x, float(np.linalg.norm(b - op.matvec(x))) / bnorm
 
     av: list[np.ndarray] = []  # A v_j, one per iteration
-    y = None
+    y = np.zeros(0)  # coefficients of the current iterate, x_0 = 0
     history: list[float] = []
     solution = np.zeros(n)
     converged = False
@@ -115,12 +110,8 @@ def gmres(
         av.append(op.matvec(v[k]))
         w = apply_m(av[k])
         wnorm_in = float(np.linalg.norm(w))
-        for j in range(k + 1):
-            h[j, k] = v[j] @ w
-            w -= h[j, k] * v[j]
-        # one reorthogonalization pass if orthogonality degraded
-        d = v[: k + 1] @ w
-        if d.size and np.abs(d).max() > _REORTH_TOL * max(np.linalg.norm(w), 1e-300):
+        for _ in range(2):
+            d = v[: k + 1] @ w
             w -= d @ v[: k + 1]
             h[: k + 1, k] += d
         h[k + 1, k] = float(np.linalg.norm(w))
@@ -129,29 +120,16 @@ def gmres(
         if not happy:
             v[k + 1] = w / h[k + 1, k]
 
-        # apply stored Givens rotations, then generate the new one
-        for j in range(k):
-            t = cs[j] * h[j, k] + sn[j] * h[j + 1, k]
-            h[j + 1, k] = -sn[j] * h[j, k] + cs[j] * h[j + 1, k]
-            h[j, k] = t
-        denom = float(np.hypot(h[k, k], h[k + 1, k]))
-        if denom == 0.0:
+        # y minimizes ||r0norm e_1 - H y|| over the (k + 2) x (k + 1) Hessenberg H
+        q, r = np.linalg.qr(h[: k + 2, : k + 1])
+        if r[k, k] == 0.0:  # H is rank deficient: the previous iterate stands
             breakdown = True
-            if y is None:
-                history.append(1.0)
-            else:  # the previous iterate stands
-                solution, res = confirm(y)
-                history.append(res)
+            solution, res = confirm(y)
+            history.append(res)
             break
-        cs[k] = h[k, k] / denom
-        sn[k] = h[k + 1, k] / denom
-        h[k, k] = denom
-        h[k + 1, k] = 0.0
-        g[k + 1] = -sn[k] * g[k]
-        g[k] = cs[k] * g[k]
+        y = np.linalg.solve(r, r0norm * q[0])
 
         # residual of the current iterate from the kept products
-        y = np.linalg.solve(h[: k + 1, : k + 1], g[: k + 1])
         ax = y[0] * av[0]
         for j in range(1, k + 1):
             ax += y[j] * av[j]

@@ -94,7 +94,8 @@ def uniform_grid(n: int) -> Grid:
     """Uniform grid with ``n`` interior points, step ``1/(n+1)``."""
     if n < 1:
         raise MeshError("n must be >= 1")
-    require_memory(8 * (n + 2), f"a grid of {n} interior points", MeshError)
+    # at most the points, the steps and the step test's mask are alive at once
+    require_memory(3 * 8 * (n + 2), f"a grid of {n} interior points", MeshError)
     return Grid(np.arange(n + 2, dtype=float) / (n + 1))
 
 
@@ -214,7 +215,8 @@ def graded_grid(n: int, coeffs: BlendCoeffs) -> Grid:
     """
     if n < 1:
         raise MeshError("n must be >= 1")
-    require_memory(8 * (n + 2), f"a grid of {n} interior points", MeshError)
+    # the map's evaluation holds five arrays and two masks (an eighth each) at once
+    require_memory(6 * 8 * (n + 2), f"a grid of {n} interior points", MeshError)
     h = 1.0 / (n + 1)
     if h > coeffs.eps1:
         raise MeshError(
@@ -256,7 +258,8 @@ def composite_grid_from_counts(n1: int, n2: int) -> Grid:
     """
     if n1 < 1 or n2 < 1:
         raise MeshError("n1 and n2 must be >= 1")
-    require_memory(8 * (n1 + n2 + 2), f"a grid of {n1 + n2} interior points", MeshError)
+    # the two parts, the points, the steps and the step test's mask
+    require_memory(4 * 8 * (n1 + n2 + 2), f"a grid of {n1 + n2} interior points", MeshError)
     h = 1.0 / (n2 + 1)
     dyadic = h * np.exp2(np.arange(-n1, 0, dtype=float))  # x_i = 2^(i-1-n1) h
     uniform = h * np.arange(1, n2 + 1, dtype=float)

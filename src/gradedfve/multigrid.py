@@ -17,13 +17,13 @@ O(N log N) on the tail.
 Dense matrices are formed only where they are the point: the at most
 3 x 3 coarsest level, solved directly, and the small eigenproblem of the
 damping estimate.  Grid transfer uses piecewise-linear interpolation on the
-non-uniform nodes, stored as its two weights per odd fine node and applied
-with strided slices; restriction is the weighted transpose of the
-interpolation (the 1/2 factor that turns the transpose into full weighting
-on a uniform grid), which shares those weights.  The smoother is one
-damped-Jacobi sweep before and after coarse-grid correction, with the
-damping weight estimated once from the spectrum of the Jacobi iteration
-matrix on a small rediscretization of the same problem.
+non-uniform nodes, stored once per level as its two weights per odd fine
+node and applied, as is its transpose, with strided slices; restriction is
+that transpose times 1/2 (the factor that makes it full weighting on a
+uniform grid).  The smoother is one damped-Jacobi sweep before and after
+coarse-grid correction, with the damping weight estimated once from the
+spectrum of the Jacobi iteration matrix on a small rediscretization of the
+same problem.
 """
 
 from __future__ import annotations
@@ -96,16 +96,16 @@ class SmootherRegion:
         ok = (x >= self.x_min) & (x <= self.x_max)
         return ok & (np.abs(z.imag) < self.boundary(x))
 
-    def contains(self, z) -> bool:
-        """True if every entry of ``z`` lies strictly inside the lens."""
-        return bool(np.all(self.inside(z)))
-
 
 DEFAULT_REGION = SmootherRegion()
 
 
 def coarsen(grid: Grid) -> Grid:
-    """Keep the boundary nodes and every second interior node."""
+    """Keep the boundary nodes and every second interior node.
+
+    On an even ``N`` the kept nodes end at ``x_N``, so the coarse grid's last
+    step is a half step and a uniform tail is lost from the coarse levels.
+    """
     n = grid.n
     if n < 4:
         raise MultigridError("coarsening needs at least 4 interior points")
@@ -114,56 +114,41 @@ def coarsen(grid: Grid) -> Grid:
     return Grid(np.concatenate(([x[0]], x[2 : 2 * nc + 1 : 2], [x[-1]])))
 
 
-class Interpolation:
-    """Linear interpolation from the ``nc = n // 2`` coarse to the ``n`` fine
-    interior nodes, or, as :attr:`T`, its transpose, which shares its weights.
-
-    Fine row ``2k - 1`` (node ``2k``) copies coarse entry ``k - 1``; fine row
-    ``2k`` (node ``2k + 1``) takes ``left[k - 1]`` times coarse entry
-    ``k - 1`` (for ``k >= 1``) plus ``right[k]`` times coarse entry ``k``
-    (for ``k < nc``).  ``@`` applies it to a vector with strided slices,
-    adding the terms of each output entry to zero in the order a compressed
-    sparse row (or, transposed, column) product adds them.
-    """
-
-    def __init__(self, n: int, left: np.ndarray, right: np.ndarray, transposed: bool = False):
-        self.n, self.left, self.right, self.transposed = n, left, right, transposed
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        n, nc = self.n, self.n // 2
-        return (nc, n) if self.transposed else (n, nc)
-
-    @property
-    def T(self) -> "Interpolation":
-        return Interpolation(self.n, self.left, self.right, not self.transposed)
-
-    def __matmul__(self, y: np.ndarray) -> np.ndarray:
-        rows, cols = self.shape
-        if y.shape != (cols,):
-            raise MultigridError("grid transfer takes a vector of matching length")
-        left, right = self.left, self.right
-        nl, nc = left.size, right.size
-        out = np.zeros(rows)
-        if self.transposed:  # coarse entry k: fine rows 2k, 2k + 1, 2k + 2
-            out += right * y[0::2][:nc]
-            out += y[1::2]
-            out[:nl] += left * y[2::2][:nl]
-        else:
-            odd = out[0::2]  # fine rows 2k, nodes 2k + 1
-            odd[1:] += left * y[:nl]
-            odd[:nc] += right * y
-            out[1::2] += y
-        return out
+def _interpolate(weights: tuple[np.ndarray, np.ndarray], y: np.ndarray) -> np.ndarray:
+    """Fine values of the coarse values ``y`` by the weights of
+    :func:`prolongation`, each summed from zero in the order of a
+    compressed sparse row product."""
+    left, right = weights
+    out = np.zeros(left.size + right.size + 1)
+    odd = out[0::2]  # fine entries 2k, nodes 2k + 1
+    odd[1:] += left * y[: left.size]
+    odd[: right.size] += right * y
+    out[1::2] += y
+    return out
 
 
-def prolongation(fine: Grid, coarse: Grid) -> Interpolation:
-    """Linear interpolation from coarse to fine interior nodes.
+def _restrict(weights: tuple[np.ndarray, np.ndarray], r: np.ndarray) -> np.ndarray:
+    """The transpose of :func:`_interpolate` applied to the fine values
+    ``r``, each coarse entry summed from zero in the order of a compressed
+    sparse column product."""
+    left, right = weights
+    out = np.zeros(right.size)  # coarse entry k: fine entries 2k, 2k + 1, 2k + 2
+    out += right * r[0::2][: right.size]
+    out += r[1::2]
+    out[: left.size] += left * r[2::2][: left.size]
+    return out
+
+
+def prolongation(fine: Grid, coarse: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Weights of the linear interpolation from coarse to fine interior nodes.
 
     Even fine nodes coincide with coarse nodes and are copied; odd fine
     nodes are linearly interpolated between their bracketing coarse
     neighbours, with the Dirichlet boundary nodes acting as zero-value
     anchors (the operands are error corrections, which vanish there).
+    Returns ``(left, right)``: fine node ``2k + 1`` takes ``left[k - 1]``
+    times coarse entry ``k - 1`` (for ``k >= 1``) plus ``right[k]`` times
+    coarse entry ``k`` (for ``k < nc``).
     """
     n, nc = fine.n, coarse.n
     if nc != n // 2 or not np.array_equal(coarse.points[1:-1], fine.points[2 : 2 * nc + 1 : 2]):
@@ -172,7 +157,7 @@ def prolongation(fine: Grid, coarse: Grid) -> Interpolation:
     odd = np.arange(1, n + 1, 2)
     k = (odd - 1) // 2  # left coarse neighbour of fine node 2k+1 (0 = boundary)
     wl = (xf[2 * k + 2] - xf[odd]) / (xf[2 * k + 2] - xf[2 * k])
-    return Interpolation(n, wl[1:], 1.0 - wl[:nc])
+    return wl[1:], 1.0 - wl[:nc]
 
 
 def estimate_omega(a: np.ndarray) -> float:
@@ -214,9 +199,8 @@ class MgLevel:
     grid: Grid
     operator: LinearOperator
     diag: np.ndarray
-    prolong: Interpolation | None = None
-    # prolong.T, made once; it shares prolong's weights
-    restrict: Interpolation | None = None
+    # prolongation weights to the next coarser level; None on the coarsest
+    weights: tuple[np.ndarray, np.ndarray] | None = None
 
 
 @dataclass
@@ -301,8 +285,7 @@ def build_hierarchy(system: FveSystem) -> MgHierarchy:
             reassembled += 1
         levels.append(MgLevel(grid=g, operator=op, diag=op.diagonal()))
     for lev, coarse in zip(levels, levels[1:]):
-        lev.prolong = prolongation(lev.grid, coarse.grid)
-        lev.restrict = lev.prolong.T
+        lev.weights = prolongation(lev.grid, coarse.grid)
 
     est = next(lev for lev in levels if lev.grid.n <= _OMEGA_SIZE)
     omega = estimate_omega(est.operator.to_dense())
@@ -317,8 +300,8 @@ def _vcycle(hier: MgHierarchy, level: int, r: np.ndarray) -> np.ndarray:
     omega = hier.omega
     x = omega * r / lev.diag  # pre-smoothing from zero guess
     res = r - lev.operator.matvec(x)
-    rc = _RESTRICTION_SCALE * (lev.restrict @ res)
-    x = x + lev.prolong @ _vcycle(hier, level + 1, rc)
+    rc = _RESTRICTION_SCALE * _restrict(lev.weights, res)
+    x = x + _interpolate(lev.weights, _vcycle(hier, level + 1, rc))
     x = x + omega * (r - lev.operator.matvec(x)) / lev.diag
     return x
 

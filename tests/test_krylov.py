@@ -55,6 +55,24 @@ class TestBasics:
         hist = rep.residual_history
         assert np.all(np.diff(hist) <= 1e-12)
 
+    @pytest.mark.parametrize("k", [1, 3, 6])
+    def test_iterate_minimizes_the_preconditioned_residual(self, rng, k):
+        # x_k minimizes ||M (b - A x)|| over the Krylov space of M A and M b
+        n = 40
+        a = np.eye(n) + rng.standard_normal((n, n)) / np.sqrt(n)
+        m = np.eye(n) + 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
+        b = rng.standard_normal(n)
+        rep = gmres(DenseOperator(a), b, precond=lambda r: m @ r, tol=1e-15, maxit=k)
+        assert not rep.converged and rep.iterations == k
+        basis = [m @ b]
+        for _ in range(k - 1):
+            w = m @ (a @ basis[-1])
+            basis.append(w / np.linalg.norm(w))
+        krylov = np.column_stack(basis)
+        coef = np.linalg.lstsq(m @ a @ krylov, m @ b, rcond=None)[0]
+        expected = krylov @ coef
+        assert np.linalg.norm(rep.solution - expected) <= 1e-10 * np.linalg.norm(expected)
+
     def test_maxit_respected_and_flagged(self, rng):
         # rotation-like spectrum makes unpreconditioned GMRES slow
         a = np.eye(40) + np.diag(np.ones(39), 1) * 2.0

@@ -26,6 +26,8 @@ from gradedfve.multigrid import (
     OMEGA_FALLBACK,
     MultigridError,
     SmootherRegion,
+    _interpolate,
+    _restrict,
     build_hierarchy,
     coarsen,
     estimate_omega,
@@ -38,9 +40,10 @@ def scaled_hierarchy(grid, problem):
     return build_hierarchy(row_scale(assemble_system(grid, problem)))
 
 
-def dense_transfer(transfer):
-    """The matrix of a grid transfer, built column by column."""
-    return np.column_stack([transfer @ e for e in np.eye(transfer.shape[1])])
+def dense_transfer(transfer, weights, cols):
+    """The matrix of a grid transfer with ``cols`` columns, built column by
+    column."""
+    return np.column_stack([transfer(weights, e) for e in np.eye(cols)])
 
 
 def loop_prolongation(fine, coarse):
@@ -104,7 +107,7 @@ def loop_omega(a):
     best, best_damp = None, np.inf
     for k in range(399, 0, -1):
         omega = k * 0.005
-        if not DEFAULT_REGION.contains(1.0 - omega * lam):
+        if not DEFAULT_REGION.inside(1.0 - omega * lam).all():
             continue
         damp = float(np.abs(1.0 - omega * upper).max())
         if damp < best_damp - 1e-15:
@@ -132,10 +135,10 @@ class TestRegion:
         assert DEFAULT_REGION.boundary(DEFAULT_REGION.x_min) == pytest.approx(0.0, abs=1e-12)
 
     def test_containment(self):
-        assert DEFAULT_REGION.contains(np.array([0.0, 0.5, -0.6]))
-        assert not DEFAULT_REGION.contains(np.array([-0.7]))
-        assert not DEFAULT_REGION.contains(np.array([0.5 + 0.9j]))
-        assert DEFAULT_REGION.contains(np.array([0.5 + 0.3j]))
+        assert DEFAULT_REGION.inside(np.array([0.0, 0.5, -0.6])).all()
+        assert not DEFAULT_REGION.inside(np.array([-0.7])).all()
+        assert not DEFAULT_REGION.inside(np.array([0.5 + 0.9j])).all()
+        assert DEFAULT_REGION.inside(np.array([0.5 + 0.3j])).all()
 
 
 class TestCoarsen:
@@ -160,7 +163,7 @@ class TestCoarsen:
 class TestProlongation:
     def test_uniform_classical_stencil(self):
         fine = uniform_grid(7)
-        p = dense_transfer(prolongation(fine, coarsen(fine)))
+        p = dense_transfer(_interpolate, prolongation(fine, coarsen(fine)), 3)
         # coarse node k feeds fine nodes 2k-1, 2k, 2k+1 with 1/2, 1, 1/2
         expected = np.array(
             [
@@ -178,7 +181,7 @@ class TestProlongation:
     def test_coincident_rows_are_unit(self):
         fine = graded_grid(15, blend_coefficients(3.0, 1.0, 0.0))
         coarse = coarsen(fine)
-        p = dense_transfer(prolongation(fine, coarse))
+        p = dense_transfer(_interpolate, prolongation(fine, coarse), coarse.n)
         for k in range(1, coarse.n + 1):
             row = p[2 * k - 1]
             assert row[k - 1] == 1.0 and np.count_nonzero(row) == 1
@@ -186,8 +189,7 @@ class TestProlongation:
     def test_linear_reproduction_in_interior(self):
         fine = graded_grid(31, blend_coefficients(2.5, 1.0, 0.0))
         coarse = coarsen(fine)
-        p = prolongation(fine, coarse)
-        vals = p @ coarse.points[1:-1]
+        vals = _interpolate(prolongation(fine, coarse), coarse.points[1:-1])
         interior = slice(1, 2 * coarse.n)  # rows bracketed by true coarse nodes
         assert np.abs(vals[interior] - fine.points[1:-1][interior]).max() < 1e-14
 
@@ -195,7 +197,8 @@ class TestProlongation:
     def test_matches_loop_construction(self, n):
         fine = graded_grid(n, blend_coefficients(3.0, 0.45, 0.05))
         coarse = coarsen(fine)
-        p = scipy.sparse.csr_matrix(dense_transfer(prolongation(fine, coarse)))
+        weights = prolongation(fine, coarse)
+        p = scipy.sparse.csr_matrix(dense_transfer(_interpolate, weights, coarse.n))
         ref = loop_prolongation(fine, coarse)
         assert p.shape == ref.shape
         assert np.array_equal(p.indptr, ref.indptr)
@@ -207,26 +210,16 @@ class TestProlongation:
         fine = TRANSFER_GRIDS[name]()
         coarse = coarsen(fine)
         n, nc = fine.n, coarse.n
-        p = prolongation(fine, coarse)
+        weights = prolongation(fine, coarse)
         ref = loop_prolongation(fine, coarse)
-        assert p.shape == ref.shape and p.T.shape == (nc, n)
         for y in (*np.eye(nc), rng.standard_normal(nc)):
-            assert (p @ y).tobytes() == (ref @ y).tobytes()
+            assert _interpolate(weights, y).tobytes() == (ref @ y).tobytes()
         for r in (*np.eye(n), rng.standard_normal(n)):
-            assert (p.T @ r).tobytes() == (ref.T @ r).tobytes()
+            assert _restrict(weights, r).tobytes() == (ref.T @ r).tobytes()
 
     def test_rejects_mismatched_grids(self):
         with pytest.raises(MultigridError):
             prolongation(uniform_grid(15), uniform_grid(5))
-
-    def test_rejects_operands_of_the_wrong_shape(self):
-        fine = uniform_grid(15)
-        p = prolongation(fine, coarsen(fine))
-        for transfer, bad in (
-            (p, np.zeros(15)), (p.T, np.zeros(7)), (p, np.zeros((7, 2))), (p, np.zeros((7, 2, 2)))
-        ):
-            with pytest.raises(MultigridError):
-                transfer @ bad
 
 
 class TestOmegaEstimate:
@@ -247,7 +240,7 @@ class TestOmegaEstimate:
         omega = estimate_omega(assemble_operator(grid, prob, scaled=True).to_dense())
         # closed-form Jacobi spectrum of the scaled discrete Laplacian
         lam = 1.0 - np.cos(np.arange(1, ntilde + 1) * math.pi / (ntilde + 1))
-        assert DEFAULT_REGION.contains(1.0 - omega * lam)
+        assert DEFAULT_REGION.inside(1.0 - omega * lam).all()
         upper = (1.0 - DEFAULT_REGION.x_min) / lam.max()
         assert 0.0 < omega <= upper
         # damping-optimal weight for the oscillatory half: 2/(1 + lam_max)
@@ -316,15 +309,6 @@ class TestHierarchy:
             assert np.array_equal(coarse_tail, kept[len(kept) - len(coarse_tail) :])
             assert coarse.grid.steps[-1] == pytest.approx(2.0 * fine.grid.steps[-1], rel=1e-12)
             assert np.array_equal(coarse.diag, coarse.operator.diagonal())
-
-    def test_restriction_is_the_stored_transpose(self):
-        grid = graded_grid(31, blend_coefficients(2.0, 1.0, 0.0))
-        hier = scaled_hierarchy(grid, FdeProblem(beta=0.5, gamma=0.5))
-        for lev in hier.levels[:-1]:
-            assert np.array_equal(dense_transfer(lev.restrict), dense_transfer(lev.prolong.T))
-            assert np.shares_memory(lev.restrict.left, lev.prolong.left)
-            assert np.shares_memory(lev.restrict.right, lev.prolong.right)
-        assert hier.levels[-1].restrict is None
 
     def test_unscaled_system_rejected(self):
         system = assemble_system(uniform_grid(15), FdeProblem(beta=0.5, gamma=0.5))

@@ -101,6 +101,35 @@ def test_quadrature_tables_are_guarded_together(monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "build,arrays",
+    [
+        (uniform_grid, 3),
+        (lambda n: composite_grid_from_counts(255, n - 255), 4),
+        (lambda n: graded_grid(n, blend_coefficients(2.0, 0.1, 0.05)), 6),
+    ],
+    ids=["uniform", "composite", "graded"],
+)
+def test_grid_arrays_are_guarded_together(monkeypatch, build, arrays):
+    # a grid constructor holds several arrays of 8 (N + 2) bytes at once: one
+    # byte short of them is refused before any is made, and they hold it
+    n = 2**16 - 1
+    need = arrays * 8 * (n + 2)
+    for limit in (need - 1, need):
+        monkeypatch.setattr(_memory, "physical_memory", lambda: limit)
+        tracemalloc.start()
+        try:
+            if limit < need:
+                with pytest.raises(MeshError, match="physical memory"):
+                    build(n)
+            else:
+                assert build(n).n == n
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < limit
+
+
+@pytest.mark.parametrize(
     "mesh",
     [["--mesh", "uniform"], ["--mesh", "composite", "--rule", "sqrt"], ["--mesh", "graded"]],
     ids=["uniform", "sqrt", "graded"],
