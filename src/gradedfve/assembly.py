@@ -9,12 +9,12 @@ with Dirichlet data ``u(0) = u_left``, ``u(1) = u_right``, where D_left and
 D_right are the left/right Caputo derivatives of order ``1 - beta``,
 ``0 < beta < 1``.  Integrating over the control volumes
 ``[x_{i-1/2}, x_{i+1/2}]`` with piecewise-linear trial functions yields a
-dense N x N system.  With constant K and gamma = 1/2, the rows and columns
-of the nodes in a uniform run of steps form a symmetric Toeplitz block, so a
-grid that ends in a uniform tail gets a Toeplitz operator: dense rows and
-columns for its graded nodes (the border) around a Toeplitz tail, whose
-product goes through FFTs.  The uniform grid is the Toeplitz operator with
-no border; every other operator is a dense matrix.  The two kinds answer
+dense N x N system.  With constant K, the rows and columns of the nodes in
+a uniform run of steps form a Toeplitz block for every gamma (a symmetric
+one at gamma = 1/2), so a grid that ends in a uniform tail gets a Toeplitz
+operator: dense rows and columns for its graded nodes (the border) around
+a Toeplitz tail, whose product goes through FFTs.  The uniform grid is the
+Toeplitz operator with no border; every other operator is a dense matrix.  The two kinds answer
 one protocol (``shape``, ``matvec``, ``diagonal``, ``to_dense`` and
 ``scale_rows``, which divides their rows in place).
 
@@ -27,8 +27,9 @@ powers ``|x_m - z|**beta`` at the piece's two nodes divided by its length
 and weighted by gamma left of ``z`` and by gamma - 1 right of it; the
 piece that holds ``z`` is split by it.  A hat's flux is the difference of
 the piece fluxes of the two pieces it lies on, so one formula gives every
-matrix entry, the first row of a Toeplitz tail included, and, through the
-two boundary half-hats, the Dirichlet terms of the right-hand side; the
+matrix entry (the first row and column of a Toeplitz tail, and through it
+the generating function's coefficients, included) and, through the two
+boundary half-hats, the Dirichlet terms of the right-hand side; the
 node coordinates double as the prefix sums of the step lengths, so each
 entry costs O(1) and the whole assembly O(N^2).
 The dense assembly is blocked: it fills the matrix, or a block of rows and
@@ -58,7 +59,7 @@ __all__ = [
     "AssemblyError",
     "FdeProblem",
     "DenseOperator",
-    "SymToeplitzOperator",
+    "ToeplitzOperator",
     "FveSystem",
     "assemble_matrix",
     "assemble_rhs",
@@ -147,37 +148,33 @@ class DenseOperator:
         return self
 
 
-class SymToeplitzOperator:
-    """Matrix whose trailing ``m x m`` block is symmetric Toeplitz:
+class ToeplitzOperator:
+    """Matrix whose trailing ``m x m`` block is Toeplitz:
 
         [ rows        ]   rows: the first b rows, dense, b x N
         [ cols | tail ]   cols: the tail rows' border columns, dense, m x b
 
     This is the FVE matrix of a mesh whose last ``m`` nodes lie in a uniform
-    tail (constant diffusion, ``gamma = 1/2``); the ``b = N - m`` graded
-    nodes form the border, which is empty by default, as on the uniform
-    grid.  The tail is stored by its first row, row ``b`` of the matrix.  It
-    stores ``N^2 - m^2`` numbers plus O(m), and a product costs
-    ``N^2 - m^2`` multiply-adds plus real FFTs of a circulant embedding of
-    the tail, whose size is the first power of two ``>= 2m - 1``.
+    tail (constant diffusion, any gamma); the ``b = N - m`` graded nodes
+    form the border, which is empty on the uniform grid.  The tail is
+    stored by its first column and first row, column ``b`` and row ``b`` of
+    the matrix, which share the diagonal entry.  It stores ``N^2 - m^2``
+    numbers plus O(m), and a product costs ``N^2 - m^2`` multiply-adds plus
+    real FFTs of a circulant embedding of the tail, whose size is the first
+    power of two ``>= 2m - 1``.
     """
 
     def __init__(
-        self,
-        first_row: np.ndarray,
-        rows: np.ndarray | None = None,
-        cols: np.ndarray | None = None,
+        self, first_col: np.ndarray, first_row: np.ndarray, rows: np.ndarray, cols: np.ndarray
     ):
-        row = np.asarray(first_row, dtype=float)
-        if row.ndim != 1 or row.size == 0:
-            raise AssemblyError("first_row must be a nonempty 1-D array")
+        col, row = np.asarray(first_col, dtype=float), np.asarray(first_row, dtype=float)
+        if row.ndim != 1 or row.size == 0 or col.shape != row.shape:
+            raise AssemblyError("first_col and first_row must be nonempty 1-D arrays of one size")
         m = row.size
-        rows = np.empty((0, m)) if rows is None else rows
-        cols = np.empty((m, 0)) if cols is None else cols
         b, n = rows.shape
         if n != b + m or cols.shape != (m, b):
             raise AssemblyError("border and tail shapes do not fit together")
-        self.rows, self.cols, self.first_row = rows, cols, row
+        self.rows, self.cols, self.first_col, self.first_row = rows, cols, col, row
         self._circ_size = 1 << (2 * m - 2).bit_length()
         self._circ_fft: np.ndarray | None = None
 
@@ -191,11 +188,11 @@ class SymToeplitzOperator:
         return self.rows.shape[0]
 
     def _fft(self) -> np.ndarray:
-        if self._circ_fft is None:
-            t = self.first_row
+        if self._circ_fft is None:  # first column: the tail's, then its first row reversed
+            m = self.first_row.size
             circ = np.zeros(self._circ_size)
-            circ[: t.size] = t
-            circ[circ.size - t.size + 1 :] = t[1:][::-1]
+            circ[:m] = self.first_col
+            circ[circ.size - m + 1 :] = self.first_row[:0:-1]
             self._circ_fft = np.fft.rfft(circ)
         return self._circ_fft
 
@@ -214,18 +211,18 @@ class SymToeplitzOperator:
         return np.concatenate((np.diag(self.rows), np.full(self.first_row.size, self.first_row[0])))
 
     def to_dense(self) -> np.ndarray:
-        """The matrix: the border, then tail row ``i`` as ``t[i:0:-1]``
-        followed by ``t[:m-i]``, copied straight from a sliding window over
-        the first row reflected about ``t_0``."""
-        b, t = self.border, self.first_row
+        """The matrix: the border, then tail row ``i`` as ``c[i:0:-1]``
+        followed by ``t[:m-i]`` (first column ``c``, first row ``t``), copied
+        straight from a sliding window over ``c`` reversed joined to ``t``."""
+        b, c, t = self.border, self.first_col, self.first_row
         a = np.empty(self.shape)
         a[:b] = self.rows
         a[b:, :b] = self.cols
-        windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((t[:0:-1], t)), t.size)
+        windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((c[:0:-1], t)), t.size)
         a[b:, b:] = windows[::-1]
         return a
 
-    def scale_rows(self, h_rows: np.ndarray) -> "SymToeplitzOperator":
+    def scale_rows(self, h_rows: np.ndarray) -> "ToeplitzOperator":
         """Divide row ``i`` by ``h_rows[i]`` in place, the tail by
         ``h_rows[b]``, the step of its first row: the tail rows share one step
         up to rounding, so it stays Toeplitz; the circulant FFT of the
@@ -233,12 +230,15 @@ class SymToeplitzOperator:
         b = self.border
         self.rows /= h_rows[:b, None]
         self.cols /= h_rows[b:, None]
+        self.first_col = self.first_col / h_rows[b]
         self.first_row = self.first_row / h_rows[b]
         self._circ_fft = None
         return self
 
 
-LinearOperator = DenseOperator | SymToeplitzOperator
+#: The replaced symmetric class's name, under which perfbench wraps ``matvec``.
+SymToeplitzOperator = ToeplitzOperator
+LinearOperator = DenseOperator | ToeplitzOperator
 
 
 @dataclass(frozen=True)
@@ -460,17 +460,15 @@ def assemble_rhs(grid: Grid, problem: FdeProblem) -> np.ndarray:
     return b
 
 
-def uniform_toeplitz(n: int, beta: float, diffusion: float = 1.0) -> LinearOperator:
-    """Symmetric Toeplitz operator, with no border, of the discretization on
-    the uniform grid of ``n`` nodes.
-
-    Valid only for constant diffusion and ``gamma = 1/2``, where the matrix
-    entries of rows and columns inside a uniform run of steps depend on
-    ``|i - j|`` alone.
+def uniform_toeplitz(n: int, beta: float) -> LinearOperator:
+    """Toeplitz operator, with no border, of the discretization on the
+    uniform grid of ``n`` nodes with unit diffusion and ``gamma = 1/2``,
+    where the matrix is symmetric: its first row is the series of the
+    generating function in :mod:`gradedfve.spectral`.
     """
     if n < 1:
         raise AssemblyError("n must be >= 1")
-    return assemble_operator(uniform_grid(n), FdeProblem(beta, 0.5, diffusion))
+    return assemble_operator(uniform_grid(n), FdeProblem(beta, 0.5))
 
 
 #: Steps of a uniform tail differ only by the rounding of their node
@@ -492,25 +490,24 @@ def _tail_start(grid: Grid) -> int:
 def assemble_operator(grid: Grid, problem: FdeProblem, scaled: bool = False) -> LinearOperator:
     """Assemble the coefficient operator alone, row-scaled if ``scaled``.
 
-    With constant diffusion and ``gamma = 1/2`` the rows and columns of a
-    uniform tail form a symmetric Toeplitz block: a grid with a uniform tail
-    gets a :class:`SymToeplitzOperator` whose border rows and the tail's
-    first row, rows ``0 .. b`` of the matrix, come from one
-    :func:`assemble_matrix` block and the border columns from a second
-    (the uniform grid one with no border).
+    With constant diffusion the rows and columns of a uniform tail form a
+    Toeplitz block, whatever gamma: a grid with a uniform tail gets a
+    :class:`ToeplitzOperator` whose border rows and the tail's first row,
+    rows ``0 .. b`` of the matrix, come from one :func:`assemble_matrix`
+    block and the border columns and the tail's first column, columns
+    ``0 .. b`` of the tail rows, from a second (the uniform grid one with
+    no border).
     Every other case gets the dense matrix of :func:`assemble_matrix`, which
     is also what a caller that factors the matrix calls directly.
     ``scaled`` applies the row scaling of :func:`row_scale` to the operator,
     for callers (the coarse multigrid levels) that need no right-hand side.
     """
     n = grid.n
-    toeplitz = not callable(problem.diffusion) and problem.gamma == 0.5
-    b = _tail_start(grid) if toeplitz else n
+    b = n if callable(problem.diffusion) else _tail_start(grid)
     if b < n:
         top = assemble_matrix(grid, problem, rows=(0, b + 1)).entries
-        op: LinearOperator = SymToeplitzOperator(
-            top[b, b:], top[:b], assemble_matrix(grid, problem, rows=(b, n), cols=(0, b)).entries
-        )
+        left = assemble_matrix(grid, problem, rows=(b, n), cols=(0, b + 1)).entries
+        op: LinearOperator = ToeplitzOperator(left[:, b], top[b, b:], top[:b], left[:, :b])
     else:
         op = assemble_matrix(grid, problem)
     return op.scale_rows(grid.steps[:-1]) if scaled else op

@@ -105,9 +105,10 @@ class MeshSpec:
 
     ``kind`` is one of ``"uniform"``, ``"graded"``, ``"composite"``.  For
     graded meshes ``q=None`` selects the capped order-optimal exponent for
-    the case's beta; an explicit ``q`` is still capped so the first step
-    never collapses below the floating-point floor.  ``eps1``/``eps2`` are
-    the blend of :func:`~gradedfve.mesh.blend_coefficients`.  A composite
+    the case's beta; an explicit ``q`` above :func:`~gradedfve.mesh.q_cap`
+    raises ``ValueError`` (the flux kernel cancels on grids whose first step
+    falls below 1e-16).  ``eps1``/``eps2`` are the blend of
+    :func:`~gradedfve.mesh.blend_coefficients`.  A composite
     mesh of ``n`` interior points puts ``n1`` of them in the dyadic part and
     ``n - n1`` in the uniform part, with ``n1`` given either by a named
     ``rule`` (``"sqrt"`` or ``"log2"``) or explicitly.  A field that the
@@ -134,7 +135,9 @@ class MeshSpec:
             raise ValueError("a composite mesh needs exactly one of rule and n1")
 
     def coefficients(self, beta: float, n: int) -> BlendCoeffs:
-        q = q_for_beta(beta, n) if self.q is None else min(self.q, q_cap(n))
+        if self.q is not None and self.q > q_cap(n):
+            raise ValueError(f"q = {self.q:g} exceeds the cap {q_cap(n):.4g} at n = {n}")
+        q = q_for_beta(beta, n) if self.q is None else self.q
         return blend_coefficients(q, self.eps1, self.eps2)
 
     def composite_n1(self, n: int) -> int:

@@ -174,10 +174,17 @@ def graded_map_eval(coeffs: BlendCoeffs, xhat):
     if np.any(x < 0.0) or np.any(x > 1.0):
         raise MeshError("grading map evaluated outside [0, 1]")
     c = coeffs
+    # each formula on the points of its own segment, into one output array
+    out = np.empty(x.shape)
+    power, line = x <= c.eps1, ~(x <= c.eps1 + c.eps2)
+    np.power(x, c.q, out=out, where=power)
+    np.multiply(x, c.m, out=out, where=line)
+    np.add(out, c.p, out=out, where=line)
+    quad = ~(power | line)
+    xq = x[quad]
     # the quadratic as its value at eps1 plus (x - eps1) times a difference
     # quotient, which does not cancel the large terms of its monomial form
-    quad = c.eps1**c.q + (x - c.eps1) * (c.a * (x + c.eps1) + c.b)
-    out = np.where(x <= c.eps1, x**c.q, np.where(x <= c.eps1 + c.eps2, quad, c.m * x + c.p))
+    out[quad] = c.eps1**c.q + (xq - c.eps1) * (c.a * (xq + c.eps1) + c.b)
     if np.isscalar(xhat):
         return float(out)
     return out
@@ -215,8 +222,10 @@ def graded_grid(n: int, coeffs: BlendCoeffs) -> Grid:
     """
     if n < 1:
         raise MeshError("n must be >= 1")
-    # the map's evaluation holds five arrays and two masks (an eighth each) at once
-    require_memory(6 * 8 * (n + 2), f"a grid of {n} interior points", MeshError)
+    # the map holds the nodes, the points, three masks (an eighth each) and
+    # three copies of the quadratic's share of the nodes, about eps2
+    need = (3 + 3 * coeffs.eps2) * 8 * (n + 2)
+    require_memory(need, f"a grid of {n} interior points", MeshError)
     h = 1.0 / (n + 1)
     if h > coeffs.eps1:
         raise MeshError(

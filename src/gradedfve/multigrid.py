@@ -11,9 +11,9 @@ other coarser level rediscretizes the operator alone on its grid through
 ``assemble_operator``, row-scaled like the finest one and with no
 right-hand side.  Every level holds an operator, not an array:
 coarsening keeps the even nodes, so a uniform tail stays a uniform tail,
-and each level of a mesh with one is a Toeplitz operator, dense only on the
-border of its graded nodes (none on the uniform grid), whose products cost
-O(N log N) on the tail.
+and with constant diffusion each level of a mesh with one is a Toeplitz
+operator for every gamma, dense only on the border of its graded nodes
+(none on the uniform grid), whose products cost O(N log N) on the tail.
 Dense matrices are formed only where they are the point: the at most
 3 x 3 coarsest level, solved directly, and the small eigenproblem of the
 damping estimate.  Grid transfer uses piecewise-linear interpolation on the

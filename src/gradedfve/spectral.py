@@ -3,8 +3,9 @@
 On a uniform mesh with constant diffusion and balanced anisotropy the
 coefficient matrix is symmetric Toeplitz; its normalized generating
 function is the cosine series whose coefficients are the (scaled) matrix
-diagonals.  Pushing the mesh through an increasing map ``g`` multiplies
-the generating function by the diagonal factor
+diagonals, read from the first row that the assembly gives.  Pushing the
+mesh through an increasing map ``g`` multiplies the generating function
+by the diagonal factor
 ``K / (2^beta Gamma(beta+1) g'(x)^{1-beta})``; the routines here sample
 that two-variable symbol, compare its sorted samples against the sorted
 eigenvalues of the scaled matrices, and evaluate the trace-norm asymmetry
@@ -20,6 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import assembly  # symbol_p calls assembly.uniform_toeplitz, so perfbench's wrap sees it
 from ._memory import require_memory
 from .assembly import AssemblyError, FdeProblem, assemble_matrix
 from .mesh import blend_coefficients, graded_grid
@@ -28,7 +30,6 @@ __all__ = [
     "DEFAULT_SYMBOL_TERMS",
     "SymbolSample",
     "DistributionReport",
-    "toeplitz_coefficients",
     "symbol_p",
     "sample_symbol",
     "eig_vs_symbol",
@@ -65,40 +66,14 @@ class DistributionReport:
     grid_tag: str
 
 
-def toeplitz_coefficients(beta: float, count: int) -> np.ndarray:
-    """First ``count`` entries ``t_0, t_1, ...`` of the uniform-mesh first row,
-    normalized.
-
-    With constant diffusion ``K`` and ``gamma = 1/2`` on a uniform mesh of
-    step ``h``, entry ``(i, j)`` of the FVE matrix is
-    ``K h^(beta-1) / (2^beta Gamma(beta+1)) * t_|i-j|``.  The same numbers are
-    the cosine coefficients of the generating function
-    ``t_0 + 2 sum t_k cos(k theta)``.
-    """
-    if count < 1:
-        raise AssemblyError("the number of coefficients must be >= 1")
-    require_memory(8 * count, f"a table of {count} coefficients", AssemblyError)
-    t = np.empty(count)
-    t[0] = 3.0 - 3.0**beta
-    if count > 1:
-        t[1] = 0.5 * (3.0 ** (beta + 1.0) - 4.0 - 5.0**beta)
-    if count > 2:
-        k = np.arange(2.0, count)
-        t[2:] = 0.5 * (
-            3.0 * (2.0 * k + 1.0) ** beta
-            - 3.0 * (2.0 * k - 1.0) ** beta
-            + (2.0 * k - 3.0) ** beta
-            - (2.0 * k + 3.0) ** beta
-        )
-    return t
-
-
 def symbol_p(n_terms: int, beta: float, theta):
     """Truncated generating function ``t_0 + 2 sum t_k cos(k theta)``.
 
-    Even in ``theta``, nonnegative, with a single zero at the origin of
-    order below 2 for every ``beta`` in (0, 1).  ``theta`` may be a scalar
-    or an array.
+    The coefficients are the first row of ``uniform_toeplitz(n_terms, beta)``,
+    whose entry ``(i, j)`` is ``h^(beta-1) / (2^beta Gamma(beta+1)) t_|i-j|``
+    at step ``h``.  Even in ``theta``, nonnegative, with a single zero at the
+    origin of order below 2 for every ``beta`` in (0, 1).  ``theta`` may be
+    a scalar or an array.
 
     The series is summed by blocked angle addition: with ``B = ceil(sqrt(K))``
     for ``K = n_terms`` terms, ``k = b*B + j`` and ``cos(k theta) =
@@ -111,7 +86,10 @@ def symbol_p(n_terms: int, beta: float, theta):
     :data:`_THETA_CHUNK` points at a time, so the memory beyond the result is
     ``O(_THETA_CHUNK * sqrt(K))`` (under 1 MB at ``K = 4096``).
     """
-    c = toeplitz_coefficients(beta, n_terms)
+    if n_terms < 1:
+        raise AssemblyError("the number of coefficients must be >= 1")
+    scale = 2.0**beta * math.gamma(beta + 1.0) / (n_terms + 1) ** (1.0 - beta)
+    c = assembly.uniform_toeplitz(n_terms, beta).first_row * scale
     c[1:] *= 2.0
     blk = math.isqrt(n_terms - 1) + 1
     nblk = -(-n_terms // blk)

@@ -15,7 +15,7 @@ from gradedfve.assembly import (
     DenseOperator,
     FdeProblem,
     LinearOperator,
-    SymToeplitzOperator,
+    ToeplitzOperator,
     assemble_matrix,
     assemble_operator,
     assemble_rhs,
@@ -373,11 +373,15 @@ class TestToeplitzOperator:
         assert peak <= 1.05 * a.nbytes
 
     def test_fft_matvec_every_small_size(self, rng):
-        # circulant sizes 2n - 1 .. 2n, odd ones included
+        # circulant sizes 2n - 1 .. 2n, odd ones included, of nonsymmetric tails
         for n in range(1, 41):
-            op = SymToeplitzOperator(rng.standard_normal(n))
+            col, row = rng.standard_normal(n), rng.standard_normal(n)
+            col[0] = row[0]
+            op = ToeplitzOperator(col, row, np.empty((0, n)), np.empty((n, 0)))
+            a = op.to_dense()
+            assert np.array_equal(a, scipy.linalg.toeplitz(col, row)), n
             v = rng.standard_normal(n)
-            ref = op.to_dense() @ v
+            ref = a @ v
             assert np.abs(op.matvec(v) - ref).max() <= 1e-13 * np.abs(ref).max(), n
 
     def test_identity_and_zero(self, rng):
@@ -394,8 +398,9 @@ class TestToeplitzOperator:
 
 class TestBorderedToeplitz:
     """The bordered operator of a mesh with a uniform tail against the dense
-    assembly: its border and the tail's first row, row ``b`` of the matrix,
-    are the same arithmetic, and the later tail rows repeat that row."""
+    assembly: its border and the tail's first row and column, row and
+    column ``b`` of the matrix, are the same arithmetic, and the later tail
+    rows repeat them."""
 
     # (mesh, beta): the grids of eps1 and eps4 depend on beta through q; the
     # uniform grid is all tail, with no border
@@ -407,28 +412,31 @@ class TestBorderedToeplitz:
         "eps4": (bench.MeshSpec("graded", eps1=0.45, eps2=0.05), 0.5),
     }
 
+    @pytest.mark.parametrize("gamma", [0.5, 0.3])
     @pytest.mark.parametrize("scaled", [False, True], ids=["unscaled", "scaled"])
     @pytest.mark.parametrize("n", [127, 1023])
     @pytest.mark.parametrize("name", list(MESHES))
-    def test_matches_dense_assembly(self, rng, name, n, scaled):
+    def test_matches_dense_assembly(self, rng, name, n, scaled, gamma):
         spec, beta = self.MESHES[name]
         grid = bench.build_case_grid(spec, beta, n)
-        problem = FdeProblem(beta=beta, gamma=0.5)
+        problem = FdeProblem(beta=beta, gamma=gamma)
         system = assemble_system(grid, problem)
+        assert isinstance(system.operator, ToeplitzOperator)
+        b = system.operator.border
+        assert b == 0 if name == "uniform" else 0 < b < n
         dense = assemble_matrix(grid, problem).entries
+        column = dense[b:, b] / (grid.steps[b] if scaled else 1.0)  # the tail's one step
         if scaled:
             system = row_scale(system)
             dense /= grid.steps[:-1][:, None]
         op = system.operator
-        assert isinstance(op, SymToeplitzOperator)
-        b = op.border
-        assert b == 0 if name == "uniform" else 0 < b < n
         a = op.to_dense()
         assert a[: b + 1].tobytes() == dense[: b + 1].tobytes()  # the border and row b
         assert a[b:, :b].tobytes() == dense[b:, :b].tobytes()
+        assert a[b:, b].tobytes() == column.tobytes()  # and column b
         tail = a[b:, b:]
         assert np.abs(tail - dense[b:, b:]).max() <= 1e-11 * np.abs(dense).max()
-        assert np.array_equal(tail, scipy.linalg.toeplitz(tail[0]))
+        assert np.array_equal(tail, scipy.linalg.toeplitz(tail[:, 0], tail[0]))
         v = rng.standard_normal(n)
         ref = a @ v
         assert np.abs(op.matvec(v) - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -439,8 +447,8 @@ class TestBorderedToeplitz:
         eps6 = graded_grid(127, blend_coefficients(3.0, 1.0, 0.0))
         for grid, problem in [
             (eps6, FdeProblem(beta=0.5, gamma=0.5)),
-            (sqrt, FdeProblem(beta=0.5, gamma=0.4)),
-            (sqrt, FdeProblem(beta=0.5, gamma=0.5, diffusion=lambda x: 1.0 + x)),
+            (eps6, FdeProblem(beta=0.5, gamma=0.4)),
+            (sqrt, FdeProblem(beta=0.5, gamma=0.4, diffusion=lambda x: 1.0 + x)),
         ]:
             assert isinstance(assemble_system(grid, problem).operator, DenseOperator)
 
@@ -518,28 +526,33 @@ PROPERTY_MESHES = {
     mesh=st.sampled_from(list(PROPERTY_MESHES)),
     n=st.integers(9, 80),  # eps1 needs a step of at most 0.1
     beta=st.floats(0.05, 0.95),
-    gamma=st.sampled_from([0.3, 0.5]),
+    gamma=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
     variable=st.booleans(),
     scaled=st.booleans(),
 )
 def test_every_operator_kind_agrees_with_the_dense_assembly(mesh, n, beta, gamma, variable, scaled):
     """Both operator kinds answer one protocol, and each answers it with
-    the dense assembly: border entries and the tail's first row bit for
-    bit, the rest of the Toeplitz tail to 1e-11 of max|A|."""
+    the dense assembly: border entries and the tail's first row and column
+    bit for bit, the rest of the Toeplitz tail to 1e-11 of max|A|.  The
+    kind follows from the grid and K alone: Toeplitz exactly when K is
+    constant and the grid has a uniform tail, whatever gamma."""
     kinds = typing.get_args(LinearOperator)
     grid = bench.build_case_grid(PROPERTY_MESHES[mesh], beta, n)
     problem = FdeProblem(beta, gamma, diffusion=(lambda x: 1.0 + x) if variable else 1.0)
     op = assemble_operator(grid, problem, scaled=scaled)
     assert isinstance(op, kinds) and op.shape == (n, n)
-    toeplitz = gamma == 0.5 and not variable and asm._tail_start(grid) < n
-    assert isinstance(op, SymToeplitzOperator) == toeplitz
+    toeplitz = not variable and asm._tail_start(grid) < n
+    assert isinstance(op, ToeplitzOperator) == toeplitz
     b = op.border if toeplitz else n
     dense = assemble_matrix(grid, problem).entries
+    # scaling divides the tail by one step, that of its first row
+    column = dense[b:, b : b + 1] / (grid.steps[b] if scaled else 1.0)
     if scaled:
         dense /= grid.steps[:-1][:, None]
     a = op.to_dense()
     assert a[: b + 1].tobytes() == dense[: b + 1].tobytes()
     assert a[b:, :b].tobytes() == dense[b:, :b].tobytes()
+    assert a[b:, b : b + 1].tobytes() == column.tobytes()
     scale = np.abs(dense).max()
     assert np.abs(a[b:, b:] - dense[b:, b:]).max(initial=0.0) <= 1e-11 * scale
     assert np.array_equal(op.diagonal(), np.diag(a))
@@ -646,18 +659,20 @@ class TestRhs:
 
 class TestSystemAndScaling:
     def test_auto_picks_toeplitz(self):
-        sys = assemble_system(uniform_grid(16), FdeProblem(beta=0.5, gamma=0.5))
-        assert isinstance(sys.operator, SymToeplitzOperator)
-        assert sys.operator.border == 0
-        sys2 = assemble_system(uniform_grid(16), FdeProblem(beta=0.5, gamma=0.4))
+        for gamma in (0.5, 0.4):
+            sys = assemble_system(uniform_grid(16), FdeProblem(beta=0.5, gamma=gamma))
+            assert isinstance(sys.operator, ToeplitzOperator)
+            assert sys.operator.border == 0
+        sys2 = assemble_system(uniform_grid(16), FdeProblem(0.5, 0.4, diffusion=lambda x: 1.0 + x))
         assert isinstance(sys2.operator, DenseOperator)
 
     def test_toeplitz_scaling_is_scalar(self):
         sys = assemble_system(uniform_grid(16), FdeProblem(beta=0.5, gamma=0.5))
-        row = sys.operator.first_row
+        row, col = sys.operator.first_row, sys.operator.first_col
         scaled = row_scale(sys)
-        assert isinstance(scaled.operator, SymToeplitzOperator)
+        assert isinstance(scaled.operator, ToeplitzOperator)
         assert scaled.operator.first_row == pytest.approx(17.0 * row)
+        assert scaled.operator.first_col == pytest.approx(17.0 * col)
         assert scaled.scaled
 
     @pytest.mark.parametrize("kind", ["uniform", "composite"])
@@ -705,7 +720,7 @@ class TestSystemAndScaling:
             (graded_grid(31, blend_coefficients(3.0, 1.0, 0.0)), 0.5),
             (composite_grid(63, CompositeRule("sqrt")), 0.3),
         ],
-        ids=["toeplitz", "bordered", "dense", "dense-gamma"],
+        ids=["toeplitz", "bordered", "dense", "bordered-gamma"],
     )
     def test_operator_path_matches_the_scaled_system(self, grid, gamma):
         prob = FdeProblem(beta=0.5, gamma=gamma, source=lambda x: np.ones_like(x))

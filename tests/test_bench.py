@@ -11,6 +11,7 @@ import pytest
 from gradedfve import _memory, bench, multigrid
 from gradedfve.bench import CaseConfig, MeshSpec
 from gradedfve.cli import main as cli_main
+from gradedfve.mesh import q_cap
 
 # a size whose dense matrix (0.52 MB) fits a patched physical memory of 1.5x
 # the matrix, while the matrix and the copy a direct solve factors do not
@@ -68,17 +69,24 @@ class TestProblemSetup:
         [
             MeshSpec("uniform"),
             MeshSpec("graded", eps1=0.1, eps2=0.05),
-            MeshSpec("graded", q=30.0),
             MeshSpec("composite", rule="sqrt"),
             MeshSpec("composite", n1=5),
         ],
-        ids=["uniform", "eps1", "capped", "sqrt", "counts"],
+        ids=["uniform", "eps1", "sqrt", "counts"],
     )
     def test_refined_grid_contains_the_case_grid(self, spec):
         grid = bench.build_case_grid(spec, 0.7, 45)
         fine = spec.refined(0.7, 45)
         assert fine.n > grid.n
         assert np.isin(grid.points, fine.points).all()
+
+    def test_explicit_q_above_the_cap_is_refused(self):
+        # q_cap(45) = 9.623: an explicit q at the cap is honoured, one above it refused
+        spec = MeshSpec("graded", q=q_cap(45))
+        assert spec.coefficients(0.7, 45).q == q_cap(45)
+        for build in (bench.build_case_grid, lambda s, b, n: s.refined(b, n)):
+            with pytest.raises(ValueError, match=r"q = 30 exceeds the cap 9\.623 at n = 45"):
+                build(MeshSpec("graded", q=30.0), 0.7, 45)
 
 
 class TestRunCase:
@@ -153,6 +161,18 @@ class TestRunCase:
             tracemalloc.stop()
         assert res.converged
         assert peak <= 0.35 * 8 * n * n
+
+    def test_asymmetric_case_on_a_uniform_tail_holds_no_dense_matrix(self):
+        # gamma != 1/2 keeps the Toeplitz tail: a dense matrix here is 537 MB
+        n = 2**13 - 1
+        tracemalloc.start()
+        try:
+            res = bench.run_case(CaseConfig(0.5, 0.3, MeshSpec("composite", rule="sqrt"), n))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.converged and (res.it, res.omega, res.depth) == (12, 0.735, 11)
+        assert peak <= 64e6
 
     def test_hierarchy_is_reported(self):
         spec = MeshSpec("composite", rule="sqrt")
@@ -441,6 +461,7 @@ class TestCli:
             (["glt5", "--n-list", "16", "--beta-grid", "0.3", "--q-grid", "3"],
              "the glt5 sign map does not read --n-list"),
             (["glt5", "--beta", "0.5"], "glt5 needs either --beta and --q or both grids"),
+            (["solve", "--q", "9", "--n", "4095"], "q = 9 exceeds the cap 4.429 at n = 4095"),
         ],
     )
     def test_invalid_sizes_exit_1_with_one_message(self, capsys, argv, message):

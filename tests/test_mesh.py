@@ -152,6 +152,30 @@ def test_blend_map_properties(params):
         assert abs(2.0 * c.a * s + c.b - c.m) <= scale
 
 
+def where_map(c, x):
+    """The map as its three formulas over every point, joined by two nested
+    ``np.where``: the form the segment-wise evaluation replaced."""
+    quad = c.eps1**c.q + (x - c.eps1) * (c.a * (x + c.eps1) + c.b)
+    return np.where(x <= c.eps1, x**c.q, np.where(x <= c.eps1 + c.eps2, quad, c.m * x + c.p))
+
+
+@settings(max_examples=300, deadline=None)
+@given(blend_parameters(), st.integers(1, 300), st.randoms(use_true_random=False))
+def test_segment_wise_map_is_the_where_form_bit_for_bit(params, n, random):
+    c = blend_coefficients(*params)
+    joins = [c.eps1, c.eps1 + c.eps2]
+    near = [np.nextafter(j, d) for j in joins for d in (0.0, 2.0)]
+    xs = np.concatenate((np.arange(n + 2) / (n + 1), np.clip(joins + near, 0.0, 1.0)))
+    random.shuffle(xs)  # any order, not only the sorted nodes of a grid
+    assert graded_map_eval(c, xs).tobytes() == where_map(c, xs).tobytes()
+    for x in xs[:8]:  # a scalar goes through a 0-d array, as before
+        assert graded_map_eval(c, float(x)) == float(where_map(c, np.asarray(x)))
+    ref = where_map(c, np.arange(n + 2) / (n + 1))
+    ref[0], ref[-1] = 0.0, 1.0
+    if 1.0 / (n + 1) <= c.eps1 and np.all(np.diff(ref) > 0.0):  # the grid's own checks
+        assert graded_grid(n, c).points.tobytes() == ref.tobytes()
+
+
 class TestGradingExponent:
     def test_nominal_values(self):
         assert q_for_beta(0.5, 2**10 - 1) == pytest.approx(3.0)

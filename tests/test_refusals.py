@@ -11,7 +11,7 @@ from gradedfve.assembly import (
     DenseOperator,
     FdeProblem,
     FveSystem,
-    SymToeplitzOperator,
+    ToeplitzOperator,
     assemble_rhs,
     assemble_system,
     row_scale,
@@ -33,9 +33,14 @@ from gradedfve.multigrid import MultigridError, build_hierarchy
 PROBLEM = FdeProblem(0.5, 0.5)
 
 
+def toeplitz(col, row):
+    """A Toeplitz operator with no border."""
+    return ToeplitzOperator(col, row, np.empty((0, row.size)), np.empty((row.size, 0)))
+
+
 def bordered(cols_shape):
     """A 3 x 3 operator with one border row around a 2 x 2 Toeplitz tail."""
-    return SymToeplitzOperator(np.ones(2), np.zeros((1, 3)), np.zeros(cols_shape))
+    return ToeplitzOperator(np.ones(2), np.ones(2), np.zeros((1, 3)), np.zeros(cols_shape))
 
 
 @pytest.mark.parametrize(
@@ -43,7 +48,8 @@ def bordered(cols_shape):
     [
         (lambda: DenseOperator(np.eye(2)).matvec(np.ones(3)), AssemblyError, "dimension mismatch"),
         (lambda: bordered((2, 1)).matvec(np.ones(2)), AssemblyError, "dimension mismatch"),
-        (lambda: SymToeplitzOperator(np.array([])), AssemblyError, "nonempty 1-D array"),
+        (lambda: toeplitz(np.array([]), np.array([])), AssemblyError, "nonempty 1-D arrays"),
+        (lambda: toeplitz(np.ones(3), np.ones(2)), AssemblyError, "of one size"),
         (lambda: bordered((1, 1)), AssemblyError, "shapes do not fit"),
         (lambda: FveSystem(DenseOperator(np.eye(2)), np.zeros(2), uniform_grid(3), PROBLEM),
          AssemblyError, "dimensions are inconsistent"),
@@ -70,7 +76,8 @@ def bordered(cols_shape):
         (lambda: spectral.glt5_sequence(0.5, 2.0, [2048]), ValueError, "n <= 1024"),
     ],
     ids=[
-        "dense-matvec", "bordered-matvec", "empty-toeplitz-row", "bordered-shapes",
+        "dense-matvec", "bordered-matvec", "empty-toeplitz-row", "toeplitz-row-and-column",
+        "bordered-shapes",
         "system-dimensions", "source-length", "non-finite-rhs", "uniform-toeplitz-n",
         "grid-size", "grid-span", "grid-order", "q-for-beta", "graded-n", "graded-collapse",
         "composite-rule", "composite-counts", "hierarchy-size", "eig-size", "eig-coarse-square",
@@ -105,7 +112,7 @@ def test_quadrature_tables_are_guarded_together(monkeypatch):
     [
         (uniform_grid, 3),
         (lambda n: composite_grid_from_counts(255, n - 255), 4),
-        (lambda n: graded_grid(n, blend_coefficients(2.0, 0.1, 0.05)), 6),
+        (lambda n: graded_grid(n, blend_coefficients(2.0, 0.1, 0.05)), 3 + 3 * 0.05),
     ],
     ids=["uniform", "composite", "graded"],
 )

@@ -49,17 +49,31 @@ class TestGeneratingFunction:
     @pytest.mark.parametrize("beta", [0.05, 0.5, 0.8, 0.95])
     @pytest.mark.parametrize("n", [1, 16, 255, 4095])
     def test_coefficients_are_the_scaled_uniform_first_row(self, n, beta):
-        # the closed form of the coefficients against the flux kernel's row
-        h = 1.0 / (n + 1)
-        c = h ** (beta - 1.0) / (2.0**beta * math.gamma(beta + 1.0))
-        row = uniform_toeplitz(n, beta).first_row
-        err = np.abs(c * sp.toeplitz_coefficients(beta, n) - row).max()
-        assert err <= 1e-10 * abs(row[0])
+        # the flux kernel's row against the third difference of powers
+        # t_k = (3 (2k+1)^b - 3 (2k-1)^b + (2k-3)^b - (2k+3)^b) / 2 (k >= 2),
+        # t_0 = 3 - 3^b, t_1 = (3^(b+1) - 4 - 5^b) / 2, at 50 digits
+        mpmath = pytest.importorskip("mpmath")
+        t = coefficients(n, beta)
+        with mpmath.workdps(50):
+            b = mpmath.mpf(beta)
+            ref = [3 - 3**b, (3 ** (b + 1) - 4 - 5**b) / 2] + [
+                (3 * (2 * k + 1) ** b - 3 * (2 * k - 1) ** b + (2 * k - 3) ** b - (2 * k + 3) ** b) / 2
+                for k in range(2, n)
+            ]
+            err = max(abs(mpmath.mpf(float(v)) - r) for v, r in zip(t, ref))
+        assert err <= 1e-11 * abs(t[0])
+
+
+def coefficients(n_terms, beta):
+    """The series coefficients ``symbol_p`` sums: the first row of the uniform
+    grid's matrix times ``2^beta Gamma(beta + 1) h^(1 - beta)``."""
+    scale = 2.0**beta * math.gamma(beta + 1.0) / (n_terms + 1) ** (1.0 - beta)
+    return uniform_toeplitz(n_terms, beta).first_row * scale
 
 
 def direct_sum(n_terms, beta, theta):
     """The cosine series summed one term at a time, kept as an oracle."""
-    t = sp.toeplitz_coefficients(beta, n_terms)
+    t = coefficients(n_terms, beta)
     k = np.arange(1, n_terms)
     return t[0] + 2.0 * (np.cos(np.outer(theta, k)) @ t[1:])
 
@@ -73,7 +87,7 @@ class TestBlockedSummation:
         n_terms = 4096
         thetas = np.geomspace(1e-6, math.pi, 12)
         got = sp.symbol_p(n_terms, beta, thetas)
-        t = [mpmath.mpf(float(v)) for v in sp.toeplitz_coefficients(beta, n_terms)]
+        t = [mpmath.mpf(float(v)) for v in coefficients(n_terms, beta)]
         with mpmath.workdps(30):
             for th, value in zip(thetas, got):
                 x = mpmath.mpf(float(th))
