@@ -168,10 +168,10 @@ def blend_coefficients(q: float, eps1: float, eps2: float) -> BlendCoeffs:
 def graded_map_eval(coeffs: BlendCoeffs, xhat):
     """Evaluate the piecewise grading map at ``xhat`` in [0, 1].
 
-    Accepts scalars or arrays; raises :class:`MeshError` outside [0, 1].
+    Accepts scalars or arrays; raises :class:`MeshError` outside [0, 1] and on NaN.
     """
     x = np.asarray(xhat, dtype=float)
-    if np.any(x < 0.0) or np.any(x > 1.0):
+    if not np.all((x >= 0.0) & (x <= 1.0)):  # NaN fails both comparisons
         raise MeshError("grading map evaluated outside [0, 1]")
     c = coeffs
     # each formula on the points of its own segment, into one output array

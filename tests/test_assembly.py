@@ -200,7 +200,7 @@ class TestAgainstLiteralOracle:
         Graded grids with a first step near 1e-16 (eps6 at the capped
         exponent) are not covered: there the powers ``|x_m - z_t|**beta``
         of far midpoints cancel in their differences, and the float matrix
-        is 2 to 92% off this formula in some rows (ROADMAP item 1)."""
+        is 2 to 92% off this formula in some rows (ROADMAP item 2)."""
         for beta in (0.2, 0.5, 0.8):
             for gamma in (0.3, 0.5):
                 mine = assemble_matrix(grid, FdeProblem(beta=beta, gamma=gamma)).entries

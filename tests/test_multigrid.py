@@ -370,7 +370,7 @@ class TestSelfSimilarLevels:
     @pytest.mark.parametrize("n", [31, 255, 1023])
     @pytest.mark.parametrize("make_grid,beta,gamma", SELF_SIMILAR)
     def test_views_match_a_rediscretization(self, make_grid, beta, gamma, n):
-        # both versions cancel (ROADMAP item 1) at beta = 0.8: at N = 31
+        # both versions cancel (ROADMAP item 2) at beta = 0.8: at N = 31
         # (x_1 = 2.8e-14) they differ by 2.3e-14 of max|A_l| in entry (0, 0),
         # and each is 0.7-1.4e-14 off a 40-digit evaluation of the same
         # formula; at beta <= 0.5 they differ by <= 9e-16

@@ -25,6 +25,7 @@ from gradedfve.mesh import (
     blend_coefficients,
     composite_grid_from_counts,
     graded_grid,
+    graded_map_eval,
     q_for_beta,
     uniform_grid,
 )
@@ -65,6 +66,11 @@ def bordered(cols_shape):
         (lambda: graded_grid(0, blend_coefficients(2.0, 1.0, 0.0)), MeshError, "n must be >= 1"),
         # (1/16)**400 underflows to 0, the left end
         (lambda: graded_grid(15, blend_coefficients(400.0, 1.0, 0.0)), MeshError, "collapsed a step"),
+        # NaN fails every comparison, so only an all-inside test refuses it
+        (lambda: graded_map_eval(blend_coefficients(2.0, 0.1, 0.05), np.nan), MeshError,
+         "outside \\[0, 1\\]"),
+        (lambda: graded_map_eval(blend_coefficients(2.0, 0.1, 0.05), np.array([0.5, np.nan])),
+         MeshError, "outside \\[0, 1\\]"),
         (lambda: CompositeRule("cube"), MeshError, "selector must be"),
         (lambda: composite_grid_from_counts(0, 5), MeshError, "n1 and n2 must be >= 1"),
         (lambda: build_hierarchy(row_scale(assemble_system(uniform_grid(3), PROBLEM))),
@@ -80,8 +86,8 @@ def bordered(cols_shape):
         "bordered-shapes",
         "system-dimensions", "source-length", "non-finite-rhs", "uniform-toeplitz-n",
         "grid-size", "grid-span", "grid-order", "q-for-beta", "graded-n", "graded-collapse",
-        "composite-rule", "composite-counts", "hierarchy-size", "eig-size", "eig-coarse-square",
-        "eig-tag", "glt5-size",
+        "grading-map-nan", "grading-map-nan-array", "composite-rule", "composite-counts",
+        "hierarchy-size", "eig-size", "eig-coarse-square", "eig-tag", "glt5-size",
     ],
 )
 def test_bad_input_is_refused(call, error, message):

@@ -215,7 +215,39 @@ class TestSymbolTable:
         assert np.all(table.values[:, ths != 0.0] > 0)
 
 
+def svd_sequence(beta, q, n_list):
+    """``glt5_sequence``'s values with the trace norm from a full SVD."""
+    out = []
+    for n in n_list:
+        grid = graded_grid(n, blend_coefficients(q, 1.0, 0.0))
+        a = assemble_matrix(grid, FdeProblem(beta=beta, gamma=0.5)).entries
+        trace = np.linalg.svd(a - a.T, compute_uv=False).sum()
+        out.append((1.0 / (n + 1)) ** (1.0 - beta) * trace / n)
+    return np.array(out)
+
+
 class TestTraceNormSequence:
+    @pytest.mark.parametrize(
+        "beta,q,rtol",
+        [(b, q, 1e-12) for b in (0.2, 0.5, 0.8) for q in (1.5, 2.0, 4.0, 6.0)]
+        + [(0.05, 9.0, 1e-9), (0.95, 9.0, 1e-9)],
+    )
+    def test_gram_eigensolve_matches_svd(self, beta, q, rtol):
+        # squaring the singular values costs sqrt(eps) ||S|| absolute on the
+        # small ones, which strong grading (q = 9) makes numerous
+        ns = [16, 64, 256]
+        mine, ref = sp.glt5_sequence(beta, q, ns), svd_sequence(beta, q, ns)
+        assert np.abs(mine / ref - 1.0).max() <= rtol
+
+    def test_region_matches_svd_signs(self):
+        betas, qs = [0.2, 0.5, 0.8], [1.5, 2.0, 3.0, 4.0, 6.0]
+        ref = np.zeros((len(betas), len(qs)), dtype=int)
+        for i, beta in enumerate(betas):
+            for j, q in enumerate(qs):
+                diff = np.subtract(*svd_sequence(beta, q, [16, 32]))
+                ref[i, j] = 0 if abs(diff) < 1e-14 else np.sign(diff)
+        assert (sp.glt5_region(betas, qs) == ref).all()
+
     def test_symmetric_case_vanishes(self):
         s = sp.glt5_sequence(0.5, 1.0, [2**4, 2**5])
         assert np.abs(s).max() <= 1e-13
