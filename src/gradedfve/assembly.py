@@ -9,14 +9,23 @@ with Dirichlet data ``u(0) = u_left``, ``u(1) = u_right``, where D_left and
 D_right are the left/right Caputo derivatives of order ``1 - beta``,
 ``0 < beta < 1``.  Integrating over the control volumes
 ``[x_{i-1/2}, x_{i+1/2}]`` with piecewise-linear trial functions yields a
-dense N x N system.  With constant K, the rows and columns of the nodes in
-a uniform run of steps form a Toeplitz block for every gamma (a symmetric
-one at gamma = 1/2), so a grid that ends in a uniform tail gets a Toeplitz
-operator: dense rows and columns for its graded nodes (the border) around
-a Toeplitz tail, whose product goes through FFTs.  The uniform grid is the
-Toeplitz operator with no border; every other operator is a dense matrix.  The two kinds answer
-one protocol (``shape``, ``matvec``, ``diagonal``, ``to_dense`` and
-``scale_rows``, which divides their rows in place).
+dense N x N system.  Three operator kinds answer one protocol (``shape``,
+``matvec``, ``diagonal``, ``to_dense`` and ``scale_rows``, which divides
+their rows), and :func:`assemble_operator` picks one from the grid, K, beta
+and N alone:
+
+- With constant K, the rows and columns of the nodes in a uniform run of
+  steps form a Toeplitz block for every gamma (a symmetric one at
+  gamma = 1/2), so a grid that ends in a uniform tail gets a Toeplitz
+  operator: dense rows and columns for its graded nodes (the border)
+  around a Toeplitz tail, whose product goes through FFTs.  The uniform
+  grid is the Toeplitz operator with no border.
+- Any other grid (or variable K) with more than 1023 unknowns and
+  ``0 < beta < 1`` gets the matrix-free sum-of-exponentials operator: the
+  pieces near each midpoint from the flux kernel, the far ones through an
+  exponential sum of the kernel ``|z - x|**(beta - 1)``, in O(N) memory.
+- The rest gets the dense matrix, which is also what direct solves, the
+  grading scan and the spectral checks assemble.
 
 The scheme is assembled as it is derived: equation ``i`` is the flux
 ``-K (gamma D_left^{1-beta} + (1-gamma) D_right^{1-beta}) u`` at the right
@@ -37,11 +46,13 @@ columns of it, through three block buffers allocated once per call, each
 holding as many rows as fit in a fixed budget of entries, so the buffers
 stay in L2 cache and the peak memory is the result plus a bound that does
 not grow with N (until one row outgrows the budget).  A
-preconditioned solve on a pure power mesh with odd N and constant diffusion
-holds one finest matrix, whose scaled leading blocks are its coarse levels
-(1.05x the finest matrix at N + 1 = 4096); other meshes without a tail, or
-variable diffusion, add rediscretized coarse levels, and a mesh with a tail
-holds only the borders of its levels.
+preconditioned solve on a pure power mesh with odd N <= 1023 and constant
+diffusion holds one finest matrix, whose scaled leading blocks are its
+coarse levels; above that its levels with more than 1023 unknowns are
+matrix-free (eps6 at N + 1 = 4096 peaks at about 49 MB, where its dense
+matrix alone is 134 MB).  Other meshes without a tail, or variable
+diffusion, add rediscretized coarse levels, and a mesh with a tail holds
+only the borders of its levels.
 """
 
 from __future__ import annotations
@@ -60,6 +71,7 @@ __all__ = [
     "FdeProblem",
     "DenseOperator",
     "ToeplitzOperator",
+    "SoeOperator",
     "FveSystem",
     "assemble_matrix",
     "assemble_rhs",
@@ -238,7 +250,217 @@ class ToeplitzOperator:
 
 #: The replaced symmetric class's name, under which perfbench wraps ``matvec``.
 SymToeplitzOperator = ToeplitzOperator
-LinearOperator = DenseOperator | ToeplitzOperator
+
+#: Fewest unknowns at which a mesh without a Toeplitz tail gets the
+#: :class:`SoeOperator`.  Preconditioned eps6 solves (beta 0.5, median of 9)
+#: took 0.039 s dense and 0.043 s with a matrix-free finest level at
+#: N = 1023, 0.151 and 0.130 s at N = 2047; at N = 4095, cutoffs of 512,
+#: 1024 and 2048 gave 0.280, 0.268 and 0.358 s.
+_SOE_MIN_N = 1024
+#: Midpoints per block of :class:`SoeOperator`: at N = 4095 blocks of 32, 64,
+#: 128 and 256 gave products of 3.66, 3.04, 2.78 and 3.35 ms (median of 15).
+_SOE_BLOCK = 128
+#: An exponential term ``exp(-s r)`` with ``s r`` above this is below 4.3e-18
+#: of its weight and is dropped.
+_SOE_CUTOFF = 40.0
+#: Gauss-Jacobi nodes of the exponential sum on ``s`` in [0, 1].
+_SOE_JACOBI_NODES = 20
+
+
+def _soe_nodes(beta: float, delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes ``s_l`` (ascending) and weights ``w_l`` with
+    ``r**(beta - 1) ~ sum_l w_l exp(-s_l r)`` on ``[delta, 1]``.
+
+    The sum is a quadrature of ``r**(beta-1) = int_0^inf s**-beta exp(-s r) ds
+    / Gamma(1 - beta)``: on [0, 1] the Gauss-Jacobi rule of the weight
+    ``s**-beta`` (Golub-Welsch: the eigenvalues of the Jacobi matrix of the
+    Jacobi polynomials ``P^(0, -beta)``, mapped from [-1, 1]); above it the
+    8-point Gauss-Legendre rule on unit panels in ``u = ln s``, up to the
+    first panel end past ``ln(cutoff / delta)``.
+    """
+    b = -beta
+    k = np.arange(_SOE_JACOBI_NODES, dtype=float)
+    ab = 2.0 * k + b
+    main = b * b / (ab * (ab + 2.0))
+    kk, abk = k[1:], ab[1:]
+    off = 2.0 * kk * (kk + b) / (abk * np.sqrt(abk * abk - 1.0))
+    lam, vec = np.linalg.eigh(np.diag(main) + np.diag(off, 1) + np.diag(off, -1))
+    s_jac = 0.5 * (1.0 + lam)
+    w_jac = vec[0] ** 2 / (1.0 - beta)
+    panels = max(math.ceil(math.log(_SOE_CUTOFF / delta)), 1)
+    s_log = np.exp((np.arange(panels)[:, None] + _GL_NODES).ravel())
+    w_log = np.tile(_GL_WEIGHTS, panels) * s_log ** (1.0 - beta)
+    return np.concatenate((s_jac, s_log)), np.concatenate((w_jac, w_log)) / math.gamma(1.0 - beta)
+
+
+def _far_gaps(y: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Distance from the first midpoint of block ``j`` to the right end of
+    block ``j - 2``, the nearest far piece of the block, for ``j >= 2``."""
+    return 0.5 * (y[bounds[2:-1]] + y[bounds[2:-1] + 1]) - y[bounds[1:-2]]
+
+
+def _far_sweep_tables(
+    y: np.ndarray, bounds: np.ndarray, s: np.ndarray, w: np.ndarray
+) -> list[tuple[int, int, int, int, np.ndarray, np.ndarray, np.ndarray]]:
+    """Factor tables of one left-to-right sweep over the nodes ``y``.
+
+    Block ``j`` holds the midpoints (and pieces) ``bounds[j] ..
+    bounds[j+1] - 1``; its far pieces are those of blocks ``0 .. j - 2``.
+    With ``ref = y[bounds[j-1]]``, their right end, the sweep's state is
+    ``S_l = sum_k exp(-s_l (ref - y_{k+1})) phi_l(h_k) d_k`` with
+    ``phi_l(h) = -expm1(-s_l h) / (s_l h)``, so that
+    ``sum_l w_l exp(-s_l (z_t - ref)) S_l`` is ``sum_k I_k(t) d_k / h_k``,
+    ``I_k(t)`` the integral of ``(z_t - x)**(beta - 1)`` over piece ``k``.
+    Per block ``j`` the tables are ``(t0, t1, k0, k1, ev, add, decay)``:
+    the midpoints ``t0 .. t1 - 1`` read ``ev @ S``, the pieces ``k0 ..
+    k1 - 1`` of block ``j - 2`` enter as ``add @ d``, and ``decay`` moves
+    the state from the previous block's ``ref`` to this one's.  Terms with
+    ``s_l`` times the block's far gap above :data:`_SOE_CUTOFF` are dropped,
+    so each table holds a prefix of the terms.  A term dropped at block
+    ``j - 1`` and kept at ``j`` resumes from a stale state, which ``decay``
+    and ``ev`` scale by less than ``exp(-cutoff)``: ``s_l`` times the
+    distance from ``ref`` of block ``j - 1`` to any midpoint of block ``j``
+    exceeds the cutoff.
+    """
+    tables = []
+    gaps = _far_gaps(y, bounds)
+    for j in range(2, bounds.size - 1):
+        t0, t1, k0, k1 = bounds[j], bounds[j + 1], bounds[j - 2], bounds[j - 1]
+        ref = y[k1]
+        m = int(np.searchsorted(s, _SOE_CUTOFF / gaps[j - 2], side="right"))
+        sl = s[:m]
+        z = 0.5 * (y[t0:t1] + y[t0 + 1 : t1 + 1])
+        ev = w[:m] * np.exp(np.outer(z - ref, -sl))
+        sh = np.outer(sl, y[k0 + 1 : k1 + 1] - y[k0:k1])
+        add = np.exp(np.outer(-sl, ref - y[k0 + 1 : k1 + 1])) * (-np.expm1(-sh) / sh)
+        decay = np.exp(-sl * (ref - y[k0]))
+        tables.append((t0, t1, k0, k1, ev, add, decay))
+    return tables
+
+
+def _far_sweep(tables, d: np.ndarray) -> np.ndarray:
+    """One sweep's far sums of the differences ``d``, at every midpoint."""
+    out = np.zeros(d.size)
+    state = np.zeros(max((t[6].size for t in tables), default=0))
+    for t0, t1, k0, k1, ev, add, decay in tables:
+        s = state[: decay.size]
+        s *= decay
+        s += add @ d[k0:k1]
+        out[t0:t1] = ev @ s
+    return out
+
+
+class SoeOperator:
+    """Matrix-free FVE operator: exact near field, far field by a sum of
+    exponentials (SOE), in flux form.
+
+    With ``d_k = v_k - v_{k+1}`` (``v_0 = v_{N+1} = 0``) the flux at the
+    midpoint ``z_t`` is ``(F v)_t = sum_k Q[t, k] d_k``, with the piece
+    fluxes ``Q`` of :func:`_piece_fluxes`, and ``A v`` is
+    ``(K_i (F v)_i - K_{i+1} (F v)_{i+1}) / Gamma(beta + 1)``, divided by the
+    row divisor that :meth:`scale_rows` keeps: the steps by which
+    :func:`assemble_matrix` forms its rows, applied to a vector.
+
+    The midpoints are split into blocks of :data:`_SOE_BLOCK`.  For the
+    targets of block ``J`` the pieces of blocks ``J - 1 .. J + 1`` take their
+    exact ``Q`` from the kernel, stored as one ``(nb, B, 3B)`` array, one
+    batched product.  A far piece left of ``z_t`` adds
+    ``-gamma beta I_k(t) d_k / h_k`` and one right of it
+    ``(gamma - 1) beta I_k(t) d_k / h_k``, with ``I_k(t)`` the integral of
+    ``|z_t - x|**(beta - 1)`` over the piece.  The kernel is the exponential
+    sum of :func:`_soe_nodes` on ``[delta, 1]``, ``delta`` the smallest far
+    gap, and each exponential is integrated over a piece exactly, so no
+    difference of nearly equal powers is formed.  The left sums are one
+    sweep of :func:`_far_sweep_tables`; the right sums are the same sweep
+    on the mirrored grid, ``-x`` reversed (negation is exact, so every
+    distance is the one formed on ``x``).  It stores ``O(N (3B + L))``
+    numbers for ``L`` terms, and a product costs as many multiply-adds.
+    """
+
+    def __init__(self, grid: Grid, problem: FdeProblem):
+        beta, gamma = float(problem.beta), float(problem.gamma)
+        if not 0.0 < beta < 1.0:
+            raise AssemblyError("the exponential sum needs 0 < beta < 1")
+        n, bs = grid.n, _SOE_BLOCK
+        nb = -(-(n + 1) // bs)
+        x = grid.points
+        self.kz = problem.diffusion_at(0.5 * (x[:-1] + x[1:]))
+        bounds = np.minimum(np.arange(nb + 1) * bs, n + 1)
+        mirror = n + 1 - bounds[::-1]
+        gaps = np.concatenate((_far_gaps(x, bounds), _far_gaps(-x[::-1], mirror)))
+        s, w = _soe_nodes(beta, gaps.min()) if gaps.size else (np.empty(0), np.empty(0))
+        # the near array and the two sweeps' ev and add tables, up to L
+        # numbers per midpoint each; tracemalloc peaks at 0.71-0.94 of this
+        # count (eps6 and sqrt, N = 1025 ... 16383, beta 0.05 ... 0.95)
+        require_memory(
+            8 * nb * bs * (3 * bs + 4 * s.size),
+            f"an exponential-sum operator at N = {n}",
+            AssemblyError,
+        )
+        self.near = np.zeros((nb, bs, 3 * bs))
+        for j in range(nb):
+            t0, t1 = bounds[j], bounds[j + 1]
+            k0, k1 = max(t0 - bs, 0), min(t0 + 2 * bs, n + 1)
+            r0 = max(t0 - 1, 0)  # at least two midpoints, so one equation
+            ((_, _, q),) = _piece_fluxes(grid, problem, (r0, t1 - 1), (k0, k1), bs + 1)
+            self.near[j, : t1 - t0, k0 - t0 + bs : k1 - t0 + bs] = q[t0 - r0 :]
+        self.left = _far_sweep_tables(x, bounds, s, -gamma * beta * w)
+        self.right = _far_sweep_tables(-x[::-1], mirror, s, (gamma - 1.0) * beta * w)
+        self.gam1 = math.gamma(beta + 1.0)
+        self.row_div = np.ones(n)
+        # the diagonal, from the near entries with the arithmetic of assemble_matrix
+        def near_q(t, k):
+            return self.near[t // bs, t % bs, k - t // bs * bs + bs]
+
+        i = np.arange(n)
+        f_left = (near_q(i, i + 1) - near_q(i, i)) * self.kz[:-1]
+        f_right = (near_q(i + 1, i + 1) - near_q(i + 1, i)) * self.kz[1:]
+        self._diag = (f_left - f_right) / self.gam1
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        n = self.kz.size - 1
+        return (n, n)
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        v = np.asarray(v, dtype=float)
+        n = self.shape[1]
+        if v.shape != (n,):
+            raise AssemblyError("dimension mismatch in matvec")
+        nb, bs, _ = self.near.shape
+        d_pad = np.zeros((nb + 2) * bs)
+        d = d_pad[bs : bs + n + 1]
+        d[1:] = v
+        d[:-1] -= v
+        step = d_pad.itemsize
+        windows = np.lib.stride_tricks.as_strided(
+            d_pad, (nb, 3 * bs, 1), (bs * step, step, step), writeable=False
+        )  # window j: the differences of blocks j - 1 .. j + 1
+        flux = np.matmul(self.near, windows).reshape(-1)[: n + 1]
+        flux += _far_sweep(self.left, d)
+        flux += _far_sweep(self.right, d[::-1].copy())[::-1]
+        out = self.kz[:-1] * flux[:-1]
+        out -= self.kz[1:] * flux[1:]
+        out /= self.gam1
+        out /= self.row_div
+        return out
+
+    def diagonal(self) -> np.ndarray:
+        return self._diag
+
+    def to_dense(self) -> np.ndarray:
+        """The matrix, one product per column (for small checks only)."""
+        return np.column_stack([self.matvec(e) for e in np.eye(self.shape[1])])
+
+    def scale_rows(self, h_rows: np.ndarray) -> "SoeOperator":
+        """Divide row ``i`` by ``h_rows[i]``: the divisor is kept and applied
+        to every product."""
+        self.row_div = self.row_div * h_rows
+        self._diag = self._diag / h_rows
+        return self
+
+
+LinearOperator = DenseOperator | ToeplitzOperator | SoeOperator
 
 
 @dataclass(frozen=True)
@@ -497,8 +719,11 @@ def assemble_operator(grid: Grid, problem: FdeProblem, scaled: bool = False) -> 
     block and the border columns and the tail's first column, columns
     ``0 .. b`` of the tail rows, from a second (the uniform grid one with
     no border).
-    Every other case gets the dense matrix of :func:`assemble_matrix`, which
-    is also what a caller that factors the matrix calls directly.
+    Every other case (no tail, or variable diffusion) gets the matrix-free
+    :class:`SoeOperator` above :data:`_SOE_MIN_N` unknowns when
+    ``0 < beta < 1``, and the dense matrix of :func:`assemble_matrix`
+    otherwise, which is also what a caller that factors the matrix calls
+    directly.
     ``scaled`` applies the row scaling of :func:`row_scale` to the operator,
     for callers (the coarse multigrid levels) that need no right-hand side.
     """
@@ -508,6 +733,8 @@ def assemble_operator(grid: Grid, problem: FdeProblem, scaled: bool = False) -> 
         top = assemble_matrix(grid, problem, rows=(0, b + 1)).entries
         left = assemble_matrix(grid, problem, rows=(b, n), cols=(0, b + 1)).entries
         op: LinearOperator = ToeplitzOperator(left[:, b], top[b, b:], top[:b], left[:, :b])
+    elif n >= _SOE_MIN_N and 0.0 < problem.beta < 1.0:
+        op = SoeOperator(grid, problem)
     else:
         op = assemble_matrix(grid, problem)
     return op.scale_rows(grid.steps[:-1]) if scaled else op
@@ -516,8 +743,9 @@ def assemble_operator(grid: Grid, problem: FdeProblem, scaled: bool = False) -> 
 def assemble_system(grid: Grid, problem: FdeProblem) -> FveSystem:
     """Assemble the right-hand side of :func:`assemble_rhs`, then the
     operator of :func:`assemble_operator`.  The right-hand side goes first:
-    its quadrature guard counts the solve's largest O(N) need, so a grid too
-    large for memory is refused before the operator's buffers are made."""
+    its quadrature guard refuses a grid too large for memory before the
+    operator's buffers are made; the larger tables of the
+    sum-of-exponentials operator have a guard of their own."""
     rhs = assemble_rhs(grid, problem)
     return FveSystem(assemble_operator(grid, problem), rhs, grid, problem)
 

@@ -15,6 +15,7 @@ from gradedfve.assembly import (
     DenseOperator,
     FdeProblem,
     LinearOperator,
+    SoeOperator,
     ToeplitzOperator,
     assemble_matrix,
     assemble_operator,
@@ -25,6 +26,7 @@ from gradedfve.assembly import (
 )
 from gradedfve.mesh import (
     CompositeRule,
+    Grid,
     blend_coefficients,
     composite_grid,
     composite_grid_from_counts,
@@ -507,6 +509,48 @@ class TestBorderedToeplitz:
         assert assemble_operator(grid, problem).border == 0
 
 
+EPS6 = bench.MeshSpec("graded", eps1=1.0, eps2=0.0)
+
+
+def cancellation_free_fluxes(grid, beta, gamma, kernel_band=None):
+    """Piece fluxes ``Q`` with no difference of nearly equal powers: over
+    piece ``k`` at distance ``a`` from ``z_t`` the difference of the powers
+    at its ends is ``a**beta * expm1(beta * log1p(h_k / a))``; the split
+    piece is the kernel's.  With ``kernel_band = B``, the pieces of the
+    blocks of ``B`` midpoints next to ``z_t``'s take the kernel's
+    difference instead, as the exponential-sum operator's near field does.
+    Filled 256 rows at a time."""
+    x, h = grid.points, grid.steps
+    z = 0.5 * (x[:-1] + x[1:])
+    q = np.empty((z.size, z.size))
+    k = np.arange(z.size)
+    for t0 in range(0, z.size, 256):
+        t = np.arange(t0, min(t0 + 256, z.size))[:, None]
+        left = k < t
+        a = np.where(left, z[t] - x[1:], x[:-1] - z[t])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            diff = a**beta * np.expm1(beta * np.log1p(h / a))
+        weight = np.where(left, gamma, gamma - 1.0)
+        w = np.abs(x - z[t]) ** beta
+        if kernel_band is not None:
+            band = np.abs(t // kernel_band - k // kernel_band) <= 1
+            diff = np.where(band, np.where(left, -1.0, 1.0) * (w[:, 1:] - w[:, :-1]), diff)
+        block = np.where(left, -weight, weight) * diff / h
+        tt = t[:, 0]
+        r = tt - t0
+        block[r, tt] = -(gamma * w[r, tt] + (1.0 - gamma) * w[r, tt + 1]) / h[tt]
+        q[t0 : t0 + r.size] = block
+    return q
+
+
+def operator_of_fluxes(q, grid, problem, scaled):
+    """The matrix of the piece fluxes ``q``, as :func:`assemble_matrix` forms it."""
+    x = grid.points
+    f = (q[:, 1:] - q[:, :-1]) * problem.diffusion_at(0.5 * (x[:-1] + x[1:]))[:, None]
+    a = (f[:-1] - f[1:]) / math.gamma(problem.beta + 1.0)
+    return a / grid.steps[:-1][:, None] if scaled else a
+
+
 #: Mesh families of the property test: the uniform grid, the composite
 #: rules and the graded presets whose tail, where they have one, differs
 PROPERTY_MESHES = {
@@ -529,20 +573,33 @@ PROPERTY_MESHES = {
     gamma=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
     variable=st.booleans(),
     scaled=st.booleans(),
+    soe_block=st.sampled_from([None, 2, 5]),
 )
-def test_every_operator_kind_agrees_with_the_dense_assembly(mesh, n, beta, gamma, variable, scaled):
-    """Both operator kinds answer one protocol, and each answers it with
+def test_every_operator_kind_agrees_with_the_dense_assembly(
+    mesh, n, beta, gamma, variable, scaled, soe_block
+):
+    """Every operator kind answers one protocol, and each answers it with
     the dense assembly: border entries and the tail's first row and column
     bit for bit, the rest of the Toeplitz tail to 1e-11 of max|A|.  The
-    kind follows from the grid and K alone: Toeplitz exactly when K is
-    constant and the grid has a uniform tail, whatever gamma."""
+    kind follows from the grid, K and the size alone: Toeplitz exactly when
+    K is constant and the grid has a uniform tail, whatever gamma; otherwise
+    the exponential sum from ``_SOE_MIN_N`` unknowns on (lowered here to 9,
+    with blocks of ``soe_block`` midpoints), whose diagonal is the kernel's
+    bit for bit and whose entries and products are within 1e-11 of max|A|
+    of the cancellation-free flux formula."""
     kinds = typing.get_args(LinearOperator)
     grid = bench.build_case_grid(PROPERTY_MESHES[mesh], beta, n)
     problem = FdeProblem(beta, gamma, diffusion=(lambda x: 1.0 + x) if variable else 1.0)
-    op = assemble_operator(grid, problem, scaled=scaled)
+    with pytest.MonkeyPatch.context() as patch:
+        if soe_block is not None:
+            patch.setattr(asm, "_SOE_MIN_N", 9)
+            patch.setattr(asm, "_SOE_BLOCK", soe_block)
+        op = assemble_operator(grid, problem, scaled=scaled)
     assert isinstance(op, kinds) and op.shape == (n, n)
     toeplitz = not variable and asm._tail_start(grid) < n
     assert isinstance(op, ToeplitzOperator) == toeplitz
+    soe = soe_block is not None and not toeplitz
+    assert isinstance(op, SoeOperator) == soe
     b = op.border if toeplitz else n
     dense = assemble_matrix(grid, problem).entries
     # scaling divides the tail by one step, that of its first row
@@ -550,12 +607,20 @@ def test_every_operator_kind_agrees_with_the_dense_assembly(mesh, n, beta, gamma
     if scaled:
         dense /= grid.steps[:-1][:, None]
     a = op.to_dense()
-    assert a[: b + 1].tobytes() == dense[: b + 1].tobytes()
-    assert a[b:, :b].tobytes() == dense[b:, :b].tobytes()
-    assert a[b:, b : b + 1].tobytes() == column.tobytes()
     scale = np.abs(dense).max()
-    assert np.abs(a[b:, b:] - dense[b:, b:]).max(initial=0.0) <= 1e-11 * scale
-    assert np.array_equal(op.diagonal(), np.diag(a))
+    if soe:
+        assert op.diagonal().tobytes() == np.diag(dense).tobytes()
+        # far entries of the dense kernel cancel (ROADMAP item 2), so the sum
+        # is held to the flux formula with none, its near field the kernel's
+        q = cancellation_free_fluxes(grid, beta, gamma, kernel_band=soe_block)
+        dense = operator_of_fluxes(q, grid, problem, scaled)
+        assert np.abs(a - dense).max() <= 1e-11 * scale
+    else:
+        assert a[: b + 1].tobytes() == dense[: b + 1].tobytes()
+        assert a[b:, :b].tobytes() == dense[b:, :b].tobytes()
+        assert a[b:, b : b + 1].tobytes() == column.tobytes()
+        assert np.abs(a[b:, b:] - dense[b:, b:]).max(initial=0.0) <= 1e-11 * scale
+        assert np.array_equal(op.diagonal(), np.diag(a))
     v = np.random.default_rng(n).standard_normal(n)
     assert np.abs(op.matvec(v) - dense @ v).max() <= 1e-11 * scale * np.abs(v).sum()
     # the tail alone, on the uniform grid of its size, answers the same
@@ -570,6 +635,86 @@ def test_every_operator_kind_agrees_with_the_dense_assembly(mesh, n, beta, gamma
     assert np.abs(top.to_dense() - ref).max() <= 1e-11 * scale
     assert np.abs(top.matvec(v) - ref @ v).max() <= 1e-11 * scale * np.abs(v).sum()
 
+
+class TestSoeOperator:
+    """The exponential-sum operator on the pure power mesh, whose steps span
+    the most orders of magnitude, against the flux formula evaluated with no
+    cancellation."""
+
+    @pytest.mark.parametrize("beta", [0.2, 0.5])
+    @pytest.mark.parametrize("gamma", [0.0, 0.3, 0.5, 1.0])
+    # at N = 255 the module's blocks of 128 would leave no far field
+    @pytest.mark.parametrize("n,block", [(255, 32), (1023, asm._SOE_BLOCK), (2047, asm._SOE_BLOCK)])
+    def test_matches_the_cancellation_free_operator(self, monkeypatch, rng, n, block, gamma, beta):
+        """Within 1e-11 of ``max(|A_ref| |v|)``, ``A_ref`` free of
+        cancellation; and, with the near field's kernel entries put into the
+        reference, within 1e-12 of ``|A_ref| |v|`` row by row, which leaves
+        the exponential sum alone to be measured.  The diagonal is the dense
+        assembly's, bit for bit."""
+        monkeypatch.setattr(asm, "_SOE_BLOCK", block)
+        grid = bench.build_case_grid(EPS6, beta, n)
+        v = rng.standard_normal(n)
+        q_ref = cancellation_free_fluxes(grid, beta, gamma)
+        q_far = cancellation_free_fluxes(grid, beta, gamma, kernel_band=block)
+        for diffusion in (1.0, lambda x: 1.0 + x * x):
+            problem = FdeProblem(beta, gamma, diffusion=diffusion)
+            diag = np.diag(assemble_matrix(grid, problem).entries)
+            for scaled in (False, True):
+                op = SoeOperator(grid, problem)
+                if scaled:
+                    op.scale_rows(grid.steps[:-1])
+                got = op.matvec(v)
+                ref = operator_of_fluxes(q_ref, grid, problem, scaled)
+                assert np.abs(got - ref @ v).max() <= 1e-11 * (np.abs(ref) @ np.abs(v)).max()
+                ref = operator_of_fluxes(q_far, grid, problem, scaled)
+                assert np.all(np.abs(got - ref @ v) <= 1e-12 * (np.abs(ref) @ np.abs(v)))
+                want = diag / grid.steps[:-1] if scaled else diag
+                assert op.diagonal().tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("block", [16, 32])
+    @pytest.mark.parametrize("beta", [0.3, 0.7])
+    def test_far_field_on_steps_in_random_order(self, monkeypatch, rng, block, beta):
+        """Steps spanning six orders of magnitude in random order make the
+        far gaps rise and fall, so the terms kept per block do too: a term
+        dropped at one block and kept at the next resumes from a stale
+        state that must stay negligible."""
+        monkeypatch.setattr(asm, "_SOE_BLOCK", block)
+        x = np.concatenate(([0.0], np.cumsum(10.0 ** rng.uniform(-6.0, 0.0, 1024))))
+        x /= x[-1]
+        x[-1] = 1.0
+        grid = Grid(x)
+        problem = FdeProblem(beta, 0.3)
+        op = SoeOperator(grid, problem)
+        kept = [tables[6].size for tables in op.left]
+        assert any(b > a for a, b in zip(kept, kept[1:]))
+        v = rng.standard_normal(grid.n)
+        q = cancellation_free_fluxes(grid, beta, 0.3, kernel_band=block)
+        ref = operator_of_fluxes(q, grid, problem, False)
+        assert np.all(np.abs(op.matvec(v) - ref @ v) <= 1e-12 * (np.abs(ref) @ np.abs(v)))
+
+    @pytest.mark.parametrize("beta", [0.05, 0.5, 0.95])
+    def test_exponential_sum_matches_the_kernel(self, beta):
+        r = np.geomspace(1e-10, 1.0, 2001)
+        s, w = asm._soe_nodes(beta, 1e-10)
+        assert np.all(np.diff(s) > 0)
+        approx = np.exp(-np.outer(r, s)) @ w
+        assert np.abs(approx / r ** (beta - 1.0) - 1.0).max() <= 5e-13
+
+    @pytest.mark.parametrize(
+        "grid,beta,diffusion,kind",
+        [
+            (graded_grid(1023, blend_coefficients(3.0, 1.0, 0.0)), 0.5, 1.0, DenseOperator),
+            (graded_grid(1025, blend_coefficients(3.0, 1.0, 0.0)), 0.5, 1.0, SoeOperator),
+            (graded_grid(1025, blend_coefficients(3.0, 1.0, 0.0)), 0.0, 1.0, DenseOperator),
+            (graded_grid(1025, blend_coefficients(3.0, 1.0, 0.0)), 1.0, 1.0, DenseOperator),
+            (composite_grid(1025, CompositeRule("sqrt")), 0.5, 1.0, ToeplitzOperator),
+            (composite_grid(1025, CompositeRule("sqrt")), 0.5, lambda x: 1.0 + x, SoeOperator),
+        ],
+        ids=["eps6-1023", "eps6-1025", "beta-0", "beta-1", "sqrt", "sqrt-variable-k"],
+    )
+    def test_the_kind_follows_from_the_grid_k_beta_and_size(self, grid, beta, diffusion, kind):
+        op = assemble_operator(grid, FdeProblem(beta, 0.5, diffusion=diffusion))
+        assert type(op) is kind
 
 class TestRhs:
     def test_zero_problem(self):

@@ -132,11 +132,11 @@ class TestRunCase:
         ref = np.linalg.norm(u - ue) / np.linalg.norm(ue)
         assert res.e_rel == pytest.approx(ref, rel=1e-10)
 
-    def test_pgmres_peak_memory_stays_near_the_matrix(self):
-        # row_scale scales the matrix in place, and on a pure power mesh every
-        # coarse level is a view of it, so the solve holds one finest matrix
-        # (1.10x at this size; 1.40x with rediscretized levels)
-        n = 2**11 - 1
+    def test_pgmres_on_a_pure_power_mesh_holds_no_dense_matrix(self):
+        # above 1023 unknowns a mesh without a tail gets the matrix-free
+        # exponential-sum operator on its fine levels: a dense matrix here is
+        # 537 MB (the views of a dense finest matrix are TestSelfSimilarLevels')
+        n = 2**13 - 1
         cfg = CaseConfig(0.5, 0.5, MeshSpec("graded", eps1=1.0, eps2=0.0), n)
         tracemalloc.start()
         try:
@@ -144,8 +144,8 @@ class TestRunCase:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert res.converged and res.reassembled == 0
-        assert peak <= 1.2 * 8 * n * n
+        assert res.converged
+        assert peak <= 150e6
 
     @pytest.mark.parametrize(
         "spec", [MeshSpec("uniform"), MeshSpec("composite", rule="sqrt")], ids=["uniform", "sqrt"]

@@ -16,14 +16,16 @@ def test_every_exported_name_exists(module):
 
 
 def test_solves_and_spectra_import_no_scipy():
-    """A fresh process that solves and compares spectra loads no scipy module."""
+    """A fresh process that solves and compares spectra loads no scipy
+    module; the eps6 solve at N = 2047 takes the exponential-sum operator."""
     code = (
         "import sys\n"
         "from gradedfve import bench, spectral\n"
         "from gradedfve.bench import CaseConfig, MeshSpec\n"
-        "for spec, solver in ((MeshSpec('composite', rule='sqrt'), 'pgmres'),\n"
-        "                     (MeshSpec('graded', eps1=1.0, eps2=0.0), 'direct')):\n"
-        "    assert bench.run_case(CaseConfig(0.5, 0.5, spec, 63, solver)).converged\n"
+        "eps6 = MeshSpec('graded', eps1=1.0, eps2=0.0)\n"
+        "for spec, solver, n in ((MeshSpec('composite', rule='sqrt'), 'pgmres', 63),\n"
+        "                        (eps6, 'direct', 63), (eps6, 'pgmres', 2047)):\n"
+        "    assert bench.run_case(CaseConfig(0.5, 0.5, spec, n, solver)).converged\n"
         "spectral.eig_vs_symbol(0.5, 2.0, 16, 'coarse')\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
     )

@@ -113,6 +113,23 @@ def test_quadrature_tables_are_guarded_together(monkeypatch):
     assert peak < 7 * table
 
 
+def test_exponential_sum_tables_are_guarded(monkeypatch):
+    # the near array and factor tables of the matrix-free operator grow as
+    # N (3B + 4L) numbers, more than the right-hand side's quadrature tables:
+    # at N = 4095 those fit in 8 MB and the operator is refused before its
+    # arrays are made
+    grid = graded_grid(4095, blend_coefficients(3.0, 1.0, 0.0))
+    monkeypatch.setattr(_memory, "physical_memory", lambda: 8 * 2**20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(AssemblyError, match="exponential-sum operator"):
+            assemble_system(grid, FdeProblem(0.5, 0.5, source=np.ones_like))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
 @pytest.mark.parametrize(
     "build,arrays",
     [
@@ -148,8 +165,8 @@ def test_grid_arrays_are_guarded_together(monkeypatch, build, arrays):
     ids=["uniform", "sqrt", "graded"],
 )
 def test_solve_beyond_physical_memory_is_refused_before_assembly(monkeypatch, mesh):
-    # the right-hand side is assembled first, and its guard counts the
-    # solve's largest O(N) need, so the operator's buffers are never made
+    # the right-hand side is assembled first, and its guard refuses the
+    # grid, so the operator's buffers are never made
     monkeypatch.setattr(_memory, "physical_memory", lambda: 2**20)
     tracemalloc.start()
     try:
