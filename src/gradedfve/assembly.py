@@ -17,8 +17,10 @@ and N alone:
 - With constant K, the rows and columns of the nodes in a uniform run of
   steps form a Toeplitz block for every gamma (a symmetric one at
   gamma = 1/2), so a grid that ends in a uniform tail gets a Toeplitz
-  operator: dense rows and columns for its graded nodes (the border)
-  around a Toeplitz tail, whose product goes through FFTs.  The uniform
+  operator: rows and columns for its graded nodes (the border) around a
+  Toeplitz tail, whose product goes through FFTs.  The border's coupling
+  with the tail is dense next to their interface and, where that holds
+  fewer numbers, an exponential sum of the kernel beyond it.  The uniform
   grid is the Toeplitz operator with no border.
 - Any other grid (or variable K) with more than 1023 unknowns and
   ``0 < beta < 1`` gets the matrix-free sum-of-exponentials operator: the
@@ -49,10 +51,10 @@ not grow with N (until one row outgrows the budget).  A
 preconditioned solve on a pure power mesh with odd N <= 1023 and constant
 diffusion holds one finest matrix, whose scaled leading blocks are its
 coarse levels; above that its levels with more than 1023 unknowns are
-matrix-free (eps6 at N + 1 = 4096 peaks at about 49 MB, where its dense
+matrix-free (eps6 at N + 1 = 4096 peaks at about 41 MB, where its dense
 matrix alone is 134 MB).  Other meshes without a tail, or variable
 diffusion, add rediscretized coarse levels, and a mesh with a tail holds
-only the borders of its levels.
+only the borders of its levels and the factors of their far couplings.
 """
 
 from __future__ import annotations
@@ -163,36 +165,53 @@ class DenseOperator:
 class ToeplitzOperator:
     """Matrix whose trailing ``m x m`` block is Toeplitz:
 
-        [ rows        ]   rows: the first b rows, dense, b x N
-        [ cols | tail ]   cols: the tail rows' border columns, dense, m x b
+        [ rows        | right ]   rows: the first b rows, dense, b x c
+        [ cols | tail         ]   cols: tail rows b .. c - 1, dense, (c - b) x b
+        [ left |              ]   left, right: far blocks, factored (c < N)
 
     This is the FVE matrix of a mesh whose last ``m`` nodes lie in a uniform
     tail (constant diffusion, any gamma); the ``b = N - m`` graded nodes
     form the border, which is empty on the uniform grid.  The tail is
     stored by its first column and first row, column ``b`` and row ``b`` of
-    the matrix, which share the diagonal entry.  It stores ``N^2 - m^2``
-    numbers plus O(m), and a product costs ``N^2 - m^2`` multiply-adds plus
+    the matrix, which share the diagonal entry, and a product goes through
     real FFTs of a circulant embedding of the tail, whose size is the first
     power of two ``>= 2m - 1``.
+
+    The coupling of the border with the tail is dense up to column and row
+    ``c``: all of it when ``c = N``, and otherwise a near strip of
+    ``c - b`` columns and rows next to the interface, with the far blocks
+    ``right`` (border rows, tail columns ``c ..``) and ``left`` (tail rows
+    ``c ..``, border columns) given by ``far``, the exponential-sum factors
+    ``(ev_left, add_left, ev_right, add_right)`` of
+    :func:`_coupling_factors`: ``left @ u`` is ``ev_left @ (add_left @ d)``
+    for the differences ``d`` of :func:`_differences`, and ``right @ u``
+    likewise.  The dense coupling stores ``2 b m`` numbers, the factored
+    one ``2 b (c - b)`` and ``2 L (N - c + b + 1)`` for ``L`` terms.
     """
 
     def __init__(
-        self, first_col: np.ndarray, first_row: np.ndarray, rows: np.ndarray, cols: np.ndarray
+        self,
+        first_col: np.ndarray,
+        first_row: np.ndarray,
+        rows: np.ndarray,
+        cols: np.ndarray,
+        far: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
     ):
         col, row = np.asarray(first_col, dtype=float), np.asarray(first_row, dtype=float)
         if row.ndim != 1 or row.size == 0 or col.shape != row.shape:
             raise AssemblyError("first_col and first_row must be nonempty 1-D arrays of one size")
-        m = row.size
-        b, n = rows.shape
-        if n != b + m or cols.shape != (m, b):
+        b, c = rows.shape
+        n = b + row.size
+        if not b <= c <= n or cols.shape != (c - b, b) or (far is None) != (c == n):
             raise AssemblyError("border and tail shapes do not fit together")
         self.rows, self.cols, self.first_col, self.first_row = rows, cols, col, row
-        self._circ_size = 1 << (2 * m - 2).bit_length()
+        self.far = far
+        self._circ_size = 1 << (2 * row.size - 2).bit_length()
         self._circ_fft: np.ndarray | None = None
 
     @property
     def shape(self) -> tuple[int, int]:
-        n = self.rows.shape[1]
+        n = self.border + self.first_row.size
         return (n, n)
 
     @property
@@ -212,11 +231,15 @@ class ToeplitzOperator:
         v = np.asarray(v, dtype=float)
         if v.shape != (self.shape[1],):
             raise AssemblyError("dimension mismatch in matvec")
-        b, size = self.border, self._circ_size
+        (b, c), size = self.rows.shape, self._circ_size
         out = np.empty(v.size)
-        out[:b] = self.rows @ v
+        out[:b] = self.rows @ v[:c]
         out[b:] = np.fft.irfft(self._fft() * np.fft.rfft(v[b:], size), size)[: v.size - b]
-        out[b:] += self.cols @ v[:b]
+        out[b:c] += self.cols @ v[:b]
+        if self.far is not None:
+            ev_left, add_left, ev_right, add_right = self.far
+            out[c:] += ev_left @ (add_left @ _differences(v[:b]))
+            out[:b] += ev_right @ (add_right @ _differences(v[c:]))
         return out
 
     def diagonal(self) -> np.ndarray:
@@ -225,12 +248,19 @@ class ToeplitzOperator:
     def to_dense(self) -> np.ndarray:
         """The matrix: the border, then tail row ``i`` as ``c[i:0:-1]``
         followed by ``t[:m-i]`` (first column ``c``, first row ``t``), copied
-        straight from a sliding window over ``c`` reversed joined to ``t``."""
-        b, c, t = self.border, self.first_col, self.first_row
+        straight from a sliding window over ``c`` reversed joined to ``t``;
+        far blocks are multiplied out from their factors."""
+        (b, c), col, row = self.rows.shape, self.first_col, self.first_row
         a = np.empty(self.shape)
-        a[:b] = self.rows
-        a[b:, :b] = self.cols
-        windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((c[:0:-1], t)), t.size)
+        a[:b, :c] = self.rows
+        a[b:c, :b] = self.cols
+        if self.far is not None:
+            ev_left, add_left, ev_right, add_right = self.far
+            for out, ev, add in ((a[c:, :b], ev_left, add_left), (a[:b, c:], ev_right, add_right)):
+                g = ev @ add  # on the differences: column j is g[:, j + 1] - g[:, j]
+                np.subtract(g[:, 1:], g[:, :-1], out=out)
+        joined = np.concatenate((col[:0:-1], row))
+        windows = np.lib.stride_tricks.sliding_window_view(joined, row.size)
         a[b:, b:] = windows[::-1]
         return a
 
@@ -238,14 +268,27 @@ class ToeplitzOperator:
         """Divide row ``i`` by ``h_rows[i]`` in place, the tail by
         ``h_rows[b]``, the step of its first row: the tail rows share one step
         up to rounding, so it stays Toeplitz; the circulant FFT of the
-        unscaled tail is dropped."""
-        b = self.border
+        unscaled tail is dropped.  The far blocks divide the rows of their
+        evaluation tables."""
+        b, c = self.rows.shape
         self.rows /= h_rows[:b, None]
-        self.cols /= h_rows[b:, None]
+        self.cols /= h_rows[b:c, None]
+        if self.far is not None:
+            ev_left, _, ev_right, _ = self.far
+            ev_left /= h_rows[c:, None]
+            ev_right /= h_rows[:b, None]
         self.first_col = self.first_col / h_rows[b]
         self.first_row = self.first_row / h_rows[b]
         self._circ_fft = None
         return self
+
+
+def _differences(u: np.ndarray) -> np.ndarray:
+    """``d_k = u_k - u_{k+1}`` of ``u`` with a zero before and after it."""
+    d = np.zeros(u.size + 1)
+    d[1:] = u
+    d[:-1] -= u
+    return d
 
 
 #: The replaced symmetric class's name, under which perfbench wraps ``matvec``.
@@ -263,8 +306,12 @@ _SOE_BLOCK = 128
 #: An exponential term ``exp(-s r)`` with ``s r`` above this is below 4.3e-18
 #: of its weight and is dropped.
 _SOE_CUTOFF = 40.0
-#: Gauss-Jacobi nodes of the exponential sum on ``s`` in [0, 1].
-_SOE_JACOBI_NODES = 20
+#: Gauss-Jacobi nodes of the exponential sum on ``s`` in [0, 1].  On
+#: [1e-10, 1] the sum is off ``r**(beta - 1)`` by at most 1.9e-13, 1.2e-13,
+#: 4.0e-14, 8.2e-15 and 1.7e-15 at beta 0.05, 0.2, 0.5, 0.8 and 0.95 with 6
+#: nodes, as with 8 to 20; 5 nodes give 2.7e-13, 3.1e-13, 3.0e-13, 1.8e-13
+#: and 5.4e-14, and 4 nodes 4e-10.
+_SOE_JACOBI_NODES = 6
 
 
 def _soe_nodes(beta: float, delta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -331,11 +378,19 @@ def _far_sweep_tables(
         sl = s[:m]
         z = 0.5 * (y[t0:t1] + y[t0 + 1 : t1 + 1])
         ev = w[:m] * np.exp(np.outer(z - ref, -sl))
-        sh = np.outer(sl, y[k0 + 1 : k1 + 1] - y[k0:k1])
-        add = np.exp(np.outer(-sl, ref - y[k0 + 1 : k1 + 1])) * (-np.expm1(-sh) / sh)
         decay = np.exp(-sl * (ref - y[k0]))
-        tables.append((t0, t1, k0, k1, ev, add, decay))
+        tables.append((t0, t1, k0, k1, ev, _piece_table(y, k0, k1, sl), decay))
     return tables
+
+
+def _piece_table(y: np.ndarray, k0: int, k1: int, s: np.ndarray) -> np.ndarray:
+    """``exp(-s_l (y_{k1} - y_{k+1})) phi_l(h_k)`` for the pieces ``k = k0
+    .. k1 - 1`` of the nodes ``y``, with ``phi_l(h) = -expm1(-s_l h) / (s_l
+    h)``: times ``exp(-s_l (z - y_{k1}))`` it is the integral of
+    ``exp(-s_l (z - x))`` over piece ``k`` divided by its length, formed
+    with no difference of nearly equal numbers."""
+    sh = np.outer(s, y[k0 + 1 : k1 + 1] - y[k0:k1])
+    return np.exp(np.outer(-s, y[k1] - y[k0 + 1 : k1 + 1])) * (-np.expm1(-sh) / sh)
 
 
 def _far_sweep(tables, d: np.ndarray) -> np.ndarray:
@@ -709,16 +764,98 @@ def _tail_start(grid: Grid) -> int:
     return int(off[-1]) + 1 if off.size else 0
 
 
+#: Columns and rows of a Toeplitz operator's coupling kept dense next to
+#: the interface of border and tail, where the rest is an exponential sum.
+#: eps1 pgmres solves at N = 4095 (beta 0.83, median of 5) took 77, 73, 72,
+#: 79, 77 and 86 ms with widths 32, 64, 96, 128, 192 and 256, and peaked at 17.9,
+#: 17.6, 17.8, 18.0, 18.5 and 19.3 MB (tracemalloc): flat within noise, and
+#: 64 holds the fewest numbers.  The rule of :func:`_coupling_is_factored`
+#: also sets the smallest factored level: on the eps1 levels of that solve
+#: it factors N = 511 and up, where a product took 0.046 ms factored and
+#: 0.037 ms dense and the assembly 1.10 and 1.31 ms, and keeps N = 255
+#: dense (0.039 ms dense, 0.057 ms factored).
+_NEAR_WIDTH = 64
+
+
+def _far_flux_factors(
+    y: np.ndarray, k1: int, eqs: tuple[int, int], s: np.ndarray, c: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Factors ``(ev, add)`` of the flux differences of the pieces
+    ``0 .. k1 - 1`` of the nodes ``y`` at the equations ``eqs`` right of
+    them (half-open; equation ``i`` reads the midpoints ``i`` and
+    ``i + 1``).
+
+    ``add`` is the :func:`_piece_table` of the pieces, so that with ``ref =
+    y[k1]``, ``sum_l c_l exp(-s_l (z_t - ref)) (add @ d)_l`` is ``sum_k c
+    I_k(t) d_k / h_k``; ``ev[r, l]`` is the difference of that factor
+    between the midpoints ``i`` and ``i + 1`` of equation ``i = eqs[0] +
+    r``, formed as ``c_l exp(-s_l (z_i - ref)) (-expm1(-s_l (z_{i+1} -
+    z_i)))``, with no difference of nearly equal numbers either.
+    """
+    i0, i1 = eqs
+    z = 0.5 * (y[i0 : i1 + 1] + y[i0 + 1 : i1 + 2])
+    ev = c * np.exp(np.outer(y[k1] - z[:-1], s)) * -np.expm1(np.outer(z[:-1] - z[1:], s))
+    return ev, _piece_table(y, 0, k1, s)
+
+
+def _coupling_is_factored(b: int, m: int, w: int, nterms: int) -> bool:
+    """Whether the far coupling of a border of ``b`` nodes with a tail of
+    ``m`` holds fewer numbers as ``nterms`` exponential-sum terms with a
+    near strip of ``w``, ``2 b w + 2 nterms (b + m - w + 1)``, than
+    dense, ``2 b m``."""
+    return 2 * b * w + 2 * nterms * (b + m - w + 1) < 2 * b * m
+
+
+def _coupling_factors(grid: Grid, problem: FdeProblem, b: int):
+    """Exponential-sum factors of the far coupling of a Toeplitz operator
+    with border ``b`` (see :class:`ToeplitzOperator`), or None where the
+    dense coupling holds fewer numbers (:func:`_coupling_is_factored`).
+
+    With ``c = b + w``, ``w`` = :data:`_NEAR_WIDTH`, the left block (tail
+    rows ``c ..``, border columns) reads the pieces ``0 .. b`` at tail
+    midpoints, and the right block (border rows, tail columns ``c ..``)
+    the pieces ``c .. N`` at border midpoints: the left factors of the
+    mirrored grid, ``-x`` reversed, with the rows reversed and negated (a
+    flux difference changes sign with the orientation).  The piece fluxes
+    are those of :class:`SoeOperator`'s far field, and an equation is
+    ``K / Gamma(beta + 1)`` times a flux difference.  Every distance is at
+    least ``delta``, ``w - 1/2`` tail steps, so one sum of
+    :func:`_soe_nodes` on ``[delta, 1]`` serves both blocks, less its terms
+    with ``s_l delta`` above :data:`_SOE_CUTOFF`.
+    """
+    n, w, beta = grid.n, _NEAR_WIDTH, float(problem.beta)
+    m, c = n - b, b + w
+    if b == 0 or m <= w or not 0.0 < beta < 1.0:
+        return None
+    x = grid.points
+    delta = min(0.5 * (x[c] + x[c + 1]) - x[b + 1], x[c] - 0.5 * (x[b] + x[b + 1]))
+    s, wts = _soe_nodes(beta, delta)
+    nterms = int(np.searchsorted(s, _SOE_CUTOFF / delta, side="right"))
+    if not _coupling_is_factored(b, m, w, nterms):
+        return None
+    # tracemalloc peaks at 1.8-2.2 times the tables while they are made
+    # (eps1 and eps4, N = 1023 ... 16383, beta 0.05 ... 0.95)
+    require_memory(
+        3 * 8 * 2 * nterms * (n - w + 1), f"an exponential-sum coupling at N = {n}", AssemblyError
+    )
+    s, wts = s[:nterms], wts[:nterms] * float(problem.diffusion) * beta / math.gamma(beta + 1.0)
+    gamma = float(problem.gamma)
+    ev_left, add_left = _far_flux_factors(x, b + 1, (c, n), s, -gamma * wts)
+    ev_right, add_right = _far_flux_factors(-x[::-1], n + 1 - c, (n - b, n), s, (gamma - 1.0) * wts)
+    return ev_left, add_left, -ev_right[::-1], np.ascontiguousarray(add_right[:, ::-1])
+
+
 def assemble_operator(grid: Grid, problem: FdeProblem, scaled: bool = False) -> LinearOperator:
     """Assemble the coefficient operator alone, row-scaled if ``scaled``.
 
     With constant diffusion the rows and columns of a uniform tail form a
     Toeplitz block, whatever gamma: a grid with a uniform tail gets a
     :class:`ToeplitzOperator` whose border rows and the tail's first row,
-    rows ``0 .. b`` of the matrix, come from one :func:`assemble_matrix`
-    block and the border columns and the tail's first column, columns
-    ``0 .. b`` of the tail rows, from a second (the uniform grid one with
-    no border).
+    rows ``0 .. b`` of the matrix, and its border columns and the tail's
+    first column, columns ``0 .. b`` of the tail rows, are
+    :func:`assemble_matrix` blocks, up to column and row ``c`` of
+    :func:`_coupling_factors` where the far coupling is factored (the
+    uniform grid has no border).
     Every other case (no tail, or variable diffusion) gets the matrix-free
     :class:`SoeOperator` above :data:`_SOE_MIN_N` unknowns when
     ``0 < beta < 1``, and the dense matrix of :func:`assemble_matrix`
@@ -730,9 +867,18 @@ def assemble_operator(grid: Grid, problem: FdeProblem, scaled: bool = False) -> 
     n = grid.n
     b = n if callable(problem.diffusion) else _tail_start(grid)
     if b < n:
-        top = assemble_matrix(grid, problem, rows=(0, b + 1)).entries
-        left = assemble_matrix(grid, problem, rows=(b, n), cols=(0, b + 1)).entries
-        op: LinearOperator = ToeplitzOperator(left[:, b], top[b, b:], top[:b], left[:, :b])
+        far = _coupling_factors(grid, problem, b)
+        c = n if far is None else b + _NEAR_WIDTH
+
+        def block(rows: tuple[int, int], cols: tuple[int, int]) -> np.ndarray:
+            return assemble_matrix(grid, problem, rows=rows, cols=cols).entries
+
+        top, left = block((0, b + 1), (0, c)), block((b, c), (0, b + 1))
+        first_row, first_col = top[b, b:], left[:, b]
+        if far is not None:  # the tail's first row and column beyond column and row c
+            first_row = np.concatenate((first_row, block((b, b + 1), (c, n))[0]))
+            first_col = np.concatenate((first_col, block((c, n), (b, b + 1))[:, 0]))
+        op: LinearOperator = ToeplitzOperator(first_col, first_row, top[:b], left[:, :b], far)
     elif n >= _SOE_MIN_N and 0.0 < problem.beta < 1.0:
         op = SoeOperator(grid, problem)
     else:
@@ -756,8 +902,8 @@ def row_scale(system: FveSystem) -> FveSystem:
     The scaling removes the grid-dependent measure factor from each
     equation, which the multigrid hierarchy relies on.  The operator's
     ``scale_rows`` divides it in place: a dense matrix row by row, a
-    Toeplitz operator's border row by row and its tail by the step of the
-    tail's first row, so it stays Toeplitz.
+    Toeplitz operator's border and far factors row by row and its tail by
+    the step of the tail's first row, so it stays Toeplitz.
 
     The returned system holds the very operator of ``system``, so the
     argument is consumed and its matrix must not be read as unscaled

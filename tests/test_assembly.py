@@ -24,6 +24,7 @@ from gradedfve.assembly import (
     row_scale,
     uniform_toeplitz,
 )
+from gradedfve.multigrid import coarsen
 from gradedfve.mesh import (
     CompositeRule,
     Grid,
@@ -402,7 +403,9 @@ class TestBorderedToeplitz:
     """The bordered operator of a mesh with a uniform tail against the dense
     assembly: its border and the tail's first row and column, row and
     column ``b`` of the matrix, are the same arithmetic, and the later tail
-    rows repeat them."""
+    rows repeat them.  Where the far coupling is factored (eps1 and eps4 at
+    N = 1023), the dense parts are up to column and row ``c``, and the far
+    blocks hold the cancellation-free flux formula."""
 
     # (mesh, beta): the grids of eps1 and eps4 depend on beta through q; the
     # uniform grid is all tail, with no border
@@ -433,9 +436,17 @@ class TestBorderedToeplitz:
             dense /= grid.steps[:-1][:, None]
         op = system.operator
         a = op.to_dense()
-        assert a[: b + 1].tobytes() == dense[: b + 1].tobytes()  # the border and row b
-        assert a[b:, :b].tobytes() == dense[b:, :b].tobytes()
+        c = op.rows.shape[1]
+        assert (op.far is not None) == (name in ("eps1", "eps4") and n == 1023)
+        assert a[:b, :c].tobytes() == dense[:b, :c].tobytes()  # the border
+        assert a[b].tobytes() == dense[b].tobytes()  # row b
+        assert a[b:c, :b].tobytes() == dense[b:c, :b].tobytes()
         assert a[b:, b].tobytes() == column.tobytes()  # and column b
+        if op.far is not None:
+            q = cancellation_free_fluxes(grid, beta, gamma)
+            ref = operator_of_fluxes(q, grid, problem, scaled)
+            for block in (np.s_[:b, c:], np.s_[c:, :b]):
+                assert np.abs(a[block] - ref[block]).max() <= 1e-13 * np.abs(dense).max()
         tail = a[b:, b:]
         assert np.abs(tail - dense[b:, b:]).max() <= 1e-11 * np.abs(dense).max()
         assert np.array_equal(tail, scipy.linalg.toeplitz(tail[:, 0], tail[0]))
@@ -511,6 +522,12 @@ class TestBorderedToeplitz:
 
 EPS6 = bench.MeshSpec("graded", eps1=1.0, eps2=0.0)
 
+#: Blended meshes: a graded part joined to a uniform tail of equal steps
+BLENDS = {
+    "eps1": bench.MeshSpec("graded", eps1=0.1, eps2=0.05),
+    "eps4": bench.MeshSpec("graded", eps1=0.45, eps2=0.05),
+}
+
 
 def cancellation_free_fluxes(grid, beta, gamma, kernel_band=None):
     """Piece fluxes ``Q`` with no difference of nearly equal powers: over
@@ -574,9 +591,10 @@ PROPERTY_MESHES = {
     variable=st.booleans(),
     scaled=st.booleans(),
     soe_block=st.sampled_from([None, 2, 5]),
+    factored=st.booleans(),
 )
 def test_every_operator_kind_agrees_with_the_dense_assembly(
-    mesh, n, beta, gamma, variable, scaled, soe_block
+    mesh, n, beta, gamma, variable, scaled, soe_block, factored
 ):
     """Every operator kind answers one protocol, and each answers it with
     the dense assembly: border entries and the tail's first row and column
@@ -586,7 +604,10 @@ def test_every_operator_kind_agrees_with_the_dense_assembly(
     the exponential sum from ``_SOE_MIN_N`` unknowns on (lowered here to 9,
     with blocks of ``soe_block`` midpoints), whose diagonal is the kernel's
     bit for bit and whose entries and products are within 1e-11 of max|A|
-    of the cancellation-free flux formula."""
+    of the cancellation-free flux formula.  With ``factored``, a Toeplitz
+    operator factors its far coupling beyond a near strip of 3 whatever
+    the sizes: its dense parts stay the kernel's bit for bit, and its far
+    blocks are within 1e-11 of max|A| of the cancellation-free formula."""
     kinds = typing.get_args(LinearOperator)
     grid = bench.build_case_grid(PROPERTY_MESHES[mesh], beta, n)
     problem = FdeProblem(beta, gamma, diffusion=(lambda x: 1.0 + x) if variable else 1.0)
@@ -594,6 +615,9 @@ def test_every_operator_kind_agrees_with_the_dense_assembly(
         if soe_block is not None:
             patch.setattr(asm, "_SOE_MIN_N", 9)
             patch.setattr(asm, "_SOE_BLOCK", soe_block)
+        if factored:
+            patch.setattr(asm, "_NEAR_WIDTH", 3)
+            patch.setattr(asm, "_coupling_is_factored", lambda *sizes: True)
         op = assemble_operator(grid, problem, scaled=scaled)
     assert isinstance(op, kinds) and op.shape == (n, n)
     toeplitz = not variable and asm._tail_start(grid) < n
@@ -601,6 +625,9 @@ def test_every_operator_kind_agrees_with_the_dense_assembly(
     soe = soe_block is not None and not toeplitz
     assert isinstance(op, SoeOperator) == soe
     b = op.border if toeplitz else n
+    far = toeplitz and op.far is not None
+    assert far == (factored and toeplitz and 0 < b < n - 3)
+    c = op.rows.shape[1] if toeplitz else n
     dense = assemble_matrix(grid, problem).entries
     # scaling divides the tail by one step, that of its first row
     column = dense[b:, b : b + 1] / (grid.steps[b] if scaled else 1.0)
@@ -616,11 +643,17 @@ def test_every_operator_kind_agrees_with_the_dense_assembly(
         dense = operator_of_fluxes(q, grid, problem, scaled)
         assert np.abs(a - dense).max() <= 1e-11 * scale
     else:
-        assert a[: b + 1].tobytes() == dense[: b + 1].tobytes()
-        assert a[b:, :b].tobytes() == dense[b:, :b].tobytes()
+        assert a[:b, :c].tobytes() == dense[:b, :c].tobytes()
+        assert a[b : b + 1].tobytes() == dense[b : b + 1].tobytes()
+        assert a[b:c, :b].tobytes() == dense[b:c, :b].tobytes()
         assert a[b:, b : b + 1].tobytes() == column.tobytes()
         assert np.abs(a[b:, b:] - dense[b:, b:]).max(initial=0.0) <= 1e-11 * scale
         assert np.array_equal(op.diagonal(), np.diag(a))
+    if far:
+        ref = operator_of_fluxes(cancellation_free_fluxes(grid, beta, gamma), grid, problem, scaled)
+        for block in (np.s_[:b, c:], np.s_[c:, :b]):
+            assert np.abs(a[block] - ref[block]).max() <= 1e-11 * scale
+            dense[block] = ref[block]
     v = np.random.default_rng(n).standard_normal(n)
     assert np.abs(op.matvec(v) - dense @ v).max() <= 1e-11 * scale * np.abs(v).sum()
     # the tail alone, on the uniform grid of its size, answers the same
@@ -709,12 +742,102 @@ class TestSoeOperator:
             (graded_grid(1025, blend_coefficients(3.0, 1.0, 0.0)), 1.0, 1.0, DenseOperator),
             (composite_grid(1025, CompositeRule("sqrt")), 0.5, 1.0, ToeplitzOperator),
             (composite_grid(1025, CompositeRule("sqrt")), 0.5, lambda x: 1.0 + x, SoeOperator),
+            (bench.build_case_grid(BLENDS["eps1"], 0.8, 4095), 0.8, 1.0, ToeplitzOperator),
         ],
-        ids=["eps6-1023", "eps6-1025", "beta-0", "beta-1", "sqrt", "sqrt-variable-k"],
+        ids=["eps6-1023", "eps6-1025", "beta-0", "beta-1", "sqrt", "sqrt-variable-k", "eps1-4095"],
     )
     def test_the_kind_follows_from_the_grid_k_beta_and_size(self, grid, beta, diffusion, kind):
         op = assemble_operator(grid, FdeProblem(beta, 0.5, diffusion=diffusion))
         assert type(op) is kind
+
+    @pytest.mark.parametrize(
+        "spec,beta,factored",
+        [
+            (BLENDS["eps1"], 0.8, [True] * 4 + [False] * 6),
+            (bench.MeshSpec("composite", rule="sqrt"), 0.5, [False] * 10),
+        ],
+        ids=["eps1", "sqrt"],
+    )
+    def test_the_coupling_form_follows_from_the_sizes(self, spec, beta, factored):
+        """Each level of an N = 4095 hierarchy factors its far coupling
+        where that holds fewer numbers: eps1 (border 615 of 4095) down to
+        N = 511, sqrt (border 64) nowhere; beta 0 and 1 keep it dense."""
+        grid = bench.build_case_grid(spec, beta, 4095)
+        forms = []
+        while grid.n > 3:
+            forms.append(assemble_operator(grid, FdeProblem(beta, 0.5)).far is not None)
+            grid = coarsen(grid)
+        assert forms == factored
+        grid = bench.build_case_grid(spec, beta, 4095)
+        for limit in (0.0, 1.0):
+            assert assemble_operator(grid, FdeProblem(limit, 0.5)).far is None
+
+class TestFactoredCoupling:
+    """The Toeplitz operator whose far coupling is an exponential sum, on
+    blended meshes at N = 1023 (borders of 154 and 512 nodes), against the
+    flux formula evaluated with no cancellation."""
+
+    @pytest.mark.parametrize("beta", [0.2, 0.5])
+    @pytest.mark.parametrize("gamma", [0.0, 0.3, 0.5, 1.0])
+    @pytest.mark.parametrize("mesh", list(BLENDS))
+    def test_matches_the_cancellation_free_operator(self, rng, mesh, gamma, beta):
+        """Within 1e-11 of ``max(|A_ref| |v|)``, ``A_ref`` free of
+        cancellation; and within 1e-12 of ``|A_ref| |v|`` row by row when
+        ``A_ref`` takes the kernel's entries wherever the operator does (the
+        border, the near strips and the Toeplitz tail of row and column
+        ``b``), which leaves the exponential sum alone to be measured.  The
+        diagonal is that reference's bit for bit."""
+        grid = bench.build_case_grid(BLENDS[mesh], beta, 1023)
+        problem = FdeProblem(beta, gamma)
+        q = cancellation_free_fluxes(grid, beta, gamma)
+        dense = assemble_matrix(grid, problem).entries
+        h = grid.steps[:-1]
+        v = rng.standard_normal(grid.n)
+        for scaled in (False, True):
+            op = assemble_operator(grid, problem, scaled=scaled)
+            assert op.far is not None
+            b, c = op.rows.shape
+            got = op.matvec(v)
+            ref = operator_of_fluxes(q, grid, problem, scaled)
+            assert np.abs(got - ref @ v).max() <= 1e-11 * (np.abs(ref) @ np.abs(v)).max()
+            near = dense / h[:, None] if scaled else dense.copy()
+            tail = scipy.linalg.toeplitz(dense[b:, b], dense[b, b:])
+            near[b:, b:] = tail / h[b] if scaled else tail
+            near[:b, c:], near[c:, :b] = ref[:b, c:], ref[c:, :b]
+            assert np.all(np.abs(got - near @ v) <= 1e-12 * (np.abs(near) @ np.abs(v)))
+            assert op.diagonal().tobytes() == np.diag(near).tobytes()
+
+    @pytest.mark.parametrize("beta,gamma", [(0.2, 0.3), (0.8, 0.3), (0.95, 0.5)])
+    def test_far_entries_match_the_flux_formula_in_mpmath(self, beta, gamma):
+        """Row-scaled far entries within 1e-10 of themselves against the
+        flux formula in 40-digit mpmath (measured: at most 1e-11), in the
+        rows next to x = 0, whose steps reach 1e-16 at the capped exponent:
+        there the row difference of the flux formula cancels in float64
+        even free of the powers' cancellation, and the dense kernel is off
+        by up to 5e5 of an entry at beta = 0.8."""
+        mpmath = pytest.importorskip("mpmath")
+        grid = bench.build_case_grid(BLENDS["eps1"], beta, 1023)
+        op = assemble_operator(grid, FdeProblem(beta, gamma), scaled=True)
+        a = op.to_dense()
+        (b, c), n = op.rows.shape, grid.n
+        z = 0.5 * (grid.points[:-1] + grid.points[1:])
+        rows, cols = (0, 1, 2, b // 2, b - 1), (c, c + 1, (c + n) // 2, n - 1)
+        entries = [(i, j) for i in rows for j in cols]
+        entries += [(i, j) for i in (c, (c + n) // 2, n - 1) for j in (b - 2, b - 1)]
+        with mpmath.workdps(40):
+            x = [mpmath.mpf(float(v)) for v in grid.points]
+            be, ga = mpmath.mpf(beta), mpmath.mpf(gamma)
+
+            def q(t, k):  # the piece flux Q[t, k] of a piece off the midpoint
+                zt = mpmath.mpf(float(z[t]))
+                diff = (abs(x[k + 1] - zt) ** be - abs(x[k] - zt) ** be) / (x[k + 1] - x[k])
+                return (ga if k < t else ga - 1) * diff
+
+            for i, j in entries:
+                f = [q(t, j + 1) - q(t, j) for t in (i, i + 1)]  # hat fluxes of node j + 1
+                want = (f[0] - f[1]) / mpmath.gamma(be + 1) / (x[i + 1] - x[i])
+                assert abs(a[i, j] - want) <= 1e-10 * abs(want), (i, j)
+
 
 class TestRhs:
     def test_zero_problem(self):

@@ -147,6 +147,20 @@ class TestRunCase:
         assert res.converged
         assert peak <= 150e6
 
+    def test_pgmres_on_a_wide_border_holds_no_dense_coupling(self):
+        # eps1 at N = 4095 has a border of 615 nodes: its dense coupling with
+        # the tail alone is 37 MB on level 0 and the solve peaked at 54.5 MB;
+        # with the coupling factored beyond a near strip it peaks at 15 MB
+        cfg = CaseConfig(0.8, 0.5, MeshSpec("graded", eps1=0.1, eps2=0.05), 2**12 - 1)
+        tracemalloc.start()
+        try:
+            res = bench.run_case(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.converged
+        assert peak <= 25e6
+
     @pytest.mark.parametrize(
         "spec", [MeshSpec("uniform"), MeshSpec("composite", rule="sqrt")], ids=["uniform", "sqrt"]
     )

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gradedfve import _memory, bench
+from gradedfve import _memory, bench, krylov
 from gradedfve.assembly import (
     DenseOperator,
     FdeProblem,
@@ -40,6 +40,20 @@ class TestBasics:
         with pytest.raises(ValueError, match="physical memory"):
             gmres(op, np.ones(200), maxit=1000)  # 11.2 MB of Krylov storage
         assert gmres(op, np.ones(200), maxit=20).converged
+
+    @pytest.mark.parametrize("rows", [1, 2, 7])
+    def test_a_growing_basis_changes_no_bit(self, monkeypatch, rng, rows):
+        # 40 iterations grow the basis from ``rows`` vectors by doublings;
+        # the iterates match those of a basis allocated whole
+        a = rng.standard_normal((60, 60)) + 9 * np.eye(60)
+        b = rng.standard_normal(60)
+        monkeypatch.setattr(krylov, "_BASIS_ROWS", 41)
+        whole = gmres(DenseOperator(a), b, tol=1e-15, maxit=40)
+        monkeypatch.setattr(krylov, "_BASIS_ROWS", rows)
+        grown = gmres(DenseOperator(a), b, tol=1e-15, maxit=40)
+        assert whole.iterations == grown.iterations == 40
+        assert grown.solution.tobytes() == whole.solution.tobytes()
+        assert grown.residual_history.tobytes() == whole.residual_history.tobytes()
 
     def test_matches_direct_solve(self, rng):
         a = rng.standard_normal((20, 20)) + 20 * np.eye(20)

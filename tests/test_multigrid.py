@@ -5,8 +5,10 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
+from gradedfve import assembly as asm
 from gradedfve import bench, multigrid
 from gradedfve.assembly import (
+    DenseOperator,
     FdeProblem,
     ToeplitzOperator,
     assemble_matrix,
@@ -382,6 +384,34 @@ class TestSelfSimilarLevels:
             ref = assemble_operator(grid, problem, scaled=True).to_dense()
             assert np.abs(lev.operator.to_dense() - ref).max() <= 5e-14 * np.abs(ref).max()
             assert np.array_equal(lev.diag, np.diag(lev.operator.to_dense()))
+
+    @pytest.mark.parametrize("make_grid,beta,gamma", SELF_SIMILAR)
+    def test_levels_below_the_first_dense_one_view_it(self, monkeypatch, make_grid, beta, gamma):
+        # with the exponential sum from 64 unknowns on, levels 255 and 127 are
+        # matrix-free, level 63 is rediscretized dense, and every coarser level
+        # is a scaled view of level 63's matrix
+        monkeypatch.setattr(asm, "_SOE_MIN_N", 64)
+        monkeypatch.setattr(asm, "_SOE_BLOCK", 16)
+        problem = FdeProblem(beta=beta, gamma=gamma)
+        system = row_scale(assemble_system(make_grid(255), problem))
+        hier, assembled = counted_hierarchy(monkeypatch, system)
+        assert assembled == [127, 63] and hier.reassembled == 2
+        first = hier.levels[2]
+        assert isinstance(first.operator, DenseOperator)
+        grid = first.grid
+        for lev in hier.levels[3:]:
+            assert np.shares_memory(lev.operator.entries, first.operator.entries)
+            grid = coarsen(grid)
+            ref = assemble_operator(grid, problem, scaled=True).to_dense()
+            assert np.abs(lev.operator.to_dense() - ref).max() <= 5e-14 * np.abs(ref).max()
+            assert np.array_equal(lev.diag, np.diag(lev.operator.to_dense()))
+
+    def test_a_matrix_free_finest_level_reassembles_two(self, monkeypatch):
+        # eps6 at N = 4095: levels 4095 and 2047 are matrix-free, 1023 dense,
+        # and the eight below it view its matrix
+        system = row_scale(assemble_system(power_grid(0.5, 4095), FdeProblem(beta=0.5, gamma=0.5)))
+        hier, assembled = counted_hierarchy(monkeypatch, system)
+        assert assembled == [2047, 1023] and hier.reassembled == 2 and hier.depth == 10
 
     @pytest.mark.parametrize("name", REASSEMBLED)
     def test_every_other_hierarchy_reassembles_its_levels(self, monkeypatch, name):

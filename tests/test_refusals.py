@@ -130,6 +130,22 @@ def test_exponential_sum_tables_are_guarded(monkeypatch):
     assert peak < 8 * 2**20
 
 
+def test_exponential_sum_coupling_is_guarded(monkeypatch):
+    # the far-coupling factors of a Toeplitz operator grow as 2 L N numbers,
+    # more than the right-hand side's quadrature tables: on eps1 at N = 4095
+    # those fit in 8 MB and the factors are refused before they are made
+    grid = graded_grid(4095, blend_coefficients(q_for_beta(0.8, 4095), 0.1, 0.05))
+    monkeypatch.setattr(_memory, "physical_memory", lambda: 8 * 2**20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(AssemblyError, match="exponential-sum coupling"):
+            assemble_system(grid, FdeProblem(0.8, 0.5, source=np.ones_like))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
 @pytest.mark.parametrize(
     "build,arrays",
     [
