@@ -181,12 +181,14 @@ class ToeplitzOperator:
     ``c``: all of it when ``c = N``, and otherwise a near strip of
     ``c - b`` columns and rows next to the interface, with the far blocks
     ``right`` (border rows, tail columns ``c ..``) and ``left`` (tail rows
-    ``c ..``, border columns) given by ``far``, the exponential-sum factors
-    ``(ev_left, add_left, ev_right, add_right)`` of
-    :func:`_coupling_factors`: ``left @ u`` is ``ev_left @ (add_left @ d)``
-    for the differences ``d`` of :func:`_differences`, and ``right @ u``
-    likewise.  The dense coupling stores ``2 b m`` numbers, the factored
-    one ``2 b (c - b)`` and ``2 L (N - c + b + 1)`` for ``L`` terms.
+    ``c ..``, border columns) given by ``far``, the tuple ``(kernel,
+    ev_left, add_left, ev_right, add_right)`` of :func:`_coupling_factors`:
+    the first ``k0`` columns of ``left`` are the dense ``kernel``, and the
+    others are the exponential-sum factors ``ev_left @ (add_left @ d)`` for
+    the differences ``d`` of :func:`_differences` of ``u[k0:b]``; ``right @
+    u`` is ``ev_right @ (add_right @ d)`` likewise.  The dense coupling
+    stores ``2 b m`` numbers, the factored one ``2 b (c - b)``, ``k0 (N -
+    c)`` and about ``2 L (N - c + b + 1)`` for ``L`` terms.
     """
 
     def __init__(
@@ -195,7 +197,7 @@ class ToeplitzOperator:
         first_row: np.ndarray,
         rows: np.ndarray,
         cols: np.ndarray,
-        far: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
+        far: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
     ):
         col, row = np.asarray(first_col, dtype=float), np.asarray(first_row, dtype=float)
         if row.ndim != 1 or row.size == 0 or col.shape != row.shape:
@@ -237,8 +239,9 @@ class ToeplitzOperator:
         out[b:] = np.fft.irfft(self._fft() * np.fft.rfft(v[b:], size), size)[: v.size - b]
         out[b:c] += self.cols @ v[:b]
         if self.far is not None:
-            ev_left, add_left, ev_right, add_right = self.far
-            out[c:] += ev_left @ (add_left @ _differences(v[:b]))
+            kernel, ev_left, add_left, ev_right, add_right = self.far
+            k0 = kernel.shape[1]
+            out[c:] += kernel @ v[:k0] + ev_left @ (add_left @ _differences(v[k0:b]))
             out[:b] += ev_right @ (add_right @ _differences(v[c:]))
         return out
 
@@ -255,8 +258,11 @@ class ToeplitzOperator:
         a[:b, :c] = self.rows
         a[b:c, :b] = self.cols
         if self.far is not None:
-            ev_left, add_left, ev_right, add_right = self.far
-            for out, ev, add in ((a[c:, :b], ev_left, add_left), (a[:b, c:], ev_right, add_right)):
+            kernel, ev_left, add_left, ev_right, add_right = self.far
+            k0 = kernel.shape[1]
+            a[c:, :k0] = kernel
+            factored = ((a[c:, k0:b], ev_left, add_left), (a[:b, c:], ev_right, add_right))
+            for out, ev, add in factored:
                 g = ev @ add  # on the differences: column j is g[:, j + 1] - g[:, j]
                 np.subtract(g[:, 1:], g[:, :-1], out=out)
         joined = np.concatenate((col[:0:-1], row))
@@ -269,12 +275,13 @@ class ToeplitzOperator:
         ``h_rows[b]``, the step of its first row: the tail rows share one step
         up to rounding, so it stays Toeplitz; the circulant FFT of the
         unscaled tail is dropped.  The far blocks divide the rows of their
-        evaluation tables."""
+        dense columns and evaluation tables."""
         b, c = self.rows.shape
         self.rows /= h_rows[:b, None]
         self.cols /= h_rows[b:c, None]
         if self.far is not None:
-            ev_left, _, ev_right, _ = self.far
+            kernel, ev_left, _, ev_right, _ = self.far
+            kernel /= h_rows[c:, None]
             ev_left /= h_rows[c:, None]
             ev_right /= h_rows[:b, None]
         self.first_col = self.first_col / h_rows[b]
@@ -777,13 +784,27 @@ def _tail_start(grid: Grid) -> int:
 _NEAR_WIDTH = 64
 
 
+#: Border pieces shorter than this keep the kernel's entries in the far
+#: coupling of a Toeplitz operator's tail rows.  Their entries there are
+#: differences of powers of about 1 that agree to 1e-10 or better, so the
+#: kernel's rounding is 2e-6 of an entry or more, which an exponential sum,
+#: free of it, does not reproduce; through the few pieces next to x = 0 at
+#: the capped exponent (x_1 = 1e-16) it sets the solution's error (ROADMAP
+#: item 2).  Preconditioned solves on eps4 at beta = 0.8, N = 1023, with
+#: the pieces below 1e-12, 1e-10 and 1e-8 kept read e_inf = 3.82462e-4,
+#: 3.82394e-4 and 3.82397e-4, against 3.82397e-4 with a dense coupling and
+#: 6.57339e-4 with none kept; eps1 and eps2 at N = 511 and 1023 agree to 4
+#: digits or more as well.  The far block of the border rows moves no digit
+#: of them.
+_KERNEL_STEP = 1e-10
+
+
 def _far_flux_factors(
-    y: np.ndarray, k1: int, eqs: tuple[int, int], s: np.ndarray, c: np.ndarray
+    y: np.ndarray, k0: int, k1: int, eqs: tuple[int, int], s: np.ndarray, c: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Factors ``(ev, add)`` of the flux differences of the pieces
-    ``0 .. k1 - 1`` of the nodes ``y`` at the equations ``eqs`` right of
-    them (half-open; equation ``i`` reads the midpoints ``i`` and
-    ``i + 1``).
+    """Factors ``(ev, add)`` of the flux differences of the pieces ``k0 ..
+    k1 - 1`` of the nodes ``y`` at the equations ``eqs`` right of them
+    (half-open; equation ``i`` reads the midpoints ``i`` and ``i + 1``).
 
     ``add`` is the :func:`_piece_table` of the pieces, so that with ``ref =
     y[k1]``, ``sum_l c_l exp(-s_l (z_t - ref)) (add @ d)_l`` is ``sum_k c
@@ -795,43 +816,47 @@ def _far_flux_factors(
     i0, i1 = eqs
     z = 0.5 * (y[i0 : i1 + 1] + y[i0 + 1 : i1 + 2])
     ev = c * np.exp(np.outer(y[k1] - z[:-1], s)) * -np.expm1(np.outer(z[:-1] - z[1:], s))
-    return ev, _piece_table(y, 0, k1, s)
+    return ev, _piece_table(y, k0, k1, s)
 
 
-def _coupling_is_factored(b: int, m: int, w: int, nterms: int) -> bool:
+def _coupling_is_factored(b: int, m: int, w: int, k0: int, nterms: int) -> bool:
     """Whether the far coupling of a border of ``b`` nodes with a tail of
-    ``m`` holds fewer numbers as ``nterms`` exponential-sum terms with a
-    near strip of ``w``, ``2 b w + 2 nterms (b + m - w + 1)``, than
-    dense, ``2 b m``."""
-    return 2 * b * w + 2 * nterms * (b + m - w + 1) < 2 * b * m
+    ``m`` holds fewer numbers with a near strip of ``w``, ``k0`` dense far
+    columns and ``nterms`` exponential-sum terms, ``2 b w + k0 (m - w) +
+    nterms (2 b + 2 (m - w) + 2 - k0)``, than dense, ``2 b m``."""
+    return 2 * b * w + k0 * (m - w) + nterms * (2 * b + 2 * (m - w) + 2 - k0) < 2 * b * m
 
 
 def _coupling_factors(grid: Grid, problem: FdeProblem, b: int):
-    """Exponential-sum factors of the far coupling of a Toeplitz operator
-    with border ``b`` (see :class:`ToeplitzOperator`), or None where the
-    dense coupling holds fewer numbers (:func:`_coupling_is_factored`).
+    """The far coupling ``(kernel, ev_left, add_left, ev_right, add_right)``
+    of a Toeplitz operator with border ``b`` (see
+    :class:`ToeplitzOperator`), or None where the dense coupling holds
+    fewer numbers (:func:`_coupling_is_factored`).
 
     With ``c = b + w``, ``w`` = :data:`_NEAR_WIDTH`, the left block (tail
-    rows ``c ..``, border columns) reads the pieces ``0 .. b`` at tail
-    midpoints, and the right block (border rows, tail columns ``c ..``)
-    the pieces ``c .. N`` at border midpoints: the left factors of the
-    mirrored grid, ``-x`` reversed, with the rows reversed and negated (a
-    flux difference changes sign with the orientation).  The piece fluxes
-    are those of :class:`SoeOperator`'s far field, and an equation is
-    ``K / Gamma(beta + 1)`` times a flux difference.  Every distance is at
-    least ``delta``, ``w - 1/2`` tail steps, so one sum of
-    :func:`_soe_nodes` on ``[delta, 1]`` serves both blocks, less its terms
-    with ``s_l delta`` above :data:`_SOE_CUTOFF`.
+    rows ``c ..``, border columns) takes the columns of the nodes ``1 ..
+    k0`` from :func:`assemble_matrix`, ``k0 - 1`` the last border piece
+    shorter than :data:`_KERNEL_STEP`, and reads the pieces ``k0 .. b`` at
+    the tail midpoints by an exponential sum; the right block (border
+    rows, tail columns ``c ..``) reads the pieces ``c .. N`` at the border
+    midpoints: the left factors of the mirrored grid, ``-x`` reversed,
+    with the rows reversed and negated (a flux difference changes sign
+    with the orientation).  The piece fluxes are those of :class:`SoeOperator`'s far
+    field, and an equation is ``K / Gamma(beta + 1)`` times a flux
+    difference.  Every distance is at least ``delta``, ``w - 1/2`` tail
+    steps, so one sum of :func:`_soe_nodes` on ``[delta, 1]`` serves both
+    blocks, less its terms with ``s_l delta`` above :data:`_SOE_CUTOFF`.
     """
     n, w, beta = grid.n, _NEAR_WIDTH, float(problem.beta)
     m, c = n - b, b + w
     if b == 0 or m <= w or not 0.0 < beta < 1.0:
         return None
     x = grid.points
+    k0 = int(np.max(np.flatnonzero(grid.steps[:b] < _KERNEL_STEP), initial=-1)) + 1
     delta = min(0.5 * (x[c] + x[c + 1]) - x[b + 1], x[c] - 0.5 * (x[b] + x[b + 1]))
     s, wts = _soe_nodes(beta, delta)
     nterms = int(np.searchsorted(s, _SOE_CUTOFF / delta, side="right"))
-    if not _coupling_is_factored(b, m, w, nterms):
+    if not _coupling_is_factored(b, m, w, k0, nterms):
         return None
     # tracemalloc peaks at 1.8-2.2 times the tables while they are made
     # (eps1 and eps4, N = 1023 ... 16383, beta 0.05 ... 0.95)
@@ -840,9 +865,12 @@ def _coupling_factors(grid: Grid, problem: FdeProblem, b: int):
     )
     s, wts = s[:nterms], wts[:nterms] * float(problem.diffusion) * beta / math.gamma(beta + 1.0)
     gamma = float(problem.gamma)
-    ev_left, add_left = _far_flux_factors(x, b + 1, (c, n), s, -gamma * wts)
-    ev_right, add_right = _far_flux_factors(-x[::-1], n + 1 - c, (n - b, n), s, (gamma - 1.0) * wts)
-    return ev_left, add_left, -ev_right[::-1], np.ascontiguousarray(add_right[:, ::-1])
+    kernel = assemble_matrix(grid, problem, rows=(c, n), cols=(0, k0)).entries
+    ev_left, add_left = _far_flux_factors(x, k0, b + 1, (c, n), s, -gamma * wts)
+    ev_right, add_right = _far_flux_factors(
+        -x[::-1], 0, n + 1 - c, (n - b, n), s, (gamma - 1.0) * wts
+    )
+    return kernel, ev_left, add_left, -ev_right[::-1], np.ascontiguousarray(add_right[:, ::-1])
 
 
 def assemble_operator(grid: Grid, problem: FdeProblem, scaled: bool = False) -> LinearOperator:
@@ -850,12 +878,11 @@ def assemble_operator(grid: Grid, problem: FdeProblem, scaled: bool = False) -> 
 
     With constant diffusion the rows and columns of a uniform tail form a
     Toeplitz block, whatever gamma: a grid with a uniform tail gets a
-    :class:`ToeplitzOperator` whose border rows and the tail's first row,
-    rows ``0 .. b`` of the matrix, and its border columns and the tail's
-    first column, columns ``0 .. b`` of the tail rows, are
-    :func:`assemble_matrix` blocks, up to column and row ``c`` of
-    :func:`_coupling_factors` where the far coupling is factored (the
-    uniform grid has no border).
+    :class:`ToeplitzOperator` whose border rows up to column ``c``, border
+    columns up to row ``c``, and the tail's first row and column, row and
+    column ``b`` of the matrix, are :func:`assemble_matrix` blocks, with
+    ``c = N`` unless :func:`_coupling_factors` factors the far coupling
+    (the uniform grid has no border).
     Every other case (no tail, or variable diffusion) gets the matrix-free
     :class:`SoeOperator` above :data:`_SOE_MIN_N` unknowns when
     ``0 < beta < 1``, and the dense matrix of :func:`assemble_matrix`
@@ -873,12 +900,10 @@ def assemble_operator(grid: Grid, problem: FdeProblem, scaled: bool = False) -> 
         def block(rows: tuple[int, int], cols: tuple[int, int]) -> np.ndarray:
             return assemble_matrix(grid, problem, rows=rows, cols=cols).entries
 
-        top, left = block((0, b + 1), (0, c)), block((b, c), (0, b + 1))
-        first_row, first_col = top[b, b:], left[:, b]
-        if far is not None:  # the tail's first row and column beyond column and row c
-            first_row = np.concatenate((first_row, block((b, b + 1), (c, n))[0]))
-            first_col = np.concatenate((first_col, block((c, n), (b, b + 1))[:, 0]))
-        op: LinearOperator = ToeplitzOperator(first_col, first_row, top[:b], left[:, :b], far)
+        first_col, first_row = block((b, n), (b, b + 1))[:, 0], block((b, b + 1), (b, n))[0]
+        op: LinearOperator = ToeplitzOperator(
+            first_col, first_row, block((0, b), (0, c)), block((b, c), (0, b)), far
+        )
     elif n >= _SOE_MIN_N and 0.0 < problem.beta < 1.0:
         op = SoeOperator(grid, problem)
     else:

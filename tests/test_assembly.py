@@ -404,8 +404,9 @@ class TestBorderedToeplitz:
     assembly: its border and the tail's first row and column, row and
     column ``b`` of the matrix, are the same arithmetic, and the later tail
     rows repeat them.  Where the far coupling is factored (eps1 and eps4 at
-    N = 1023), the dense parts are up to column and row ``c``, and the far
-    blocks hold the cancellation-free flux formula."""
+    N = 1023), the dense parts are up to column and row ``c``, with the far
+    columns of the shortest border pieces, and the far blocks otherwise hold
+    the cancellation-free flux formula."""
 
     # (mesh, beta): the grids of eps1 and eps4 depend on beta through q; the
     # uniform grid is all tail, with no border
@@ -443,9 +444,14 @@ class TestBorderedToeplitz:
         assert a[b:c, :b].tobytes() == dense[b:c, :b].tobytes()
         assert a[b:, b].tobytes() == column.tobytes()  # and column b
         if op.far is not None:
+            # eps1 at beta 0.8 starts with steps of 1e-16: their far columns
+            # in the tail rows stay the kernel's
+            k0 = op.far[0].shape[1]
+            assert (k0 > 0) == (name == "eps1")
+            assert a[c:, :k0].tobytes() == dense[c:, :k0].tobytes()
             q = cancellation_free_fluxes(grid, beta, gamma)
             ref = operator_of_fluxes(q, grid, problem, scaled)
-            for block in (np.s_[:b, c:], np.s_[c:, :b]):
+            for block in (np.s_[:b, c:], np.s_[c:, k0:b]):
                 assert np.abs(a[block] - ref[block]).max() <= 1e-13 * np.abs(dense).max()
         tail = a[b:, b:]
         assert np.abs(tail - dense[b:, b:]).max() <= 1e-11 * np.abs(dense).max()
@@ -606,8 +612,9 @@ def test_every_operator_kind_agrees_with_the_dense_assembly(
     bit for bit and whose entries and products are within 1e-11 of max|A|
     of the cancellation-free flux formula.  With ``factored``, a Toeplitz
     operator factors its far coupling beyond a near strip of 3 whatever
-    the sizes: its dense parts stay the kernel's bit for bit, and its far
-    blocks are within 1e-11 of max|A| of the cancellation-free formula."""
+    the sizes: its dense parts (and far columns) stay the kernel's bit for
+    bit, and its factored blocks are within 1e-11 of max|A| of the
+    cancellation-free formula."""
     kinds = typing.get_args(LinearOperator)
     grid = bench.build_case_grid(PROPERTY_MESHES[mesh], beta, n)
     problem = FdeProblem(beta, gamma, diffusion=(lambda x: 1.0 + x) if variable else 1.0)
@@ -650,8 +657,10 @@ def test_every_operator_kind_agrees_with_the_dense_assembly(
         assert np.abs(a[b:, b:] - dense[b:, b:]).max(initial=0.0) <= 1e-11 * scale
         assert np.array_equal(op.diagonal(), np.diag(a))
     if far:
+        k0 = op.far[0].shape[1]
+        assert a[c:, :k0].tobytes() == dense[c:, :k0].tobytes()
         ref = operator_of_fluxes(cancellation_free_fluxes(grid, beta, gamma), grid, problem, scaled)
-        for block in (np.s_[:b, c:], np.s_[c:, :b]):
+        for block in (np.s_[:b, c:], np.s_[c:, k0:b]):
             assert np.abs(a[block] - ref[block]).max() <= 1e-11 * scale
             dense[block] = ref[block]
     v = np.random.default_rng(n).standard_normal(n)
@@ -750,27 +759,6 @@ class TestSoeOperator:
         op = assemble_operator(grid, FdeProblem(beta, 0.5, diffusion=diffusion))
         assert type(op) is kind
 
-    @pytest.mark.parametrize(
-        "spec,beta,factored",
-        [
-            (BLENDS["eps1"], 0.8, [True] * 4 + [False] * 6),
-            (bench.MeshSpec("composite", rule="sqrt"), 0.5, [False] * 10),
-        ],
-        ids=["eps1", "sqrt"],
-    )
-    def test_the_coupling_form_follows_from_the_sizes(self, spec, beta, factored):
-        """Each level of an N = 4095 hierarchy factors its far coupling
-        where that holds fewer numbers: eps1 (border 615 of 4095) down to
-        N = 511, sqrt (border 64) nowhere; beta 0 and 1 keep it dense."""
-        grid = bench.build_case_grid(spec, beta, 4095)
-        forms = []
-        while grid.n > 3:
-            forms.append(assemble_operator(grid, FdeProblem(beta, 0.5)).far is not None)
-            grid = coarsen(grid)
-        assert forms == factored
-        grid = bench.build_case_grid(spec, beta, 4095)
-        for limit in (0.0, 1.0):
-            assert assemble_operator(grid, FdeProblem(limit, 0.5)).far is None
 
 class TestFactoredCoupling:
     """The Toeplitz operator whose far coupling is an exponential sum, on
@@ -795,7 +783,7 @@ class TestFactoredCoupling:
         v = rng.standard_normal(grid.n)
         for scaled in (False, True):
             op = assemble_operator(grid, problem, scaled=scaled)
-            assert op.far is not None
+            assert op.far is not None and op.far[0].shape[1] == 0  # no step below 1e-10
             b, c = op.rows.shape
             got = op.matvec(v)
             ref = operator_of_fluxes(q, grid, problem, scaled)
@@ -806,6 +794,47 @@ class TestFactoredCoupling:
             near[:b, c:], near[c:, :b] = ref[:b, c:], ref[c:, :b]
             assert np.all(np.abs(got - near @ v) <= 1e-12 * (np.abs(near) @ np.abs(v)))
             assert op.diagonal().tobytes() == np.diag(near).tobytes()
+
+    def test_keeps_the_kernel_solution_where_the_kernel_cancels(self):
+        """eps4 at beta 0.8, N = 1023, starts with steps of 1e-16, and the
+        kernel's cancellation in their far columns sets the solution's
+        error (ROADMAP item 2).  The factored coupling keeps those columns
+        the kernel's, so a direct solve with it reads the dense matrix's
+        nodal error to 4 digits (measured: 3.8240e-4 both; with those
+        columns factored too, 6.57e-4)."""
+        grid = bench.build_case_grid(BLENDS["eps4"], 0.8, 1023)
+        problem = bench.make_problem(0.8, 0.5)
+        op = assemble_operator(grid, problem)
+        assert op.far is not None and op.far[0].shape[1] > 0
+        rhs = assemble_rhs(grid, problem)
+        exact = bench.exact_solution(0.8, grid.points[1:-1])
+        errors = [
+            np.abs(np.linalg.solve(a, rhs) - exact).max()
+            for a in (op.to_dense(), assemble_matrix(grid, problem).entries)
+        ]
+        assert errors[0] == pytest.approx(errors[1], rel=1e-4)
+
+    @pytest.mark.parametrize(
+        "spec,beta,factored",
+        [
+            (BLENDS["eps1"], 0.8, [True] * 4 + [False] * 6),
+            (bench.MeshSpec("composite", rule="sqrt"), 0.5, [False] * 10),
+        ],
+        ids=["eps1", "sqrt"],
+    )
+    def test_the_coupling_form_follows_from_the_sizes(self, spec, beta, factored):
+        """Each level of an N = 4095 hierarchy factors its far coupling
+        where that holds fewer numbers: eps1 (border 615 of 4095) down to
+        N = 511, sqrt (border 64) nowhere; beta 0 and 1 keep it dense."""
+        grid = bench.build_case_grid(spec, beta, 4095)
+        forms = []
+        while grid.n > 3:
+            forms.append(assemble_operator(grid, FdeProblem(beta, 0.5)).far is not None)
+            grid = coarsen(grid)
+        assert forms == factored
+        grid = bench.build_case_grid(spec, beta, 4095)
+        for limit in (0.0, 1.0):
+            assert assemble_operator(grid, FdeProblem(limit, 0.5)).far is None
 
     @pytest.mark.parametrize("beta,gamma", [(0.2, 0.3), (0.8, 0.3), (0.95, 0.5)])
     def test_far_entries_match_the_flux_formula_in_mpmath(self, beta, gamma):
