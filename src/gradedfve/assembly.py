@@ -48,17 +48,19 @@ columns of it, through three block buffers allocated once per call, each
 holding as many rows as fit in a fixed budget of entries, so the buffers
 stay in L2 cache and the peak memory is the result plus a bound that does
 not grow with N (until one row outgrows the budget).  A
-preconditioned solve on a pure power mesh with odd N <= 1023 and constant
-diffusion holds one finest matrix, whose scaled leading blocks are its
-coarse levels; above that its levels with more than 1023 unknowns are
-matrix-free (eps6 at N + 1 = 4096 peaks at about 41 MB, where its dense
-matrix alone is 134 MB).  Other meshes without a tail, or variable
-diffusion, add rediscretized coarse levels, and a mesh with a tail holds
-only the borders of its levels and the factors of their far couplings.
+preconditioned solve on a pure power mesh with odd N and constant
+diffusion holds one finest operator, whose scaled leading blocks are its
+coarse levels: views of the dense matrix at N <= 1023, and above that of
+the matrix-free operator's near array and sweep tables (eps6 at
+N + 1 = 4096 peaks at about 23 MB, where its dense matrix alone is
+134 MB).  Other meshes without a tail, or variable diffusion, add
+rediscretized coarse levels, and a mesh with a tail holds only the
+borders of its levels and the factors of their far couplings.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator
@@ -160,6 +162,10 @@ class DenseOperator:
         """Divide row ``i`` by ``h_rows[i]`` in place."""
         np.divide(self.entries, h_rows[:, None], out=self.entries)  # frozen: no rebinding
         return self
+
+    def leading(self, n: int, factor: float) -> "DenseOperator":
+        """``factor`` times the leading ``n x n`` block, a view of the entries."""
+        return DenseOperator(self.entries[:n, :n], self.scale * factor)
 
 
 class ToeplitzOperator:
@@ -437,6 +443,7 @@ class SoeOperator:
     on the mirrored grid, ``-x`` reversed (negation is exact, so every
     distance is the one formed on ``x``).  It stores ``O(N (3B + L))``
     numbers for ``L`` terms, and a product costs as many multiply-adds.
+    :meth:`leading` gives a scaled leading block that shares them.
     """
 
     def __init__(self, grid: Grid, problem: FdeProblem):
@@ -520,6 +527,39 @@ class SoeOperator:
         self.row_div = self.row_div * h_rows
         self._diag = self._diag / h_rows
         return self
+
+    def leading(self, n: int, factor: float) -> "SoeOperator":
+        """``factor`` times the leading ``n x n`` block, sharing this
+        operator's near array and sweep tables, with ``factor`` folded into
+        its row divisor.
+
+        The block's rows read the midpoints ``0 .. n`` and its columns the
+        differences of the pieces ``0 .. n``, the others being zero, so it
+        keeps the near blocks up to that of midpoint ``n``, the left tables
+        of those blocks (the last one cut at midpoint ``n``), and the right
+        tables from the first that adds a piece ``<= n``, with their indices
+        shifted to its own mirrored pieces and the first one's piece table
+        cut to those pieces.  A skipped table only adds zeros, so a product
+        costs as much as one of an operator of ``n`` unknowns.
+        """
+        shift = self.shape[0] - n  # the mirrored piece of piece n
+        view = copy.copy(self)
+        view.near = self.near[: n // self.near.shape[1] + 1]
+        view.left = [
+            (t0, min(t1, n + 1), k0, k1, ev[: n + 1 - t0], add, decay)
+            for t0, t1, k0, k1, ev, add, decay in self.left
+            if t0 <= n
+        ]
+        view.right = [
+            (t0 - shift, t1 - shift, max(k0, shift) - shift, k1 - shift, ev,
+             add[:, max(shift - k0, 0) :], decay)
+            for t0, t1, k0, k1, ev, add, decay in self.right
+            if k1 > shift
+        ]
+        view.kz = self.kz[: n + 1]
+        view.row_div = self.row_div[:n] / factor
+        view._diag = self._diag[:n] * factor
+        return view
 
 
 LinearOperator = DenseOperator | ToeplitzOperator | SoeOperator

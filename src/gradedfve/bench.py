@@ -206,7 +206,7 @@ class CaseResult:
     wall_time: float
     # multigrid hierarchy of a pgmres solve: coarsening steps, Jacobi weight,
     # whether no weight passed the region test (the 2/3 fallback) and how
-    # many coarse levels were assembled rather than viewed in the finest matrix
+    # many coarse levels were assembled rather than viewed in the finest operator
     depth: int | None = None
     omega: float | None = None
     omega_fallback: bool = False

@@ -205,8 +205,13 @@ def q_for_beta(beta: float, n: int) -> float:
     """Grading exponent ``(1+beta)/(1-beta)``, capped via :func:`q_cap`.
 
     The uncapped value matches the order-optimal grading for a solution
-    behaving like ``x**(1-beta)`` near the origin; the cap guards against
-    first steps below the floating-point floor.
+    behaving like ``x**(1-beta)`` near the origin.  The cap belongs to the
+    protocol of the reference tables: it keeps the first step at or above
+    1e-16 and gives 5.315 at N = 1023, beta = 0.8, which the grading-scan
+    acceptance check pins.  It is not a float64 limit (``x**q`` stays in the
+    normal range up to q of about 68 at N + 1 = 2^15); what it keeps away
+    is the cancellation of the flux kernel's differences of nearly equal
+    powers next to a tiny first step (ROADMAP item 2).
     """
     if not 0.0 < beta < 1.0:
         raise MeshError("beta must lie in (0, 1)")
@@ -218,7 +223,8 @@ def graded_grid(n: int, coeffs: BlendCoeffs) -> Grid:
 
     The boundary nodes are pinned to 0 and 1 exactly; interior nodes are the
     mapped uniform nodes.  Raises if any mapped step collapses to zero (this
-    signals a grading exponent above the :func:`q_cap` safety cap).
+    signals a grading exponent far above the :func:`q_cap` cap: at
+    N + 1 = 2^15, q = 72 and up).
     """
     if n < 1:
         raise MeshError("n must be >= 1")

@@ -8,14 +8,15 @@ nodes, so a uniform tail stays a uniform tail, and with constant diffusion
 each level of a mesh with one is a Toeplitz operator for every gamma,
 dense only on the border of its graded nodes (none on the uniform grid)
 and near it, whose products cost O(N log N) on the tail.  A level without
-a tail is the matrix-free sum-of-exponentials operator above 1023
-unknowns and a dense matrix below.  A coarser level whose grid is the
-leading nodes of the finest level with a dense matrix stretched to [0, 1]
-(an odd-N power-mapped grid) is, with constant diffusion, a scaled view
-of that matrix's leading block, with no assembly: at N = 1023 on eps6 the
-views cut the solve from 0.059 to 0.049 s and its peak from 12.77 to
-10.17 MB, and above 1023 unknowns the levels below the first dense one
-view it.  Every other coarser level rediscretizes the operator alone on
+a tail, assembled on its own grid, is the matrix-free sum-of-exponentials
+operator above 1023 unknowns and a dense matrix below.  A coarser level
+whose grid is the finest level's leading nodes stretched to [0, 1] (an
+odd-N power-mapped grid) is, with constant diffusion, a scaled view of the
+leading block of the finest operator, dense or sum-of-exponentials, with
+no assembly: at N = 1023 on eps6 the views cut the solve from 0.059 to
+0.049 s and its peak from 12.77 to 10.17 MB, and at N + 1 = 4096, where
+the finest level is matrix-free, from 0.32 to 0.19 s and from 41.5 to
+23.0 MB.  Every other coarser level rediscretizes the operator alone on
 its grid through ``assemble_operator``, row-scaled like the finest one and
 with no right-hand side.
 An operator becomes a dense matrix only where that is the point: the
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import DenseOperator, FdeProblem, FveSystem, LinearOperator, assemble_operator
+from .assembly import FdeProblem, FveSystem, LinearOperator, ToeplitzOperator, assemble_operator
 # unused here, but perfbench/layers.py wraps multigrid.assemble_matrix
 from .assembly import assemble_matrix  # noqa: F401
 from .mesh import Grid
@@ -67,7 +68,7 @@ _RESTRICTION_SCALE = 0.5
 
 #: Relative distance within which a coarse grid's nodes count as the finest
 #: grid's leading nodes stretched to [0, 1]; rounding puts them at most
-#: 3.1e-16 apart on power grids with q from 1 to 9 at N + 1 = 32 ... 4096.
+#: 3.14e-16 apart on power grids with q from 1 to 9 at N + 1 = 32 ... 2^15.
 _SIMILAR_TOL = 4 * np.finfo(float).eps
 
 
@@ -215,7 +216,7 @@ class MgHierarchy:
     omega: float
     # the dense matrix of the coarsest level, at most 3 x 3
     coarse_matrix: np.ndarray | None = field(repr=False, default=None)
-    # coarse levels assembled on their own grid; the others view a dense level
+    # coarse levels assembled on their own grid; the others view level 0
     reassembled: int = 0
 
     @property
@@ -233,40 +234,44 @@ class MgHierarchy:
         return vcycle(self, r)
 
 
-def _leading_block(level: MgLevel, problem: FdeProblem, coarse: Grid) -> DenseOperator | None:
-    """The row-scaled operator on ``coarse`` as a scaled view of the matrix
-    of ``level``, a :class:`DenseOperator`, or None when that does not hold.
+def _leading_block(level: MgLevel, problem: FdeProblem, coarse: Grid) -> LinearOperator | None:
+    """The row-scaled operator on ``coarse`` as a scaled view of the leading
+    block of the operator of ``level``, dense or sum-of-exponentials, or
+    None when that does not hold.
 
     When the coarse nodes are the level's nodes ``x_0 .. x_{n+1}`` divided
     by ``s = x_{n+1}`` (to :data:`_SIMILAR_TOL`), rows and columns
-    ``0 .. n-1`` of the level's matrix read only those nodes and their
+    ``0 .. n-1`` of the level's operator read only those nodes and their
     midpoints.  Stretching a grid by ``1/s`` multiplies ``|x - z|**beta``
     by ``s**-beta`` and each ``1/h``, and the row scaling, by ``s``, so
     with constant diffusion the coarse operator is ``s**(2 - beta)`` times
-    that leading block.
+    that leading block: for a dense matrix a view of its entries, for a
+    :class:`SoeOperator` one that shares its near array and sweep tables
+    and whose products cost O(n).  A :class:`ToeplitzOperator` has no such
+    view (of the grids with a tail only the uniform one is self-similar):
+    its coarse levels are Toeplitz operators of their own.
     """
     op, x, n = level.operator, level.grid.points, coarse.n
-    if callable(problem.diffusion):
+    if callable(problem.diffusion) or isinstance(op, ToeplitzOperator):
         return None
     s = x[n + 1]
     if np.any(np.abs(coarse.points - x[: n + 2] / s) > _SIMILAR_TOL * coarse.points):
         return None
-    return DenseOperator(op.entries[:n, :n], op.scale * s ** (2.0 - problem.beta))
+    return op.leading(n, s ** (2.0 - problem.beta))
 
 
 def build_hierarchy(system: FveSystem) -> MgHierarchy:
     """Build the V-cycle hierarchy of a row-scaled system.
 
-    Level 0 is the caller's operator itself.  A coarser level is the scaled
-    view of :func:`_leading_block` of the finest level with a dense matrix
-    where one exists (odd-N power-mapped grids with constant diffusion: the
-    finest level itself at N <= 1023, the first rediscretized level below
-    1024 unknowns above that), and otherwise
-    ``assemble_operator(..., scaled=True)`` of ``system.problem`` on its
-    coarsening of ``system.grid``, with no right-hand side, counted in
-    :attr:`MgHierarchy.reassembled`.  The coarsest level has at most 3
-    interior points, and its dense matrix is kept for the direct solve at
-    the bottom of the V-cycle.
+    Level 0 is the caller's operator itself.  A coarser level views level
+    0 if its grid is level 0's leading nodes stretched to [0, 1] (odd-N
+    power-mapped grids with constant diffusion, level 0 dense or
+    sum-of-exponentials): it is the scaled view of :func:`_leading_block`.
+    Otherwise it is ``assemble_operator(..., scaled=True)`` of
+    ``system.problem`` on its coarsening of ``system.grid``, with no
+    right-hand side, counted in :attr:`MgHierarchy.reassembled`.  The
+    coarsest level has at most 3 interior points, and its dense matrix is
+    kept for the direct solve at the bottom of the V-cycle.
 
     One damping weight, estimated by :func:`estimate_omega` on the first
     level with at most 16 interior points (a member of the same mesh
@@ -283,16 +288,13 @@ def build_hierarchy(system: FveSystem) -> MgHierarchy:
         grids.append(coarsen(grids[-1]))
 
     levels = [MgLevel(grid=grid, operator=system.operator, diag=system.operator.diagonal())]
-    dense = levels[0] if isinstance(system.operator, DenseOperator) else None
     reassembled = 0
     for g in grids[1:]:
-        op = None if dense is None else _leading_block(dense, problem, g)
+        op = _leading_block(levels[0], problem, g)
         if op is None:
             op = assemble_operator(g, problem, scaled=True)
             reassembled += 1
         levels.append(MgLevel(grid=g, operator=op, diag=op.diagonal()))
-        if dense is None and isinstance(op, DenseOperator):
-            dense = levels[-1]
     for lev, coarse in zip(levels, levels[1:]):
         lev.weights = prolongation(lev.grid, coarse.grid)
 

@@ -678,6 +678,32 @@ def test_every_operator_kind_agrees_with_the_dense_assembly(
     assert np.abs(top.matvec(v) - ref @ v).max() <= 1e-11 * scale * np.abs(v).sum()
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    mesh=st.sampled_from(list(PROPERTY_MESHES)),
+    n=st.integers(9, 80),
+    grid_beta=st.floats(0.05, 0.95),  # the grading exponent's beta
+    gamma=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+    variable=st.booleans(),
+)
+def test_beta_zero_is_the_finite_volume_laplacian(mesh, n, grid_beta, gamma, variable):
+    """At beta = 0 the operator (Toeplitz on a grid with a tail and constant
+    K, dense otherwise), on every grid of the property test, is the
+    three-point finite-volume Laplacian whatever gamma: row ``i`` (node
+    ``i + 1``, between the pieces ``i`` and ``i + 1``) is ``-(K(z_{i+1})
+    (u_{i+2} - u_{i+1}) / h_{i+1} - K(z_i) (u_{i+1} - u_i) / h_i)``, ``z_k``
+    and ``h_k`` the midpoint and length of piece ``k``.  The Toeplitz tail
+    reads one step for all its rows, whose rounding sets the difference: at
+    most 7.2e-15 of max|L| over n = 9 .. 80 on eps1 and eps4."""
+    grid = bench.build_case_grid(PROPERTY_MESHES[mesh], grid_beta, n)
+    problem = FdeProblem(0.0, gamma, diffusion=(lambda x: 1.0 + x) if variable else 2.5)
+    x = grid.points
+    flux = problem.diffusion_at(0.5 * (x[:-1] + x[1:])) / grid.steps  # K(z_k) / h_k
+    lap = np.diag(flux[:-1] + flux[1:]) - np.diag(flux[1:-1], 1) - np.diag(flux[1:-1], -1)
+    a = assemble_operator(grid, problem).to_dense()
+    assert np.abs(a - lap).max() <= 1e-14 * np.abs(lap).max()
+
+
 class TestSoeOperator:
     """The exponential-sum operator on the pure power mesh, whose steps span
     the most orders of magnitude, against the flux formula evaluated with no

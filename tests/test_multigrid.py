@@ -8,8 +8,8 @@ import scipy.sparse
 from gradedfve import assembly as asm
 from gradedfve import bench, multigrid
 from gradedfve.assembly import (
-    DenseOperator,
     FdeProblem,
+    SoeOperator,
     ToeplitzOperator,
     assemble_matrix,
     assemble_operator,
@@ -385,33 +385,48 @@ class TestSelfSimilarLevels:
             assert np.abs(lev.operator.to_dense() - ref).max() <= 5e-14 * np.abs(ref).max()
             assert np.array_equal(lev.diag, np.diag(lev.operator.to_dense()))
 
+    # N + 1 a multiple of the block, and not: the mirrored blocks differ
+    @pytest.mark.parametrize("n0,block", [(255, 16), (383, 5)])
     @pytest.mark.parametrize("make_grid,beta,gamma", SELF_SIMILAR)
-    def test_levels_below_the_first_dense_one_view_it(self, monkeypatch, make_grid, beta, gamma):
-        # with the exponential sum from 64 unknowns on, levels 255 and 127 are
-        # matrix-free, level 63 is rediscretized dense, and every coarser level
-        # is a scaled view of level 63's matrix
+    def test_levels_of_a_matrix_free_level_zero_view_it(
+        self, monkeypatch, rng, make_grid, beta, gamma, n0, block
+    ):
+        # with the exponential sum from 64 unknowns on, level 0 is matrix-free
+        # and every coarser level is a scaled view of it: its near array and
+        # sweep tables, whose products are level 0's on the vector padded with
+        # zeros, and which matches a rediscretization within the bound of the
+        # dense views
         monkeypatch.setattr(asm, "_SOE_MIN_N", 64)
-        monkeypatch.setattr(asm, "_SOE_BLOCK", 16)
+        monkeypatch.setattr(asm, "_SOE_BLOCK", block)
         problem = FdeProblem(beta=beta, gamma=gamma)
-        system = row_scale(assemble_system(make_grid(255), problem))
+        system = row_scale(assemble_system(make_grid(n0), problem))
         hier, assembled = counted_hierarchy(monkeypatch, system)
-        assert assembled == [127, 63] and hier.reassembled == 2
-        first = hier.levels[2]
-        assert isinstance(first.operator, DenseOperator)
-        grid = first.grid
-        for lev in hier.levels[3:]:
-            assert np.shares_memory(lev.operator.entries, first.operator.entries)
+        assert assembled == [] and hier.reassembled == 0
+        level0, x = system.operator, system.grid.points
+        assert isinstance(level0, SoeOperator)
+        tables = [a for t in level0.left + level0.right for a in t[4:6]]
+        grid = system.grid
+        for lev in hier.levels[1:]:
+            op, n = lev.operator, lev.grid.n
+            assert isinstance(op, SoeOperator) and np.shares_memory(op.near, level0.near)
+            for a in [a for t in op.left + op.right for a in t[4:6]]:
+                assert any(np.shares_memory(a, b) for b in tables)
+            v = rng.standard_normal(n)
+            padded = level0.matvec(np.concatenate((v, np.zeros(n0 - n))))[:n]
+            ref = x[n + 1] ** (2.0 - beta) * padded
+            assert np.abs(op.matvec(v) - ref).max() <= 1e-14 * np.abs(ref).max()
+            assert np.array_equal(lev.diag, x[n + 1] ** (2.0 - beta) * level0.diagonal()[:n])
             grid = coarsen(grid)
             ref = assemble_operator(grid, problem, scaled=True).to_dense()
-            assert np.abs(lev.operator.to_dense() - ref).max() <= 5e-14 * np.abs(ref).max()
-            assert np.array_equal(lev.diag, np.diag(lev.operator.to_dense()))
+            assert np.abs(op.to_dense() - ref).max() <= 5e-14 * np.abs(ref).max()
 
-    def test_a_matrix_free_finest_level_reassembles_two(self, monkeypatch):
-        # eps6 at N = 4095: levels 4095 and 2047 are matrix-free, 1023 dense,
-        # and the eight below it view its matrix
+    def test_a_matrix_free_finest_level_reassembles_none(self, monkeypatch):
+        # eps6 at N = 4095: level 0 is matrix-free and the ten below it view it
         system = row_scale(assemble_system(power_grid(0.5, 4095), FdeProblem(beta=0.5, gamma=0.5)))
         hier, assembled = counted_hierarchy(monkeypatch, system)
-        assert assembled == [2047, 1023] and hier.reassembled == 2 and hier.depth == 10
+        assert assembled == [] and hier.reassembled == 0 and hier.depth == 10
+        for lev in hier.levels[1:]:
+            assert np.shares_memory(lev.operator.near, system.operator.near)
 
     @pytest.mark.parametrize("name", REASSEMBLED)
     def test_every_other_hierarchy_reassembles_its_levels(self, monkeypatch, name):
