@@ -17,17 +17,18 @@ and N alone:
 - With constant K, the rows and columns of the nodes in a uniform run of
   steps form a Toeplitz block for every gamma (a symmetric one at
   gamma = 1/2), so a grid that ends in a uniform tail gets a Toeplitz
-  operator: rows and columns for its graded nodes (the border) around a
-  Toeplitz tail, whose product goes through FFTs.  The border's coupling
-  with the tail is dense next to their interface and, where that holds
-  fewer numbers, an exponential sum of the kernel beyond it.  The uniform
-  grid is the Toeplitz operator with no border.
+  operator: a Toeplitz tail, whose product goes through FFTs, and a
+  border of rows and columns for its graded nodes.  The uniform grid is
+  the Toeplitz operator with no border.
 - Any other grid (or variable K) with more than 1023 unknowns and
-  ``0 < beta < 1`` gets the matrix-free sum-of-exponentials operator: the
-  pieces near each midpoint from the flux kernel, the far ones through an
-  exponential sum of the kernel ``|z - x|**(beta - 1)``, in O(N) memory.
+  ``0 < beta < 1`` gets the matrix-free sum-of-exponentials operator.
 - The rest gets the dense matrix, which is also what direct solves, the
   grading scan and the spectral checks assemble.
+
+The border of a Toeplitz operator and the whole of the matrix-free one are
+one flux form: the pieces near each block of equations from the flux
+kernel, the far ones through an exponential sum of the kernel
+``|z - x|**(beta - 1)`` swept block to block, in O(N) memory.
 
 The scheme is assembled as it is derived: equation ``i`` is the flux
 ``-K (gamma D_left^{1-beta} + (1-gamma) D_right^{1-beta}) u`` at the right
@@ -54,8 +55,8 @@ coarse levels: views of the dense matrix at N <= 1023, and above that of
 the matrix-free operator's near array and sweep tables (eps6 at
 N + 1 = 4096 peaks at about 23 MB, where its dense matrix alone is
 134 MB).  Other meshes without a tail, or variable diffusion, add
-rediscretized coarse levels, and a mesh with a tail holds only the
-borders of its levels and the factors of their far couplings.
+rediscretized coarse levels, and a mesh with a tail holds the tails and
+the flux-form borders of its levels.
 """
 
 from __future__ import annotations
@@ -168,153 +169,15 @@ class DenseOperator:
         return DenseOperator(self.entries[:n, :n], self.scale * factor)
 
 
-class ToeplitzOperator:
-    """Matrix whose trailing ``m x m`` block is Toeplitz:
-
-        [ rows        | right ]   rows: the first b rows, dense, b x c
-        [ cols | tail         ]   cols: tail rows b .. c - 1, dense, (c - b) x b
-        [ left |              ]   left, right: far blocks, factored (c < N)
-
-    This is the FVE matrix of a mesh whose last ``m`` nodes lie in a uniform
-    tail (constant diffusion, any gamma); the ``b = N - m`` graded nodes
-    form the border, which is empty on the uniform grid.  The tail is
-    stored by its first column and first row, column ``b`` and row ``b`` of
-    the matrix, which share the diagonal entry, and a product goes through
-    real FFTs of a circulant embedding of the tail, whose size is the first
-    power of two ``>= 2m - 1``.
-
-    The coupling of the border with the tail is dense up to column and row
-    ``c``: all of it when ``c = N``, and otherwise a near strip of
-    ``c - b`` columns and rows next to the interface, with the far blocks
-    ``right`` (border rows, tail columns ``c ..``) and ``left`` (tail rows
-    ``c ..``, border columns) given by ``far``, the tuple ``(kernel,
-    ev_left, add_left, ev_right, add_right)`` of :func:`_coupling_factors`:
-    the first ``k0`` columns of ``left`` are the dense ``kernel``, and the
-    others are the exponential-sum factors ``ev_left @ (add_left @ d)`` for
-    the differences ``d`` of :func:`_differences` of ``u[k0:b]``; ``right @
-    u`` is ``ev_right @ (add_right @ d)`` likewise.  The dense coupling
-    stores ``2 b m`` numbers, the factored one ``2 b (c - b)``, ``k0 (N -
-    c)`` and about ``2 L (N - c + b + 1)`` for ``L`` terms.
-    """
-
-    def __init__(
-        self,
-        first_col: np.ndarray,
-        first_row: np.ndarray,
-        rows: np.ndarray,
-        cols: np.ndarray,
-        far: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
-    ):
-        col, row = np.asarray(first_col, dtype=float), np.asarray(first_row, dtype=float)
-        if row.ndim != 1 or row.size == 0 or col.shape != row.shape:
-            raise AssemblyError("first_col and first_row must be nonempty 1-D arrays of one size")
-        b, c = rows.shape
-        n = b + row.size
-        if not b <= c <= n or cols.shape != (c - b, b) or (far is None) != (c == n):
-            raise AssemblyError("border and tail shapes do not fit together")
-        self.rows, self.cols, self.first_col, self.first_row = rows, cols, col, row
-        self.far = far
-        self._circ_size = 1 << (2 * row.size - 2).bit_length()
-        self._circ_fft: np.ndarray | None = None
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        n = self.border + self.first_row.size
-        return (n, n)
-
-    @property
-    def border(self) -> int:
-        return self.rows.shape[0]
-
-    def _fft(self) -> np.ndarray:
-        if self._circ_fft is None:  # first column: the tail's, then its first row reversed
-            m = self.first_row.size
-            circ = np.zeros(self._circ_size)
-            circ[:m] = self.first_col
-            circ[circ.size - m + 1 :] = self.first_row[:0:-1]
-            self._circ_fft = np.fft.rfft(circ)
-        return self._circ_fft
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.shape[1],):
-            raise AssemblyError("dimension mismatch in matvec")
-        (b, c), size = self.rows.shape, self._circ_size
-        out = np.empty(v.size)
-        out[:b] = self.rows @ v[:c]
-        out[b:] = np.fft.irfft(self._fft() * np.fft.rfft(v[b:], size), size)[: v.size - b]
-        out[b:c] += self.cols @ v[:b]
-        if self.far is not None:
-            kernel, ev_left, add_left, ev_right, add_right = self.far
-            k0 = kernel.shape[1]
-            out[c:] += kernel @ v[:k0] + ev_left @ (add_left @ _differences(v[k0:b]))
-            out[:b] += ev_right @ (add_right @ _differences(v[c:]))
-        return out
-
-    def diagonal(self) -> np.ndarray:
-        return np.concatenate((np.diag(self.rows), np.full(self.first_row.size, self.first_row[0])))
-
-    def to_dense(self) -> np.ndarray:
-        """The matrix: the border, then tail row ``i`` as ``c[i:0:-1]``
-        followed by ``t[:m-i]`` (first column ``c``, first row ``t``), copied
-        straight from a sliding window over ``c`` reversed joined to ``t``;
-        far blocks are multiplied out from their factors."""
-        (b, c), col, row = self.rows.shape, self.first_col, self.first_row
-        a = np.empty(self.shape)
-        a[:b, :c] = self.rows
-        a[b:c, :b] = self.cols
-        if self.far is not None:
-            kernel, ev_left, add_left, ev_right, add_right = self.far
-            k0 = kernel.shape[1]
-            a[c:, :k0] = kernel
-            factored = ((a[c:, k0:b], ev_left, add_left), (a[:b, c:], ev_right, add_right))
-            for out, ev, add in factored:
-                g = ev @ add  # on the differences: column j is g[:, j + 1] - g[:, j]
-                np.subtract(g[:, 1:], g[:, :-1], out=out)
-        joined = np.concatenate((col[:0:-1], row))
-        windows = np.lib.stride_tricks.sliding_window_view(joined, row.size)
-        a[b:, b:] = windows[::-1]
-        return a
-
-    def scale_rows(self, h_rows: np.ndarray) -> "ToeplitzOperator":
-        """Divide row ``i`` by ``h_rows[i]`` in place, the tail by
-        ``h_rows[b]``, the step of its first row: the tail rows share one step
-        up to rounding, so it stays Toeplitz; the circulant FFT of the
-        unscaled tail is dropped.  The far blocks divide the rows of their
-        dense columns and evaluation tables."""
-        b, c = self.rows.shape
-        self.rows /= h_rows[:b, None]
-        self.cols /= h_rows[b:c, None]
-        if self.far is not None:
-            kernel, ev_left, _, ev_right, _ = self.far
-            kernel /= h_rows[c:, None]
-            ev_left /= h_rows[c:, None]
-            ev_right /= h_rows[:b, None]
-        self.first_col = self.first_col / h_rows[b]
-        self.first_row = self.first_row / h_rows[b]
-        self._circ_fft = None
-        return self
-
-
-def _differences(u: np.ndarray) -> np.ndarray:
-    """``d_k = u_k - u_{k+1}`` of ``u`` with a zero before and after it."""
-    d = np.zeros(u.size + 1)
-    d[1:] = u
-    d[:-1] -= u
-    return d
-
-
-#: The replaced symmetric class's name, under which perfbench wraps ``matvec``.
-SymToeplitzOperator = ToeplitzOperator
-
 #: Fewest unknowns at which a mesh without a Toeplitz tail gets the
 #: :class:`SoeOperator`.  Preconditioned eps6 solves (beta 0.5, median of 9)
 #: took 0.039 s dense and 0.043 s with a matrix-free finest level at
 #: N = 1023, 0.151 and 0.130 s at N = 2047; at N = 4095, cutoffs of 512,
 #: 1024 and 2048 gave 0.280, 0.268 and 0.358 s.
 _SOE_MIN_N = 1024
-#: Midpoints per block of :class:`SoeOperator`: at N = 4095 blocks of 32, 64,
-#: 128 and 256 gave products of 3.66, 3.04, 2.78 and 3.35 ms (median of 15).
+#: Equations per near block of the flux form (fewer on a border of fewer
+#: nodes): at N = 4095 blocks of 32, 64, 128 and 256 midpoints gave
+#: :class:`SoeOperator` products of 3.66, 3.04, 2.78 and 3.35 ms (median of 15).
 _SOE_BLOCK = 128
 #: An exponential term ``exp(-s r)`` with ``s r`` above this is below 4.3e-18
 #: of its weight and is dropped.
@@ -353,44 +216,46 @@ def _soe_nodes(beta: float, delta: float) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate((s_jac, s_log)), np.concatenate((w_jac, w_log)) / math.gamma(1.0 - beta)
 
 
-def _far_gaps(y: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """Distance from the first midpoint of block ``j`` to the right end of
-    block ``j - 2``, the nearest far piece of the block, for ``j >= 2``."""
-    return 0.5 * (y[bounds[2:-1]] + y[bounds[2:-1] + 1]) - y[bounds[1:-2]]
-
-
 def _far_sweep_tables(
-    y: np.ndarray, bounds: np.ndarray, s: np.ndarray, w: np.ndarray
+    y: np.ndarray, plan: list[tuple[int, int, int, int, int]], s: np.ndarray, w: np.ndarray, kz: np.ndarray
 ) -> list[tuple[int, int, int, int, np.ndarray, np.ndarray, np.ndarray]]:
-    """Factor tables of one left-to-right sweep over the nodes ``y``.
+    """Factor tables of one left-to-right sweep over the nodes ``y``, with
+    ``kz`` the diffusion at their midpoints ``z``.
 
-    Block ``j`` holds the midpoints (and pieces) ``bounds[j] ..
-    bounds[j+1] - 1``; its far pieces are those of blocks ``0 .. j - 2``.
-    With ``ref = y[bounds[j-1]]``, their right end, the sweep's state is
-    ``S_l = sum_k exp(-s_l (ref - y_{k+1})) phi_l(h_k) d_k`` with
-    ``phi_l(h) = -expm1(-s_l h) / (s_l h)``, so that
-    ``sum_l w_l exp(-s_l (z_t - ref)) S_l`` is ``sum_k I_k(t) d_k / h_k``,
-    ``I_k(t)`` the integral of ``(z_t - x)**(beta - 1)`` over piece ``k``.
-    Per block ``j`` the tables are ``(t0, t1, k0, k1, ev, add, decay)``:
-    the midpoints ``t0 .. t1 - 1`` read ``ev @ S``, the pieces ``k0 ..
-    k1 - 1`` of block ``j - 2`` enter as ``add @ d``, and ``decay`` moves
-    the state from the previous block's ``ref`` to this one's.  Terms with
-    ``s_l`` times the block's far gap above :data:`_SOE_CUTOFF` are dropped,
-    so each table holds a prefix of the terms.  A term dropped at block
-    ``j - 1`` and kept at ``j`` resumes from a stale state, which ``decay``
-    and ``ev`` scale by less than ``exp(-cutoff)``: ``s_l`` times the
-    distance from ``ref`` of block ``j - 1`` to any midpoint of block ``j``
-    exceeds the cutoff.
+    Each entry ``(t0, t1, k0, k1, m)`` of ``plan`` is a block of equations
+    ``t0 .. t1 - 1`` whose far pieces are ``0 .. k1 - 1``, the pieces ``k0
+    .. k1 - 1`` new since the previous entry, read through the first ``m``
+    terms: those whose ``s_l`` times the block's far gap is within
+    :data:`_SOE_CUTOFF` (a block that keeps none has no entry, and the next
+    one adds its pieces).  With ``ref = y[k1]`` the sweep's state is ``S_l = sum_k
+    exp(-s_l (ref - y_{k+1})) phi_l(h_k) d_k`` with ``phi_l(h) = -expm1(-s_l
+    h) / (s_l h)``, so that ``sum_l w_l exp(-s_l (z_t - ref)) S_l`` is ``sum_k
+    w I_k(t) d_k / h_k``, ``I_k(t)`` the integral of ``(z_t - x)**(beta - 1)``
+    over piece ``k``.  Equation ``i`` reads ``K_i`` times that sum at ``z_i``
+    less ``K_{i+1}`` times it at ``z_{i+1}``: column ``i`` of ``ev`` is
+    ``w_l exp(-s_l (z_i - ref)) (K_i - K_{i+1} - K_{i+1} expm1(-s_l dz))``,
+    ``dz = z_{i+1} - z_i``, so no difference of nearly equal numbers is
+    formed (with constant K, ``-K expm1(-s_l dz)``).  The tables are ``(t0,
+    t1, k0, k1, ev, add, decay)``: the pieces enter as ``add @ d``, the
+    equations read ``S @ ev``, and ``decay`` moves the state from the
+    previous ``ref`` to this one.  A term dropped at one entry and kept at a
+    later one resumes from a stale state, which ``decay`` and ``ev`` scale
+    by less than ``exp(-cutoff)``: ``s_l`` times the distance from the
+    dropping entry's ``ref`` to any later midpoint exceeds the cutoff.
     """
+    z = 0.5 * (y[:-1] + y[1:])
     tables = []
-    gaps = _far_gaps(y, bounds)
-    for j in range(2, bounds.size - 1):
-        t0, t1, k0, k1 = bounds[j], bounds[j + 1], bounds[j - 2], bounds[j - 1]
-        ref = y[k1]
-        m = int(np.searchsorted(s, _SOE_CUTOFF / gaps[j - 2], side="right"))
-        sl = s[:m]
-        z = 0.5 * (y[t0:t1] + y[t0 + 1 : t1 + 1])
-        ev = w[:m] * np.exp(np.outer(z - ref, -sl))
+    for t0, t1, k0, k1, m in plan:
+        sl, ref, zt = s[:m], y[k1], z[t0 : t1 + 1]
+        kl, kr = kz[t0:t1], kz[t0 + 1 : t1 + 1]
+        ev = np.outer(sl, ref - zt[:-1])
+        np.exp(ev, out=ev)
+        step = np.outer(sl, zt[:-1] - zt[1:])
+        np.expm1(step, out=step)
+        step *= -kr
+        step += kl - kr
+        ev *= step
+        ev *= w[:m, None]
         decay = np.exp(-sl * (ref - y[k0]))
         tables.append((t0, t1, k0, k1, ev, _piece_table(y, k0, k1, sl), decay))
     return tables
@@ -402,153 +267,334 @@ def _piece_table(y: np.ndarray, k0: int, k1: int, s: np.ndarray) -> np.ndarray:
     h)``: times ``exp(-s_l (z - y_{k1}))`` it is the integral of
     ``exp(-s_l (z - x))`` over piece ``k`` divided by its length, formed
     with no difference of nearly equal numbers."""
-    sh = np.outer(s, y[k0 + 1 : k1 + 1] - y[k0:k1])
-    return np.exp(np.outer(-s, y[k1] - y[k0 + 1 : k1 + 1])) * (-np.expm1(-sh) / sh)
+    sh = np.outer(-s, y[k0 + 1 : k1 + 1] - y[k0:k1])
+    table = np.outer(-s, y[k1] - y[k0 + 1 : k1 + 1])
+    np.exp(table, out=table)
+    table /= sh
+    table *= np.expm1(sh, out=sh)
+    return table
 
 
-def _far_sweep(tables, d: np.ndarray) -> np.ndarray:
-    """One sweep's far sums of the differences ``d``, at every midpoint."""
-    out = np.zeros(d.size)
-    state = np.zeros(max((t[6].size for t in tables), default=0))
+def _far_sweep(tables, d: np.ndarray, out: np.ndarray, terms: int) -> None:
+    """Add one sweep's far sums of the differences ``d``, through at most
+    ``terms`` terms, to the equations ``out``."""
+    state = np.zeros(terms)
     for t0, t1, k0, k1, ev, add, decay in tables:
         s = state[: decay.size]
         s *= decay
         s += add @ d[k0:k1]
-        out[t0:t1] = ev @ s
-    return out
+        out[t0:t1] += s @ ev
 
 
-class SoeOperator:
-    """Matrix-free FVE operator: exact near field, far field by a sum of
-    exponentials (SOE), in flux form.
+class _FluxForm:
+    """The FVE operator in flux form, near blocks from the kernel and far
+    sweeps by a sum of exponentials (SOE): the whole of a
+    :class:`SoeOperator` and the border of a :class:`ToeplitzOperator`.
 
     With ``d_k = v_k - v_{k+1}`` (``v_0 = v_{N+1} = 0``) the flux at the
     midpoint ``z_t`` is ``(F v)_t = sum_k Q[t, k] d_k``, with the piece
-    fluxes ``Q`` of :func:`_piece_fluxes`, and ``A v`` is
+    fluxes ``Q`` of :func:`_piece_fluxes`, and equation ``i`` is
     ``(K_i (F v)_i - K_{i+1} (F v)_{i+1}) / Gamma(beta + 1)``, divided by the
     row divisor that :meth:`scale_rows` keeps: the steps by which
     :func:`assemble_matrix` forms its rows, applied to a vector.
 
-    The midpoints are split into blocks of :data:`_SOE_BLOCK`.  For the
-    targets of block ``J`` the pieces of blocks ``J - 1 .. J + 1`` take their
-    exact ``Q`` from the kernel, stored as one ``(nb, B, 3B)`` array, one
-    batched product.  A far piece left of ``z_t`` adds
-    ``-gamma beta I_k(t) d_k / h_k`` and one right of it
-    ``(gamma - 1) beta I_k(t) d_k / h_k``, with ``I_k(t)`` the integral of
-    ``|z_t - x|**(beta - 1)`` over the piece.  The kernel is the exponential
-    sum of :func:`_soe_nodes` on ``[delta, 1]``, ``delta`` the smallest far
-    gap, and each exponential is integrated over a piece exactly, so no
-    difference of nearly equal powers is formed.  The left sums are one
-    sweep of :func:`_far_sweep_tables`; the right sums are the same sweep
-    on the mirrored grid, ``-x`` reversed (negation is exact, so every
-    distance is the one formed on ``x``).  It stores ``O(N (3B + L))``
-    numbers for ``L`` terms, and a product costs as many multiply-adds.
-    :meth:`leading` gives a scaled leading block that shares them.
+    The first ``b`` equations (all of them for an SOE operator) are split
+    into equal blocks of ``B``, at most :data:`_SOE_BLOCK`, that end at
+    equation ``b`` (the first may begin before equation 0), and below a
+    border the next ``B`` equations form one more block.  The pieces ``e -
+    B .. e + 2B - 1`` are near to the block whose first equation is ``e``:
+    their flux differences at its equations, ``(K_i Q[i, k] - K_{i+1} Q[i+1,
+    k]) / Gamma(beta + 1)`` from the kernel, are one ``(nb, B, 3B)`` array,
+    one batched product, and both midpoints of an equation read the same
+    near pieces.  A far piece left of ``z_t`` adds ``-gamma beta I_k(t) d_k
+    / h_k`` to its flux and one right of it ``(gamma - 1) beta I_k(t) d_k /
+    h_k``, with ``I_k(t)`` the integral of ``|z_t - x|**(beta - 1)`` over
+    the piece: the kernel is the exponential sum of :func:`_soe_nodes` on
+    ``[delta, 1]``, ``delta`` the smallest far gap, and each exponential is
+    integrated over a piece exactly, so no difference of nearly equal powers
+    is formed.  The left sums are one sweep of :func:`_far_sweep_tables`,
+    which forms each equation's difference of its two midpoints; the right
+    sums are the same sweep on the mirrored grid, ``-x`` reversed (negation
+    is exact, so every distance is the one formed on ``x``), over the blocks
+    of the first ``b`` equations.
+
+    Below a border, equations read the differences of the border's values
+    alone, on the pieces ``0 .. b``: those of their near block through it,
+    the others through the left sweep, in which every equation beyond that
+    block is one block whose far pieces are all of them.  The far pieces
+    shorter than ``kernel_pieces`` keep the kernel's flux differences in
+    ``kernel``, at every equation that has them far, and the sweeps skip
+    them.  At beta 0 and 1 the two midpoints of an equation give a far piece
+    the same piece flux (0, and ``-gamma`` left of them or ``gamma - 1``
+    right of them), so with constant K the far field holds no terms.  It
+    stores ``O(N (3B + L))`` numbers for ``L`` terms, and a product costs as
+    many multiply-adds.
     """
 
-    def __init__(self, grid: Grid, problem: FdeProblem):
-        beta, gamma = float(problem.beta), float(problem.gamma)
-        if not 0.0 < beta < 1.0:
-            raise AssemblyError("the exponential sum needs 0 < beta < 1")
-        n, bs = grid.n, _SOE_BLOCK
-        nb = -(-(n + 1) // bs)
+    def _assemble_flux_form(self, grid: Grid, problem: FdeProblem, b: int, kernel_pieces: int) -> None:
+        n, beta, gamma = grid.n, float(problem.beta), float(problem.gamma)
+        nbb = -(-b // _SOE_BLOCK)
+        bs = -(-b // nbb)
+        origin = b - nbb * bs  # the first block's first equation, <= 0
         x = grid.points
-        self.kz = problem.diffusion_at(0.5 * (x[:-1] + x[1:]))
-        bounds = np.minimum(np.arange(nb + 1) * bs, n + 1)
-        mirror = n + 1 - bounds[::-1]
-        gaps = np.concatenate((_far_gaps(x, bounds), _far_gaps(-x[::-1], mirror)))
-        s, w = _soe_nodes(beta, gaps.min()) if gaps.size else (np.empty(0), np.empty(0))
-        # the near array and the two sweeps' ev and add tables, up to L
-        # numbers per midpoint each; tracemalloc peaks at 0.71-0.94 of this
-        # count (eps6 and sqrt, N = 1025 ... 16383, beta 0.05 ... 0.95)
-        require_memory(
-            8 * nb * bs * (3 * bs + 4 * s.size),
-            f"an exponential-sum operator at N = {n}",
-            AssemblyError,
-        )
-        self.near = np.zeros((nb, bs, 3 * bs))
-        for j in range(nb):
-            t0, t1 = bounds[j], bounds[j + 1]
-            k0, k1 = max(t0 - bs, 0), min(t0 + 2 * bs, n + 1)
-            r0 = max(t0 - 1, 0)  # at least two midpoints, so one equation
-            ((_, _, q),) = _piece_fluxes(grid, problem, (r0, t1 - 1), (k0, k1), bs + 1)
-            self.near[j, : t1 - t0, k0 - t0 + bs : k1 - t0 + bs] = q[t0 - r0 :]
-        self.left = _far_sweep_tables(x, bounds, s, -gamma * beta * w)
-        self.right = _far_sweep_tables(-x[::-1], mirror, s, (gamma - 1.0) * beta * w)
-        self.gam1 = math.gamma(beta + 1.0)
-        self.row_div = np.ones(n)
-        # the diagonal, from the near entries with the arithmetic of assemble_matrix
-        def near_q(t, k):
-            return self.near[t // bs, t % bs, k - t // bs * bs + bs]
+        kz = problem.diffusion_at(0.5 * (x[:-1] + x[1:]))
+        gam1 = math.gamma(beta + 1.0)
+        starts = list(range(origin, b, bs)) + ([b] if b < n else [])
+        blocks = [(max(t0, 0), min(t0 + bs, n), t0) for t0 in starts]  # equations, first row
+        left = [(t0, t1, max(e - bs, 0)) for t0, t1, e in blocks]
+        if b + bs < n:
+            left.append((b + bs, n, b + 1))  # the tail beyond: every border piece
+        right = [(n - t1, n - t0, max(n + 1 - e - 2 * bs, 0)) for t0, t1, e in blocks[:nbb][::-1]]
+        sweeps = []
+        for y, far in ((x, left), (-x[::-1], right)):
+            z = 0.5 * (y[:-1] + y[1:])
+            sweeps.append((y, [(t0, t1, k1, z[t0] - y[k1]) for t0, t1, k1 in far if k1 > 0]))
+        gaps = [gap for _, far in sweeps for *_, gap in far]
+        s, w = _soe_nodes(beta, min(gaps)) if 0.0 < beta < 1.0 and gaps else (np.empty(0), np.empty(0))
+        plans = []
+        for _, far in sweeps:
+            plan, k0 = [], 0
+            for t0, t1, k1, gap in far:
+                m = int(np.searchsorted(s, _SOE_CUTOFF / gap, side="right"))
+                if m:
+                    plan.append((t0, t1, k0, k1, m))
+                    k0 = k1
+            plans.append(plan)
+        # the near array, the kernel's far columns and the sweeps' tables, and
+        # the temporary of the largest table while it is made: tracemalloc
+        # peaks at 0.92-1.20 of this count (eps6, eps1, eps4 and sqrt,
+        # N = 1023 ... 16383, beta 0.05 ... 0.95)
+        tables = [m * size for plan in plans for t0, t1, k0, k1, m in plan for size in (t1 - t0, k1 - k0)]
+        count = len(blocks) * bs * 3 * bs + n * kernel_pieces + sum(tables) + max(tables, default=0)
+        require_memory(8 * count, f"an exponential-sum operator at N = {n}", AssemblyError)
 
-        i = np.arange(n)
-        f_left = (near_q(i, i + 1) - near_q(i, i)) * self.kz[:-1]
-        f_right = (near_q(i + 1, i + 1) - near_q(i + 1, i)) * self.kz[1:]
-        self._diag = (f_left - f_right) / self.gam1
+        near, self._diag = np.zeros((len(blocks), bs, 3 * bs)), np.empty(b)
+        for j, (t0, t1, e) in enumerate(blocks):
+            k0, k1 = max(e - bs, 0), min(e + 2 * bs, n + 1)
+            ((_, _, q),) = _piece_fluxes(grid, problem, (t0, t1), (k0, k1), bs)
+            if t0 < b:  # the diagonal, with the arithmetic of assemble_matrix
+                r = np.arange(t1 - t0)
+                c = r + t0 - k0
+                f_left = (q[r, c + 1] - q[r, c]) * kz[t0:t1]
+                f_right = (q[r + 1, c + 1] - q[r + 1, c]) * kz[t0 + 1 : t1 + 1]
+                self._diag[t0:t1] = (f_left - f_right) / gam1
+            q *= kz[t0 : t1 + 1, None] / gam1
+            np.subtract(q[:-1], q[1:], out=near[j, t0 - e : t1 - e, k0 - e + bs : k1 - e + bs])
+        # window j of a product: the differences at the pieces of block j's
+        # near array, read from [d_0 .. d_N, d_b, 0] with v_{b-1} in place of
+        # d_b: below the border piece b is the border's value alone, and no
+        # later piece is read
+        pieces = np.array(starts)[:, None, None] - bs + np.arange(3 * bs)[:, None]
+        windows = np.where((pieces < 0) | (pieces > n), n + 2, pieces)
+        windows[:nbb][pieces[:nbb] == b] = n + 1
+        windows[nbb:][pieces[nbb:] > b] = n + 2
+        self.near, self.border, self._origin, self._windows, self._pieces = near, b, origin, windows, n
+        self.row_div, self._terms = np.ones(n), s.size
+
+        self.kernel = np.zeros((kernel_pieces, n))  # piece k, equation i
+        if kernel_pieces:
+            rows = max(_BLOCK_ENTRIES // (kernel_pieces + 2), 1)
+            for i0, i1, q in _piece_fluxes(grid, problem, (0, n), (0, kernel_pieces), rows):
+                q *= kz[i0 : i1 + 1, None] / gam1
+                self.kernel[:, i0:i1] = (q[:-1] - q[1:]).T
+            for t0, t1, e in blocks:
+                self.kernel[max(e - bs, 0) : e + 2 * bs, t0:t1] = 0.0
+        self.left, self.right = (
+            _far_sweep_tables(y, plan, s, c * w / gam1, k)
+            for (y, _), plan, c, k in zip(sweeps, plans, (-gamma * beta, (1.0 - gamma) * beta), (kz, kz[::-1]))
+        )
+
+    def _flux_product(self, v: np.ndarray) -> np.ndarray:
+        """The flux form's product: near blocks, far sweeps and kernel
+        columns, divided by the row divisor."""
+        n, b, k0 = v.size, self.border, self.kernel.shape[0]
+        # the differences d_0 .. d_n of the border's values alone (d_b is
+        # v_{b-1}), zero up to the last piece the windows index (a leading
+        # view's are its operator's), the full d_b and 0
+        src = np.zeros(self._pieces + 3)
+        src[1 : n + 1] = v
+        src[:n] -= v
+        src[-2] = src[b]
+        src[b] = v[b - 1]
+        eqs = np.matmul(self.near, src[self._windows]).reshape(-1)[-self._origin :]
+        out = np.zeros(n)
+        out[: eqs.size] = eqs[:n]
+        if k0:  # the kernel's pieces, which the sweeps skip
+            out += src[:k0] @ self.kernel
+            src[:k0] = 0.0
+        _far_sweep(self.left, src, out, self._terms)
+        mirrored = src[n::-1].copy()
+        mirrored[n - b] = src[-2]
+        _far_sweep(self.right, mirrored, out[::-1], self._terms)
+        out /= self.row_div
+        return out
+
+    def to_dense(self) -> np.ndarray:
+        """The matrix, one product per column (for small checks only)."""
+        n = self.shape[1]
+        a, e = np.empty((n, n)), np.zeros(n)
+        for j in range(n):
+            e[j] = 1.0
+            a[:, j] = self._flux_product(e)
+            e[j] = 0.0
+        return a
+
+    def scale_rows(self, h_rows: np.ndarray):
+        """Divide row ``i`` by ``h_rows[i]``: the divisor is kept and applied
+        to every product."""
+        self.row_div = self.row_div * h_rows
+        self._diag = self._diag / h_rows[: self._diag.size]
+        return self
+
+
+class ToeplitzOperator(_FluxForm):
+    """Matrix whose trailing ``m x m`` block is Toeplitz, around a border of
+    ``b`` rows and columns in flux form:
+
+        [ border rows, every column        ]
+        [ border columns | Toeplitz tail   ]
+
+    This is the FVE matrix of a mesh whose last ``m`` nodes lie in a uniform
+    tail (constant diffusion, any gamma); the ``b = N - m`` graded nodes
+    form the border, which is empty on the uniform grid and without
+    ``grid``.  The tail is stored by its first column and first row, column
+    ``b`` and row ``b`` of the matrix, which share the diagonal entry, and
+    its product goes through real FFTs of a circulant embedding of the tail,
+    whose size is the first power of two ``>= 2m - 1``.
+
+    Every other entry, each pair of an equation and a piece that touches a
+    border piece or a border midpoint, is the :class:`_FluxForm` of
+    ``grid`` and ``problem`` with border ``b``: near blocks of the border
+    rows and of the ``B`` tail rows after them, the tail rows beyond as one
+    block of the left sweep, and the tail pieces beyond the border's near
+    blocks as one block of the right sweep.  Border pieces shorter than
+    :data:`_KERNEL_STEP` keep the kernel's entries at every equation that
+    has them far (ROADMAP item 2).
+    """
+
+    def __init__(
+        self,
+        first_col: np.ndarray,
+        first_row: np.ndarray,
+        grid: Grid | None = None,
+        problem: FdeProblem | None = None,
+    ):
+        col, row = np.asarray(first_col, dtype=float), np.asarray(first_row, dtype=float)
+        if row.ndim != 1 or row.size == 0 or col.shape != row.shape:
+            raise AssemblyError("first_col and first_row must be nonempty 1-D arrays of one size")
+        b = 0 if grid is None else grid.n - row.size
+        if b < 0:
+            raise AssemblyError("border and tail shapes do not fit together")
+        self.first_col, self.first_row = col, row
+        self._circ_size = 1 << (2 * row.size - 2).bit_length()
+        self._circ_fft: np.ndarray | None = None
+        self.border, self.row_div, self._diag = 0, np.ones(row.size), np.empty(0)
+        if b:
+            beta = float(problem.beta)
+            short = np.flatnonzero(grid.steps[:b] < _KERNEL_STEP) if 0.0 < beta < 1.0 else []
+            self._assemble_flux_form(grid, problem, b, int(np.max(short, initial=-1)) + 1)
 
     @property
     def shape(self) -> tuple[int, int]:
-        n = self.kz.size - 1
+        n = self.border + self.first_row.size
+        return (n, n)
+
+    def _fft(self) -> np.ndarray:
+        if self._circ_fft is None:  # first column: the tail's, then its first row reversed
+            m = self.first_row.size
+            circ = np.zeros(self._circ_size)
+            circ[:m] = self.first_col
+            circ[circ.size - m + 1 :] = self.first_row[:0:-1]
+            self._circ_fft = np.fft.rfft(circ)
+        return self._circ_fft
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        v = np.asarray(v, dtype=float)
+        if v.shape != (self.shape[1],):
+            raise AssemblyError("dimension mismatch in matvec")
+        b, size = self.border, self._circ_size
+        out = self._flux_product(v) if b else np.zeros(v.size)
+        out[b:] += np.fft.irfft(self._fft() * np.fft.rfft(v[b:], size), size)[: v.size - b]
+        return out
+
+    def diagonal(self) -> np.ndarray:
+        return np.concatenate((self._diag, np.full(self.first_row.size, self.first_row[0])))
+
+    def to_dense(self) -> np.ndarray:
+        """The matrix: the border one product per column, and tail row ``i``
+        as ``c[i:0:-1]`` followed by ``t[:m-i]`` (first column ``c``, first
+        row ``t``), copied straight from a sliding window over ``c`` reversed
+        joined to ``t``."""
+        b, col, row = self.border, self.first_col, self.first_row
+        a = super().to_dense() if b else np.empty(self.shape)
+        joined = np.concatenate((col[:0:-1], row))
+        windows = np.lib.stride_tricks.sliding_window_view(joined, row.size)
+        a[b:, b:] = windows[::-1]
+        return a
+
+    def scale_rows(self, h_rows: np.ndarray) -> "ToeplitzOperator":
+        """Divide row ``i`` by ``h_rows[i]`` in place, the tail by
+        ``h_rows[b]``, the step of its first row: the tail rows share one step
+        up to rounding, so it stays Toeplitz; the circulant FFT of the
+        unscaled tail is dropped.  The border keeps its row divisor."""
+        super().scale_rows(h_rows)
+        self.first_col = self.first_col / h_rows[self.border]
+        self.first_row = self.first_row / h_rows[self.border]
+        self._circ_fft = None
+        return self
+
+
+#: The replaced symmetric class's name, under which perfbench wraps ``matvec``.
+SymToeplitzOperator = ToeplitzOperator
+
+
+class SoeOperator(_FluxForm):
+    """Matrix-free FVE operator: the :class:`_FluxForm` of every equation,
+    exact near field and far field by a sum of exponentials, whose
+    :meth:`leading` gives a scaled leading block that shares its arrays."""
+
+    def __init__(self, grid: Grid, problem: FdeProblem):
+        if not 0.0 < float(problem.beta) < 1.0:
+            raise AssemblyError("the exponential sum needs 0 < beta < 1")
+        self._assemble_flux_form(grid, problem, grid.n, 0)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        n = self.row_div.size
         return (n, n)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
-        n = self.shape[1]
-        if v.shape != (n,):
+        if v.shape != (self.shape[1],):
             raise AssemblyError("dimension mismatch in matvec")
-        nb, bs, _ = self.near.shape
-        d_pad = np.zeros((nb + 2) * bs)
-        d = d_pad[bs : bs + n + 1]
-        d[1:] = v
-        d[:-1] -= v
-        step = d_pad.itemsize
-        windows = np.lib.stride_tricks.as_strided(
-            d_pad, (nb, 3 * bs, 1), (bs * step, step, step), writeable=False
-        )  # window j: the differences of blocks j - 1 .. j + 1
-        flux = np.matmul(self.near, windows).reshape(-1)[: n + 1]
-        flux += _far_sweep(self.left, d)
-        flux += _far_sweep(self.right, d[::-1].copy())[::-1]
-        out = self.kz[:-1] * flux[:-1]
-        out -= self.kz[1:] * flux[1:]
-        out /= self.gam1
-        out /= self.row_div
-        return out
+        return self._flux_product(v)
 
     def diagonal(self) -> np.ndarray:
         return self._diag
-
-    def to_dense(self) -> np.ndarray:
-        """The matrix, one product per column (for small checks only)."""
-        return np.column_stack([self.matvec(e) for e in np.eye(self.shape[1])])
-
-    def scale_rows(self, h_rows: np.ndarray) -> "SoeOperator":
-        """Divide row ``i`` by ``h_rows[i]``: the divisor is kept and applied
-        to every product."""
-        self.row_div = self.row_div * h_rows
-        self._diag = self._diag / h_rows
-        return self
 
     def leading(self, n: int, factor: float) -> "SoeOperator":
         """``factor`` times the leading ``n x n`` block, sharing this
         operator's near array and sweep tables, with ``factor`` folded into
         its row divisor.
 
-        The block's rows read the midpoints ``0 .. n`` and its columns the
+        The block's rows are the equations ``0 .. n - 1`` and its columns the
         differences of the pieces ``0 .. n``, the others being zero, so it
-        keeps the near blocks up to that of midpoint ``n``, the left tables
-        of those blocks (the last one cut at midpoint ``n``), and the right
-        tables from the first that adds a piece ``<= n``, with their indices
-        shifted to its own mirrored pieces and the first one's piece table
-        cut to those pieces.  A skipped table only adds zeros, so a product
-        costs as much as one of an operator of ``n`` unknowns.
+        keeps the near blocks of those equations, the left tables of those
+        blocks (the last one cut at equation ``n``), and the right tables
+        from the first that adds a piece ``<= n``, with their indices shifted
+        to its own mirrored pieces and the first one's piece table cut to
+        those pieces.  A skipped table only adds zeros, so a product costs as
+        much as one of an operator of ``n`` unknowns.
         """
         shift = self.shape[0] - n  # the mirrored piece of piece n
         view = copy.copy(self)
-        view.near = self.near[: n // self.near.shape[1] + 1]
+        view.near = self.near[: -(-(n - self._origin) // self.near.shape[1])]
+        view._windows = self._windows[: view.near.shape[0]]
+        view.border = n
         view.left = [
-            (t0, min(t1, n + 1), k0, k1, ev[: n + 1 - t0], add, decay)
+            (t0, min(t1, n), k0, k1, ev[:, : n - t0], add, decay)
             for t0, t1, k0, k1, ev, add, decay in self.left
-            if t0 <= n
+            if t0 < n
         ]
         view.right = [
             (t0 - shift, t1 - shift, max(k0, shift) - shift, k1 - shift, ev,
@@ -556,7 +602,7 @@ class SoeOperator:
             for t0, t1, k0, k1, ev, add, decay in self.right
             if k1 > shift
         ]
-        view.kz = self.kz[: n + 1]
+        view.kernel = self.kernel[:, :n]
         view.row_div = self.row_div[:n] / factor
         view._diag = self._diag[:n] * factor
         return view
@@ -811,106 +857,18 @@ def _tail_start(grid: Grid) -> int:
     return int(off[-1]) + 1 if off.size else 0
 
 
-#: Columns and rows of a Toeplitz operator's coupling kept dense next to
-#: the interface of border and tail, where the rest is an exponential sum.
-#: eps1 pgmres solves at N = 4095 (beta 0.83, median of 5) took 77, 73, 72,
-#: 79, 77 and 86 ms with widths 32, 64, 96, 128, 192 and 256, and peaked at 17.9,
-#: 17.6, 17.8, 18.0, 18.5 and 19.3 MB (tracemalloc): flat within noise, and
-#: 64 holds the fewest numbers.  The rule of :func:`_coupling_is_factored`
-#: also sets the smallest factored level: on the eps1 levels of that solve
-#: it factors N = 511 and up, where a product took 0.046 ms factored and
-#: 0.037 ms dense and the assembly 1.10 and 1.31 ms, and keeps N = 255
-#: dense (0.039 ms dense, 0.057 ms factored).
-_NEAR_WIDTH = 64
-
-
-#: Border pieces shorter than this keep the kernel's entries in the far
-#: coupling of a Toeplitz operator's tail rows.  Their entries there are
-#: differences of powers of about 1 that agree to 1e-10 or better, so the
-#: kernel's rounding is 2e-6 of an entry or more, which an exponential sum,
-#: free of it, does not reproduce; through the few pieces next to x = 0 at
-#: the capped exponent (x_1 = 1e-16) it sets the solution's error (ROADMAP
+#: Far border pieces shorter than this keep the kernel's flux differences
+#: in a Toeplitz operator's border.  Their entries are differences of
+#: powers of about 1 that agree to 1e-10 or better, so the kernel's
+#: rounding is 2e-6 of an entry or more, which an exponential sum, free of
+#: it, does not reproduce; through the few pieces next to x = 0 at the
+#: capped exponent (x_1 = 1e-16) it sets the solution's error (ROADMAP
 #: item 2).  Preconditioned solves on eps4 at beta = 0.8, N = 1023, with
 #: the pieces below 1e-12, 1e-10 and 1e-8 kept read e_inf = 3.82462e-4,
 #: 3.82394e-4 and 3.82397e-4, against 3.82397e-4 with a dense coupling and
 #: 6.57339e-4 with none kept; eps1 and eps2 at N = 511 and 1023 agree to 4
-#: digits or more as well.  The far block of the border rows moves no digit
-#: of them.
+#: digits or more as well (measured when only the tail rows kept them).
 _KERNEL_STEP = 1e-10
-
-
-def _far_flux_factors(
-    y: np.ndarray, k0: int, k1: int, eqs: tuple[int, int], s: np.ndarray, c: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Factors ``(ev, add)`` of the flux differences of the pieces ``k0 ..
-    k1 - 1`` of the nodes ``y`` at the equations ``eqs`` right of them
-    (half-open; equation ``i`` reads the midpoints ``i`` and ``i + 1``).
-
-    ``add`` is the :func:`_piece_table` of the pieces, so that with ``ref =
-    y[k1]``, ``sum_l c_l exp(-s_l (z_t - ref)) (add @ d)_l`` is ``sum_k c
-    I_k(t) d_k / h_k``; ``ev[r, l]`` is the difference of that factor
-    between the midpoints ``i`` and ``i + 1`` of equation ``i = eqs[0] +
-    r``, formed as ``c_l exp(-s_l (z_i - ref)) (-expm1(-s_l (z_{i+1} -
-    z_i)))``, with no difference of nearly equal numbers either.
-    """
-    i0, i1 = eqs
-    z = 0.5 * (y[i0 : i1 + 1] + y[i0 + 1 : i1 + 2])
-    ev = c * np.exp(np.outer(y[k1] - z[:-1], s)) * -np.expm1(np.outer(z[:-1] - z[1:], s))
-    return ev, _piece_table(y, k0, k1, s)
-
-
-def _coupling_is_factored(b: int, m: int, w: int, k0: int, nterms: int) -> bool:
-    """Whether the far coupling of a border of ``b`` nodes with a tail of
-    ``m`` holds fewer numbers with a near strip of ``w``, ``k0`` dense far
-    columns and ``nterms`` exponential-sum terms, ``2 b w + k0 (m - w) +
-    nterms (2 b + 2 (m - w) + 2 - k0)``, than dense, ``2 b m``."""
-    return 2 * b * w + k0 * (m - w) + nterms * (2 * b + 2 * (m - w) + 2 - k0) < 2 * b * m
-
-
-def _coupling_factors(grid: Grid, problem: FdeProblem, b: int):
-    """The far coupling ``(kernel, ev_left, add_left, ev_right, add_right)``
-    of a Toeplitz operator with border ``b`` (see
-    :class:`ToeplitzOperator`), or None where the dense coupling holds
-    fewer numbers (:func:`_coupling_is_factored`).
-
-    With ``c = b + w``, ``w`` = :data:`_NEAR_WIDTH`, the left block (tail
-    rows ``c ..``, border columns) takes the columns of the nodes ``1 ..
-    k0`` from :func:`assemble_matrix`, ``k0 - 1`` the last border piece
-    shorter than :data:`_KERNEL_STEP`, and reads the pieces ``k0 .. b`` at
-    the tail midpoints by an exponential sum; the right block (border
-    rows, tail columns ``c ..``) reads the pieces ``c .. N`` at the border
-    midpoints: the left factors of the mirrored grid, ``-x`` reversed,
-    with the rows reversed and negated (a flux difference changes sign
-    with the orientation).  The piece fluxes are those of :class:`SoeOperator`'s far
-    field, and an equation is ``K / Gamma(beta + 1)`` times a flux
-    difference.  Every distance is at least ``delta``, ``w - 1/2`` tail
-    steps, so one sum of :func:`_soe_nodes` on ``[delta, 1]`` serves both
-    blocks, less its terms with ``s_l delta`` above :data:`_SOE_CUTOFF`.
-    """
-    n, w, beta = grid.n, _NEAR_WIDTH, float(problem.beta)
-    m, c = n - b, b + w
-    if b == 0 or m <= w or not 0.0 < beta < 1.0:
-        return None
-    x = grid.points
-    k0 = int(np.max(np.flatnonzero(grid.steps[:b] < _KERNEL_STEP), initial=-1)) + 1
-    delta = min(0.5 * (x[c] + x[c + 1]) - x[b + 1], x[c] - 0.5 * (x[b] + x[b + 1]))
-    s, wts = _soe_nodes(beta, delta)
-    nterms = int(np.searchsorted(s, _SOE_CUTOFF / delta, side="right"))
-    if not _coupling_is_factored(b, m, w, k0, nterms):
-        return None
-    # tracemalloc peaks at 1.8-2.2 times the tables while they are made
-    # (eps1 and eps4, N = 1023 ... 16383, beta 0.05 ... 0.95)
-    require_memory(
-        3 * 8 * 2 * nterms * (n - w + 1), f"an exponential-sum coupling at N = {n}", AssemblyError
-    )
-    s, wts = s[:nterms], wts[:nterms] * float(problem.diffusion) * beta / math.gamma(beta + 1.0)
-    gamma = float(problem.gamma)
-    kernel = assemble_matrix(grid, problem, rows=(c, n), cols=(0, k0)).entries
-    ev_left, add_left = _far_flux_factors(x, k0, b + 1, (c, n), s, -gamma * wts)
-    ev_right, add_right = _far_flux_factors(
-        -x[::-1], 0, n + 1 - c, (n - b, n), s, (gamma - 1.0) * wts
-    )
-    return kernel, ev_left, add_left, -ev_right[::-1], np.ascontiguousarray(add_right[:, ::-1])
 
 
 def assemble_operator(grid: Grid, problem: FdeProblem, scaled: bool = False) -> LinearOperator:
@@ -918,11 +876,9 @@ def assemble_operator(grid: Grid, problem: FdeProblem, scaled: bool = False) -> 
 
     With constant diffusion the rows and columns of a uniform tail form a
     Toeplitz block, whatever gamma: a grid with a uniform tail gets a
-    :class:`ToeplitzOperator` whose border rows up to column ``c``, border
-    columns up to row ``c``, and the tail's first row and column, row and
-    column ``b`` of the matrix, are :func:`assemble_matrix` blocks, with
-    ``c = N`` unless :func:`_coupling_factors` factors the far coupling
-    (the uniform grid has no border).
+    :class:`ToeplitzOperator`, whose tail's first column and row, column and
+    row ``b`` of the matrix, are :func:`assemble_matrix` blocks (the uniform
+    grid has no border).
     Every other case (no tail, or variable diffusion) gets the matrix-free
     :class:`SoeOperator` above :data:`_SOE_MIN_N` unknowns when
     ``0 < beta < 1``, and the dense matrix of :func:`assemble_matrix`
@@ -934,16 +890,9 @@ def assemble_operator(grid: Grid, problem: FdeProblem, scaled: bool = False) -> 
     n = grid.n
     b = n if callable(problem.diffusion) else _tail_start(grid)
     if b < n:
-        far = _coupling_factors(grid, problem, b)
-        c = n if far is None else b + _NEAR_WIDTH
-
-        def block(rows: tuple[int, int], cols: tuple[int, int]) -> np.ndarray:
-            return assemble_matrix(grid, problem, rows=rows, cols=cols).entries
-
-        first_col, first_row = block((b, n), (b, b + 1))[:, 0], block((b, b + 1), (b, n))[0]
-        op: LinearOperator = ToeplitzOperator(
-            first_col, first_row, block((0, b), (0, c)), block((b, c), (0, b)), far
-        )
+        col = assemble_matrix(grid, problem, rows=(b, n), cols=(b, b + 1)).entries[:, 0]
+        row = assemble_matrix(grid, problem, rows=(b, b + 1), cols=(b, n)).entries[0]
+        op: LinearOperator = ToeplitzOperator(col, row, grid, problem)
     elif n >= _SOE_MIN_N and 0.0 < problem.beta < 1.0:
         op = SoeOperator(grid, problem)
     else:
@@ -966,9 +915,10 @@ def row_scale(system: FveSystem) -> FveSystem:
 
     The scaling removes the grid-dependent measure factor from each
     equation, which the multigrid hierarchy relies on.  The operator's
-    ``scale_rows`` divides it in place: a dense matrix row by row, a
-    Toeplitz operator's border and far factors row by row and its tail by
-    the step of the tail's first row, so it stays Toeplitz.
+    ``scale_rows`` divides it in place: a dense matrix row by row, the flux
+    form of a matrix-free operator or a Toeplitz border by a row divisor it
+    keeps, and a Toeplitz tail by the step of the tail's first row, so it
+    stays Toeplitz.
 
     The returned system holds the very operator of ``system``, so the
     argument is consumed and its matrix must not be read as unscaled

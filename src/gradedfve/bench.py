@@ -232,8 +232,9 @@ def run_case(cfg: CaseConfig) -> CaseResult:
         )
     else:
         # row_scale scales the operator in place and consumes the unscaled
-        # system; a mesh with a uniform tail keeps only its border dense on
-        # every level, so the solve holds far less than one finest matrix
+        # system; a mesh with a uniform tail keeps only its tail and its
+        # flux-form border on every level, so the solve holds far less than
+        # one finest matrix
         system = row_scale(assemble_system(grid, problem))
         precond = None
         if cfg.solver == "pgmres":

@@ -6,8 +6,8 @@ Every level holds an operator of one of the three kinds of
 ``assemble_operator``, picked by the same rule.  Coarsening keeps the even
 nodes, so a uniform tail stays a uniform tail, and with constant diffusion
 each level of a mesh with one is a Toeplitz operator for every gamma,
-dense only on the border of its graded nodes (none on the uniform grid)
-and near it, whose products cost O(N log N) on the tail.  A level without
+whose products cost O(N log N) on the tail and O(N) on the flux-form
+border of its graded nodes (none on the uniform grid).  A level without
 a tail, assembled on its own grid, is the matrix-free sum-of-exponentials
 operator above 1023 unknowns and a dense matrix below.  A coarser level
 whose grid is the finest level's leading nodes stretched to [0, 1] (an

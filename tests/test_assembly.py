@@ -5,7 +5,7 @@ import typing
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gradedfve import _memory
 from gradedfve import assembly as asm
@@ -380,7 +380,7 @@ class TestToeplitzOperator:
         for n in range(1, 41):
             col, row = rng.standard_normal(n), rng.standard_normal(n)
             col[0] = row[0]
-            op = ToeplitzOperator(col, row, np.empty((0, n)), np.empty((n, 0)))
+            op = ToeplitzOperator(col, row)
             a = op.to_dense()
             assert np.array_equal(a, scipy.linalg.toeplitz(col, row)), n
             v = rng.standard_normal(n)
@@ -401,12 +401,13 @@ class TestToeplitzOperator:
 
 class TestBorderedToeplitz:
     """The bordered operator of a mesh with a uniform tail against the dense
-    assembly: its border and the tail's first row and column, row and
-    column ``b`` of the matrix, are the same arithmetic, and the later tail
-    rows repeat them.  Where the far coupling is factored (eps1 and eps4 at
-    N = 1023), the dense parts are up to column and row ``c``, with the far
-    columns of the shortest border pieces, and the far blocks otherwise hold
-    the cancellation-free flux formula."""
+    assembly: the tail's first row and column, row and column ``b`` of the
+    matrix, are the same arithmetic, the later tail rows repeat them, and
+    the diagonal of the border is the kernel's bit for bit.  The border
+    rows and columns, in flux form, hold the kernel's fluxes in their near
+    blocks and at the far pieces shorter than 1e-10 (eps1 at beta 0.8
+    starts with steps of 1e-16), and the cancellation-free flux formula at
+    the others."""
 
     # (mesh, beta): the grids of eps1 and eps4 depend on beta through q; the
     # uniform grid is all tail, with no border
@@ -437,29 +438,19 @@ class TestBorderedToeplitz:
             dense /= grid.steps[:-1][:, None]
         op = system.operator
         a = op.to_dense()
-        c = op.rows.shape[1]
-        assert (op.far is not None) == (name in ("eps1", "eps4") and n == 1023)
-        assert a[:b, :c].tobytes() == dense[:b, :c].tobytes()  # the border
-        assert a[b].tobytes() == dense[b].tobytes()  # row b
-        assert a[b:c, :b].tobytes() == dense[b:c, :b].tobytes()
+        assert a[b, b:].tobytes() == dense[b, b:].tobytes()  # row b
         assert a[b:, b].tobytes() == column.tobytes()  # and column b
-        if op.far is not None:
-            # eps1 at beta 0.8 starts with steps of 1e-16: their far columns
-            # in the tail rows stay the kernel's
-            k0 = op.far[0].shape[1]
-            assert (k0 > 0) == (name == "eps1")
-            assert a[c:, :k0].tobytes() == dense[c:, :k0].tobytes()
-            q = cancellation_free_fluxes(grid, beta, gamma)
-            ref = operator_of_fluxes(q, grid, problem, scaled)
-            for block in (np.s_[:b, c:], np.s_[c:, k0:b]):
-                assert np.abs(a[block] - ref[block]).max() <= 1e-13 * np.abs(dense).max()
+        assert op.diagonal()[:b].tobytes() == np.diag(dense)[:b].tobytes()
+        ref = flux_form_reference(grid, problem, scaled, b, op.kernel.shape[0] if b else 0)
+        for block in (np.s_[:b], np.s_[b:, :b]):
+            assert np.abs(a[block] - ref[block]).max(initial=0.0) <= 1e-13 * np.abs(dense).max()
         tail = a[b:, b:]
         assert np.abs(tail - dense[b:, b:]).max() <= 1e-11 * np.abs(dense).max()
         assert np.array_equal(tail, scipy.linalg.toeplitz(tail[:, 0], tail[0]))
         v = rng.standard_normal(n)
         ref = a @ v
         assert np.abs(op.matvec(v) - ref).max() <= 1e-12 * np.abs(ref).max()
-        assert np.array_equal(op.diagonal(), np.diag(a))
+        assert np.array_equal(op.diagonal()[b:], np.diag(a)[b:])
 
     def test_meshes_without_a_toeplitz_tail_stay_dense(self):
         sqrt = composite_grid(127, CompositeRule("sqrt"))
@@ -535,43 +526,81 @@ BLENDS = {
 }
 
 
-def cancellation_free_fluxes(grid, beta, gamma, kernel_band=None):
+def cancellation_free_fluxes(grid, beta, gamma, kernel=None):
     """Piece fluxes ``Q`` with no difference of nearly equal powers: over
     piece ``k`` at distance ``a`` from ``z_t`` the difference of the powers
     at its ends is ``a**beta * expm1(beta * log1p(h_k / a))``; the split
-    piece is the kernel's.  With ``kernel_band = B``, the pieces of the
-    blocks of ``B`` midpoints next to ``z_t``'s take the kernel's
-    difference instead, as the exponential-sum operator's near field does.
-    Filled 256 rows at a time."""
+    piece is the kernel's.  With a boolean ``kernel[i, k]`` over equations
+    and pieces, the pairs it marks take the kernel's difference instead, as
+    the flux form's near blocks and kernel columns do, and the result is the
+    pair of the fluxes at the two midpoints, ``i`` and ``i + 1``, of each
+    equation ``i``.  Filled 256 midpoints at a time."""
     x, h = grid.points, grid.steps
     z = 0.5 * (x[:-1] + x[1:])
-    q = np.empty((z.size, z.size))
-    k = np.arange(z.size)
-    for t0 in range(0, z.size, 256):
-        t = np.arange(t0, min(t0 + 256, z.size))[:, None]
+    n = z.size - 1
+    k = np.arange(n + 1)
+    q = np.empty((n + 1, n + 1)) if kernel is None else (np.empty((n, n + 1)), np.empty((n, n + 1)))
+    for t0 in range(0, n + 1, 256):
+        t = np.arange(t0, min(t0 + 256, n + 1))[:, None]
         left = k < t
         a = np.where(left, z[t] - x[1:], x[:-1] - z[t])
         with np.errstate(divide="ignore", invalid="ignore"):
             diff = a**beta * np.expm1(beta * np.log1p(h / a))
-        weight = np.where(left, gamma, gamma - 1.0)
         w = np.abs(x - z[t]) ** beta
-        if kernel_band is not None:
-            band = np.abs(t // kernel_band - k // kernel_band) <= 1
-            diff = np.where(band, np.where(left, -1.0, 1.0) * (w[:, 1:] - w[:, :-1]), diff)
-        block = np.where(left, -weight, weight) * diff / h
-        tt = t[:, 0]
-        r = tt - t0
-        block[r, tt] = -(gamma * w[r, tt] + (1.0 - gamma) * w[r, tt + 1]) / h[tt]
-        q[t0 : t0 + r.size] = block
+        r, tt = t[:, 0] - t0, t[:, 0]
+
+        def fluxes(diff, rows):
+            block = np.where(left, -gamma, gamma - 1.0)[rows] * diff / h
+            block[np.arange(rows.size), tt[rows]] = -(
+                gamma * w[rows, tt[rows]] + (1.0 - gamma) * w[rows, tt[rows] + 1]
+            ) / h[tt[rows]]
+            return block
+
+        if kernel is None:
+            q[t0 : t0 + r.size] = fluxes(diff, r)
+            continue
+        kern = np.where(left, -1.0, 1.0) * (w[:, 1:] - w[:, :-1])
+        for out, rows, eqs in ((q[0], r[tt < n], tt[tt < n]), (q[1], r[tt > 0], tt[tt > 0] - 1)):
+            out[eqs] = fluxes(np.where(kernel[eqs], kern[rows], diff[rows]), rows)
     return q
 
 
+def near_pairs(n, b, kernel_pieces=0):
+    """The (equation, piece) pairs that the flux form of border ``b`` (``b =
+    n`` for the exponential-sum operator) reads from the kernel: the border
+    in equal blocks of at most ``_SOE_BLOCK`` equations that end at ``b``,
+    and one more block below it, each with the pieces from one block before
+    its first equation to two after, and the pieces shorter than the kernel
+    step, ``0 .. kernel_pieces - 1``, everywhere."""
+    blocks = -(-b // asm._SOE_BLOCK)
+    size = -(-b // blocks)
+    i = np.arange(n)[:, None]
+    start = np.where(i < b, i - (i - b) % size, np.where(i < b + size, b, n + 1 + size))
+    k = np.arange(n + 1)
+    return (k >= start - size) & (k < start + 2 * size) | (k < kernel_pieces)
+
+
 def operator_of_fluxes(q, grid, problem, scaled):
-    """The matrix of the piece fluxes ``q``, as :func:`assemble_matrix` forms it."""
+    """The matrix of the piece fluxes ``q`` (or of the pair of them at each
+    equation's two midpoints), as :func:`assemble_matrix` forms it."""
     x = grid.points
-    f = (q[:, 1:] - q[:, :-1]) * problem.diffusion_at(0.5 * (x[:-1] + x[1:]))[:, None]
-    a = (f[:-1] - f[1:]) / math.gamma(problem.beta + 1.0)
+    kz = problem.diffusion_at(0.5 * (x[:-1] + x[1:]))[:, None]
+    if isinstance(q, tuple):
+        f_left, f_right = ((p[:, 1:] - p[:, :-1]) * k for p, k in zip(q, (kz[:-1], kz[1:])))
+    else:
+        f = (q[:, 1:] - q[:, :-1]) * kz
+        f_left, f_right = f[:-1], f[1:]
+    a = (f_left - f_right) / math.gamma(problem.beta + 1.0)
     return a / grid.steps[:-1][:, None] if scaled else a
+
+
+def flux_form_reference(grid, problem, scaled, b, kernel_pieces=0):
+    """The matrix of the flux form of border ``b``: the kernel's fluxes
+    where it reads them (:func:`near_pairs`), the cancellation-free ones
+    elsewhere."""
+    mask = near_pairs(grid.n, b, kernel_pieces) if b else None
+    q = cancellation_free_fluxes(grid, problem.beta, problem.gamma, mask)
+    return operator_of_fluxes(q, grid, problem, scaled)
 
 
 #: Mesh families of the property test: the uniform grid, the composite
@@ -597,44 +626,48 @@ PROPERTY_MESHES = {
     variable=st.booleans(),
     scaled=st.booleans(),
     soe_block=st.sampled_from([None, 2, 5]),
-    factored=st.booleans(),
+    border_block=st.sampled_from([None, 2, 3]),
 )
+# eps4's border of 41 has five pieces below the kernel step, the last of
+# them far right of the first block of 2
+@example(mesh="eps4", n=80, beta=0.9, gamma=0.3, variable=False, scaled=False, soe_block=None,
+         border_block=2)
 def test_every_operator_kind_agrees_with_the_dense_assembly(
-    mesh, n, beta, gamma, variable, scaled, soe_block, factored
+    mesh, n, beta, gamma, variable, scaled, soe_block, border_block
 ):
     """Every operator kind answers one protocol, and each answers it with
-    the dense assembly: border entries and the tail's first row and column
-    bit for bit, the rest of the Toeplitz tail to 1e-11 of max|A|.  The
+    the dense assembly: the diagonal bit for bit, and so the first row and
+    column of a Toeplitz tail, the rest of the tail to 1e-11 of max|A|.  The
     kind follows from the grid, K and the size alone: Toeplitz exactly when
     K is constant and the grid has a uniform tail, whatever gamma; otherwise
     the exponential sum from ``_SOE_MIN_N`` unknowns on (lowered here to 9,
-    with blocks of ``soe_block`` midpoints), whose diagonal is the kernel's
-    bit for bit and whose entries and products are within 1e-11 of max|A|
-    of the cancellation-free flux formula.  With ``factored``, a Toeplitz
-    operator factors its far coupling beyond a near strip of 3 whatever
-    the sizes: its dense parts (and far columns) stay the kernel's bit for
-    bit, and its factored blocks are within 1e-11 of max|A| of the
-    cancellation-free formula."""
+    with blocks of ``soe_block`` equations).  The flux form of both, the
+    whole exponential-sum operator and the border of a Toeplitz operator
+    (with blocks of ``border_block`` equations, so that these sizes get a
+    far field), is within 1e-11 of max|A| of the flux formula with the
+    kernel's fluxes where it reads them and none of its cancellation
+    elsewhere."""
     kinds = typing.get_args(LinearOperator)
     grid = bench.build_case_grid(PROPERTY_MESHES[mesh], beta, n)
     problem = FdeProblem(beta, gamma, diffusion=(lambda x: 1.0 + x) if variable else 1.0)
+    toeplitz = not variable and asm._tail_start(grid) < n
+    block = border_block if toeplitz else soe_block
     with pytest.MonkeyPatch.context() as patch:
         if soe_block is not None:
             patch.setattr(asm, "_SOE_MIN_N", 9)
-            patch.setattr(asm, "_SOE_BLOCK", soe_block)
-        if factored:
-            patch.setattr(asm, "_NEAR_WIDTH", 3)
-            patch.setattr(asm, "_coupling_is_factored", lambda *sizes: True)
+        if block is not None:
+            patch.setattr(asm, "_SOE_BLOCK", block)
         op = assemble_operator(grid, problem, scaled=scaled)
-    assert isinstance(op, kinds) and op.shape == (n, n)
-    toeplitz = not variable and asm._tail_start(grid) < n
-    assert isinstance(op, ToeplitzOperator) == toeplitz
-    soe = soe_block is not None and not toeplitz
-    assert isinstance(op, SoeOperator) == soe
-    b = op.border if toeplitz else n
-    far = toeplitz and op.far is not None
-    assert far == (factored and toeplitz and 0 < b < n - 3)
-    c = op.rows.shape[1] if toeplitz else n
+        assert isinstance(op, kinds) and op.shape == (n, n)
+        assert isinstance(op, ToeplitzOperator) == toeplitz
+        soe = soe_block is not None and not toeplitz
+        assert isinstance(op, SoeOperator) == soe
+        b = op.border if toeplitz else n
+        if toeplitz and block is not None and 0 < b < n - -(-b // -(-b // block)):
+            assert op.left  # the tail beyond the border's blocks is far
+        swept = soe or (toeplitz and b > 0)
+        kernel_pieces = op.kernel.shape[0] if swept else 0
+        ref = flux_form_reference(grid, problem, scaled, b, kernel_pieces) if swept else None
     dense = assemble_matrix(grid, problem).entries
     # scaling divides the tail by one step, that of its first row
     column = dense[b:, b : b + 1] / (grid.steps[b] if scaled else 1.0)
@@ -642,27 +675,20 @@ def test_every_operator_kind_agrees_with_the_dense_assembly(
         dense /= grid.steps[:-1][:, None]
     a = op.to_dense()
     scale = np.abs(dense).max()
-    if soe:
-        assert op.diagonal().tobytes() == np.diag(dense).tobytes()
-        # far entries of the dense kernel cancel (ROADMAP item 2), so the sum
-        # is held to the flux formula with none, its near field the kernel's
-        q = cancellation_free_fluxes(grid, beta, gamma, kernel_band=soe_block)
-        dense = operator_of_fluxes(q, grid, problem, scaled)
-        assert np.abs(a - dense).max() <= 1e-11 * scale
-    else:
-        assert a[:b, :c].tobytes() == dense[:b, :c].tobytes()
-        assert a[b : b + 1].tobytes() == dense[b : b + 1].tobytes()
-        assert a[b:c, :b].tobytes() == dense[b:c, :b].tobytes()
+    assert op.diagonal()[:b].tobytes() == np.diag(dense)[:b].tobytes()
+    if toeplitz:
+        assert a[b, b:].tobytes() == dense[b, b:].tobytes()
         assert a[b:, b : b + 1].tobytes() == column.tobytes()
         assert np.abs(a[b:, b:] - dense[b:, b:]).max(initial=0.0) <= 1e-11 * scale
-        assert np.array_equal(op.diagonal(), np.diag(a))
-    if far:
-        k0 = op.far[0].shape[1]
-        assert a[c:, :k0].tobytes() == dense[c:, :k0].tobytes()
-        ref = operator_of_fluxes(cancellation_free_fluxes(grid, beta, gamma), grid, problem, scaled)
-        for block in (np.s_[:b, c:], np.s_[c:, k0:b]):
-            assert np.abs(a[block] - ref[block]).max() <= 1e-11 * scale
-            dense[block] = ref[block]
+        assert np.array_equal(op.diagonal()[b:], np.diag(a)[b:])
+    if swept:
+        # far entries of the dense kernel cancel (ROADMAP item 2), so the sum
+        # is held to the flux formula with none, its near field the kernel's
+        for part in (np.s_[:b], np.s_[b:, :b]):
+            assert np.abs(a[part] - ref[part]).max(initial=0.0) <= 1e-11 * scale
+            dense[part] = ref[part]
+    else:
+        assert a[:b].tobytes() == dense[:b].tobytes()
     v = np.random.default_rng(n).standard_normal(n)
     assert np.abs(op.matvec(v) - dense @ v).max() <= 1e-11 * scale * np.abs(v).sum()
     # the tail alone, on the uniform grid of its size, answers the same
@@ -704,6 +730,28 @@ def test_beta_zero_is_the_finite_volume_laplacian(mesh, n, grid_beta, gamma, var
     assert np.abs(a - lap).max() <= 1e-14 * np.abs(lap).max()
 
 
+def far_entries_in_mpmath(op, grid, beta, gamma, entries):
+    """Check row-scaled entries ``(i, j)`` of ``op`` within 1e-10 of
+    themselves against the flux formula in 40-digit mpmath; each column
+    takes one product."""
+    mpmath = pytest.importorskip("mpmath")
+    z = 0.5 * (grid.points[:-1] + grid.points[1:])
+    columns = {j: op.matvec(np.eye(grid.n)[j]) for j in {j for _, j in entries}}
+    with mpmath.workdps(40):
+        x = [mpmath.mpf(float(v)) for v in grid.points]
+        be, ga = mpmath.mpf(beta), mpmath.mpf(gamma)
+
+        def q(t, k):  # the piece flux Q[t, k] of a piece off the midpoint
+            zt = mpmath.mpf(float(z[t]))
+            diff = (abs(x[k + 1] - zt) ** be - abs(x[k] - zt) ** be) / (x[k + 1] - x[k])
+            return (ga if k < t else ga - 1) * diff
+
+        for i, j in entries:
+            f = [q(t, j + 1) - q(t, j) for t in (i, i + 1)]  # hat fluxes of node j + 1
+            want = (f[0] - f[1]) / mpmath.gamma(be + 1) / (x[i + 1] - x[i])
+            assert abs(columns[j][i] - want) <= 1e-10 * abs(want), (i, j)
+
+
 class TestSoeOperator:
     """The exponential-sum operator on the pure power mesh, whose steps span
     the most orders of magnitude, against the flux formula evaluated with no
@@ -723,7 +771,7 @@ class TestSoeOperator:
         grid = bench.build_case_grid(EPS6, beta, n)
         v = rng.standard_normal(n)
         q_ref = cancellation_free_fluxes(grid, beta, gamma)
-        q_far = cancellation_free_fluxes(grid, beta, gamma, kernel_band=block)
+        q_far = cancellation_free_fluxes(grid, beta, gamma, near_pairs(n, n))
         for diffusion in (1.0, lambda x: 1.0 + x * x):
             problem = FdeProblem(beta, gamma, diffusion=diffusion)
             diag = np.diag(assemble_matrix(grid, problem).entries)
@@ -756,9 +804,22 @@ class TestSoeOperator:
         kept = [tables[6].size for tables in op.left]
         assert any(b > a for a, b in zip(kept, kept[1:]))
         v = rng.standard_normal(grid.n)
-        q = cancellation_free_fluxes(grid, beta, 0.3, kernel_band=block)
-        ref = operator_of_fluxes(q, grid, problem, False)
+        ref = flux_form_reference(grid, problem, False, grid.n)
         assert np.all(np.abs(op.matvec(v) - ref @ v) <= 1e-12 * (np.abs(ref) @ np.abs(v)))
+
+    @pytest.mark.parametrize("beta", [0.5, 0.8])
+    def test_far_entries_match_the_flux_formula_in_mpmath(self, beta):
+        """Row-scaled far entries within 1e-10 of themselves against the
+        flux formula in 40-digit mpmath, in the rows next to x = 0, whose
+        steps reach 1e-16 at the capped exponent: there the two midpoints of
+        an equation are so close that their far fluxes differ in few of
+        their digits, and an equation reads that difference in the sweep.
+        The operator that took it of the two sums was off by 1.4e-2 at beta
+        0.8 (entry (1, 1024)) and 8.6e-9 at beta 0.5."""
+        grid = bench.build_case_grid(EPS6, beta, 1025)
+        op = SoeOperator(grid, FdeProblem(beta, 0.3)).scale_rows(grid.steps[:-1])
+        entries = [(i, j) for i in (0, 1, 2, 10) for j in (400, 700, 1024)]
+        far_entries_in_mpmath(op, grid, beta, 0.3, entries)
 
     @pytest.mark.parametrize("beta", [0.05, 0.5, 0.95])
     def test_exponential_sum_matches_the_kernel(self, beta):
@@ -778,18 +839,20 @@ class TestSoeOperator:
             (composite_grid(1025, CompositeRule("sqrt")), 0.5, 1.0, ToeplitzOperator),
             (composite_grid(1025, CompositeRule("sqrt")), 0.5, lambda x: 1.0 + x, SoeOperator),
             (bench.build_case_grid(BLENDS["eps1"], 0.8, 4095), 0.8, 1.0, ToeplitzOperator),
+            (bench.build_case_grid(BLENDS["eps4"], 0.5, 4095), 0.5, 1.0, ToeplitzOperator),
         ],
-        ids=["eps6-1023", "eps6-1025", "beta-0", "beta-1", "sqrt", "sqrt-variable-k", "eps1-4095"],
+        ids=["eps6-1023", "eps6-1025", "beta-0", "beta-1", "sqrt", "sqrt-variable-k", "eps1-4095",
+             "eps4-4095"],
     )
     def test_the_kind_follows_from_the_grid_k_beta_and_size(self, grid, beta, diffusion, kind):
         op = assemble_operator(grid, FdeProblem(beta, 0.5, diffusion=diffusion))
         assert type(op) is kind
 
 
-class TestFactoredCoupling:
-    """The Toeplitz operator whose far coupling is an exponential sum, on
-    blended meshes at N = 1023 (borders of 154 and 512 nodes), against the
-    flux formula evaluated with no cancellation."""
+class TestExponentialSumBorder:
+    """The Toeplitz operator whose border is in flux form, its far field an
+    exponential sum, on blended meshes at N = 1023 (borders of 154 and 512
+    nodes), against the flux formula evaluated with no cancellation."""
 
     @pytest.mark.parametrize("beta", [0.2, 0.5])
     @pytest.mark.parametrize("gamma", [0.0, 0.3, 0.5, 1.0])
@@ -798,9 +861,9 @@ class TestFactoredCoupling:
         """Within 1e-11 of ``max(|A_ref| |v|)``, ``A_ref`` free of
         cancellation; and within 1e-12 of ``|A_ref| |v|`` row by row when
         ``A_ref`` takes the kernel's entries wherever the operator does (the
-        border, the near strips and the Toeplitz tail of row and column
+        near blocks of the border and the Toeplitz tail of row and column
         ``b``), which leaves the exponential sum alone to be measured.  The
-        diagonal is that reference's bit for bit."""
+        diagonal is the kernel's bit for bit."""
         grid = bench.build_case_grid(BLENDS[mesh], beta, 1023)
         problem = FdeProblem(beta, gamma)
         q = cancellation_free_fluxes(grid, beta, gamma)
@@ -809,29 +872,32 @@ class TestFactoredCoupling:
         v = rng.standard_normal(grid.n)
         for scaled in (False, True):
             op = assemble_operator(grid, problem, scaled=scaled)
-            assert op.far is not None and op.far[0].shape[1] == 0  # no step below 1e-10
-            b, c = op.rows.shape
+            assert op.kernel.shape[0] == 0  # no step below 1e-10
+            b = op.border
             got = op.matvec(v)
             ref = operator_of_fluxes(q, grid, problem, scaled)
             assert np.abs(got - ref @ v).max() <= 1e-11 * (np.abs(ref) @ np.abs(v)).max()
-            near = dense / h[:, None] if scaled else dense.copy()
+            near = flux_form_reference(grid, problem, scaled, b)
             tail = scipy.linalg.toeplitz(dense[b:, b], dense[b, b:])
             near[b:, b:] = tail / h[b] if scaled else tail
-            near[:b, c:], near[c:, :b] = ref[:b, c:], ref[c:, :b]
             assert np.all(np.abs(got - near @ v) <= 1e-12 * (np.abs(near) @ np.abs(v)))
-            assert op.diagonal().tobytes() == np.diag(near).tobytes()
+            want = np.diag(dense) / h if scaled else np.diag(dense)
+            assert op.diagonal()[:b].tobytes() == want[:b].tobytes()
+            assert op.diagonal()[b:].tobytes() == np.diag(near)[b:].tobytes()
 
-    def test_keeps_the_kernel_solution_where_the_kernel_cancels(self):
-        """eps4 at beta 0.8, N = 1023, starts with steps of 1e-16, and the
-        kernel's cancellation in their far columns sets the solution's
-        error (ROADMAP item 2).  The factored coupling keeps those columns
-        the kernel's, so a direct solve with it reads the dense matrix's
-        nodal error to 4 digits (measured: 3.8240e-4 both; with those
-        columns factored too, 6.57e-4)."""
-        grid = bench.build_case_grid(BLENDS["eps4"], 0.8, 1023)
+    @pytest.mark.parametrize("mesh", list(BLENDS))
+    def test_keeps_the_kernel_solution_where_the_kernel_cancels(self, mesh):
+        """eps4 and eps1 at beta 0.8, N = 1023, start with steps of 1e-16,
+        and the kernel's cancellation in their far columns sets the
+        solution's error (ROADMAP item 2).  The border keeps the kernel's
+        fluxes of those pieces wherever they are far, so a direct solve with
+        it reads the dense matrix's nodal error to 4 digits (measured: eps4
+        3.82398e-4 both, 2.5e-7 apart; eps1 1.97838e-3 both; with them
+        summed too, eps4 read 6.57e-4)."""
+        grid = bench.build_case_grid(BLENDS[mesh], 0.8, 1023)
         problem = bench.make_problem(0.8, 0.5)
         op = assemble_operator(grid, problem)
-        assert op.far is not None and op.far[0].shape[1] > 0
+        assert op.kernel.shape[0] > 0
         rhs = assemble_rhs(grid, problem)
         exact = bench.exact_solution(0.8, grid.points[1:-1])
         errors = [
@@ -840,28 +906,6 @@ class TestFactoredCoupling:
         ]
         assert errors[0] == pytest.approx(errors[1], rel=1e-4)
 
-    @pytest.mark.parametrize(
-        "spec,beta,factored",
-        [
-            (BLENDS["eps1"], 0.8, [True] * 4 + [False] * 6),
-            (bench.MeshSpec("composite", rule="sqrt"), 0.5, [False] * 10),
-        ],
-        ids=["eps1", "sqrt"],
-    )
-    def test_the_coupling_form_follows_from_the_sizes(self, spec, beta, factored):
-        """Each level of an N = 4095 hierarchy factors its far coupling
-        where that holds fewer numbers: eps1 (border 615 of 4095) down to
-        N = 511, sqrt (border 64) nowhere; beta 0 and 1 keep it dense."""
-        grid = bench.build_case_grid(spec, beta, 4095)
-        forms = []
-        while grid.n > 3:
-            forms.append(assemble_operator(grid, FdeProblem(beta, 0.5)).far is not None)
-            grid = coarsen(grid)
-        assert forms == factored
-        grid = bench.build_case_grid(spec, beta, 4095)
-        for limit in (0.0, 1.0):
-            assert assemble_operator(grid, FdeProblem(limit, 0.5)).far is None
-
     @pytest.mark.parametrize("beta,gamma", [(0.2, 0.3), (0.8, 0.3), (0.95, 0.5)])
     def test_far_entries_match_the_flux_formula_in_mpmath(self, beta, gamma):
         """Row-scaled far entries within 1e-10 of themselves against the
@@ -869,29 +913,17 @@ class TestFactoredCoupling:
         rows next to x = 0, whose steps reach 1e-16 at the capped exponent:
         there the row difference of the flux formula cancels in float64
         even free of the powers' cancellation, and the dense kernel is off
-        by up to 5e5 of an entry at beta = 0.8."""
-        mpmath = pytest.importorskip("mpmath")
+        by up to 5e5 of an entry at beta = 0.8.  The columns from ``c``
+        on are beyond every border row's near block, and the rows from
+        ``c`` on are the tail's far block."""
         grid = bench.build_case_grid(BLENDS["eps1"], beta, 1023)
         op = assemble_operator(grid, FdeProblem(beta, gamma), scaled=True)
-        a = op.to_dense()
-        (b, c), n = op.rows.shape, grid.n
-        z = 0.5 * (grid.points[:-1] + grid.points[1:])
+        b, n = op.border, grid.n
+        c = b + 2 * -(-b // -(-b // asm._SOE_BLOCK))  # two blocks below the border
         rows, cols = (0, 1, 2, b // 2, b - 1), (c, c + 1, (c + n) // 2, n - 1)
         entries = [(i, j) for i in rows for j in cols]
         entries += [(i, j) for i in (c, (c + n) // 2, n - 1) for j in (b - 2, b - 1)]
-        with mpmath.workdps(40):
-            x = [mpmath.mpf(float(v)) for v in grid.points]
-            be, ga = mpmath.mpf(beta), mpmath.mpf(gamma)
-
-            def q(t, k):  # the piece flux Q[t, k] of a piece off the midpoint
-                zt = mpmath.mpf(float(z[t]))
-                diff = (abs(x[k + 1] - zt) ** be - abs(x[k] - zt) ** be) / (x[k + 1] - x[k])
-                return (ga if k < t else ga - 1) * diff
-
-            for i, j in entries:
-                f = [q(t, j + 1) - q(t, j) for t in (i, i + 1)]  # hat fluxes of node j + 1
-                want = (f[0] - f[1]) / mpmath.gamma(be + 1) / (x[i + 1] - x[i])
-                assert abs(a[i, j] - want) <= 1e-10 * abs(want), (i, j)
+        far_entries_in_mpmath(op, grid, beta, gamma, entries)
 
 
 class TestRhs:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from gradedfve import _memory, bench, multigrid
+from gradedfve.assembly import FdeProblem, assemble_operator
 from gradedfve.bench import CaseConfig, MeshSpec
 from gradedfve.cli import main as cli_main
 from gradedfve.mesh import q_cap
@@ -135,7 +136,7 @@ class TestRunCase:
     def test_pgmres_on_a_wide_border_holds_no_dense_coupling(self):
         # eps1 at N = 4095 has a border of 615 nodes: its dense coupling with
         # the tail alone is 37 MB on level 0 and the solve peaked at 54.5 MB;
-        # with the coupling factored beyond a near strip it peaks at 15 MB
+        # with the border in flux form it peaks at 16.4 MB
         cfg = CaseConfig(0.8, 0.5, MeshSpec("graded", eps1=0.1, eps2=0.05), 2**12 - 1)
         tracemalloc.start()
         try:
@@ -145,6 +146,20 @@ class TestRunCase:
             tracemalloc.stop()
         assert res.converged
         assert peak <= 25e6
+
+    def test_a_half_border_holds_no_dense_rows(self):
+        # eps4 at N = 8191 has a border of 4096 nodes: its dense rows alone
+        # were 136 MB of an operator that peaked at 149.6 MB; in flux form
+        # the operator peaks at 29.7 MB
+        grid = bench.build_case_grid(MeshSpec("graded", eps1=0.45, eps2=0.05), 0.5, 2**13 - 1)
+        tracemalloc.start()
+        try:
+            op = assemble_operator(grid, FdeProblem(0.5, 0.5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert op.border == 4096
+        assert peak <= 60e6
 
     @pytest.mark.parametrize(
         "spec", [MeshSpec("uniform"), MeshSpec("composite", rule="sqrt")], ids=["uniform", "sqrt"]

@@ -36,22 +36,22 @@ PROBLEM = FdeProblem(0.5, 0.5)
 
 def toeplitz(col, row):
     """A Toeplitz operator with no border."""
-    return ToeplitzOperator(col, row, np.empty((0, row.size)), np.empty((row.size, 0)))
+    return ToeplitzOperator(col, row)
 
 
-def bordered(cols_shape):
-    """A 3 x 3 operator with one border row around a 2 x 2 Toeplitz tail."""
-    return ToeplitzOperator(np.ones(2), np.ones(2), np.zeros((1, 3)), np.zeros(cols_shape))
+def bordered(m):
+    """A Toeplitz tail of ``m`` nodes with a border on a grid of 3 nodes."""
+    return ToeplitzOperator(np.ones(m), np.ones(m), uniform_grid(3), PROBLEM)
 
 
 @pytest.mark.parametrize(
     "call,error,message",
     [
         (lambda: DenseOperator(np.eye(2)).matvec(np.ones(3)), AssemblyError, "dimension mismatch"),
-        (lambda: bordered((2, 1)).matvec(np.ones(2)), AssemblyError, "dimension mismatch"),
+        (lambda: bordered(2).matvec(np.ones(2)), AssemblyError, "dimension mismatch"),
         (lambda: toeplitz(np.array([]), np.array([])), AssemblyError, "nonempty 1-D arrays"),
         (lambda: toeplitz(np.ones(3), np.ones(2)), AssemblyError, "of one size"),
-        (lambda: bordered((1, 1)), AssemblyError, "shapes do not fit"),
+        (lambda: bordered(4), AssemblyError, "shapes do not fit"),
         (lambda: FveSystem(DenseOperator(np.eye(2)), np.zeros(2), uniform_grid(3), PROBLEM),
          AssemblyError, "dimensions are inconsistent"),
         (lambda: assemble_rhs(uniform_grid(3), FdeProblem(0.5, 0.5, source=lambda x: np.ones(3))),
@@ -131,14 +131,15 @@ def test_exponential_sum_tables_are_guarded(monkeypatch):
 
 
 def test_exponential_sum_coupling_is_guarded(monkeypatch):
-    # the far-coupling factors of a Toeplitz operator grow as 2 L N numbers,
-    # more than the right-hand side's quadrature tables: on eps1 at N = 4095
-    # those fit in 8 MB and the factors are refused before they are made
+    # the near blocks and sweep tables of a Toeplitz operator's border grow
+    # as N (3B + L) numbers, more than the right-hand side's quadrature
+    # tables: on eps1 at N = 4095 those fit in 8 MB and the border's tables
+    # are refused before they are made
     grid = graded_grid(4095, blend_coefficients(q_for_beta(0.8, 4095), 0.1, 0.05))
     monkeypatch.setattr(_memory, "physical_memory", lambda: 8 * 2**20)
     tracemalloc.start()
     try:
-        with pytest.raises(AssemblyError, match="exponential-sum coupling"):
+        with pytest.raises(AssemblyError, match="exponential-sum operator"):
             assemble_system(grid, FdeProblem(0.8, 0.5, source=np.ones_like))
         _, peak = tracemalloc.get_traced_memory()
     finally:
