@@ -9,26 +9,24 @@ with Dirichlet data ``u(0) = u_left``, ``u(1) = u_right``, where D_left and
 D_right are the left/right Caputo derivatives of order ``1 - beta``,
 ``0 < beta < 1``.  Integrating over the control volumes
 ``[x_{i-1/2}, x_{i+1/2}]`` with piecewise-linear trial functions yields a
-dense N x N system.  Three operator kinds answer one protocol (``shape``,
+dense N x N system.  Two operator kinds answer one protocol (``shape``,
 ``matvec``, ``diagonal``, ``to_dense`` and ``scale_rows``, which divides
 their rows), and :func:`assemble_operator` picks one from the grid, K, beta
 and N alone:
 
-- With constant K, the rows and columns of the nodes in a uniform run of
-  steps form a Toeplitz block for every gamma (a symmetric one at
-  gamma = 1/2), so a grid that ends in a uniform tail gets a Toeplitz
-  operator: a Toeplitz tail, whose product goes through FFTs, and a
-  border of rows and columns for its graded nodes.  The uniform grid is
-  the Toeplitz operator with no border.
-- Any other grid (or variable K) with more than 1023 unknowns and
-  ``0 < beta < 1`` gets the matrix-free sum-of-exponentials operator.
+- The matrix-free :class:`FluxOperator`: a border of equations in flux
+  form, the pieces near each block of equations from the flux kernel and
+  the far ones through an exponential sum of the kernel
+  ``|z - x|**(beta - 1)`` swept block to block, in O(N) memory, and below
+  it an optional Toeplitz tail, whose product goes through FFTs.  With
+  constant K the rows and columns of the nodes in a uniform run of steps
+  form a Toeplitz block for every gamma (a symmetric one at gamma = 1/2),
+  so a grid that ends in a uniform tail gets one with its graded nodes as
+  the border (the uniform grid is all tail).  Any other grid (or variable
+  K) gets one with no tail, all border, from 1024 unknowns when
+  ``0 < beta < 1``.
 - The rest gets the dense matrix, which is also what direct solves, the
   grading scan and the spectral checks assemble.
-
-The border of a Toeplitz operator and the whole of the matrix-free one are
-one flux form: the pieces near each block of equations from the flux
-kernel, the far ones through an exponential sum of the kernel
-``|z - x|**(beta - 1)`` swept block to block, in O(N) memory.
 
 The scheme is assembled as it is derived: equation ``i`` is the flux
 ``-K (gamma D_left^{1-beta} + (1-gamma) D_right^{1-beta}) u`` at the right
@@ -75,8 +73,7 @@ __all__ = [
     "AssemblyError",
     "FdeProblem",
     "DenseOperator",
-    "ToeplitzOperator",
-    "SoeOperator",
+    "FluxOperator",
     "FveSystem",
     "assemble_matrix",
     "assemble_rhs",
@@ -169,15 +166,15 @@ class DenseOperator:
         return DenseOperator(self.entries[:n, :n], self.scale * factor)
 
 
-#: Fewest unknowns at which a mesh without a Toeplitz tail gets the
-#: :class:`SoeOperator`.  Preconditioned eps6 solves (beta 0.5, median of 9)
+#: Fewest unknowns at which a mesh without a Toeplitz tail gets a
+#: :class:`FluxOperator`.  Preconditioned eps6 solves (beta 0.5, median of 9)
 #: took 0.039 s dense and 0.043 s with a matrix-free finest level at
 #: N = 1023, 0.151 and 0.130 s at N = 2047; at N = 4095, cutoffs of 512,
 #: 1024 and 2048 gave 0.280, 0.268 and 0.358 s.
 _SOE_MIN_N = 1024
 #: Equations per near block of the flux form (fewer on a border of fewer
 #: nodes): at N = 4095 blocks of 32, 64, 128 and 256 midpoints gave
-#: :class:`SoeOperator` products of 3.66, 3.04, 2.78 and 3.35 ms (median of 15).
+#: tail-free :class:`FluxOperator` products of 3.66, 3.04, 2.78 and 3.35 ms (median of 15).
 _SOE_BLOCK = 128
 #: An exponential term ``exp(-s r)`` with ``s r`` above this is below 4.3e-18
 #: of its weight and is dropped.
@@ -286,10 +283,24 @@ def _far_sweep(tables, d: np.ndarray, out: np.ndarray, terms: int) -> None:
         out[t0:t1] += s @ ev
 
 
-class _FluxForm:
-    """The FVE operator in flux form, near blocks from the kernel and far
-    sweeps by a sum of exponentials (SOE): the whole of a
-    :class:`SoeOperator` and the border of a :class:`ToeplitzOperator`.
+class FluxOperator:
+    """Matrix-free FVE operator of ``grid`` and ``problem``: a border of the
+    first ``b`` equations in flux form, with near blocks from the kernel and
+    far sweeps by a sum of exponentials (SOE), and below it a Toeplitz tail
+    of the last ``m = N - b``:
+
+        [ border rows, every column        ]
+        [ border columns | Toeplitz tail   ]
+
+    With callable diffusion the border is every equation (``b = N``, no
+    tail, which needs ``0 < beta < 1``); otherwise it is the graded nodes
+    before the grid's uniform tail (:func:`_tail_start`), whose rows and
+    columns form a Toeplitz block for every gamma when the diffusion is
+    constant.  The uniform grid (``b = 0``) is all tail.  The tail is
+    stored by its first column and first row, column ``b`` and row ``b`` of
+    :func:`assemble_matrix`, which share the diagonal entry, and its
+    product goes through real FFTs of a circulant embedding of the tail,
+    whose size is the first power of two ``>= 2m - 1``.
 
     With ``d_k = v_k - v_{k+1}`` (``v_0 = v_{N+1} = 0``) the flux at the
     midpoint ``z_t`` is ``(F v)_t = sum_k Q[t, k] d_k``, with the piece
@@ -298,41 +309,56 @@ class _FluxForm:
     row divisor that :meth:`scale_rows` keeps: the steps by which
     :func:`assemble_matrix` forms its rows, applied to a vector.
 
-    The first ``b`` equations (all of them for an SOE operator) are split
-    into equal blocks of ``B``, at most :data:`_SOE_BLOCK`, that end at
-    equation ``b`` (the first may begin before equation 0), and below a
-    border the next ``B`` equations form one more block.  The pieces ``e -
-    B .. e + 2B - 1`` are near to the block whose first equation is ``e``:
-    their flux differences at its equations, ``(K_i Q[i, k] - K_{i+1} Q[i+1,
-    k]) / Gamma(beta + 1)`` from the kernel, are one ``(nb, B, 3B)`` array,
-    one batched product, and both midpoints of an equation read the same
-    near pieces.  A far piece left of ``z_t`` adds ``-gamma beta I_k(t) d_k
-    / h_k`` to its flux and one right of it ``(gamma - 1) beta I_k(t) d_k /
-    h_k``, with ``I_k(t)`` the integral of ``|z_t - x|**(beta - 1)`` over
-    the piece: the kernel is the exponential sum of :func:`_soe_nodes` on
-    ``[delta, 1]``, ``delta`` the smallest far gap, and each exponential is
-    integrated over a piece exactly, so no difference of nearly equal powers
-    is formed.  The left sums are one sweep of :func:`_far_sweep_tables`,
-    which forms each equation's difference of its two midpoints; the right
-    sums are the same sweep on the mirrored grid, ``-x`` reversed (negation
-    is exact, so every distance is the one formed on ``x``), over the blocks
-    of the first ``b`` equations.
+    The border is split into equal blocks of ``B``, at most
+    :data:`_SOE_BLOCK`, that end at equation ``b`` (the first may begin
+    before equation 0), and below a border the next ``B`` equations form one
+    more block.  The pieces ``e - B .. e + 2B - 1`` are near to the block
+    whose first equation is ``e``: their flux differences at its equations,
+    ``(K_i Q[i, k] - K_{i+1} Q[i+1, k]) / Gamma(beta + 1)`` from the kernel,
+    are one ``(nb, B, 3B)`` array, one batched product, and both midpoints
+    of an equation read the same near pieces.  A far piece left of ``z_t``
+    adds ``-gamma beta I_k(t) d_k / h_k`` to its flux and one right of it
+    ``(gamma - 1) beta I_k(t) d_k / h_k``, with ``I_k(t)`` the integral of
+    ``|z_t - x|**(beta - 1)`` over the piece: the kernel is the exponential
+    sum of :func:`_soe_nodes` on ``[delta, 1]``, ``delta`` the smallest far
+    gap, and each exponential is integrated over a piece exactly, so no
+    difference of nearly equal powers is formed.  The left sums are one
+    sweep of :func:`_far_sweep_tables`, which forms each equation's
+    difference of its two midpoints; the right sums are the same sweep on
+    the mirrored grid, ``-x`` reversed (negation is exact, so every distance
+    is the one formed on ``x``), over the blocks of the border.
 
     Below a border, equations read the differences of the border's values
     alone, on the pieces ``0 .. b``: those of their near block through it,
-    the others through the left sweep, in which every equation beyond that
-    block is one block whose far pieces are all of them.  The far pieces
-    shorter than ``kernel_pieces`` keep the kernel's flux differences in
-    ``kernel``, at every equation that has them far, and the sweeps skip
-    them.  At beta 0 and 1 the two midpoints of an equation give a far piece
-    the same piece flux (0, and ``-gamma`` left of them or ``gamma - 1``
-    right of them), so with constant K the far field holds no terms.  It
-    stores ``O(N (3B + L))`` numbers for ``L`` terms, and a product costs as
-    many multiply-adds.
+    the others through the left sweep, in which every tail row beyond that
+    block is one block whose far pieces are all of them; the tail pieces
+    beyond the border's near blocks are one block of the right sweep.  When
+    there is a tail, the far border pieces shorter than :data:`_KERNEL_STEP`
+    keep the kernel's flux differences in ``kernel`` at every equation that
+    has them far (ROADMAP item 2), and the sweeps skip them.  At beta 0 and
+    1 the two midpoints of an equation give a far piece the same piece flux
+    (0, and ``-gamma`` left of them or ``gamma - 1`` right of them), so with
+    constant K the far field holds no terms.  It stores ``O(N (3B + L))``
+    numbers for ``L`` terms, and a product costs as many multiply-adds.
     """
 
-    def _assemble_flux_form(self, grid: Grid, problem: FdeProblem, b: int, kernel_pieces: int) -> None:
+    def __init__(self, grid: Grid, problem: FdeProblem):
         n, beta, gamma = grid.n, float(problem.beta), float(problem.gamma)
+        b = n if callable(problem.diffusion) else _tail_start(grid)
+        if b == n and not 0.0 < beta < 1.0:
+            raise AssemblyError("the exponential sum needs 0 < beta < 1")
+        self.border, self.row_div, self._diag = b, np.ones(n), np.empty(0)
+        self.first_col = self.first_row = np.empty(0)
+        if b < n:
+            self.first_col = assemble_matrix(grid, problem, rows=(b, n), cols=(b, b + 1)).entries[:, 0]
+            self.first_row = assemble_matrix(grid, problem, rows=(b, b + 1), cols=(b, n)).entries[0]
+            self._circ_size = 1 << (2 * (n - b) - 2).bit_length()
+            self._circ_fft: np.ndarray | None = None
+        if b == 0:
+            return
+        short = np.flatnonzero(grid.steps[:b] < _KERNEL_STEP) if b < n and 0.0 < beta < 1.0 else []
+        kernel_pieces = int(np.max(short, initial=-1)) + 1
+
         nbb = -(-b // _SOE_BLOCK)
         bs = -(-b // nbb)
         origin = b - nbb * bs  # the first block's first equation, <= 0
@@ -388,8 +414,8 @@ class _FluxForm:
         windows = np.where((pieces < 0) | (pieces > n), n + 2, pieces)
         windows[:nbb][pieces[:nbb] == b] = n + 1
         windows[nbb:][pieces[nbb:] > b] = n + 2
-        self.near, self.border, self._origin, self._windows, self._pieces = near, b, origin, windows, n
-        self.row_div, self._terms = np.ones(n), s.size
+        self.near, self._origin, self._windows, self._pieces = near, origin, windows, n
+        self._terms = s.size
 
         self.kernel = np.zeros((kernel_pieces, n))  # piece k, equation i
         if kernel_pieces:
@@ -404,8 +430,22 @@ class _FluxForm:
             for (y, _), plan, c, k in zip(sweeps, plans, (-gamma * beta, (1.0 - gamma) * beta), (kz, kz[::-1]))
         )
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        n = self.row_div.size
+        return (n, n)
+
+    def _fft(self) -> np.ndarray:
+        if self._circ_fft is None:  # first column: the tail's, then its first row reversed
+            m = self.first_row.size
+            circ = np.zeros(self._circ_size)
+            circ[:m] = self.first_col
+            circ[circ.size - m + 1 :] = self.first_row[:0:-1]
+            self._circ_fft = np.fft.rfft(circ)
+        return self._circ_fft
+
     def _flux_product(self, v: np.ndarray) -> np.ndarray:
-        """The flux form's product: near blocks, far sweeps and kernel
+        """The border's product: near blocks, far sweeps and kernel
         columns, divided by the row divisor."""
         n, b, k0 = v.size, self.border, self.kernel.shape[0]
         # the differences d_0 .. d_n of the border's values alone (d_b is
@@ -429,153 +469,56 @@ class _FluxForm:
         out /= self.row_div
         return out
 
-    def to_dense(self) -> np.ndarray:
-        """The matrix, one product per column (for small checks only)."""
-        n = self.shape[1]
-        a, e = np.empty((n, n)), np.zeros(n)
-        for j in range(n):
-            e[j] = 1.0
-            a[:, j] = self._flux_product(e)
-            e[j] = 0.0
-        return a
-
-    def scale_rows(self, h_rows: np.ndarray):
-        """Divide row ``i`` by ``h_rows[i]``: the divisor is kept and applied
-        to every product."""
-        self.row_div = self.row_div * h_rows
-        self._diag = self._diag / h_rows[: self._diag.size]
-        return self
-
-
-class ToeplitzOperator(_FluxForm):
-    """Matrix whose trailing ``m x m`` block is Toeplitz, around a border of
-    ``b`` rows and columns in flux form:
-
-        [ border rows, every column        ]
-        [ border columns | Toeplitz tail   ]
-
-    This is the FVE matrix of a mesh whose last ``m`` nodes lie in a uniform
-    tail (constant diffusion, any gamma); the ``b = N - m`` graded nodes
-    form the border, which is empty on the uniform grid and without
-    ``grid``.  The tail is stored by its first column and first row, column
-    ``b`` and row ``b`` of the matrix, which share the diagonal entry, and
-    its product goes through real FFTs of a circulant embedding of the tail,
-    whose size is the first power of two ``>= 2m - 1``.
-
-    Every other entry, each pair of an equation and a piece that touches a
-    border piece or a border midpoint, is the :class:`_FluxForm` of
-    ``grid`` and ``problem`` with border ``b``: near blocks of the border
-    rows and of the ``B`` tail rows after them, the tail rows beyond as one
-    block of the left sweep, and the tail pieces beyond the border's near
-    blocks as one block of the right sweep.  Border pieces shorter than
-    :data:`_KERNEL_STEP` keep the kernel's entries at every equation that
-    has them far (ROADMAP item 2).
-    """
-
-    def __init__(
-        self,
-        first_col: np.ndarray,
-        first_row: np.ndarray,
-        grid: Grid | None = None,
-        problem: FdeProblem | None = None,
-    ):
-        col, row = np.asarray(first_col, dtype=float), np.asarray(first_row, dtype=float)
-        if row.ndim != 1 or row.size == 0 or col.shape != row.shape:
-            raise AssemblyError("first_col and first_row must be nonempty 1-D arrays of one size")
-        b = 0 if grid is None else grid.n - row.size
-        if b < 0:
-            raise AssemblyError("border and tail shapes do not fit together")
-        self.first_col, self.first_row = col, row
-        self._circ_size = 1 << (2 * row.size - 2).bit_length()
-        self._circ_fft: np.ndarray | None = None
-        self.border, self.row_div, self._diag = 0, np.ones(row.size), np.empty(0)
-        if b:
-            beta = float(problem.beta)
-            short = np.flatnonzero(grid.steps[:b] < _KERNEL_STEP) if 0.0 < beta < 1.0 else []
-            self._assemble_flux_form(grid, problem, b, int(np.max(short, initial=-1)) + 1)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        n = self.border + self.first_row.size
-        return (n, n)
-
-    def _fft(self) -> np.ndarray:
-        if self._circ_fft is None:  # first column: the tail's, then its first row reversed
-            m = self.first_row.size
-            circ = np.zeros(self._circ_size)
-            circ[:m] = self.first_col
-            circ[circ.size - m + 1 :] = self.first_row[:0:-1]
-            self._circ_fft = np.fft.rfft(circ)
-        return self._circ_fft
-
     def matvec(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
         if v.shape != (self.shape[1],):
             raise AssemblyError("dimension mismatch in matvec")
-        b, size = self.border, self._circ_size
-        out = self._flux_product(v) if b else np.zeros(v.size)
-        out[b:] += np.fft.irfft(self._fft() * np.fft.rfft(v[b:], size), size)[: v.size - b]
+        b, n = self.border, v.size
+        out = self._flux_product(v) if b else np.zeros(n)
+        if b < n:
+            size = self._circ_size
+            out[b:] += np.fft.irfft(self._fft() * np.fft.rfft(v[b:], size), size)[: n - b]
         return out
 
     def diagonal(self) -> np.ndarray:
+        if not self.first_row.size:
+            return self._diag
         return np.concatenate((self._diag, np.full(self.first_row.size, self.first_row[0])))
 
     def to_dense(self) -> np.ndarray:
-        """The matrix: the border one product per column, and tail row ``i``
-        as ``c[i:0:-1]`` followed by ``t[:m-i]`` (first column ``c``, first
-        row ``t``), copied straight from a sliding window over ``c`` reversed
-        joined to ``t``."""
-        b, col, row = self.border, self.first_col, self.first_row
-        a = super().to_dense() if b else np.empty(self.shape)
-        joined = np.concatenate((col[:0:-1], row))
-        windows = np.lib.stride_tricks.sliding_window_view(joined, row.size)
-        a[b:, b:] = windows[::-1]
+        """The matrix (for small checks only): the border one product per
+        column, and tail row ``i`` as ``c[i:0:-1]`` followed by ``t[:m-i]``
+        (first column ``c``, first row ``t``), copied straight from a
+        sliding window over ``c`` reversed joined to ``t``."""
+        n, b, col, row = self.shape[0], self.border, self.first_col, self.first_row
+        a, e = np.empty((n, n)), np.zeros(n)
+        for j in range(n if b else 0):
+            e[j] = 1.0
+            a[:, j] = self._flux_product(e)
+            e[j] = 0.0
+        if b < n:
+            joined = np.concatenate((col[:0:-1], row))
+            a[b:, b:] = np.lib.stride_tricks.sliding_window_view(joined, row.size)[::-1]
         return a
 
-    def scale_rows(self, h_rows: np.ndarray) -> "ToeplitzOperator":
-        """Divide row ``i`` by ``h_rows[i]`` in place, the tail by
-        ``h_rows[b]``, the step of its first row: the tail rows share one step
-        up to rounding, so it stays Toeplitz; the circulant FFT of the
-        unscaled tail is dropped.  The border keeps its row divisor."""
-        super().scale_rows(h_rows)
-        self.first_col = self.first_col / h_rows[self.border]
-        self.first_row = self.first_row / h_rows[self.border]
-        self._circ_fft = None
+    def scale_rows(self, h_rows: np.ndarray) -> "FluxOperator":
+        """Divide row ``i`` by ``h_rows[i]``: the border keeps the divisor
+        and applies it to every product, and the tail is divided by
+        ``h_rows[b]``, the step of its first row: the tail rows share one
+        step up to rounding, so it stays Toeplitz; the circulant FFT of the
+        unscaled tail is dropped."""
+        self.row_div = self.row_div * h_rows
+        self._diag = self._diag / h_rows[: self._diag.size]
+        if self.first_row.size:
+            self.first_col = self.first_col / h_rows[self.border]
+            self.first_row = self.first_row / h_rows[self.border]
+            self._circ_fft = None
         return self
 
-
-#: The replaced symmetric class's name, under which perfbench wraps ``matvec``.
-SymToeplitzOperator = ToeplitzOperator
-
-
-class SoeOperator(_FluxForm):
-    """Matrix-free FVE operator: the :class:`_FluxForm` of every equation,
-    exact near field and far field by a sum of exponentials, whose
-    :meth:`leading` gives a scaled leading block that shares its arrays."""
-
-    def __init__(self, grid: Grid, problem: FdeProblem):
-        if not 0.0 < float(problem.beta) < 1.0:
-            raise AssemblyError("the exponential sum needs 0 < beta < 1")
-        self._assemble_flux_form(grid, problem, grid.n, 0)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        n = self.row_div.size
-        return (n, n)
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.shape[1],):
-            raise AssemblyError("dimension mismatch in matvec")
-        return self._flux_product(v)
-
-    def diagonal(self) -> np.ndarray:
-        return self._diag
-
-    def leading(self, n: int, factor: float) -> "SoeOperator":
-        """``factor`` times the leading ``n x n`` block, sharing this
-        operator's near array and sweep tables, with ``factor`` folded into
-        its row divisor.
+    def leading(self, n: int, factor: float) -> "FluxOperator":
+        """``factor`` times the leading ``n x n`` block of an operator with
+        no tail, sharing its near array and sweep tables, with ``factor``
+        folded into its row divisor.
 
         The block's rows are the equations ``0 .. n - 1`` and its columns the
         differences of the pieces ``0 .. n``, the others being zero, so it
@@ -586,6 +529,8 @@ class SoeOperator(_FluxForm):
         those pieces.  A skipped table only adds zeros, so a product costs as
         much as one of an operator of ``n`` unknowns.
         """
+        if self.first_row.size:
+            raise AssemblyError("an operator with a Toeplitz tail has no leading view")
         shift = self.shape[0] - n  # the mirrored piece of piece n
         view = copy.copy(self)
         view.near = self.near[: -(-(n - self._origin) // self.near.shape[1])]
@@ -608,7 +553,11 @@ class SoeOperator(_FluxForm):
         return view
 
 
-LinearOperator = DenseOperator | ToeplitzOperator | SoeOperator
+#: The replaced symmetric Toeplitz class's name, under which perfbench wraps
+#: ``matvec``: every operator that is not dense is a :class:`FluxOperator`.
+SymToeplitzOperator = FluxOperator
+
+LinearOperator = DenseOperator | FluxOperator
 
 
 @dataclass(frozen=True)
@@ -830,8 +779,9 @@ def assemble_rhs(grid: Grid, problem: FdeProblem) -> np.ndarray:
     return b
 
 
-def uniform_toeplitz(n: int, beta: float) -> LinearOperator:
-    """Toeplitz operator, with no border, of the discretization on the
+def uniform_toeplitz(n: int, beta: float) -> FluxOperator:
+    """The :class:`FluxOperator` with no border, all Toeplitz tail, of the
+    discretization on the
     uniform grid of ``n`` nodes with unit diffusion and ``gamma = 1/2``,
     where the matrix is symmetric: its first row is the series of the
     generating function in :mod:`gradedfve.spectral`.
@@ -858,7 +808,7 @@ def _tail_start(grid: Grid) -> int:
 
 
 #: Far border pieces shorter than this keep the kernel's flux differences
-#: in a Toeplitz operator's border.  Their entries are differences of
+#: in the border of a :class:`FluxOperator` with a tail.  Their entries are differences of
 #: powers of about 1 that agree to 1e-10 or better, so the kernel's
 #: rounding is 2e-6 of an entry or more, which an exponential sum, free of
 #: it, does not reproduce; through the few pieces next to x = 0 at the
@@ -876,25 +826,18 @@ def assemble_operator(grid: Grid, problem: FdeProblem, scaled: bool = False) -> 
 
     With constant diffusion the rows and columns of a uniform tail form a
     Toeplitz block, whatever gamma: a grid with a uniform tail gets a
-    :class:`ToeplitzOperator`, whose tail's first column and row, column and
-    row ``b`` of the matrix, are :func:`assemble_matrix` blocks (the uniform
-    grid has no border).
-    Every other case (no tail, or variable diffusion) gets the matrix-free
-    :class:`SoeOperator` above :data:`_SOE_MIN_N` unknowns when
-    ``0 < beta < 1``, and the dense matrix of :func:`assemble_matrix`
-    otherwise, which is also what a caller that factors the matrix calls
-    directly.
+    :class:`FluxOperator` with that tail.  Every other case (no tail, or
+    variable diffusion) gets a tail-free :class:`FluxOperator` from
+    :data:`_SOE_MIN_N` unknowns when ``0 < beta < 1``, and the dense matrix
+    of :func:`assemble_matrix` otherwise, which is also what a caller that
+    factors the matrix calls directly.
     ``scaled`` applies the row scaling of :func:`row_scale` to the operator,
     for callers (the coarse multigrid levels) that need no right-hand side.
     """
     n = grid.n
-    b = n if callable(problem.diffusion) else _tail_start(grid)
-    if b < n:
-        col = assemble_matrix(grid, problem, rows=(b, n), cols=(b, b + 1)).entries[:, 0]
-        row = assemble_matrix(grid, problem, rows=(b, b + 1), cols=(b, n)).entries[0]
-        op: LinearOperator = ToeplitzOperator(col, row, grid, problem)
-    elif n >= _SOE_MIN_N and 0.0 < problem.beta < 1.0:
-        op = SoeOperator(grid, problem)
+    tail = not callable(problem.diffusion) and _tail_start(grid) < n
+    if tail or (n >= _SOE_MIN_N and 0.0 < problem.beta < 1.0):
+        op: LinearOperator = FluxOperator(grid, problem)
     else:
         op = assemble_matrix(grid, problem)
     return op.scale_rows(grid.steps[:-1]) if scaled else op
@@ -904,8 +847,8 @@ def assemble_system(grid: Grid, problem: FdeProblem) -> FveSystem:
     """Assemble the right-hand side of :func:`assemble_rhs`, then the
     operator of :func:`assemble_operator`.  The right-hand side goes first:
     its quadrature guard refuses a grid too large for memory before the
-    operator's buffers are made; the larger tables of the
-    sum-of-exponentials operator have a guard of their own."""
+    operator's buffers are made; the larger tables of a flux-form border
+    have a guard of their own."""
     rhs = assemble_rhs(grid, problem)
     return FveSystem(assemble_operator(grid, problem), rhs, grid, problem)
 
@@ -915,10 +858,10 @@ def row_scale(system: FveSystem) -> FveSystem:
 
     The scaling removes the grid-dependent measure factor from each
     equation, which the multigrid hierarchy relies on.  The operator's
-    ``scale_rows`` divides it in place: a dense matrix row by row, the flux
-    form of a matrix-free operator or a Toeplitz border by a row divisor it
-    keeps, and a Toeplitz tail by the step of the tail's first row, so it
-    stays Toeplitz.
+    ``scale_rows`` divides it in place: a dense matrix row by row, the
+    flux-form border of a :class:`FluxOperator` by a row divisor it keeps,
+    and its Toeplitz tail by the step of the tail's first row, so it stays
+    Toeplitz.
 
     The returned system holds the very operator of ``system``, so the
     argument is consumed and its matrix must not be read as unscaled

@@ -192,6 +192,8 @@ class CaseConfig:
         if not self.tol > 0.0:
             raise ValueError("tol must be positive")
         FdeProblem(self.beta, self.gamma)  # raises on a beta or gamma out of range
+        if not 0.0 < self.beta < 1.0:  # the source divides by Gamma(beta)
+            raise ValueError("beta must lie in (0, 1)")
         if self.mesh.kind == "composite":
             self.mesh.composite_n1(self.n)  # raises on counts that do not fit n
 

@@ -2,23 +2,23 @@
 
 The hierarchy halves the number of interior points per level (keeping the
 even-indexed nodes).  The finest level is the caller's row-scaled operator.
-Every level holds an operator of one of the three kinds of
+Every level holds an operator of one of the two kinds of
 ``assemble_operator``, picked by the same rule.  Coarsening keeps the even
 nodes, so a uniform tail stays a uniform tail, and with constant diffusion
-each level of a mesh with one is a Toeplitz operator for every gamma,
-whose products cost O(N log N) on the tail and O(N) on the flux-form
-border of its graded nodes (none on the uniform grid).  A level without
-a tail, assembled on its own grid, is the matrix-free sum-of-exponentials
-operator above 1023 unknowns and a dense matrix below.  A coarser level
-whose grid is the finest level's leading nodes stretched to [0, 1] (an
-odd-N power-mapped grid) is, with constant diffusion, a scaled view of the
-leading block of the finest operator, dense or sum-of-exponentials, with
-no assembly: at N = 1023 on eps6 the views cut the solve from 0.059 to
-0.049 s and its peak from 12.77 to 10.17 MB, and at N + 1 = 4096, where
-the finest level is matrix-free, from 0.32 to 0.19 s and from 41.5 to
-23.0 MB.  Every other coarser level rediscretizes the operator alone on
-its grid through ``assemble_operator``, row-scaled like the finest one and
-with no right-hand side.
+each level of a mesh with one is a flux operator with a Toeplitz tail for
+every gamma, whose products cost O(N log N) on the tail and O(N) on the
+flux-form border of its graded nodes (none on the uniform grid).  A level
+without a tail, assembled on its own grid, is a tail-free flux operator
+(all border, its far field a sum of exponentials) above 1023 unknowns and
+a dense matrix below.  A coarser level whose grid is the finest level's
+leading nodes stretched to [0, 1] (an odd-N power-mapped grid) is, with
+constant diffusion, a scaled view of the leading block of a tail-free
+finest operator, dense or flux, with no assembly: at N = 1023 on eps6
+the views cut the solve from 0.059 to 0.049 s and its peak from 12.77 to
+10.17 MB, and at N + 1 = 4096, where the finest level is matrix-free,
+from 0.32 to 0.19 s and from 41.5 to 23.0 MB.  Every other coarser level
+rediscretizes the operator alone on its grid through ``assemble_operator``,
+row-scaled like the finest one and with no right-hand side.
 An operator becomes a dense matrix only where that is the point: the
 at most 3 x 3 coarsest level, solved directly, and the small eigenproblem
 of the damping estimate.  Grid transfer uses piecewise-linear interpolation on the
@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import FdeProblem, FveSystem, LinearOperator, ToeplitzOperator, assemble_operator
+from .assembly import FdeProblem, FveSystem, LinearOperator, assemble_operator
 # unused here, but perfbench/layers.py wraps multigrid.assemble_matrix
 from .assembly import assemble_matrix  # noqa: F401
 from .mesh import Grid
@@ -236,8 +236,8 @@ class MgHierarchy:
 
 def _leading_block(level: MgLevel, problem: FdeProblem, coarse: Grid) -> LinearOperator | None:
     """The row-scaled operator on ``coarse`` as a scaled view of the leading
-    block of the operator of ``level``, dense or sum-of-exponentials, or
-    None when that does not hold.
+    block of the operator of ``level``, dense or a tail-free flux operator,
+    or None when that does not hold.
 
     When the coarse nodes are the level's nodes ``x_0 .. x_{n+1}`` divided
     by ``s = x_{n+1}`` (to :data:`_SIMILAR_TOL`), rows and columns
@@ -246,13 +246,14 @@ def _leading_block(level: MgLevel, problem: FdeProblem, coarse: Grid) -> LinearO
     by ``s**-beta`` and each ``1/h``, and the row scaling, by ``s``, so
     with constant diffusion the coarse operator is ``s**(2 - beta)`` times
     that leading block: for a dense matrix a view of its entries, for a
-    :class:`SoeOperator` one that shares its near array and sweep tables
-    and whose products cost O(n).  A :class:`ToeplitzOperator` has no such
+    flux operator one that shares its near array and sweep tables and
+    whose products cost O(n).  An operator with a Toeplitz tail has no such
     view (of the grids with a tail only the uniform one is self-similar):
-    its coarse levels are Toeplitz operators of their own.
+    its coarse levels have tails of their own.
     """
     op, x, n = level.operator, level.grid.points, coarse.n
-    if callable(problem.diffusion) or isinstance(op, ToeplitzOperator):
+    # a dense matrix has no border, a flux operator without a tail is all border
+    if callable(problem.diffusion) or getattr(op, "border", op.shape[0]) < op.shape[0]:
         return None
     s = x[n + 1]
     if np.any(np.abs(coarse.points - x[: n + 2] / s) > _SIMILAR_TOL * coarse.points):
@@ -265,8 +266,8 @@ def build_hierarchy(system: FveSystem) -> MgHierarchy:
 
     Level 0 is the caller's operator itself.  A coarser level views level
     0 if its grid is level 0's leading nodes stretched to [0, 1] (odd-N
-    power-mapped grids with constant diffusion, level 0 dense or
-    sum-of-exponentials): it is the scaled view of :func:`_leading_block`.
+    power-mapped grids with constant diffusion, level 0 dense or a
+    tail-free flux operator): it is the scaled view of :func:`_leading_block`.
     Otherwise it is ``assemble_operator(..., scaled=True)`` of
     ``system.problem`` on its coarsening of ``system.grid``, with no
     right-hand side, counted in :attr:`MgHierarchy.reassembled`.  The

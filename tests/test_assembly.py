@@ -14,9 +14,8 @@ from gradedfve.assembly import (
     AssemblyError,
     DenseOperator,
     FdeProblem,
+    FluxOperator,
     LinearOperator,
-    SoeOperator,
-    ToeplitzOperator,
     assemble_matrix,
     assemble_operator,
     assemble_rhs,
@@ -376,13 +375,15 @@ class TestToeplitzOperator:
         assert peak <= 1.05 * a.nbytes
 
     def test_fft_matvec_every_small_size(self, rng):
-        # circulant sizes 2n - 1 .. 2n, odd ones included, of nonsymmetric tails
+        # circulant sizes 2n - 1 .. 2n, odd ones included, of the nonsymmetric
+        # tails of uniform grids at gamma 0.3
         for n in range(1, 41):
-            col, row = rng.standard_normal(n), rng.standard_normal(n)
-            col[0] = row[0]
-            op = ToeplitzOperator(col, row)
+            grid, problem = uniform_grid(n), FdeProblem(0.5, 0.3)
+            op = assemble_operator(grid, problem)
+            assert op.border == 0, n
+            dense = assemble_matrix(grid, problem).entries
             a = op.to_dense()
-            assert np.array_equal(a, scipy.linalg.toeplitz(col, row)), n
+            assert np.array_equal(a, scipy.linalg.toeplitz(dense[:, 0], dense[0])), n
             v = rng.standard_normal(n)
             ref = a @ v
             assert np.abs(op.matvec(v) - ref).max() <= 1e-13 * np.abs(ref).max(), n
@@ -428,7 +429,7 @@ class TestBorderedToeplitz:
         grid = bench.build_case_grid(spec, beta, n)
         problem = FdeProblem(beta=beta, gamma=gamma)
         system = assemble_system(grid, problem)
-        assert isinstance(system.operator, ToeplitzOperator)
+        assert isinstance(system.operator, FluxOperator)
         b = system.operator.border
         assert b == 0 if name == "uniform" else 0 < b < n
         dense = assemble_matrix(grid, problem).entries
@@ -659,10 +660,10 @@ def test_every_operator_kind_agrees_with_the_dense_assembly(
             patch.setattr(asm, "_SOE_BLOCK", block)
         op = assemble_operator(grid, problem, scaled=scaled)
         assert isinstance(op, kinds) and op.shape == (n, n)
-        assert isinstance(op, ToeplitzOperator) == toeplitz
         soe = soe_block is not None and not toeplitz
-        assert isinstance(op, SoeOperator) == soe
-        b = op.border if toeplitz else n
+        assert isinstance(op, FluxOperator) == (toeplitz or soe)
+        b = op.border if toeplitz or soe else n
+        assert (b < n) == toeplitz  # a border of N: no tail
         if toeplitz and block is not None and 0 < b < n - -(-b // -(-b // block)):
             assert op.left  # the tail beyond the border's blocks is far
         swept = soe or (toeplitz and b > 0)
@@ -776,7 +777,7 @@ class TestSoeOperator:
             problem = FdeProblem(beta, gamma, diffusion=diffusion)
             diag = np.diag(assemble_matrix(grid, problem).entries)
             for scaled in (False, True):
-                op = SoeOperator(grid, problem)
+                op = FluxOperator(grid, problem)
                 if scaled:
                     op.scale_rows(grid.steps[:-1])
                 got = op.matvec(v)
@@ -800,7 +801,7 @@ class TestSoeOperator:
         x[-1] = 1.0
         grid = Grid(x)
         problem = FdeProblem(beta, 0.3)
-        op = SoeOperator(grid, problem)
+        op = FluxOperator(grid, problem)
         kept = [tables[6].size for tables in op.left]
         assert any(b > a for a, b in zip(kept, kept[1:]))
         v = rng.standard_normal(grid.n)
@@ -817,7 +818,7 @@ class TestSoeOperator:
         The operator that took it of the two sums was off by 1.4e-2 at beta
         0.8 (entry (1, 1024)) and 8.6e-9 at beta 0.5."""
         grid = bench.build_case_grid(EPS6, beta, 1025)
-        op = SoeOperator(grid, FdeProblem(beta, 0.3)).scale_rows(grid.steps[:-1])
+        op = FluxOperator(grid, FdeProblem(beta, 0.3)).scale_rows(grid.steps[:-1])
         entries = [(i, j) for i in (0, 1, 2, 10) for j in (400, 700, 1024)]
         far_entries_in_mpmath(op, grid, beta, 0.3, entries)
 
@@ -832,21 +833,23 @@ class TestSoeOperator:
     @pytest.mark.parametrize(
         "grid,beta,diffusion,kind",
         [
-            (graded_grid(1023, blend_coefficients(3.0, 1.0, 0.0)), 0.5, 1.0, DenseOperator),
-            (graded_grid(1025, blend_coefficients(3.0, 1.0, 0.0)), 0.5, 1.0, SoeOperator),
-            (graded_grid(1025, blend_coefficients(3.0, 1.0, 0.0)), 0.0, 1.0, DenseOperator),
-            (graded_grid(1025, blend_coefficients(3.0, 1.0, 0.0)), 1.0, 1.0, DenseOperator),
-            (composite_grid(1025, CompositeRule("sqrt")), 0.5, 1.0, ToeplitzOperator),
-            (composite_grid(1025, CompositeRule("sqrt")), 0.5, lambda x: 1.0 + x, SoeOperator),
-            (bench.build_case_grid(BLENDS["eps1"], 0.8, 4095), 0.8, 1.0, ToeplitzOperator),
-            (bench.build_case_grid(BLENDS["eps4"], 0.5, 4095), 0.5, 1.0, ToeplitzOperator),
+            (graded_grid(1023, blend_coefficients(3.0, 1.0, 0.0)), 0.5, 1.0, "dense"),
+            (graded_grid(1025, blend_coefficients(3.0, 1.0, 0.0)), 0.5, 1.0, "no tail"),
+            (graded_grid(1025, blend_coefficients(3.0, 1.0, 0.0)), 0.0, 1.0, "dense"),
+            (graded_grid(1025, blend_coefficients(3.0, 1.0, 0.0)), 1.0, 1.0, "dense"),
+            (composite_grid(1025, CompositeRule("sqrt")), 0.5, 1.0, "tail"),
+            (composite_grid(1025, CompositeRule("sqrt")), 0.5, lambda x: 1.0 + x, "no tail"),
+            (bench.build_case_grid(BLENDS["eps1"], 0.8, 4095), 0.8, 1.0, "tail"),
+            (bench.build_case_grid(BLENDS["eps4"], 0.5, 4095), 0.5, 1.0, "tail"),
         ],
         ids=["eps6-1023", "eps6-1025", "beta-0", "beta-1", "sqrt", "sqrt-variable-k", "eps1-4095",
              "eps4-4095"],
     )
     def test_the_kind_follows_from_the_grid_k_beta_and_size(self, grid, beta, diffusion, kind):
         op = assemble_operator(grid, FdeProblem(beta, 0.5, diffusion=diffusion))
-        assert type(op) is kind
+        assert type(op) is (DenseOperator if kind == "dense" else FluxOperator)
+        if kind != "dense":
+            assert (op.border == grid.n) == (kind == "no tail")  # a border of N: no tail
 
 
 class TestExponentialSumBorder:
@@ -1016,7 +1019,7 @@ class TestSystemAndScaling:
     def test_auto_picks_toeplitz(self):
         for gamma in (0.5, 0.4):
             sys = assemble_system(uniform_grid(16), FdeProblem(beta=0.5, gamma=gamma))
-            assert isinstance(sys.operator, ToeplitzOperator)
+            assert isinstance(sys.operator, FluxOperator)
             assert sys.operator.border == 0
         sys2 = assemble_system(uniform_grid(16), FdeProblem(0.5, 0.4, diffusion=lambda x: 1.0 + x))
         assert isinstance(sys2.operator, DenseOperator)
@@ -1025,7 +1028,7 @@ class TestSystemAndScaling:
         sys = assemble_system(uniform_grid(16), FdeProblem(beta=0.5, gamma=0.5))
         row, col = sys.operator.first_row, sys.operator.first_col
         scaled = row_scale(sys)
-        assert isinstance(scaled.operator, ToeplitzOperator)
+        assert isinstance(scaled.operator, FluxOperator)
         assert scaled.operator.first_row == pytest.approx(17.0 * row)
         assert scaled.operator.first_col == pytest.approx(17.0 * col)
         assert scaled.scaled

@@ -493,6 +493,10 @@ class TestCli:
              "the glt5 sign map does not read --n-list"),
             (["glt5", "--beta", "0.5"], "glt5 needs either --beta and --q or both grids"),
             (["solve", "--q", "9", "--n", "4095"], "q = 9 exceeds the cap 4.429 at n = 4095"),
+            # the case's source divides by Gamma(beta)
+            (["solve", "--mesh", "uniform", "--beta", "0"], "beta must lie in (0, 1)"),
+            (["solve", "--mesh", "composite", "--rule", "sqrt", "--beta", "0"], "beta must lie in (0, 1)"),
+            (["solve", "--mesh", "uniform", "--beta", "1", "--solver", "pgmres"], "beta must lie in (0, 1)"),
         ],
     )
     def test_invalid_sizes_exit_1_with_one_message(self, capsys, argv, message):

@@ -9,8 +9,7 @@ from gradedfve import assembly as asm
 from gradedfve import bench, multigrid
 from gradedfve.assembly import (
     FdeProblem,
-    SoeOperator,
-    ToeplitzOperator,
+    FluxOperator,
     assemble_matrix,
     assemble_operator,
     assemble_system,
@@ -284,7 +283,7 @@ class TestHierarchy:
         grid = uniform_grid(2**5 - 1)
         prob = FdeProblem(beta=0.5, gamma=0.5)
         system = row_scale(assemble_system(grid, prob))
-        assert isinstance(system.operator, ToeplitzOperator)
+        assert isinstance(system.operator, FluxOperator)
         assert system.operator.border == 0
         level0 = build_hierarchy(system).levels[0].operator.to_dense()
         direct = assemble_matrix(grid, prob).entries / grid.steps[:-1][:, None]
@@ -302,7 +301,8 @@ class TestHierarchy:
         grid = bench.build_case_grid(spec, beta, 2**10 - 1)
         hier = scaled_hierarchy(grid, FdeProblem(beta=beta, gamma=0.5))
         for fine, coarse in zip(hier.levels, hier.levels[1:]):
-            assert isinstance(coarse.operator, ToeplitzOperator)
+            assert isinstance(coarse.operator, FluxOperator)
+            assert coarse.operator.border < coarse.grid.n  # a Toeplitz tail
             fine_tail = fine.grid.points[fine.operator.border + 1 : -1]
             coarse_tail = coarse.grid.points[coarse.operator.border + 1 : -1]
             kept = fine_tail[np.isin(fine_tail, coarse.grid.points)]
@@ -403,12 +403,13 @@ class TestSelfSimilarLevels:
         hier, assembled = counted_hierarchy(monkeypatch, system)
         assert assembled == [] and hier.reassembled == 0
         level0, x = system.operator, system.grid.points
-        assert isinstance(level0, SoeOperator)
+        assert isinstance(level0, FluxOperator) and level0.border == n0  # no tail
         tables = [a for t in level0.left + level0.right for a in t[4:6]]
         grid = system.grid
         for lev in hier.levels[1:]:
             op, n = lev.operator, lev.grid.n
-            assert isinstance(op, SoeOperator) and np.shares_memory(op.near, level0.near)
+            assert isinstance(op, FluxOperator) and op.border == n
+            assert np.shares_memory(op.near, level0.near)
             for a in [a for t in op.left + op.right for a in t[4:6]]:
                 assert any(np.shares_memory(a, b) for b in tables)
             v = rng.standard_normal(n)

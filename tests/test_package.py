@@ -2,17 +2,29 @@ import importlib
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
 
 import gradedfve
+from gradedfve import assembly
 
 
 @pytest.mark.parametrize("module", ["gradedfve"] + [f"gradedfve.{m}" for m in gradedfve.__all__])
 def test_every_exported_name_exists(module):
     mod = importlib.import_module(module)
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+def test_every_operator_kind_defines_its_own_matvec():
+    """perfbench traces products by wrapping ``vars(cls)["matvec"]`` on
+    ``DenseOperator`` and ``SymToeplitzOperator``, so each member of
+    ``LinearOperator`` defines ``matvec`` itself (one inherited from a base
+    class would go untraced), and the alias names one of them."""
+    kinds = typing.get_args(assembly.LinearOperator)
+    assert [kind.__name__ for kind in kinds if "matvec" not in vars(kind)] == []
+    assert assembly.SymToeplitzOperator in kinds
 
 
 def test_solves_and_spectra_import_no_scipy():

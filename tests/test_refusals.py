@@ -10,8 +10,8 @@ from gradedfve.assembly import (
     AssemblyError,
     DenseOperator,
     FdeProblem,
+    FluxOperator,
     FveSystem,
-    ToeplitzOperator,
     assemble_rhs,
     assemble_system,
     row_scale,
@@ -34,24 +34,25 @@ from gradedfve.multigrid import MultigridError, build_hierarchy
 PROBLEM = FdeProblem(0.5, 0.5)
 
 
-def toeplitz(col, row):
-    """A Toeplitz operator with no border."""
-    return ToeplitzOperator(col, row)
-
-
-def bordered(m):
-    """A Toeplitz tail of ``m`` nodes with a border on a grid of 3 nodes."""
-    return ToeplitzOperator(np.ones(m), np.ones(m), uniform_grid(3), PROBLEM)
+#: A composite grid of 5 nodes: a border of 3 and a Toeplitz tail of 2.
+BORDERED = composite_grid_from_counts(2, 3)
+#: The pure power mesh eps6 at 1025 nodes, whose operator has no tail.
+EPS6 = graded_grid(1025, blend_coefficients(3.0, 1.0, 0.0))
 
 
 @pytest.mark.parametrize(
     "call,error,message",
     [
         (lambda: DenseOperator(np.eye(2)).matvec(np.ones(3)), AssemblyError, "dimension mismatch"),
-        (lambda: bordered(2).matvec(np.ones(2)), AssemblyError, "dimension mismatch"),
-        (lambda: toeplitz(np.array([]), np.array([])), AssemblyError, "nonempty 1-D arrays"),
-        (lambda: toeplitz(np.ones(3), np.ones(2)), AssemblyError, "of one size"),
-        (lambda: bordered(4), AssemblyError, "shapes do not fit"),
+        (lambda: FluxOperator(BORDERED, PROBLEM).matvec(np.ones(2)), AssemblyError,
+         "dimension mismatch"),
+        (lambda: FluxOperator(EPS6, FdeProblem(0.0, 0.5)), AssemblyError,
+         "the exponential sum needs 0 < beta < 1"),
+        (lambda: FluxOperator(EPS6, FdeProblem(1.0, 0.5)), AssemblyError,
+         "the exponential sum needs 0 < beta < 1"),
+        # a callable K makes the whole grid the border, although it has a tail
+        (lambda: FluxOperator(BORDERED, FdeProblem(0.0, 0.5, diffusion=lambda x: 1.0 + x)),
+         AssemblyError, "the exponential sum needs 0 < beta < 1"),
         (lambda: FveSystem(DenseOperator(np.eye(2)), np.zeros(2), uniform_grid(3), PROBLEM),
          AssemblyError, "dimensions are inconsistent"),
         (lambda: assemble_rhs(uniform_grid(3), FdeProblem(0.5, 0.5, source=lambda x: np.ones(3))),
@@ -82,8 +83,7 @@ def bordered(m):
         (lambda: spectral.glt5_sequence(0.5, 2.0, [2048]), ValueError, "n <= 1024"),
     ],
     ids=[
-        "dense-matvec", "bordered-matvec", "empty-toeplitz-row", "toeplitz-row-and-column",
-        "bordered-shapes",
+        "dense-matvec", "bordered-matvec", "flux-beta-0", "flux-beta-1", "flux-variable-k-beta-0",
         "system-dimensions", "source-length", "non-finite-rhs", "uniform-toeplitz-n",
         "grid-size", "grid-span", "grid-order", "q-for-beta", "graded-n", "graded-collapse",
         "grading-map-nan", "grading-map-nan-array", "composite-rule", "composite-counts",
