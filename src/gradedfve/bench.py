@@ -134,11 +134,17 @@ class MeshSpec:
         if self.kind == "composite" and (self.rule is None) == (self.n1 is None):
             raise ValueError("a composite mesh needs exactly one of rule and n1")
 
-    def coefficients(self, beta: float, n: int) -> BlendCoeffs:
+    def exponent(self, beta: float, n: int) -> float | None:
+        """Grading exponent of the ``n``-point case grid: the explicit ``q``,
+        else the capped order-optimal one; None unless the mesh is graded."""
+        if self.kind != "graded":
+            return None
         if self.q is not None and self.q > q_cap(n):
             raise ValueError(f"q = {self.q:g} exceeds the cap {q_cap(n):.4g} at n = {n}")
-        q = q_for_beta(beta, n) if self.q is None else self.q
-        return blend_coefficients(q, self.eps1, self.eps2)
+        return q_for_beta(beta, n) if self.q is None else self.q
+
+    def coefficients(self, beta: float, n: int) -> BlendCoeffs:
+        return blend_coefficients(self.exponent(beta, n), self.eps1, self.eps2)
 
     def composite_n1(self, n: int) -> int:
         """Dyadic points of the composite grid with ``n`` interior points:
@@ -215,6 +221,8 @@ class CaseResult:
     reassembled: int | None = None
     # GMRES stopped on an Arnoldi breakdown that was not convergence
     breakdown: bool = False
+    # grading exponent of a graded mesh; None on uniform and composite meshes
+    q: float | None = None
 
 
 def run_case(cfg: CaseConfig) -> CaseResult:
@@ -227,7 +235,7 @@ def run_case(cfg: CaseConfig) -> CaseResult:
     problem = make_problem(cfg.beta, cfg.gamma)
     converged = True
     it: int | None = None
-    info: dict = {}
+    info: dict = {"q": cfg.mesh.exponent(cfg.beta, cfg.n)}
     if cfg.solver == "direct":
         solution = np.linalg.solve(
             assembly.assemble_matrix(grid, problem).entries, assembly.assemble_rhs(grid, problem)
@@ -241,7 +249,7 @@ def run_case(cfg: CaseConfig) -> CaseResult:
         precond = None
         if cfg.solver == "pgmres":
             hier = build_hierarchy(system)
-            info = dict(depth=hier.depth, omega=hier.omega, omega_fallback=hier.omega_fallback,
+            info.update(depth=hier.depth, omega=hier.omega, omega_fallback=hier.omega_fallback,
                         reassembled=hier.reassembled)
             precond = hier.apply
         report = gmres(
@@ -282,6 +290,11 @@ class QOptResult:
     scanned: list[tuple[float, float]] = field(repr=False, default_factory=list)
 
 
+#: Stride of the scan's coarse pass over the candidate grid; the refine pass
+#: solves the candidates within one stride less of each coarse local minimum.
+_SCAN_STRIDE = 5
+
+
 def scan_qopt(
     beta: float,
     gamma: float,
@@ -294,31 +307,78 @@ def scan_qopt(
     """Scan the grading exponent for the smallest infinity-norm error.
 
     Candidates run over the closed range in the given step; every candidate
-    is capped by :func:`~gradedfve.mesh.q_cap` (capped duplicates are
-    evaluated once).  Each evaluation is a direct dense solve.  Also
-    reports the error at the capped order-optimal exponent.
-    """
-    if not step > 0.0:
-        raise ValueError("the q step must be positive")
-    if q_range[1] < q_range[0]:
-        raise ValueError("the q range must not decrease")
-    count = int(round((q_range[1] - q_range[0]) / step))
-    cap = q_cap(n)
-    candidates: list[float] = []
-    for k in range(count + 1):
-        q = min(round(q_range[0] + k * step, 10), cap)
-        if not candidates or q != candidates[-1]:
-            candidates.append(q)
-    qb = q_for_beta(beta, n)
-    if qb not in candidates:
-        candidates.append(qb)
+    is capped by :func:`~gradedfve.mesh.q_cap` (the grid ends at its first
+    capped candidate), and the capped order-optimal exponent ``q_beta`` of
+    :func:`~gradedfve.mesh.q_for_beta` is a candidate too.  Each solved
+    candidate is a direct dense solve, in two passes:
 
-    errors = {
-        q: run_case(CaseConfig(beta, gamma, MeshSpec("graded", q, eps1, eps2), n, "direct")).e_inf
-        for q in candidates
-    }
-    q_opt = min(errors, key=errors.get)
-    return QOptResult(q_opt, errors[q_opt], qb, errors[qb], list(errors.items()))
+    * coarse: every fifth candidate of the grid (indices 0, 5, 10, ...),
+      the last one and ``q_beta``;
+    * refine: every grid candidate within four indices of a coarse local
+      minimum, a coarse point whose error is no higher than either of its
+      coarse neighbours.  The error curve need not be unimodal, so every
+      local minimum is refined, not only the lowest.
+
+    ``q_opt`` is the first candidate with the smallest error among those
+    solved, ``q_beta`` included, and ``scanned`` lists the solved
+    ``(q, e_inf)`` pairs in candidate order: the grid, then ``q_beta`` if
+    it is not on the grid.  A range with an end that is not finite or below
+    1, a step that is not finite and positive, or a range that decreases
+    raises ``ValueError`` before any solve.
+    """
+    lo, hi = q_range
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("the q range must be finite")
+    if not lo >= 1.0:
+        raise ValueError("the q range must start at q >= 1")
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValueError("the q step must be positive and finite")
+    if hi < lo:
+        raise ValueError("the q range must not decrease")
+    steps = (hi - lo) / step
+    if not math.isfinite(steps):
+        raise ValueError("the q range holds too many steps")
+    count = int(round(steps))
+    cap = q_cap(n)
+
+    def grid_q(k: int) -> float:
+        return min(round(lo + k * step, 10), cap)
+
+    def first_at_least(q: float) -> int:
+        """First grid index whose candidate is at least ``q`` (``count + 1``
+        if none is); the candidates never decrease with the index."""
+        below, above = -1, count + 1
+        while above - below > 1:
+            mid = (below + above) // 2
+            below, above = (below, mid) if grid_q(mid) >= q else (mid, above)
+        return above
+
+    last = min(first_at_least(cap), count)
+    qb = q_for_beta(beta, n)
+    kb = first_at_least(qb)
+    on_grid = kb <= last and grid_q(kb) == qb
+
+    errors: dict[float, float] = {}  # solved candidates only
+
+    def error(q: float) -> float:
+        if q not in errors:
+            spec = MeshSpec("graded", q, eps1, eps2)
+            errors[q] = run_case(CaseConfig(beta, gamma, spec, n, "direct")).e_inf
+        return errors[q]
+
+    coarse = [(k, error(grid_q(k))) for k in range(0, last, _SCAN_STRIDE)]
+    coarse.append((last, error(grid_q(last))))
+    e_beta = error(qb)
+    solved = {k for k, _ in coarse} | ({kb} if on_grid else set())
+    reach = _SCAN_STRIDE - 1
+    for j, (k, e) in enumerate(coarse):
+        if all(e <= other for _, other in coarse[max(j - 1, 0):j + 2]):
+            solved.update(range(max(k - reach, 0), min(k + reach, last) + 1))
+    scanned = [(q, error(q)) for q in dict.fromkeys(grid_q(k) for k in sorted(solved))]
+    if not on_grid:
+        scanned.append((qb, e_beta))
+    q_opt, e_opt = min(scanned, key=lambda pair: pair[1])
+    return QOptResult(q_opt, e_opt, qb, e_beta, scanned)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 import dataclasses
 import io
+import itertools
 import json
 import math
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -12,7 +14,7 @@ from gradedfve import _memory, bench, multigrid
 from gradedfve.assembly import FdeProblem, assemble_operator
 from gradedfve.bench import CaseConfig, MeshSpec
 from gradedfve.cli import main as cli_main
-from gradedfve.mesh import q_cap
+from gradedfve.mesh import q_cap, q_for_beta
 
 # a size whose dense matrix (0.52 MB) fits a patched physical memory of 1.5x
 # the matrix, while the matrix and the copy a direct solve factors do not
@@ -281,6 +283,34 @@ class TestRunCase:
         assert res.e_inf is None
 
 
+def full_scan(beta, gamma, eps1, eps2, n, q_range=(1.0, 9.0), step=0.1):
+    """The grading scan that solves every candidate: the grid of ``q_range``
+    in ``step``, each capped at ``q_cap(n)`` and capped duplicates dropped,
+    then ``q_beta`` if it is not on the grid.  ``bench.scan_qopt`` must
+    report what this reports."""
+    count = int(round((q_range[1] - q_range[0]) / step))
+    cap = q_cap(n)
+    candidates = []
+    for k in range(count + 1):
+        q = min(round(q_range[0] + k * step, 10), cap)
+        if not candidates or q != candidates[-1]:
+            candidates.append(q)
+    qb = q_for_beta(beta, n)
+    if qb not in candidates:
+        candidates.append(qb)
+    errors = {
+        q: bench.run_case(CaseConfig(beta, gamma, MeshSpec("graded", q, eps1, eps2), n, "direct")).e_inf
+        for q in candidates
+    }
+    q_opt = min(errors, key=errors.get)
+    return bench.QOptResult(q_opt, errors[q_opt], qb, errors[qb], list(errors.items()))
+
+
+def reported(res: bench.QOptResult) -> tuple:
+    return res.q_opt, res.e_opt, res.q_beta, res.e_beta
+
+
+
 class TestScanQopt:
     def test_candidates_capped_and_deduped(self):
         res = bench.scan_qopt(0.8, 0.5, 1.0, 0.0, 2**6 - 1, (1.0, 9.0), 0.1)
@@ -294,6 +324,105 @@ class TestScanQopt:
         e_at_one = dict(res.scanned)[1.0]
         assert res.e_opt < e_at_one
         assert res.q_opt > 1.0
+
+    @pytest.mark.parametrize(
+        "beta,preset,gamma",
+        list(itertools.product((0.2, 0.5, 0.8), ("eps1", "eps2", "eps4", "eps6"), (0.3, 0.5, 0.7))),
+    )
+    def test_reports_what_the_full_scan_reports(self, beta, preset, gamma):
+        args = (beta, gamma, *bench.EPS_PRESETS[preset], 2**6 - 1)
+        full, res = full_scan(*args), bench.scan_qopt(*args)
+        assert reported(res) == reported(full)
+        # the solved candidates carry the full scan's errors, in its order
+        assert res.scanned == [pair for pair in full.scanned if pair in res.scanned]
+
+    def test_refines_every_local_minimum(self):
+        # at N = 1023, beta = 0.2, gamma = 0.7 the eps1 error curve falls to
+        # a minimum at q = 1.8, rises, and falls again towards the cap
+        args = (0.2, 0.7, *bench.EPS_PRESETS["eps1"], 2**10 - 1)
+        full = full_scan(*args)
+        grid = full.scanned[:-1]  # q_beta = 1.2 / 0.8 rounds below 1.5, off the grid
+        minima = [q for i, (q, e) in enumerate(grid)
+                  if all(e <= grid[j][1] for j in (i - 1, i + 1) if 0 <= j < len(grid))]
+        assert minima == [1.8, q_cap(2**10 - 1)]
+        res = bench.scan_qopt(*args)
+        assert reported(res) == reported(full)
+        assert {q for q, _ in res.scanned} >= {1.8, q_cap(2**10 - 1)}
+
+    def test_solves_under_half_of_the_candidates(self):
+        # 45 grid candidates from 1 to the cap 5.315, and q_beta = 3 on the grid
+        res = bench.scan_qopt(0.5, 0.5, *bench.EPS_PRESETS["eps6"], 2**10 - 1)
+        assert len(res.scanned) <= 20
+        assert res.q_beta == 3.0 and 3.0 in dict(res.scanned)
+
+
+class TestScanIndexArithmetic:
+    """Which candidates the scan solves, with a stand-in error curve for the
+    direct solve, so that long grids cost nothing."""
+
+    @pytest.fixture
+    def curve(self, monkeypatch):
+        solved = []
+
+        def use(f):
+            def fake_run_case(cfg):
+                solved.append(cfg.mesh.q)
+                return types.SimpleNamespace(e_inf=f(cfg.mesh.q))
+
+            monkeypatch.setattr(bench, "run_case", fake_run_case)
+            return solved
+
+        return use
+
+    @pytest.mark.parametrize(
+        "n,q_range,step",
+        [
+            (2**10 - 1, (1.0, 9.0), 0.1),  # the grid ends at the cap
+            (2**6 - 1, (1.0, 9.0), 0.1),
+            (15, (2.0, 3.0), 0.5),  # q_beta = 3 on the grid
+            (2**10 - 1, (1.0, 4.0), 0.7),  # a step that does not divide the range
+            (2**10 - 1, (20.0, 30.0), 1.0),  # every candidate is the cap
+            (2**10 - 1, (1.0, 1.0 + 1e-7), 1e-9),
+        ],
+    )
+    def test_a_flat_curve_solves_every_candidate_once(self, curve, n, q_range, step):
+        # every coarse point of a flat curve is a local minimum
+        solved = curve(lambda q: 1.0)
+        res = bench.scan_qopt(0.5, 0.5, 1.0, 0.0, n, q_range, step)
+        assert len(solved) == len(set(solved))
+        assert res.scanned == full_scan(0.5, 0.5, 1.0, 0.0, n, q_range, step).scanned
+
+    def test_a_grid_far_past_the_cap_is_not_listed(self, curve):
+        # 1e13 grid indices, of which the 45 up to the cap are candidates
+        solved = curve(lambda q: 1.0)
+        res = bench.scan_qopt(0.5, 0.5, 1.0, 0.0, 2**10 - 1, (1.0, 1e12), 0.1)
+        assert len(solved) == 45
+        assert res.scanned == full_scan(0.5, 0.5, 1.0, 0.0, 2**10 - 1).scanned
+
+    def test_coarse_points_and_the_bracket(self, curve):
+        # grid 1.0, 1.1, ..., 8.8 and the cap 8.86 at N = 63: indices 0..79;
+        # the coarse pass solves 0, 5, ..., 75 and 79, the refine pass 16..24
+        curve(lambda q: abs(q - 3.0))
+        res = bench.scan_qopt(0.5, 0.5, 1.0, 0.0, 2**6 - 1)
+        grid = [round(1.0 + k / 10, 10) for k in range(79)] + [q_cap(2**6 - 1)]
+        indices = sorted({*range(0, 79, 5), 79, *range(16, 25)})
+        assert [q for q, _ in res.scanned] == [grid[k] for k in indices]
+        assert (res.q_opt, res.e_opt) == (3.0, 0.0)
+
+    def test_two_minima_are_both_bracketed(self, curve):
+        cap = q_cap(2**6 - 1)
+        curve(lambda q: min(abs(q - 1.8), abs(q - cap) + 0.05))
+        res = bench.scan_qopt(0.5, 0.5, 1.0, 0.0, 2**6 - 1)
+        qs = [q for q, _ in res.scanned]
+        assert {1.6, 1.7, 1.8, 1.9, 2.0, 2.4, 8.6, 8.7, 8.8, cap} <= set(qs)
+        assert 2.6 not in qs and 8.4 not in qs  # 2.5 and 8.5 are coarse points
+        assert res.q_opt == 1.8
+
+    def test_q_beta_off_the_grid_comes_last(self, curve):
+        curve(lambda q: q)
+        res = bench.scan_qopt(0.5, 0.5, 1.0, 0.0, 2**10 - 1, (1.0, 2.0), 0.1)
+        assert res.scanned[-1] == (3.0, 3.0) and res.q_beta == 3.0
+        assert [q for q, _ in res.scanned[:-1]] == [1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 2.0]
 
 
 class TestTableSweep:

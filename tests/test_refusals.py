@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gradedfve import _memory, spectral
+from gradedfve import _memory, bench, spectral
 from gradedfve.assembly import (
     AssemblyError,
     DenseOperator,
@@ -93,6 +93,30 @@ EPS6 = graded_grid(1025, blend_coefficients(3.0, 1.0, 0.0))
 def test_bad_input_is_refused(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--qmax", "inf"], "the q range must be finite"),
+        (["--qmin", "nan"], "the q range must be finite"),
+        (["--qmin=-inf", "--qmax=-inf"], "the q range must be finite"),
+        (["--qmin", "0"], "the q range must start at q >= 1"),
+        (["--qstep", "inf"], "the q step must be positive and finite"),
+        (["--qstep", "nan"], "the q step must be positive and finite"),
+        # 8 / 5e-324 overflows to inf
+        (["--qstep", "5e-324"], "the q range holds too many steps"),
+    ],
+    ids=["qmax-inf", "qmin-nan", "qmin-minus-inf", "qmin-0", "qstep-inf", "qstep-nan",
+         "qstep-subnormal"],
+)
+def test_bad_scan_range_is_refused_before_any_solve(monkeypatch, capsys, flags, message):
+    def never(cfg):
+        raise AssertionError("no solve may run")
+
+    monkeypatch.setattr(bench, "run_case", never)
+    assert cli_main(["qopt", "--n", "15", *flags]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
 def test_quadrature_tables_are_guarded_together(monkeypatch):

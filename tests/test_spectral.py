@@ -343,7 +343,7 @@ class TestEmitters:
             header, cells = self._cells(out)
             assert header == ["it", "converged", "e_inf", "e_inf_nodes", "e_rel",
                               "wall_time", "depth", "omega", "omega_fallback",
-                              "reassembled", "breakdown"]
+                              "reassembled", "breakdown", "q"]
             row = dict(zip(header, cells))
             res = bench.run_case(
                 bench.CaseConfig(0.5, 0.5, bench.MeshSpec("composite", rule="sqrt"), 63, solver)
@@ -352,7 +352,7 @@ class TestEmitters:
             for key in ("e_inf", "e_inf_nodes", "e_rel"):
                 assert row[key] == f"{getattr(res, key):.6g}"
             assert row["converged"] == "True" and row["omega_fallback"] == "False"
-            assert row["breakdown"] == "False"
+            assert row["breakdown"] == "False" and row["q"] == "-"  # a composite mesh
             if solver == "direct":
                 assert [row["it"], row["depth"], row["omega"], row["reassembled"]] == ["-"] * 4
             else:
