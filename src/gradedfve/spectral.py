@@ -46,6 +46,21 @@ DEFAULT_SYMBOL_TERMS = 4096
 #: stalls of 0.1 s, while another process keeps one core busy.
 _THETA_CHUNK = 64
 
+#: Samples per block of the fine pool that :func:`eig_vs_symbol` streams
+#: (8 MB).  A block is 1 to 4 chunks of frequencies wide: at n = 32 and 64,
+#: wider blocks are no faster but hold 1.4-3.5x more memory.
+_BLOCK_SAMPLES = 2**20
+
+#: Groups per axis of the corner subsample that first brackets each quantile.
+_CORNER_GROUPS = 256
+
+#: Bisection stops once a bracket holds about this many samples.
+_CANDIDATES = 4096
+
+#: Relative slack that makes a count from the factors bound the pool's count:
+#: it covers the roundings of ``t / p_j`` and of the products ``d_i p_j``.
+_SLACK = 2.0**-50
+
 
 @dataclass(frozen=True)
 class SymbolSample:
@@ -128,12 +143,138 @@ def sample_symbol(
     """Tabulate the two-variable symbol over a product grid."""
     xs = np.asarray(x_grid, dtype=float)
     thetas = np.asarray(theta_grid, dtype=float)
+    values = np.outer(_space_factor(beta, xs, diffusion, gprime), symbol_p(n_terms, beta, thetas))
+    return SymbolSample(thetas, xs, values)
+
+
+def _space_factor(beta: float, xs: np.ndarray, diffusion: float, gprime) -> np.ndarray:
+    """The symbol's factor ``d(x) = K / (2^beta Gamma(beta+1) g'(x)^(1-beta))``."""
     gp = np.ones_like(xs) if gprime is None else np.asarray(gprime(xs), dtype=float)
     if np.any(gp <= 0.0):
         raise ValueError("the mesh map derivative must be positive")
-    diag = diffusion / (2.0**beta * math.gamma(beta + 1.0) * gp ** (1.0 - beta))
-    values = np.outer(diag, symbol_p(n_terms, beta, thetas))
-    return SymbolSample(thetas, xs, values)
+    return diffusion / (2.0**beta * math.gamma(beta + 1.0) * gp ** (1.0 - beta))
+
+
+def _brackets(ds: np.ndarray, p: np.ndarray, ranks: np.ndarray, batch: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds ``lo <= v_r <= hi`` on the order statistics ``v_r`` of the pool
+    ``fl(d_i p_j)``, from its sorted factor ``ds`` and positive factor ``p``.
+
+    The pool is a sorted matrix over ``sort(d) x sort(p)``, so each group of
+    a coarse grid of its rows and columns has its extremes at its corners:
+    at most ``r`` samples lie below ``lo`` and more than ``r`` at or below
+    ``hi`` (Frederickson, Johnson, SIAM J. Comput. 13, 1984).  Geometric
+    bisection then narrows each bracket, counting the products below a
+    value ``t`` as ``sum_j #{i: d_i < t / p_j}``; :data:`_SLACK` turns that
+    count into a bound on the pool's own.  The counts are taken ``batch``
+    thresholds at a time.
+    """
+    ps = np.sort(p)
+
+    def groups(k):
+        start = np.arange(0, k, -(-k // _CORNER_GROUPS))
+        return start, np.append(start[1:], k)
+
+    r0, r1 = groups(ds.size)
+    c0, c1 = groups(ps.size)
+    weight = np.outer(r1 - r0, c1 - c0).ravel()
+    low = np.outer(ds[r0], ps[c0]).ravel()  # each group's smallest sample
+    high = np.outer(ds[r1 - 1], ps[c1 - 1]).ravel()  # and its largest
+    i = np.argsort(low)
+    low, low_weight = low[i], np.cumsum(weight[i])
+    i = np.argsort(high)
+    high, high_weight = high[i], np.cumsum(weight[i])
+    lo = low[np.searchsorted(low_weight, ranks, side="right")]
+    hi = high[np.searchsorted(high_weight, ranks + 1)]
+    # the samples below lo are at least those of the groups wholly below it,
+    # and those up to hi at most those of the groups that start by it
+    below = np.append(0, high_weight)[np.searchsorted(high, lo)]
+    upto = low_weight[np.searchsorted(low, hi, side="right") - 1]
+
+    inv = ps[::-1]  # t / inv rises along a row, which speeds up the search
+    while True:
+        # a bracket within 4 slacks of a point cannot shrink further
+        live = np.flatnonzero((upto - below > _CANDIDATES) & (hi > lo * (1.0 + 4.0 * _SLACK)))
+        if live.size == 0:
+            return lo, hi
+        mid = np.sqrt(lo[live] * hi[live])
+        count = np.concatenate([
+            np.searchsorted(ds, mid[i : i + batch, None] / inv).sum(axis=1)
+            for i in range(0, mid.size, batch)
+        ])
+        up = count > ranks[live]
+        k = live[up]
+        hi[k] = np.minimum(hi[k], mid[up] * (1.0 + _SLACK))
+        upto[k] = count[up]
+        k = live[~up]
+        lo[k] = np.maximum(lo[k], mid[~up] * (1.0 - _SLACK))
+        below[k] = count[~up]
+
+
+def _counts_below(
+    vals: np.ndarray, order: np.ndarray, ds: np.ndarray, p: np.ndarray, t: np.ndarray
+) -> np.ndarray:
+    """``#{i: vals[i, j] < t_k}`` for each threshold ``t_k`` and column ``j``.
+
+    Every column of ``vals`` is ``fl(d_i p_j)``, sorted along ``order``.
+    The count from the factors is exact where the column's entries next to
+    it straddle ``t_k``; elsewhere a rounding tie decides, and the column
+    itself is searched.
+    """
+    m = ds.size
+    est = np.searchsorted(ds, t[:, None] / p)
+    col = np.arange(p.size)
+    ok = (est == 0) | (vals[order[np.maximum(est - 1, 0)], col] < t[:, None])
+    ok &= (est == m) | (vals[order[np.minimum(est, m - 1)], col] >= t[:, None])
+    for k, j in zip(*np.nonzero(~ok)):
+        est[k, j] = np.searchsorted(vals[order, j], t[k])
+    return est
+
+
+def _pool_quantiles(
+    beta: float, xs: np.ndarray, thetas: np.ndarray, gprime, n_terms: int,
+    ranks: np.ndarray, width: int,
+) -> np.ndarray:
+    """Order statistics ``ranks`` of the symbol samples over ``xs x thetas``.
+
+    The samples are drawn once each, through :func:`sample_symbol`, in
+    blocks of ``width`` frequencies; only each quantile's bracket of
+    candidates is kept.
+    """
+    d = _space_factor(beta, xs, 1.0, gprime)
+    p = symbol_p(n_terms, beta, thetas)
+    if not np.all(p > 0.0):
+        raise ValueError(
+            f"the generating function must be positive on the sampling grid, "
+            f"its least value is {p.min():.3g}"
+        )
+    order = np.argsort(d, kind="stable")  # d need not be monotone in x
+    ds = d[order]
+    lo, hi = _brackets(ds, p, ranks, max(1, width // 2))  # its searches take one block's memory
+    # candidates are the samples in [lo, hi]: below lo, and below the next float after hi
+    bounds = np.concatenate([lo, np.nextafter(hi, np.inf)])
+    nq = ranks.size
+    below = np.zeros(nq, dtype=int)
+    parts: list[list[np.ndarray]] = [[] for _ in range(nq)]
+    for c0 in range(0, thetas.size, width):
+        vals = sample_symbol(beta, xs, thetas[c0 : c0 + width], gprime=gprime, n_terms=n_terms).values
+        counts = _counts_below(vals, order, ds, p[c0 : c0 + width], bounds)
+        start, lengths = counts[:nq], counts[nq:] - counts[:nq]
+        below += start.sum(axis=1)
+        # row positions start[k, j], ..., start[k, j] + lengths[k, j] - 1 of column j, k by k
+        run = lengths.ravel()
+        pos = np.arange(run.sum()) - np.repeat(np.cumsum(run) - run - start.ravel(), run)
+        col = np.repeat(np.tile(np.arange(vals.shape[1]), nq), run)
+        found = vals[order[pos], col]
+        del vals  # so that the next block does not join it
+        for k, part in enumerate(np.split(found, np.cumsum(lengths.sum(axis=1))[:-1])):
+            parts[k].append(part)
+    out = np.empty(nq)
+    for k in range(nq):
+        cand = np.concatenate(parts[k])
+        j = ranks[k] - below[k]
+        assert 0 <= j < cand.size, "a quantile fell outside its bracket"
+        out[k] = np.partition(cand, j)[j]
+    return out
 
 
 def _power_grid_matrix(beta: float, q: float, n: int) -> np.ndarray:
@@ -157,7 +298,10 @@ def eig_vs_symbol(
     grids: ``"coarse"`` uses ``sqrt(n)`` points per axis (n samples in
     total), ``"fine"`` ``n**2`` points per axis, reduced to ``n``
     midpoint quantiles of the sorted sample pool; the report labels them
-    ``coarse-(i)`` and ``fine-(ii)``.  ``sup_gap`` is the
+    ``coarse-(i)`` and ``fine-(ii)``.  The quantiles are selected by
+    counting, with the pool drawn in blocks of ``2**20`` samples or fewer
+    (``64 n**2`` beyond n = 128), so the ``n**4`` fine samples are never
+    held at once; the work still grows as ``n**4``.  ``sup_gap`` is the
     maximum absolute difference of the matched sorted sequences (real
     parts; eigenvalues are reported complex only when their imaginary
     parts are non-negligible against the spectral radius), with the single
@@ -174,7 +318,9 @@ def eig_vs_symbol(
     m = math.isqrt(n) if grid_tag == "coarse" else n * n  # sampling points per axis
     if grid_tag == "coarse" and m * m != n:
         raise ValueError("the coarse sampling grid needs n to be a perfect square")
-    require_memory(m * m * 8, f"the {grid_tag} sampling grid at n = {n}")
+    width = _THETA_CHUNK * min(4, max(1, _BLOCK_SAMPLES // (_THETA_CHUNK * m)))
+    # one block of samples and the factors d, p, their sorted copies and the row order
+    require_memory(8 * m * (width + 5), f"the {grid_tag} sampling blocks at n = {n}")
 
     a = _power_grid_matrix(beta, q, n)
     h = 1.0 / (n + 1)
@@ -187,15 +333,11 @@ def eig_vs_symbol(
 
     xs = np.arange(1, m + 1) / m
     thetas = np.arange(1, m + 1) * math.pi / (m + 1)
-    table = sample_symbol(
-        beta, xs, thetas, gprime=lambda x: q * x ** (q - 1.0), n_terms=n_terms
+    # midpoint quantiles reduce the pool of m^2 samples to one value per eigenvalue
+    ranks = np.minimum(((np.arange(n) + 0.5) / n * (m * m)).astype(int), m * m - 1)
+    samples = _pool_quantiles(
+        beta, xs, thetas, lambda x: q * x ** (q - 1.0), n_terms, ranks, width
     )
-    samples = table.values.ravel()
-    samples.sort()
-    if samples.size != n:
-        # midpoint quantiles reduce the sample pool to one value per eigenvalue
-        idx = ((np.arange(n) + 0.5) / n * samples.size).astype(int)
-        samples = samples[np.clip(idx, 0, samples.size - 1)]
 
     gaps = np.abs(np.asarray(sorted_eigs).real - samples)
     gap = float(gaps[1:-1].max() if gaps.size > 2 else gaps.max())
@@ -215,6 +357,7 @@ def glt5_sequence(beta: float, q: float, n_list: Sequence[int]) -> np.ndarray:
             raise ValueError("dense Gram eigensolve limited to n <= 1024")
         a = _power_grid_matrix(beta, q, int(n))
         s = a - a.T  # where S is rounding noise (q = 1), S^T S has tiny negative eigenvalues
+        del a  # so that the Gram matrix does not join it
         sv = np.sqrt(np.maximum(np.linalg.eigvalsh(s.T @ s), 0.0))
         out[i] = (1.0 / (n + 1)) ** (1.0 - beta) * sv.sum() / n
     return out

@@ -39,6 +39,7 @@ def test_solves_and_spectra_import_no_scipy():
         "                        (eps6, 'direct', 63), (eps6, 'pgmres', 2047)):\n"
         "    assert bench.run_case(CaseConfig(0.5, 0.5, spec, n, solver)).converged\n"
         "spectral.eig_vs_symbol(0.5, 2.0, 16, 'coarse')\n"
+        "spectral.eig_vs_symbol(0.5, 2.0, 16, 'fine')\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
     )
     src = str(Path(gradedfve.__file__).resolve().parents[1])

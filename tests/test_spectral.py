@@ -191,14 +191,93 @@ class TestEigVsSymbol:
         assert fine.sorted_samples.shape == (2**6,)
 
     def test_fine_grid_beyond_physical_memory_is_refused(self, monkeypatch):
+        # the 8.4 MB pool of n = 32 is streamed in blocks of 256 x 1024 samples (2.1 MB)
         monkeypatch.setattr(_memory, "physical_memory", lambda: 4 * 2**20)
+        sp.eig_vs_symbol(0.5, 2.0, 2**5, "fine")
+        monkeypatch.setattr(_memory, "physical_memory", lambda: 2**21)
         with pytest.raises(ValueError, match="physical memory"):
-            sp.eig_vs_symbol(0.5, 2.0, 2**5, "fine")  # 8.4 MB of samples
+            sp.eig_vs_symbol(0.5, 2.0, 2**5, "fine")
 
     def test_uniform_distribution_matches(self):
         rep = sp.eig_vs_symbol(0.5, 1.0, 2**6, "fine")
         radius = float(np.abs(np.asarray(rep.sorted_eigs)).max())
         assert rep.sup_gap < 0.05 * radius
+
+
+def sorted_pool_report(beta, q, n, grid_tag):
+    """``eig_vs_symbol`` by sorting the whole table of symbol samples, kept as
+    an oracle."""
+    grid = graded_grid(n, blend_coefficients(q, 1.0, 0.0))
+    a = assemble_matrix(grid, FdeProblem(beta=beta, gamma=0.5, diffusion=1.0)).entries
+    eigs = np.linalg.eigvals((1.0 / (n + 1)) ** (1.0 - beta) * a)
+    if np.abs(eigs.imag).max() < 1e-8 * np.abs(eigs).max():
+        eigs = np.sort(eigs.real)
+    else:
+        eigs = eigs[np.argsort(eigs.real)]
+    m = math.isqrt(n) if grid_tag == "coarse" else n * n
+    xs = np.arange(1, m + 1) / m
+    thetas = np.arange(1, m + 1) * math.pi / (m + 1)
+    pool = np.sort(sp.sample_symbol(beta, xs, thetas, gprime=lambda x: q * x ** (q - 1.0)).values.ravel())
+    idx = ((np.arange(n) + 0.5) / n * pool.size).astype(int)
+    samples = pool[np.clip(idx, 0, pool.size - 1)]
+    gaps = np.abs(eigs.real - samples)
+    return eigs, samples, float(gaps[1:-1].max())
+
+
+class TestStreamedQuantiles:
+    """The fine pool's quantiles are selected from brackets and streamed
+    blocks of samples, with no table of the whole pool."""
+
+    @pytest.mark.parametrize("n,grid_tag", [(16, "fine"), (20, "fine"), (16, "coarse")])
+    @pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 4.0])
+    @pytest.mark.parametrize("beta", [0.2, 0.5, 0.8])
+    def test_matches_the_sorted_pool_bit_for_bit(self, beta, q, n, grid_tag):
+        # n = 20 streams its 400 frequencies in a block of 256 and one of 144
+        rep = sp.eig_vs_symbol(beta, q, n, grid_tag)
+        eigs, samples, gap = sorted_pool_report(beta, q, n, grid_tag)
+        assert np.array_equal(rep.sorted_samples, samples)
+        assert np.array_equal(rep.sorted_eigs, eigs)
+        assert rep.sup_gap == gap
+
+    @pytest.mark.parametrize("q", [1.0, 2.0])
+    def test_narrow_blocks_and_small_brackets_change_nothing(self, monkeypatch, q):
+        # 1296 frequencies in blocks of one 64-point chunk, so the 36 quantiles
+        # are bisected 32 at a time; 8 corner groups, brackets of 16 samples
+        _, samples, _ = sorted_pool_report(0.5, q, 36, "fine")
+        monkeypatch.setattr(sp, "_BLOCK_SAMPLES", 1)
+        monkeypatch.setattr(sp, "_CORNER_GROUPS", 8)
+        monkeypatch.setattr(sp, "_CANDIDATES", 16)
+        assert np.array_equal(sp.eig_vs_symbol(0.5, q, 36, "fine").sorted_samples, samples)
+
+    @pytest.mark.parametrize("n", [16, 20])
+    def test_every_sample_is_drawn_once(self, monkeypatch, n):
+        drawn = []
+        tabulate = sp.sample_symbol
+
+        def counted(*args, **kw):
+            table = tabulate(*args, **kw)
+            drawn.append(table.values.size)
+            return table
+
+        monkeypatch.setattr(sp, "sample_symbol", counted)
+        sp.eig_vs_symbol(0.5, 2.0, n, "fine")
+        assert sum(drawn) == n**4
+
+    def test_memory_stays_bounded(self):
+        # the parent's table of 64^4 samples peaked at 128 MiB
+        sp.eig_vs_symbol(0.5, 2.0, 2**6, "fine")  # warm numpy's caches
+        tracemalloc.start()
+        try:
+            sp.eig_vs_symbol(0.5, 2.0, 2**6, "fine")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 30e6
+
+    def test_nonpositive_generating_function_is_refused(self, monkeypatch):
+        monkeypatch.setattr(sp, "symbol_p", lambda n_terms, beta, theta: np.zeros(np.shape(theta)))
+        with pytest.raises(ValueError, match="must be positive on the sampling grid"):
+            sp.eig_vs_symbol(0.5, 2.0, 16, "fine")
 
 
 class TestSymbolTable:
