@@ -15,6 +15,7 @@ a given grading strength.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -57,17 +58,11 @@ _CORNER_GROUPS = 256
 #: Bisection stops once a bracket holds about this many samples.
 _CANDIDATES = 4096
 
-#: Relative slack that makes a count from the factors bound the pool's count:
-#: it covers the roundings of ``t / p_j`` and of the products ``d_i p_j``.
-_SLACK = 2.0**-50
-
 
 @dataclass(frozen=True)
 class SymbolSample:
     """Symbol values over a product grid of space and frequency points."""
 
-    theta_grid: np.ndarray
-    x_grid: np.ndarray
     values: np.ndarray  # shape (len(x_grid), len(theta_grid))
 
 
@@ -79,6 +74,15 @@ class DistributionReport:
     sorted_samples: np.ndarray
     sup_gap: float
     grid_tag: str
+
+
+@functools.lru_cache(maxsize=1)
+def _first_row(n_terms: int, beta: float) -> np.ndarray:
+    """The first row of ``uniform_toeplitz(n_terms, beta)``, read-only: a
+    report's blocks all read the one row."""
+    row = assembly.uniform_toeplitz(n_terms, beta).first_row
+    row.flags.writeable = False
+    return row
 
 
 def symbol_p(n_terms: int, beta: float, theta):
@@ -104,7 +108,7 @@ def symbol_p(n_terms: int, beta: float, theta):
     if n_terms < 1:
         raise AssemblyError("the number of coefficients must be >= 1")
     scale = 2.0**beta * math.gamma(beta + 1.0) / (n_terms + 1) ** (1.0 - beta)
-    c = assembly.uniform_toeplitz(n_terms, beta).first_row * scale
+    c = _first_row(n_terms, beta) * scale
     c[1:] *= 2.0
     blk = math.isqrt(n_terms - 1) + 1
     nblk = -(-n_terms // blk)
@@ -144,7 +148,7 @@ def sample_symbol(
     xs = np.asarray(x_grid, dtype=float)
     thetas = np.asarray(theta_grid, dtype=float)
     values = np.outer(_space_factor(beta, xs, diffusion, gprime), symbol_p(n_terms, beta, thetas))
-    return SymbolSample(thetas, xs, values)
+    return SymbolSample(values)
 
 
 def _space_factor(beta: float, xs: np.ndarray, diffusion: float, gprime) -> np.ndarray:
@@ -155,20 +159,47 @@ def _space_factor(beta: float, xs: np.ndarray, diffusion: float, gprime) -> np.n
     return diffusion / (2.0**beta * math.gamma(beta + 1.0) * gp ** (1.0 - beta))
 
 
-def _brackets(ds: np.ndarray, p: np.ndarray, ranks: np.ndarray, batch: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bounds ``lo <= v_r <= hi`` on the order statistics ``v_r`` of the pool
-    ``fl(d_i p_j)``, from its sorted factor ``ds`` and positive factor ``p``.
+def _counts_below(ds: np.ndarray, p: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``#{i: fl(ds_i p_j) < t_k}`` for each threshold ``t_k`` and column ``j``.
+
+    ``ds`` is sorted and ``p`` positive, so column ``j`` of the pool never
+    decreases down the rows (rounding is monotone), and ``searchsorted(ds,
+    t_k / p_j)`` is its count unless a product next to it rounds across
+    ``t_k``; only those pairs search the column ``ds * p_j`` itself.
+    """
+    est = np.searchsorted(ds, t[:, None] / p)
+    ext = np.concatenate(([-np.inf], ds, [np.inf]))  # ext[i + 1] = ds[i], infinite past the ends
+    ok = ext[est] * p < t[:, None]
+    ok &= ext[est + 1] * p >= t[:, None]
+    if not ok.all():  # rare, and the scan for it costs 4% of a report at n = 128
+        for k, j in zip(*np.nonzero(~ok)):
+            est[k, j] = np.searchsorted(ds * p[j], t[k])
+    return est
+
+
+def _brackets(ds: np.ndarray, p: np.ndarray, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bounds ``lo <= v_r < hi`` on the order statistics ``v_r`` of the pool
+    ``fl(d_i p_j)``, from its sorted factor ``ds`` and positive factor ``p``,
+    and the pool's count below each ``lo``.
 
     The pool is a sorted matrix over ``sort(d) x sort(p)``, so each group of
     a coarse grid of its rows and columns has its extremes at its corners:
-    at most ``r`` samples lie below ``lo`` and more than ``r`` at or below
-    ``hi`` (Frederickson, Johnson, SIAM J. Comput. 13, 1984).  Geometric
-    bisection then narrows each bracket, counting the products below a
-    value ``t`` as ``sum_j #{i: d_i < t / p_j}``; :data:`_SLACK` turns that
-    count into a bound on the pool's own.  The counts are taken ``batch``
-    thresholds at a time.
+    at most ``r`` samples lie below ``lo`` and more than ``r`` at or below a
+    group's largest sample, whose next float is ``hi`` (Frederickson,
+    Johnson, SIAM J. Comput. 13, 1984).  Geometric bisection with exact
+    counts then narrows each bracket until it holds about
+    :data:`_CANDIDATES` samples or a single float, ``hi = nextafter(lo)``.
     """
     ps = np.sort(p)
+    # a count over all m columns holds four arrays of batch x m entries; at a
+    # sixteenth of a block each (512 KB) they stay in a 2 MB L2 cache, and the
+    # n = 256 report took 21 s, against 26 s at a quarter of a block (2 vCPUs)
+    batch = max(1, _BLOCK_SAMPLES // 16 // ps.size)
+
+    def counts(t):
+        return np.concatenate([
+            _counts_below(ds, ps, t[i : i + batch]).sum(axis=1) for i in range(0, t.size, batch)
+        ])
 
     def groups(k):
         start = np.arange(0, k, -(-k // _CORNER_GROUPS))
@@ -180,68 +211,35 @@ def _brackets(ds: np.ndarray, p: np.ndarray, ranks: np.ndarray, batch: int) -> t
     low = np.outer(ds[r0], ps[c0]).ravel()  # each group's smallest sample
     high = np.outer(ds[r1 - 1], ps[c1 - 1]).ravel()  # and its largest
     i = np.argsort(low)
-    low, low_weight = low[i], np.cumsum(weight[i])
+    lo = low[i][np.searchsorted(np.cumsum(weight[i]), ranks, side="right")]
     i = np.argsort(high)
-    high, high_weight = high[i], np.cumsum(weight[i])
-    lo = low[np.searchsorted(low_weight, ranks, side="right")]
-    hi = high[np.searchsorted(high_weight, ranks + 1)]
-    # the samples below lo are at least those of the groups wholly below it,
-    # and those up to hi at most those of the groups that start by it
-    below = np.append(0, high_weight)[np.searchsorted(high, lo)]
-    upto = low_weight[np.searchsorted(low, hi, side="right") - 1]
+    hi = np.nextafter(high[i][np.searchsorted(np.cumsum(weight[i]), ranks + 1)], np.inf)
+    below, upto = np.split(counts(np.concatenate([lo, hi])), 2)
 
-    inv = ps[::-1]  # t / inv rises along a row, which speeds up the search
     while True:
-        # a bracket within 4 slacks of a point cannot shrink further
-        live = np.flatnonzero((upto - below > _CANDIDATES) & (hi > lo * (1.0 + 4.0 * _SLACK)))
+        live = np.flatnonzero((upto - below > _CANDIDATES) & (np.nextafter(lo, np.inf) < hi))
         if live.size == 0:
-            return lo, hi
-        mid = np.sqrt(lo[live] * hi[live])
-        count = np.concatenate([
-            np.searchsorted(ds, mid[i : i + batch, None] / inv).sum(axis=1)
-            for i in range(0, mid.size, batch)
-        ])
+            return lo, hi, below
+        a, b = lo[live], hi[live]
+        # the geometric mean, kept strictly inside its bracket
+        mid = np.clip(np.sqrt(a * b), np.nextafter(a, np.inf), np.nextafter(b, -np.inf))
+        count = counts(mid)
         up = count > ranks[live]
-        k = live[up]
-        hi[k] = np.minimum(hi[k], mid[up] * (1.0 + _SLACK))
-        upto[k] = count[up]
-        k = live[~up]
-        lo[k] = np.maximum(lo[k], mid[~up] * (1.0 - _SLACK))
-        below[k] = count[~up]
-
-
-def _counts_below(
-    vals: np.ndarray, order: np.ndarray, ds: np.ndarray, p: np.ndarray, t: np.ndarray
-) -> np.ndarray:
-    """``#{i: vals[i, j] < t_k}`` for each threshold ``t_k`` and column ``j``.
-
-    Every column of ``vals`` is ``fl(d_i p_j)``, sorted along ``order``.
-    The count from the factors is exact where the column's entries next to
-    it straddle ``t_k``; elsewhere a rounding tie decides, and the column
-    itself is searched.
-    """
-    m = ds.size
-    est = np.searchsorted(ds, t[:, None] / p)
-    col = np.arange(p.size)
-    ok = (est == 0) | (vals[order[np.maximum(est - 1, 0)], col] < t[:, None])
-    ok &= (est == m) | (vals[order[np.minimum(est, m - 1)], col] >= t[:, None])
-    for k, j in zip(*np.nonzero(~ok)):
-        est[k, j] = np.searchsorted(vals[order, j], t[k])
-    return est
+        hi[live[up]], upto[live[up]] = mid[up], count[up]
+        lo[live[~up]], below[live[~up]] = mid[~up], count[~up]
 
 
 def _pool_quantiles(
-    beta: float, xs: np.ndarray, thetas: np.ndarray, gprime, n_terms: int,
-    ranks: np.ndarray, width: int,
+    beta: float, xs: np.ndarray, thetas: np.ndarray, gprime, ranks: np.ndarray, width: int
 ) -> np.ndarray:
     """Order statistics ``ranks`` of the symbol samples over ``xs x thetas``.
 
     The samples are drawn once each, through :func:`sample_symbol`, in
-    blocks of ``width`` frequencies; only each quantile's bracket of
-    candidates is kept.
+    blocks of ``width`` frequencies; only the candidates of each bracket
+    wider than one float are kept.
     """
     d = _space_factor(beta, xs, 1.0, gprime)
-    p = symbol_p(n_terms, beta, thetas)
+    p = symbol_p(DEFAULT_SYMBOL_TERMS, beta, thetas)
     if not np.all(p > 0.0):
         raise ValueError(
             f"the generating function must be positive on the sampling grid, "
@@ -249,31 +247,29 @@ def _pool_quantiles(
         )
     order = np.argsort(d, kind="stable")  # d need not be monotone in x
     ds = d[order]
-    lo, hi = _brackets(ds, p, ranks, max(1, width // 2))  # its searches take one block's memory
-    # candidates are the samples in [lo, hi]: below lo, and below the next float after hi
-    bounds = np.concatenate([lo, np.nextafter(hi, np.inf)])
-    nq = ranks.size
-    below = np.zeros(nq, dtype=int)
+    lo, hi, below = _brackets(ds, p, ranks)
+    out = lo  # a bracket of one float is its quantile
+    wide = np.flatnonzero(hi != np.nextafter(lo, np.inf))
+    bounds = np.concatenate([lo[wide], hi[wide]])
+    nq = wide.size
     parts: list[list[np.ndarray]] = [[] for _ in range(nq)]
     for c0 in range(0, thetas.size, width):
-        vals = sample_symbol(beta, xs, thetas[c0 : c0 + width], gprime=gprime, n_terms=n_terms).values
-        counts = _counts_below(vals, order, ds, p[c0 : c0 + width], bounds)
+        pb = p[c0 : c0 + width]
+        counts = _counts_below(ds, pb, bounds)
         start, lengths = counts[:nq], counts[nq:] - counts[:nq]
-        below += start.sum(axis=1)
         # row positions start[k, j], ..., start[k, j] + lengths[k, j] - 1 of column j, k by k
         run = lengths.ravel()
         pos = np.arange(run.sum()) - np.repeat(np.cumsum(run) - run - start.ravel(), run)
-        col = np.repeat(np.tile(np.arange(vals.shape[1]), nq), run)
-        found = vals[order[pos], col]
-        del vals  # so that the next block does not join it
-        for k, part in enumerate(np.split(found, np.cumsum(lengths.sum(axis=1))[:-1])):
-            parts[k].append(part)
-    out = np.empty(nq)
-    for k in range(nq):
+        col = np.repeat(np.tile(np.arange(pb.size), nq), run)
+        found = sample_symbol(beta, xs, thetas[c0 : c0 + width], gprime=gprime).values[order[pos], col]
+        assert np.array_equal(found, ds[pos] * pb[col]), "a drawn sample is not its factors' product"
+        for part, cand in zip(parts, np.split(found, np.cumsum(lengths.sum(axis=1))[:-1])):
+            part.append(cand)
+    for k, r in enumerate(wide):
         cand = np.concatenate(parts[k])
-        j = ranks[k] - below[k]
+        j = ranks[r] - below[r]
         assert 0 <= j < cand.size, "a quantile fell outside its bracket"
-        out[k] = np.partition(cand, j)[j]
+        out[r] = np.partition(cand, j)[j]
     return out
 
 
@@ -283,13 +279,7 @@ def _power_grid_matrix(beta: float, q: float, n: int) -> np.ndarray:
     return assemble_matrix(grid, problem).entries
 
 
-def eig_vs_symbol(
-    beta: float,
-    q: float,
-    n: int,
-    grid_tag: str = "fine",
-    n_terms: int = DEFAULT_SYMBOL_TERMS,
-) -> DistributionReport:
+def eig_vs_symbol(beta: float, q: float, n: int, grid_tag: str = "fine") -> DistributionReport:
     """Compare eigenvalues of the scaled matrix with sorted symbol samples.
 
     The matrix is assembled on the pure power-graded mesh ``x = xhat**q``
@@ -313,14 +303,17 @@ def eig_vs_symbol(
     label = {"coarse": "coarse-(i)", "fine": "fine-(ii)"}.get(grid_tag)
     if label is None:
         raise ValueError("grid_tag must be 'coarse' or 'fine'")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if n > 2**9:
         raise ValueError("dense eigensolve limited to n <= 512")
     m = math.isqrt(n) if grid_tag == "coarse" else n * n  # sampling points per axis
     if grid_tag == "coarse" and m * m != n:
         raise ValueError("the coarse sampling grid needs n to be a perfect square")
     width = _THETA_CHUNK * min(4, max(1, _BLOCK_SAMPLES // (_THETA_CHUNK * m)))
-    # one block of samples and the factors d, p, their sorted copies and the row order
-    require_memory(8 * m * (width + 5), f"the {grid_tag} sampling blocks at n = {n}")
+    # one block of samples, the factors d, p, their sorted copies, the row order
+    # and the padded copy of sorted d that a count reads
+    require_memory(8 * m * (width + 6), f"the {grid_tag} sampling blocks at n = {n}")
 
     a = _power_grid_matrix(beta, q, n)
     h = 1.0 / (n + 1)
@@ -335,9 +328,7 @@ def eig_vs_symbol(
     thetas = np.arange(1, m + 1) * math.pi / (m + 1)
     # midpoint quantiles reduce the pool of m^2 samples to one value per eigenvalue
     ranks = np.minimum(((np.arange(n) + 0.5) / n * (m * m)).astype(int), m * m - 1)
-    samples = _pool_quantiles(
-        beta, xs, thetas, lambda x: q * x ** (q - 1.0), n_terms, ranks, width
-    )
+    samples = _pool_quantiles(beta, xs, thetas, lambda x: q * x ** (q - 1.0), ranks, width)
 
     gaps = np.abs(np.asarray(sorted_eigs).real - samples)
     gap = float(gaps[1:-1].max() if gaps.size > 2 else gaps.max())

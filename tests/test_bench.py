@@ -595,6 +595,7 @@ class TestCli:
             (["solve", "--n", "15", "--maxit", "0"], "maxit must be >= 1"),
             (["solve", "--n", "15", "--tol", "0"], "tol must be positive"),
             (["eigcmp", "--grid", "fine", "--n", "513"], "n <= 512"),
+            (["eigcmp", "--n", "0"], "n must be >= 1"),
             (["table", "--id", "3", "--betas", "0.2"], "table 3 does not read betas"),
             (["table", "--id", "3", "--betas"], "--betas: expected at least one argument"),
             (["table", "--id", "2", "--tol", "0"], "tol must be positive"),

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from gradedfve import _memory, bench
+from gradedfve import _memory, assembly, bench
 from gradedfve import spectral as sp
 from gradedfve.assembly import FdeProblem, assemble_matrix, uniform_toeplitz
 from gradedfve.cli import main as cli_main
@@ -274,10 +274,83 @@ class TestStreamedQuantiles:
             tracemalloc.stop()
         assert peak <= 30e6
 
+    def test_tied_pool_keeps_no_candidates(self):
+        # q = 1 makes d(x) constant: each column of the pool is one value
+        # repeated n^2 times, and each bracket narrows to that one float
+        sp.eig_vs_symbol(0.5, 1.0, 16, "fine")  # warm numpy's caches
+        tracemalloc.start()
+        try:
+            sp.eig_vs_symbol(0.5, 1.0, 96, "fine")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10e6
+
+    def test_a_report_reads_the_coefficient_row_once(self, monkeypatch):
+        thetas = np.arange(1, 65) * math.pi / 65
+        sp._first_row.cache_clear()
+        cold = sp.symbol_p(4096, 0.3, thetas)
+        assert np.array_equal(sp.symbol_p(4096, 0.3, thetas), cold)
+        assert not sp._first_row(4096, 0.3).flags.writeable
+        calls = []
+        assemble = assembly.uniform_toeplitz
+
+        def counted(*args, **kw):
+            calls.append(args)
+            return assemble(*args, **kw)
+
+        monkeypatch.setattr(assembly, "uniform_toeplitz", counted)
+        sp._first_row.cache_clear()
+        sp.eig_vs_symbol(0.5, 2.0, 32, "fine")
+        assert calls == [(sp.DEFAULT_SYMBOL_TERMS, 0.5)]
+
     def test_nonpositive_generating_function_is_refused(self, monkeypatch):
         monkeypatch.setattr(sp, "symbol_p", lambda n_terms, beta, theta: np.zeros(np.shape(theta)))
         with pytest.raises(ValueError, match="must be positive on the sampling grid"):
             sp.eig_vs_symbol(0.5, 2.0, 16, "fine")
+
+
+def brute_counts(ds, p, t):
+    return (np.outer(ds, p)[None] < t[:, None, None]).sum(axis=1)
+
+
+class TestPoolCounts:
+    """``_counts_below`` counts the pool ``fl(ds_i p_j)`` exactly from its factors."""
+
+    @staticmethod
+    def thresholds(ds, p, rng):
+        # pool values with their neighbouring floats, where a rounding of
+        # t / p_j or of a product decides the count
+        t = rng.choice(np.outer(ds, p).ravel(), 64)
+        return np.concatenate([t, np.nextafter(t, 0.0), np.nextafter(t, np.inf), rng.uniform(0.0, 4.0, 16)])
+
+    def test_random_sorted_factors(self, rng):
+        ds, p = np.sort(rng.uniform(0.1, 2.0, 300)), rng.uniform(1e-3, 2.0, 200)
+        t = self.thresholds(ds, p, rng)
+        assert np.array_equal(sp._counts_below(ds, p, t), brute_counts(ds, p, t))
+
+    def test_constant_space_factor(self, rng):
+        # the q = 1 pool: every column is one value
+        ds, p = np.full(100, 0.7071067811865476), rng.uniform(1e-3, 2.0, 150)
+        t = self.thresholds(ds, p, rng)
+        assert np.array_equal(sp._counts_below(ds, p, t), brute_counts(ds, p, t))
+
+    def test_repeated_generating_function_values(self, rng):
+        ds = np.sort(rng.uniform(0.1, 2.0, 200))
+        p = np.repeat(rng.uniform(1e-3, 2.0, 20), 7)
+        t = self.thresholds(ds, p, rng)
+        assert np.array_equal(sp._counts_below(ds, p, t), brute_counts(ds, p, t))
+
+    def test_products_that_round_across_the_quotient(self):
+        # column 0: t = fl(d p) but fl(t / p) > d, so the quotient counts d;
+        # column 1: fl(d p) < t but fl(t / p) <= d, so it does not
+        ds = np.array([0.25, 0.5082638177642645, 0.8647482804919993, 1.5])
+        p = np.array([0.8198944914071042, 0.8787727228827695])
+        t = np.array([ds[2] * p[0], np.nextafter(ds[1] * p[1], np.inf)])
+        ref = brute_counts(ds, p, t)
+        quotient = np.searchsorted(ds, t[:, None] / p)
+        assert quotient[0, 0] == ref[0, 0] + 1 and quotient[1, 1] == ref[1, 1] - 1
+        assert np.array_equal(sp._counts_below(ds, p, t), ref)
 
 
 class TestSymbolTable:
