@@ -50,11 +50,12 @@ not grow with N (until one row outgrows the budget).  A
 preconditioned solve on a pure power mesh with odd N and constant
 diffusion holds one finest operator, whose scaled leading blocks are its
 coarse levels: views of the dense matrix at N <= 1023, and above that of
-the matrix-free operator's near array and sweep tables (eps6 at
-N + 1 = 4096 peaks at about 23 MB, where its dense matrix alone is
-134 MB).  Other meshes without a tail, or variable diffusion, add
-rediscretized coarse levels, and a mesh with a tail holds the tails and
-the flux-form borders of its levels.
+the matrix-free operator's near array and sweep tables down to 128
+unknowns, below which one dense level of 127 and its views take over
+(eps6 at N + 1 = 4096 peaks at about 18.6 MB, where its dense matrix
+alone is 134 MB).  Other meshes without a tail, or variable diffusion,
+add rediscretized coarse levels, and a mesh with a tail holds the tails
+and the flux-form borders of its levels above 127 unknowns.
 """
 
 from __future__ import annotations
@@ -173,9 +174,19 @@ class DenseOperator:
 #: 1024 and 2048 gave 0.280, 0.268 and 0.358 s.
 _SOE_MIN_N = 1024
 #: Equations per near block of the flux form (fewer on a border of fewer
-#: nodes): at N = 4095 blocks of 32, 64, 128 and 256 midpoints gave
-#: tail-free :class:`FluxOperator` products of 3.66, 3.04, 2.78 and 3.35 ms (median of 15).
+#: nodes): on eps6 at N = 4095, beta 0.5, with guards of 32 pieces, blocks
+#: of 32, 64, 128 and 256 midpoints gave tail-free :class:`FluxOperator`
+#: products of 1.77, 1.27, 1.10 and 1.13 ms (2 BLAS threads, median of 15).
 _SOE_BLOCK = 128
+#: Pieces on each side of a near block that it reads from the kernel (all
+#: of them for a block of fewer equations); its far sweeps start beyond
+#: them.  On eps6 at N = 4095, beta 0.5, guards of 16, 32, 64 and 128 gave
+#: near arrays of 5.2, 6.3, 8.4 and 12.6 MB, 134, 126, 126 and 110 terms
+#: and products of 1.08, 1.09, 1.17 and 1.32 ms (median of 15); the
+#: ``pgmres_large`` benchmark at seed 1 peaked at 18.27, 18.58, 19.96 and
+#: 23.31 MB, and its passes took 0.335, 0.321 and 0.330 s at 16, 32 and 64
+#: (median of 12 interleaved in one process).
+_SOE_GUARD = 32
 #: An exponential term ``exp(-s r)`` with ``s r`` above this is below 4.3e-18
 #: of its weight and is dropped.
 _SOE_CUTOFF = 40.0
@@ -312,11 +323,12 @@ class FluxOperator:
     The border is split into equal blocks of ``B``, at most
     :data:`_SOE_BLOCK`, that end at equation ``b`` (the first may begin
     before equation 0), and below a border the next ``B`` equations form one
-    more block.  The pieces ``e - B .. e + 2B - 1`` are near to the block
-    whose first equation is ``e``: their flux differences at its equations,
-    ``(K_i Q[i, k] - K_{i+1} Q[i+1, k]) / Gamma(beta + 1)`` from the kernel,
-    are one ``(nb, B, 3B)`` array, one batched product, and both midpoints
-    of an equation read the same near pieces.  A far piece left of ``z_t``
+    more block.  The pieces ``e - g .. e + B + g - 1``, with the guard ``g =
+    min(_SOE_GUARD, B)``, are near to the block whose first equation is
+    ``e``: their flux differences at its equations, ``(K_i Q[i, k] - K_{i+1}
+    Q[i+1, k]) / Gamma(beta + 1)`` from the kernel, are one ``(nb, B, B +
+    2g)`` array, one batched product, and both midpoints of an equation read
+    the same near pieces.  A far piece left of ``z_t``
     adds ``-gamma beta I_k(t) d_k / h_k`` to its flux and one right of it
     ``(gamma - 1) beta I_k(t) d_k / h_k``, with ``I_k(t)`` the integral of
     ``|z_t - x|**(beta - 1)`` over the piece: the kernel is the exponential
@@ -338,7 +350,7 @@ class FluxOperator:
     has them far (ROADMAP item 2), and the sweeps skip them.  At beta 0 and
     1 the two midpoints of an equation give a far piece the same piece flux
     (0, and ``-gamma`` left of them or ``gamma - 1`` right of them), so with
-    constant K the far field holds no terms.  It stores ``O(N (3B + L))``
+    constant K the far field holds no terms.  It stores ``O(N (B + 2g + L))``
     numbers for ``L`` terms, and a product costs as many multiply-adds.
     """
 
@@ -367,10 +379,11 @@ class FluxOperator:
         gam1 = math.gamma(beta + 1.0)
         starts = list(range(origin, b, bs)) + ([b] if b < n else [])
         blocks = [(max(t0, 0), min(t0 + bs, n), t0) for t0 in starts]  # equations, first row
-        left = [(t0, t1, max(e - bs, 0)) for t0, t1, e in blocks]
+        g = min(_SOE_GUARD, bs)
+        left = [(t0, t1, max(e - g, 0)) for t0, t1, e in blocks]
         if b + bs < n:
             left.append((b + bs, n, b + 1))  # the tail beyond: every border piece
-        right = [(n - t1, n - t0, max(n + 1 - e - 2 * bs, 0)) for t0, t1, e in blocks[:nbb][::-1]]
+        right = [(n - t1, n - t0, max(n + 1 - e - bs - g, 0)) for t0, t1, e in blocks[:nbb][::-1]]
         sweeps = []
         for y, far in ((x, left), (-x[::-1], right)):
             z = 0.5 * (y[:-1] + y[1:])
@@ -388,15 +401,15 @@ class FluxOperator:
             plans.append(plan)
         # the near array, the kernel's far columns and the sweeps' tables, and
         # the temporary of the largest table while it is made: tracemalloc
-        # peaks at 0.92-1.20 of this count (eps6, eps1, eps4 and sqrt,
-        # N = 1023 ... 16383, beta 0.05 ... 0.95)
+        # peaks at 0.95-1.10 of this count at N = 4095 and 0.93-1.18 at
+        # N = 1023 and 16383 (eps6, eps1, eps4 and sqrt, beta 0.05, 0.5, 0.95)
         tables = [m * size for plan in plans for t0, t1, k0, k1, m in plan for size in (t1 - t0, k1 - k0)]
-        count = len(blocks) * bs * 3 * bs + n * kernel_pieces + sum(tables) + max(tables, default=0)
+        count = len(blocks) * bs * (bs + 2 * g) + n * kernel_pieces + sum(tables) + max(tables, default=0)
         require_memory(8 * count, f"an exponential-sum operator at N = {n}", AssemblyError)
 
-        near, self._diag = np.zeros((len(blocks), bs, 3 * bs)), np.empty(b)
+        near, self._diag = np.zeros((len(blocks), bs, bs + 2 * g)), np.empty(b)
         for j, (t0, t1, e) in enumerate(blocks):
-            k0, k1 = max(e - bs, 0), min(e + 2 * bs, n + 1)
+            k0, k1 = max(e - g, 0), min(e + bs + g, n + 1)
             ((_, _, q),) = _piece_fluxes(grid, problem, (t0, t1), (k0, k1), bs)
             if t0 < b:  # the diagonal, with the arithmetic of assemble_matrix
                 r = np.arange(t1 - t0)
@@ -405,12 +418,12 @@ class FluxOperator:
                 f_right = (q[r + 1, c + 1] - q[r + 1, c]) * kz[t0 + 1 : t1 + 1]
                 self._diag[t0:t1] = (f_left - f_right) / gam1
             q *= kz[t0 : t1 + 1, None] / gam1
-            np.subtract(q[:-1], q[1:], out=near[j, t0 - e : t1 - e, k0 - e + bs : k1 - e + bs])
+            np.subtract(q[:-1], q[1:], out=near[j, t0 - e : t1 - e, k0 - e + g : k1 - e + g])
         # window j of a product: the differences at the pieces of block j's
         # near array, read from [d_0 .. d_N, d_b, 0] with v_{b-1} in place of
         # d_b: below the border piece b is the border's value alone, and no
         # later piece is read
-        pieces = np.array(starts)[:, None, None] - bs + np.arange(3 * bs)[:, None]
+        pieces = np.array(starts)[:, None, None] - g + np.arange(bs + 2 * g)[:, None]
         windows = np.where((pieces < 0) | (pieces > n), n + 2, pieces)
         windows[:nbb][pieces[:nbb] == b] = n + 1
         windows[nbb:][pieces[nbb:] > b] = n + 2
@@ -424,7 +437,7 @@ class FluxOperator:
                 q *= kz[i0 : i1 + 1, None] / gam1
                 self.kernel[:, i0:i1] = (q[:-1] - q[1:]).T
             for t0, t1, e in blocks:
-                self.kernel[max(e - bs, 0) : e + 2 * bs, t0:t1] = 0.0
+                self.kernel[max(e - g, 0) : e + bs + g, t0:t1] = 0.0
         self.left, self.right = (
             _far_sweep_tables(y, plan, s, c * w / gam1, k)
             for (y, _), plan, c, k in zip(sweeps, plans, (-gamma * beta, (1.0 - gamma) * beta), (kz, kz[::-1]))

@@ -214,7 +214,7 @@ class CaseResult:
     wall_time: float
     # multigrid hierarchy of a pgmres solve: coarsening steps, Jacobi weight,
     # whether no weight passed the region test (the 2/3 fallback) and how
-    # many coarse levels were assembled rather than viewed in the finest operator
+    # many coarse levels were assembled rather than viewed in a finer one
     depth: int | None = None
     omega: float | None = None
     omega_fallback: bool = False
@@ -293,6 +293,10 @@ class QOptResult:
 #: Stride of the scan's coarse pass over the candidate grid; the refine pass
 #: solves the candidates within one stride less of each coarse local minimum.
 _SCAN_STRIDE = 5
+#: Most grid candidates up to the cap that a scan takes: with the default
+#: range and step there are 45 at N = 1023 and at most 81, and a finer step
+#: would list candidates without bound.
+_SCAN_CANDIDATES = 10**4
 
 
 def scan_qopt(
@@ -323,7 +327,8 @@ def scan_qopt(
     solved, ``q_beta`` included, and ``scanned`` lists the solved
     ``(q, e_inf)`` pairs in candidate order: the grid, then ``q_beta`` if
     it is not on the grid.  A range with an end that is not finite or below
-    1, a step that is not finite and positive, or a range that decreases
+    1, a step that is not finite and positive, a range that decreases, or a
+    grid of more than :data:`_SCAN_CANDIDATES` candidates up to the cap
     raises ``ValueError`` before any solve.
     """
     lo, hi = q_range
@@ -354,6 +359,8 @@ def scan_qopt(
         return above
 
     last = min(first_at_least(cap), count)
+    if last >= _SCAN_CANDIDATES:
+        raise ValueError(f"the q grid holds more than {_SCAN_CANDIDATES} candidates up to the cap")
     qb = q_for_beta(beta, n)
     kb = first_at_least(qb)
     on_grid = kb <= last and grid_q(kb) == qb

@@ -570,15 +570,17 @@ def near_pairs(n, b, kernel_pieces=0):
     """The (equation, piece) pairs that the flux form of border ``b`` (``b =
     n`` for the exponential-sum operator) reads from the kernel: the border
     in equal blocks of at most ``_SOE_BLOCK`` equations that end at ``b``,
-    and one more block below it, each with the pieces from one block before
-    its first equation to two after, and the pieces shorter than the kernel
-    step, ``0 .. kernel_pieces - 1``, everywhere."""
+    and one more block below it, each with the pieces from its guard of
+    ``min(_SOE_GUARD, size)`` pieces before its first equation to the guard
+    after its last, and the pieces shorter than the kernel step, ``0 ..
+    kernel_pieces - 1``, everywhere."""
     blocks = -(-b // asm._SOE_BLOCK)
     size = -(-b // blocks)
+    guard = min(asm._SOE_GUARD, size)
     i = np.arange(n)[:, None]
     start = np.where(i < b, i - (i - b) % size, np.where(i < b + size, b, n + 1 + size))
     k = np.arange(n + 1)
-    return (k >= start - size) & (k < start + 2 * size) | (k < kernel_pieces)
+    return (k >= start - guard) & (k < start + size + guard) | (k < kernel_pieces)
 
 
 def operator_of_fluxes(q, grid, problem, scaled):
@@ -628,13 +630,14 @@ PROPERTY_MESHES = {
     scaled=st.booleans(),
     soe_block=st.sampled_from([None, 2, 5]),
     border_block=st.sampled_from([None, 2, 3]),
+    soe_guard=st.sampled_from([None, 1, 2]),
 )
 # eps4's border of 41 has five pieces below the kernel step, the last of
 # them far right of the first block of 2
 @example(mesh="eps4", n=80, beta=0.9, gamma=0.3, variable=False, scaled=False, soe_block=None,
-         border_block=2)
+         border_block=2, soe_guard=None)
 def test_every_operator_kind_agrees_with_the_dense_assembly(
-    mesh, n, beta, gamma, variable, scaled, soe_block, border_block
+    mesh, n, beta, gamma, variable, scaled, soe_block, border_block, soe_guard
 ):
     """Every operator kind answers one protocol, and each answers it with
     the dense assembly: the diagonal bit for bit, and so the first row and
@@ -645,7 +648,8 @@ def test_every_operator_kind_agrees_with_the_dense_assembly(
     with blocks of ``soe_block`` equations).  The flux form of both, the
     whole exponential-sum operator and the border of a Toeplitz operator
     (with blocks of ``border_block`` equations, so that these sizes get a
-    far field), is within 1e-11 of max|A| of the flux formula with the
+    far field, and guards of ``soe_guard`` pieces, narrower than a block),
+    is within 1e-11 of max|A| of the flux formula with the
     kernel's fluxes where it reads them and none of its cancellation
     elsewhere."""
     kinds = typing.get_args(LinearOperator)
@@ -658,6 +662,8 @@ def test_every_operator_kind_agrees_with_the_dense_assembly(
             patch.setattr(asm, "_SOE_MIN_N", 9)
         if block is not None:
             patch.setattr(asm, "_SOE_BLOCK", block)
+        if soe_guard is not None:
+            patch.setattr(asm, "_SOE_GUARD", soe_guard)
         op = assemble_operator(grid, problem, scaled=scaled)
         assert isinstance(op, kinds) and op.shape == (n, n)
         soe = soe_block is not None and not toeplitz
@@ -821,6 +827,31 @@ class TestSoeOperator:
         op = FluxOperator(grid, FdeProblem(beta, 0.3)).scale_rows(grid.steps[:-1])
         entries = [(i, j) for i in (0, 1, 2, 10) for j in (400, 700, 1024)]
         far_entries_in_mpmath(op, grid, beta, 0.3, entries)
+
+    def test_the_near_field_is_a_block_and_two_guards_wide(self):
+        """eps6 at N = 4095: blocks of 128 equations, each reading 32 pieces
+        on either side from the kernel (three blocks wide, 12.6 MB, when
+        each kept a whole block on each side)."""
+        grid = bench.build_case_grid(EPS6, 0.5, 4095)
+        op = FluxOperator(grid, FdeProblem(0.5, 0.5))
+        assert op.near.shape[2] == 128 + 2 * 32
+        assert op.near.nbytes <= 6.3e6
+
+    @pytest.mark.parametrize("beta", [0.05, 0.5, 0.95])
+    @pytest.mark.parametrize("mesh", ["eps6", "eps1", "eps4", "sqrt"])
+    def test_the_memory_guard_counts_the_build(self, monkeypatch, mesh, beta):
+        """The bytes the operator asks of the memory guard are 0.9-1.25 of
+        the build's traced peak at N = 4095."""
+        asked = {}
+        monkeypatch.setattr(asm, "require_memory", lambda need, what, error: asked.setdefault(what, need))
+        grid = bench.build_case_grid(PROPERTY_MESHES[mesh], beta, 4095)
+        tracemalloc.start()
+        try:
+            FluxOperator(grid, FdeProblem(beta, 0.5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0.9 <= peak / asked["an exponential-sum operator at N = 4095"] <= 1.25
 
     @pytest.mark.parametrize("beta", [0.05, 0.5, 0.95])
     def test_exponential_sum_matches_the_kernel(self, beta):

@@ -8,6 +8,7 @@ import scipy.sparse
 from gradedfve import assembly as asm
 from gradedfve import bench, multigrid
 from gradedfve.assembly import (
+    DenseOperator,
     FdeProblem,
     FluxOperator,
     assemble_matrix,
@@ -301,6 +302,9 @@ class TestHierarchy:
         grid = bench.build_case_grid(spec, beta, 2**10 - 1)
         hier = scaled_hierarchy(grid, FdeProblem(beta=beta, gamma=0.5))
         for fine, coarse in zip(hier.levels, hier.levels[1:]):
+            if coarse.grid.n < multigrid._DENSE_BELOW:  # small levels are dense
+                assert isinstance(coarse.operator, DenseOperator)
+                continue
             assert isinstance(coarse.operator, FluxOperator)
             assert coarse.operator.border < coarse.grid.n  # a Toeplitz tail
             fine_tail = fine.grid.points[fine.operator.border + 1 : -1]
@@ -325,15 +329,19 @@ def power_grid(beta, n):
 
 
 def counted_hierarchy(monkeypatch, system):
-    """The hierarchy of ``system`` and the sizes of the levels it assembled."""
+    """The hierarchy of ``system`` and the sizes of the levels it assembled,
+    as operators or as dense matrices."""
     assembled = []
-    assemble = multigrid.assemble_operator
 
-    def counting(grid, problem, **kwargs):
-        assembled.append(grid.n)
-        return assemble(grid, problem, **kwargs)
+    def counting(assemble):
+        def wrapped(grid, problem, **kwargs):
+            assembled.append(grid.n)
+            return assemble(grid, problem, **kwargs)
 
-    monkeypatch.setattr(multigrid, "assemble_operator", counting)
+        return wrapped
+
+    for name in ("assemble_operator", "assemble_matrix"):
+        monkeypatch.setattr(multigrid, name, counting(getattr(multigrid, name)))
     return build_hierarchy(system), assembled
 
 
@@ -392,12 +400,13 @@ class TestSelfSimilarLevels:
         self, monkeypatch, rng, make_grid, beta, gamma, n0, block
     ):
         # with the exponential sum from 64 unknowns on, level 0 is matrix-free
-        # and every coarser level is a scaled view of it: its near array and
-        # sweep tables, whose products are level 0's on the vector padded with
-        # zeros, and which matches a rediscretization within the bound of the
-        # dense views
+        # and, with no dense small levels, every coarser level is a scaled
+        # view of it: its near array and sweep tables, whose products are
+        # level 0's on the vector padded with zeros, and which matches a
+        # rediscretization within the bound of the dense views
         monkeypatch.setattr(asm, "_SOE_MIN_N", 64)
         monkeypatch.setattr(asm, "_SOE_BLOCK", block)
+        monkeypatch.setattr(multigrid, "_DENSE_BELOW", 0)
         problem = FdeProblem(beta=beta, gamma=gamma)
         system = row_scale(assemble_system(make_grid(n0), problem))
         hier, assembled = counted_hierarchy(monkeypatch, system)
@@ -421,21 +430,36 @@ class TestSelfSimilarLevels:
             ref = assemble_operator(grid, problem, scaled=True).to_dense()
             assert np.abs(op.to_dense() - ref).max() <= 5e-14 * np.abs(ref).max()
 
-    def test_a_matrix_free_finest_level_reassembles_none(self, monkeypatch):
-        # eps6 at N = 4095: level 0 is matrix-free and the ten below it view it
+    def test_a_matrix_free_finest_level_reassembles_one_dense_level(self, monkeypatch):
+        # eps6 at N = 4095: level 0 is matrix-free and the four levels of
+        # 128 unknowns or more below it view it; the level of 127 is dense,
+        # and the five below it view that
         system = row_scale(assemble_system(power_grid(0.5, 4095), FdeProblem(beta=0.5, gamma=0.5)))
         hier, assembled = counted_hierarchy(monkeypatch, system)
-        assert assembled == [] and hier.reassembled == 0 and hier.depth == 10
+        assert assembled == [127] and hier.reassembled == 1 and hier.depth == 10
+        small = next(lev for lev in hier.levels if lev.grid.n == 127)
+        assert isinstance(small.operator, DenseOperator)
         for lev in hier.levels[1:]:
-            assert np.shares_memory(lev.operator.near, system.operator.near)
+            if lev.grid.n >= 128:
+                assert np.shares_memory(lev.operator.near, system.operator.near)
+            elif lev is not small:
+                assert np.shares_memory(lev.operator.entries, small.operator.entries)
 
     @pytest.mark.parametrize("name", REASSEMBLED)
     def test_every_other_hierarchy_reassembles_its_levels(self, monkeypatch, name):
         make_grid, problem = REASSEMBLED[name]
         system = row_scale(assemble_system(make_grid(), problem))
         hier, assembled = counted_hierarchy(monkeypatch, system)
-        assert assembled == [lev.grid.n for lev in hier.levels[1:]]
-        assert hier.reassembled == hier.depth
+        assert all(isinstance(lev.operator, DenseOperator) for lev in hier.levels[2:])  # below 128
+        if "toeplitz" in name:
+            # the uniform grid's first level below 128 unknowns is dense and
+            # the levels below it view it
+            assert assembled == [127] and hier.reassembled == 1
+            for lev in hier.levels[2:]:
+                assert np.shares_memory(lev.operator.entries, hier.levels[1].operator.entries)
+        else:
+            assert assembled == [lev.grid.n for lev in hier.levels[1:]]
+            assert hier.reassembled == hier.depth
 
 
 class TestVcycle:

@@ -1,5 +1,6 @@
 """Every input check of the library refuses what it exists to refuse."""
 
+import time
 import tracemalloc
 
 import numpy as np
@@ -119,6 +120,23 @@ def test_bad_scan_range_is_refused_before_any_solve(monkeypatch, capsys, flags, 
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
+def test_a_fine_q_step_is_refused_at_once(monkeypatch, capsys):
+    # 8e300 grid indices, of which about 10^300 round to q = 1.0: the
+    # coarse list grew until memory ran out
+    def never(cfg):
+        raise AssertionError("no solve may run")
+
+    monkeypatch.setattr(bench, "run_case", never)
+    start = time.perf_counter()
+    assert cli_main(["qopt", "--n", "15", "--qstep", "1e-300"]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err.splitlines() == [
+        "error: the q grid holds more than 10000 candidates up to the cap"
+    ]
+    with pytest.raises(ValueError, match="more than 10000 candidates"):
+        bench.scan_qopt(0.5, 0.5, 1.0, 0.0, 15, step=1e-6)
+
+
 def test_quadrature_tables_are_guarded_together(monkeypatch):
     # the load keeps several 2N x 8 tables alive at once: room for three is
     # refused, and the seven the guard counts hold the whole load
@@ -139,7 +157,7 @@ def test_quadrature_tables_are_guarded_together(monkeypatch):
 
 def test_exponential_sum_tables_are_guarded(monkeypatch):
     # the near array and factor tables of the matrix-free operator grow as
-    # N (3B + 4L) numbers, more than the right-hand side's quadrature tables:
+    # N (B + 2g + 4L) numbers, more than the right-hand side's quadrature tables:
     # at N = 4095 those fit in 8 MB and the operator is refused before its
     # arrays are made
     grid = graded_grid(4095, blend_coefficients(3.0, 1.0, 0.0))
@@ -156,7 +174,7 @@ def test_exponential_sum_tables_are_guarded(monkeypatch):
 
 def test_exponential_sum_coupling_is_guarded(monkeypatch):
     # the near blocks and sweep tables of a Toeplitz operator's border grow
-    # as N (3B + L) numbers, more than the right-hand side's quadrature
+    # as N (B + 2g + L) numbers, more than the right-hand side's quadrature
     # tables: on eps1 at N = 4095 those fit in 8 MB and the border's tables
     # are refused before they are made
     grid = graded_grid(4095, blend_coefficients(q_for_beta(0.8, 4095), 0.1, 0.05))

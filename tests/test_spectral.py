@@ -242,7 +242,8 @@ class TestStreamedQuantiles:
     @pytest.mark.parametrize("q", [1.0, 2.0])
     def test_narrow_blocks_and_small_brackets_change_nothing(self, monkeypatch, q):
         # 1296 frequencies in blocks of one 64-point chunk, so the 36 quantiles
-        # are bisected 32 at a time; 8 corner groups, brackets of 16 samples
+        # are counted one threshold at a time; 8 corner groups, brackets of
+        # 16 samples
         _, samples, _ = sorted_pool_report(0.5, q, 36, "fine")
         monkeypatch.setattr(sp, "_BLOCK_SAMPLES", 1)
         monkeypatch.setattr(sp, "_CORNER_GROUPS", 8)
