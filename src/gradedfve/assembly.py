@@ -11,12 +11,14 @@ D_right are the left/right Caputo derivatives of order ``1 - beta``,
 ``[x_{i-1/2}, x_{i+1/2}]`` with piecewise-linear trial functions yields a
 dense N x N system.  Two operator kinds answer one protocol (``shape``,
 ``matvec``, ``diagonal``, ``to_dense`` and ``scale_rows``, which divides
-their rows), and :func:`assemble_operator` picks one from the grid, K, beta
-and N alone:
+their rows), and :func:`assemble_operator`, the one function that picks
+the kind of every operator (a multigrid level's included), picks one from
+the grid, K, beta and N alone:
 
-- The matrix-free :class:`FluxOperator`: a border of equations in flux
-  form, the pieces near each block of equations from the flux kernel and
-  the far ones through an exponential sum of the kernel
+- Below 128 unknowns, the dense matrix.
+- From 128, the matrix-free :class:`FluxOperator`: a border of equations
+  in flux form, the pieces near each block of equations from the flux
+  kernel and the far ones through an exponential sum of the kernel
   ``|z - x|**(beta - 1)`` swept block to block, in O(N) memory, and below
   it an optional Toeplitz tail, whose product goes through FFTs.  With
   constant K the rows and columns of the nodes in a uniform run of steps
@@ -51,11 +53,12 @@ preconditioned solve on a pure power mesh with odd N and constant
 diffusion holds one finest operator, whose scaled leading blocks are its
 coarse levels: views of the dense matrix at N <= 1023, and above that of
 the matrix-free operator's near array and sweep tables down to 128
-unknowns, below which one dense level of 127 and its views take over
-(eps6 at N + 1 = 4096 peaks at about 18.6 MB, where its dense matrix
-alone is 134 MB).  Other meshes without a tail, or variable diffusion,
-add rediscretized coarse levels, and a mesh with a tail holds the tails
-and the flux-form borders of its levels above 127 unknowns.
+unknowns, where :meth:`FluxOperator.leading` stops giving views, so one
+dense level of 127 and its views take over (eps6 at N + 1 = 4096 peaks at
+about 18.6 MB, where its dense matrix alone is 134 MB).  Other meshes
+without a tail, or variable diffusion, add rediscretized coarse levels,
+and a mesh with a tail holds the tails and the flux-form borders of its
+levels above 127 unknowns.
 """
 
 from __future__ import annotations
@@ -167,11 +170,25 @@ class DenseOperator:
         return DenseOperator(self.entries[:n, :n], self.scale * factor)
 
 
+#: Operators of fewer unknowns are dense matrices, whatever their structure
+#: and at every multigrid level.  On eps6 and sqrt at N = 4095, beta 0.5, a
+#: product of a level of 3 ... 127 unknowns took 11-15 us as a view of the
+#: matrix-free level 0 and 25-38 us as a flux operator with a tail, against
+#: 2-4 us dense.  The ``pgmres_large`` benchmark's passes (12 interleaved in
+#: one process, seeds 1 and 2) took 0.330 and 0.340 s with dense coarse
+#: levels from 64 unknowns, 0.321 and 0.321 s from 128 and 0.326 and
+#: 0.313 s from 256, and it peaked at 18.49, 18.58 and 19.24 MB.
+_DENSE_BELOW = 128
 #: Fewest unknowns at which a mesh without a Toeplitz tail gets a
-#: :class:`FluxOperator`.  Preconditioned eps6 solves (beta 0.5, median of 9)
-#: took 0.039 s dense and 0.043 s with a matrix-free finest level at
-#: N = 1023, 0.151 and 0.130 s at N = 2047; at N = 4095, cutoffs of 512,
-#: 1024 and 2048 gave 0.280, 0.268 and 0.358 s.
+#: :class:`FluxOperator`.  Preconditioned eps6 solves (beta 0.5, in-process
+#: medians, 2 BLAS threads) took 33-41 ms with a dense level 0 and 26-37 ms
+#: with a flux one at N + 1 = 1024, 11.8-17.0 and 12.5-15.6 ms at 512 and
+#: 5.3-7.4 and 7.0-8.4 ms at 256; at N = 4095, before the near field of two
+#: guards, cutoffs of 512, 1024 and 2048 gave 0.280, 0.268 and 0.358 s.  A
+#: lower cut also moves the solution: at beta 0.8, eps6 at N + 1 = 256 and
+#: 512 reads e_inf 2.69e-4 and 2.67e-4 against references of 5.8e-4 and
+#: 4.3e-4, the flux form's far field being free of the dense kernel's
+#: cancellation (ROADMAP item 2).
 _SOE_MIN_N = 1024
 #: Equations per near block of the flux form (fewer on a border of fewer
 #: nodes): on eps6 at N = 4095, beta 0.5, with guards of 32 pieces, blocks
@@ -528,10 +545,12 @@ class FluxOperator:
             self._circ_fft = None
         return self
 
-    def leading(self, n: int, factor: float) -> "FluxOperator":
+    def leading(self, n: int, factor: float) -> "FluxOperator | None":
         """``factor`` times the leading ``n x n`` block of an operator with
         no tail, sharing its near array and sweep tables, with ``factor``
-        folded into its row divisor.
+        folded into its row divisor; None on an operator with a Toeplitz
+        tail or for ``n`` below :data:`_DENSE_BELOW`, where
+        :func:`assemble_operator` gives no flux operator either.
 
         The block's rows are the equations ``0 .. n - 1`` and its columns the
         differences of the pieces ``0 .. n``, the others being zero, so it
@@ -542,8 +561,8 @@ class FluxOperator:
         those pieces.  A skipped table only adds zeros, so a product costs as
         much as one of an operator of ``n`` unknowns.
         """
-        if self.first_row.size:
-            raise AssemblyError("an operator with a Toeplitz tail has no leading view")
+        if self.first_row.size or n < _DENSE_BELOW:
+            return None
         shift = self.shape[0] - n  # the mirrored piece of piece n
         view = copy.copy(self)
         view.near = self.near[: -(-(n - self._origin) // self.near.shape[1])]
@@ -794,14 +813,15 @@ def assemble_rhs(grid: Grid, problem: FdeProblem) -> np.ndarray:
 
 def uniform_toeplitz(n: int, beta: float) -> FluxOperator:
     """The :class:`FluxOperator` with no border, all Toeplitz tail, of the
-    discretization on the
-    uniform grid of ``n`` nodes with unit diffusion and ``gamma = 1/2``,
-    where the matrix is symmetric: its first row is the series of the
-    generating function in :mod:`gradedfve.spectral`.
+    discretization on the uniform grid of ``n`` nodes with unit diffusion
+    and ``gamma = 1/2``, where the matrix is symmetric: its first row is
+    the series of the generating function in :mod:`gradedfve.spectral`.
+    It is built at every ``n``, also where :func:`assemble_operator` gives
+    the dense matrix.
     """
     if n < 1:
         raise AssemblyError("n must be >= 1")
-    return assemble_operator(uniform_grid(n), FdeProblem(beta, 0.5))
+    return FluxOperator(uniform_grid(n), FdeProblem(beta, 0.5))
 
 
 #: Steps of a uniform tail differ only by the rounding of their node
@@ -837,19 +857,22 @@ _KERNEL_STEP = 1e-10
 def assemble_operator(grid: Grid, problem: FdeProblem, scaled: bool = False) -> LinearOperator:
     """Assemble the coefficient operator alone, row-scaled if ``scaled``.
 
-    With constant diffusion the rows and columns of a uniform tail form a
+    This is the one rule for the operator kind, at every multigrid level
+    too.  Below :data:`_DENSE_BELOW` unknowns it is the dense matrix of
+    :func:`assemble_matrix`, whatever the structure.  From there, with
+    constant diffusion the rows and columns of a uniform tail form a
     Toeplitz block, whatever gamma: a grid with a uniform tail gets a
     :class:`FluxOperator` with that tail.  Every other case (no tail, or
     variable diffusion) gets a tail-free :class:`FluxOperator` from
     :data:`_SOE_MIN_N` unknowns when ``0 < beta < 1``, and the dense matrix
-    of :func:`assemble_matrix` otherwise, which is also what a caller that
-    factors the matrix calls directly.
-    ``scaled`` applies the row scaling of :func:`row_scale` to the operator,
-    for callers (the coarse multigrid levels) that need no right-hand side.
+    otherwise, which is also what a caller that factors the matrix calls
+    directly.  ``scaled`` applies the row scaling of :func:`row_scale` to
+    the operator, for callers (the coarse multigrid levels) that need no
+    right-hand side.
     """
     n = grid.n
     tail = not callable(problem.diffusion) and _tail_start(grid) < n
-    if tail or (n >= _SOE_MIN_N and 0.0 < problem.beta < 1.0):
+    if n >= _DENSE_BELOW and (tail or (n >= _SOE_MIN_N and 0.0 < problem.beta < 1.0)):
         op: LinearOperator = FluxOperator(grid, problem)
     else:
         op = assemble_matrix(grid, problem)

@@ -126,7 +126,9 @@ def main(argv=None) -> int:
             record = dataclasses.asdict(res)
             columns, rows = ["q", "e_inf"], record.pop("scanned")
         elif args.command == "symbol":
-            require_memory(8 * args.points, f"a table of {args.points} theta points")
+            # the theta grid, the values and the series' temporaries peak at
+            # 2.0-2.3 tables (tracemalloc, 2^17 and 2^18 points)
+            require_memory(3 * 8 * args.points, f"3 tables of {args.points} theta points")
             thetas = np.linspace(-np.pi, np.pi, args.points)
             values = spectral.symbol_p(args.n_terms, args.beta, thetas)
             columns, rows, digits = ["theta", "p"], zip(thetas, values), 17

@@ -2,36 +2,28 @@
 
 The hierarchy halves the number of interior points per level (keeping the
 even-indexed nodes).  The finest level is the caller's row-scaled operator.
-Every coarser level of at least 128 unknowns holds an operator of one of
-the two kinds of ``assemble_operator``, picked by the same rule, and every
-smaller one a dense matrix, whose product costs 2-4 us there against
-11-38 us in flux form.  Coarsening keeps the even nodes, so a uniform tail
-stays a uniform tail, and with constant diffusion each level of a mesh
-with one is a flux operator with a Toeplitz tail for every gamma, whose
-products cost O(N log N) on the tail and O(N) on the flux-form border of
-its graded nodes (none on the uniform grid).  A level without a tail,
-assembled on its own grid, is a tail-free flux operator (all border, its
-far field a sum of exponentials) above 1023 unknowns and a dense matrix
-below.  A coarser level whose grid is the finest level's leading nodes
-stretched to [0, 1] (an odd-N power-mapped grid) is, with constant
-diffusion, a scaled view of the leading block of a tail-free finest
-operator, dense or flux, with no assembly: at N = 1023 on eps6 the views
-cut the solve from 0.059 to 0.049 s and its peak from 12.77 to 10.17 MB,
-and at N + 1 = 4096, where the finest level is matrix-free, from 0.32 to
-0.19 s and from 41.5 to 23.0 MB.  Below 128 unknowns such a level views
-the newest level that owns a dense matrix instead.  Every other coarser
-level rediscretizes the operator alone on its grid, row-scaled like the
-finest one and with no right-hand side: through ``assemble_operator``
-from 128 unknowns, and below as a dense matrix, which the smaller levels
-of a self-similar grid then view.  The coarsest level, at most 3 x 3, is
-solved directly.  Grid transfer uses piecewise-linear interpolation on the
-non-uniform nodes, stored once per level as its two weights per odd fine
-node and applied, as is its transpose, with strided slices; restriction is
-that transpose times 1/2 (the factor that makes it full weighting on a
-uniform grid).  The smoother is one damped-Jacobi sweep before and after
-coarse-grid correction, with the damping weight estimated once from the
-spectrum of the Jacobi iteration matrix on a small rediscretization of the
-same problem.
+Each coarser level views the newest level that owns its operator, or owns
+one: ``assemble_operator`` of the problem on its grid, row-scaled like the
+finest level and with no right-hand side, which picks its kind by the one
+rule of :mod:`gradedfve.assembly` (a dense matrix below 128 unknowns).
+Coarsening keeps the even nodes, so a uniform tail stays a uniform tail,
+and each owned level of 128 unknowns or more of a mesh with one, with
+constant diffusion, has a Toeplitz tail.  A level whose grid is the owning
+level's leading nodes stretched to [0, 1] (an odd-N power-mapped grid, or
+the uniform grid) is, with constant diffusion, a scaled view of the
+leading block of that level's dense matrix or tail-free flux operator,
+with no assembly: at N = 1023 on eps6 the views cut the solve from 0.059
+to 0.049 s and its peak from 12.77 to 10.17 MB, and at N + 1 = 4096, where
+the finest level is matrix-free, from 0.32 to 0.19 s and from 41.5 to
+23.0 MB.  The coarsest level, at most 3 x 3, is solved directly.  Grid
+transfer uses piecewise-linear interpolation on the non-uniform nodes,
+stored once per level as its two weights per odd fine node and applied, as
+is its transpose, with strided slices; restriction is that transpose times
+1/2 (the factor that makes it full weighting on a uniform grid).  The
+smoother is one damped-Jacobi sweep before and after coarse-grid
+correction, with the damping weight estimated once from the spectrum of
+the Jacobi iteration matrix on a small rediscretization of the same
+problem.
 """
 
 from __future__ import annotations
@@ -40,8 +32,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import DenseOperator, FdeProblem, FveSystem, LinearOperator
-from .assembly import assemble_matrix, assemble_operator
+from .assembly import FdeProblem, FveSystem, LinearOperator, assemble_operator
+# unused here; perfbench's tracer wraps this module's name, so it must stay
+from .assembly import assemble_matrix  # noqa: F401
 from .mesh import Grid
 
 __all__ = [
@@ -68,17 +61,7 @@ _OMEGA_SIZE = 16
 #: coarse operators.
 _RESTRICTION_SCALE = 0.5
 
-#: Coarse levels of fewer unknowns are dense matrices, whatever their
-#: structure.  On eps6 and sqrt at N = 4095, beta 0.5, a product of a level
-#: of 3 ... 127 unknowns took 11-15 us as a view of the matrix-free level 0
-#: and 25-38 us as a flux operator with a tail, against 2-4 us dense.  The
-#: ``pgmres_large`` benchmark's passes (12 interleaved in one process,
-#: seeds 1 and 2) took 0.330 and 0.340 s from 64 unknowns, 0.321 and
-#: 0.321 s from 128 and 0.326 and 0.313 s from 256, and it peaked at
-#: 18.49, 18.58 and 19.24 MB.
-_DENSE_BELOW = 128
-
-#: Relative distance within which a coarse grid's nodes count as the finest
+#: Relative distance within which a coarse grid's nodes count as a finer
 #: grid's leading nodes stretched to [0, 1]; rounding puts them at most
 #: 3.14e-16 apart on power grids with q from 1 to 9 at N + 1 = 32 ... 2^15.
 _SIMILAR_TOL = 4 * np.finfo(float).eps
@@ -228,8 +211,7 @@ class MgHierarchy:
     omega: float
     # the dense matrix of the coarsest level, at most 3 x 3
     coarse_matrix: np.ndarray | None = field(repr=False, default=None)
-    # coarse levels assembled on their own grid; the others view level 0 or
-    # a finer dense level
+    # coarse levels assembled on their own grid; the others view a finer level
     reassembled: int = 0
 
     @property
@@ -249,8 +231,8 @@ class MgHierarchy:
 
 def _leading_block(level: MgLevel, problem: FdeProblem, coarse: Grid) -> LinearOperator | None:
     """The row-scaled operator on ``coarse`` as a scaled view of the leading
-    block of the operator of ``level``, dense or a tail-free flux operator,
-    or None when that does not hold.
+    block of the operator of ``level``, or None when the grids or the
+    diffusion do not allow one or the operator gives none.
 
     When the coarse nodes are the level's nodes ``x_0 .. x_{n+1}`` divided
     by ``s = x_{n+1}`` (to :data:`_SIMILAR_TOL`), rows and columns
@@ -259,38 +241,34 @@ def _leading_block(level: MgLevel, problem: FdeProblem, coarse: Grid) -> LinearO
     by ``s**-beta`` and each ``1/h``, and the row scaling, by ``s``, so
     with constant diffusion the coarse operator is ``s**(2 - beta)`` times
     that leading block: for a dense matrix a view of its entries, for a
-    flux operator one that shares its near array and sweep tables and
-    whose products cost O(n).  An operator with a Toeplitz tail has no such
-    view (of the grids with a tail only the uniform one is self-similar):
-    its coarse levels have tails of their own.
+    tail-free flux operator of at least 128 unknowns one that shares its
+    near array and sweep tables and whose products cost O(n).  A flux
+    operator with a Toeplitz tail gives no view (of the grids with a tail
+    only the uniform one is self-similar): its coarse levels have tails of
+    their own.
     """
-    op, x, n = level.operator, level.grid.points, coarse.n
-    # a dense matrix has no border, a flux operator without a tail is all border
-    if callable(problem.diffusion) or getattr(op, "border", op.shape[0]) < op.shape[0]:
+    x, n = level.grid.points, coarse.n
+    if callable(problem.diffusion):
         return None
     s = x[n + 1]
     if np.any(np.abs(coarse.points - x[: n + 2] / s) > _SIMILAR_TOL * coarse.points):
         return None
-    return op.leading(n, s ** (2.0 - problem.beta))
+    return level.operator.leading(n, s ** (2.0 - problem.beta))
 
 
 def build_hierarchy(system: FveSystem) -> MgHierarchy:
     """Build the V-cycle hierarchy of a row-scaled system.
 
-    Level 0 is the caller's operator itself.  A coarser level of at least
-    :data:`_DENSE_BELOW` unknowns views level 0 if its grid is level 0's
-    leading nodes stretched to [0, 1] (odd-N power-mapped grids with
-    constant diffusion, level 0 dense or a tail-free flux operator): it is
-    the scaled view of :func:`_leading_block`.  Otherwise it is
-    ``assemble_operator(..., scaled=True)`` of ``system.problem`` on its
-    coarsening of ``system.grid``, with no right-hand side.  A smaller
-    level is dense: the same view of the newest level that owns a dense
-    matrix (level 0, if level 0 is dense), or else the row-scaled
-    :func:`~gradedfve.assembly.assemble_matrix` of its grid, which the
-    levels below it then view.  Levels assembled on their own grid are
-    counted in :attr:`MgHierarchy.reassembled`.  The coarsest level has at
-    most 3 interior points, and its dense matrix is kept for the direct
-    solve at the bottom of the V-cycle.
+    Level 0 is the caller's operator itself, and the newest level that owns
+    its operator.  Each coarser level is the scaled view of
+    :func:`_leading_block` of that level where there is one (odd-N
+    power-mapped grids and the uniform grid, with constant diffusion);
+    otherwise it is ``assemble_operator(..., scaled=True)`` of
+    ``system.problem`` on its coarsening of ``system.grid``, with no
+    right-hand side, counted in :attr:`MgHierarchy.reassembled`, and the
+    levels below view it in turn.  The coarsest level has at most 3
+    interior points, and its dense matrix is kept for the direct solve at
+    the bottom of the V-cycle.
 
     One damping weight, estimated by :func:`estimate_omega` on the first
     level with at most 16 interior points (a member of the same mesh
@@ -307,22 +285,17 @@ def build_hierarchy(system: FveSystem) -> MgHierarchy:
         grids.append(coarsen(grids[-1]))
 
     levels = [MgLevel(grid=grid, operator=system.operator, diag=system.operator.diagonal())]
-    # the newest level that owns a dense matrix, which the small levels view
-    dense = levels[0] if isinstance(system.operator, DenseOperator) else None
+    source = levels[0]
     reassembled = 0
     for g in grids[1:]:
-        small = g.n < _DENSE_BELOW
-        source = dense if small else levels[0]
-        op = _leading_block(source, problem, g) if source else None
+        op = _leading_block(source, problem, g)
         owned = op is None
-        if small and owned:
-            op = assemble_matrix(g, problem).scale_rows(g.steps[:-1])
-        elif owned:
+        if owned:
             op = assemble_operator(g, problem, scaled=True)
         levels.append(MgLevel(grid=g, operator=op, diag=op.diagonal()))
-        reassembled += owned
-        if owned and isinstance(op, DenseOperator):
-            dense = levels[-1]
+        if owned:
+            source = levels[-1]
+            reassembled += 1
     for lev, coarse in zip(levels, levels[1:]):
         lev.weights = prolongation(lev.grid, coarse.grid)
 

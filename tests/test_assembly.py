@@ -15,6 +15,7 @@ from gradedfve.assembly import (
     DenseOperator,
     FdeProblem,
     FluxOperator,
+    FveSystem,
     LinearOperator,
     assemble_matrix,
     assemble_operator,
@@ -379,7 +380,7 @@ class TestToeplitzOperator:
         # tails of uniform grids at gamma 0.3
         for n in range(1, 41):
             grid, problem = uniform_grid(n), FdeProblem(0.5, 0.3)
-            op = assemble_operator(grid, problem)
+            op = FluxOperator(grid, problem)
             assert op.border == 0, n
             dense = assemble_matrix(grid, problem).entries
             a = op.to_dense()
@@ -428,8 +429,7 @@ class TestBorderedToeplitz:
         spec, beta = self.MESHES[name]
         grid = bench.build_case_grid(spec, beta, n)
         problem = FdeProblem(beta=beta, gamma=gamma)
-        system = assemble_system(grid, problem)
-        assert isinstance(system.operator, FluxOperator)
+        system = FveSystem(FluxOperator(grid, problem), assemble_rhs(grid, problem), grid, problem)
         b = system.operator.border
         assert b == 0 if name == "uniform" else 0 < b < n
         dense = assemble_matrix(grid, problem).entries
@@ -645,7 +645,8 @@ def test_every_operator_kind_agrees_with_the_dense_assembly(
     kind follows from the grid, K and the size alone: Toeplitz exactly when
     K is constant and the grid has a uniform tail, whatever gamma; otherwise
     the exponential sum from ``_SOE_MIN_N`` unknowns on (lowered here to 9,
-    with blocks of ``soe_block`` equations).  The flux form of both, the
+    with blocks of ``soe_block`` equations), and dense below
+    ``_DENSE_BELOW`` unknowns (lowered here to 0).  The flux form of both, the
     whole exponential-sum operator and the border of a Toeplitz operator
     (with blocks of ``border_block`` equations, so that these sizes get a
     far field, and guards of ``soe_guard`` pieces, narrower than a block),
@@ -658,6 +659,7 @@ def test_every_operator_kind_agrees_with_the_dense_assembly(
     toeplitz = not variable and asm._tail_start(grid) < n
     block = border_block if toeplitz else soe_block
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(asm, "_DENSE_BELOW", 0)
         if soe_block is not None:
             patch.setattr(asm, "_SOE_MIN_N", 9)
         if block is not None:
@@ -1046,17 +1048,35 @@ class TestRhs:
             assemble_rhs(grid, FdeProblem(beta=0.5, gamma=0.5, source=bad))
 
 
+# (mesh, constant diffusion): every mesh but eps6 has a uniform tail
+KIND_MESHES = {
+    **{name: (spec, True) for name, spec in PROPERTY_MESHES.items()},
+    "eps6-variable-K": (PROPERTY_MESHES["eps6"], False),
+}
+
+
 class TestSystemAndScaling:
-    def test_auto_picks_toeplitz(self):
-        for gamma in (0.5, 0.4):
-            sys = assemble_system(uniform_grid(16), FdeProblem(beta=0.5, gamma=gamma))
-            assert isinstance(sys.operator, FluxOperator)
-            assert sys.operator.border == 0
-        sys2 = assemble_system(uniform_grid(16), FdeProblem(0.5, 0.4, diffusion=lambda x: 1.0 + x))
-        assert isinstance(sys2.operator, DenseOperator)
+    @pytest.mark.parametrize("beta", [0.5, 1.0])
+    @pytest.mark.parametrize("n", [127, 128, 1023, 1024])
+    @pytest.mark.parametrize("name", list(KIND_MESHES))
+    def test_auto_picks_toeplitz(self, name, n, beta):
+        # one rule: dense below 128 unknowns; from there a Toeplitz tail
+        # where the grid has one (with constant K), the exponential sum
+        # from 1024 where it has none and 0 < beta < 1, and dense otherwise
+        spec, constant = KIND_MESHES[name]
+        grid = bench.build_case_grid(spec, 0.5, n)  # graded for beta 0.5
+        tail = constant and asm._tail_start(grid) < n
+        assert tail == (name not in ("eps6", "eps6-variable-K"))
+        problem = FdeProblem(beta, 0.4, diffusion=1.0 if constant else lambda x: 1.0 + x)
+        op = assemble_operator(grid, problem)
+        dense = n < 128 or (not tail and (n < 1024 or beta == 1.0))
+        assert isinstance(op, DenseOperator if dense else FluxOperator)
+        if not dense:
+            assert (op.border < n) == tail  # a border of N: no tail
 
     def test_toeplitz_scaling_is_scalar(self):
-        sys = assemble_system(uniform_grid(16), FdeProblem(beta=0.5, gamma=0.5))
+        grid, problem = uniform_grid(16), FdeProblem(beta=0.5, gamma=0.5)
+        sys = FveSystem(FluxOperator(grid, problem), assemble_rhs(grid, problem), grid, problem)
         row, col = sys.operator.first_row, sys.operator.first_col
         scaled = row_scale(sys)
         assert isinstance(scaled.operator, FluxOperator)

@@ -556,9 +556,8 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["depth"] == 3 and payload["omega"] > 0
         assert payload["omega_fallback"] is False
-        # level 0 is a Toeplitz operator; the level of 15 unknowns is dense
-        # and the two below it view it
-        assert payload["reassembled"] == 1 and payload["breakdown"] is False
+        # level 0 is dense, and the three levels below it view it
+        assert payload["reassembled"] == 0 and payload["breakdown"] is False
 
     def test_solve_composite_counts_go_with_n(self, capsys):
         assert cli_main(["solve", "--mesh", "composite", "--n1", "3", "--n", "7"]) == 0
@@ -652,14 +651,16 @@ class TestCli:
             # one array of 2**18 + 1 doubles is 8 bytes more than the patched memory
             ["symbol", "--beta", "0.5", "--n-terms", str(2**18 + 1)],
             ["symbol", "--beta", "0.5", "--points", str(2**18 + 1)],
+            # the theta grid and the values are both alive
+            ["symbol", "--beta", "0.5", "--n-terms", "64", "--points", str(2**17)],
             ["solve", "--mesh", "uniform", "--n", str(2**18 + 1)],
             ["solve", "--solver", "direct", "--n", str(2**18 + 1)],
             ["qopt", "--n", str(2**18 + 1)],
             # the grid fits, its 2 N x 8 quadrature table does not
             ["solve", "--mesh", "uniform", "--n", str(2**14 + 1)],
         ],
-        ids=["krylov", "direct", "symbol-terms", "symbol-points", "uniform-grid", "direct-grid",
-             "qopt", "quadrature"],
+        ids=["krylov", "direct", "symbol-terms", "symbol-points", "symbol-tables", "uniform-grid",
+             "direct-grid", "qopt", "quadrature"],
     )
     def test_requests_beyond_physical_memory_exit_1(self, monkeypatch, capsys, argv):
         # the request is refused before anything near its size is allocated

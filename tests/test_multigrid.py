@@ -259,6 +259,16 @@ class TestOmegaEstimate:
             estimate_omega(a)
 
 
+# (mesh, beta, reassembled levels at N + 1 = 1024 and 4096) of the large
+# preconditioned benchmark, gamma 0.5
+LARGE = {
+    "eps6": (bench.MeshSpec("graded", eps1=1.0, eps2=0.0), 0.5, {1024: 0, 4096: 1}),
+    "sqrt": (bench.MeshSpec("composite", rule="sqrt"), 0.5, {1024: 8, 4096: 10}),
+    "eps1": (bench.MeshSpec("graded", eps1=0.1, eps2=0.05), 0.8, {1024: 8, 4096: 10}),
+    "uniform": (bench.MeshSpec("uniform"), 0.5, {1024: 3, 4096: 5}),
+}
+
+
 class TestHierarchy:
     def test_level_sizes_by_floor_halving(self):
         grid = uniform_grid(2**6 - 1)
@@ -281,7 +291,7 @@ class TestHierarchy:
         assert np.shares_memory(hier.levels[0].operator.entries, system.operator.entries)
 
     def test_toeplitz_level_zero_matches_assembly(self):
-        grid = uniform_grid(2**5 - 1)
+        grid = uniform_grid(2**8 - 1)
         prob = FdeProblem(beta=0.5, gamma=0.5)
         system = row_scale(assemble_system(grid, prob))
         assert isinstance(system.operator, FluxOperator)
@@ -302,7 +312,7 @@ class TestHierarchy:
         grid = bench.build_case_grid(spec, beta, 2**10 - 1)
         hier = scaled_hierarchy(grid, FdeProblem(beta=beta, gamma=0.5))
         for fine, coarse in zip(hier.levels, hier.levels[1:]):
-            if coarse.grid.n < multigrid._DENSE_BELOW:  # small levels are dense
+            if coarse.grid.n < asm._DENSE_BELOW:  # small levels are dense
                 assert isinstance(coarse.operator, DenseOperator)
                 continue
             assert isinstance(coarse.operator, FluxOperator)
@@ -315,6 +325,18 @@ class TestHierarchy:
             assert np.array_equal(coarse_tail, kept[len(kept) - len(coarse_tail) :])
             assert coarse.grid.steps[-1] == pytest.approx(2.0 * fine.grid.steps[-1], rel=1e-12)
             assert np.array_equal(coarse.diag, coarse.operator.diagonal())
+
+    @pytest.mark.parametrize("n1p", [1024, 4096])
+    @pytest.mark.parametrize("name", LARGE)
+    def test_benchmark_hierarchies_are_dense_below_128(self, name, n1p):
+        # the preconditioned solves of the large benchmark, at their stated
+        # beta: views and rediscretizations alike are dense below 128
+        # unknowns, and the levels that own an operator stay as they were
+        spec, beta, reassembled = LARGE[name]
+        grid = bench.build_case_grid(spec, beta, n1p - 1)
+        hier = scaled_hierarchy(grid, FdeProblem(beta=beta, gamma=0.5))
+        assert hier.reassembled == reassembled[n1p]
+        assert not any(isinstance(lev.operator, FluxOperator) for lev in hier.levels if lev.grid.n < 128)
 
     def test_unscaled_system_rejected(self):
         system = assemble_system(uniform_grid(15), FdeProblem(beta=0.5, gamma=0.5))
@@ -406,7 +428,7 @@ class TestSelfSimilarLevels:
         # rediscretization within the bound of the dense views
         monkeypatch.setattr(asm, "_SOE_MIN_N", 64)
         monkeypatch.setattr(asm, "_SOE_BLOCK", block)
-        monkeypatch.setattr(multigrid, "_DENSE_BELOW", 0)
+        monkeypatch.setattr(asm, "_DENSE_BELOW", 0)
         problem = FdeProblem(beta=beta, gamma=gamma)
         system = row_scale(assemble_system(make_grid(n0), problem))
         hier, assembled = counted_hierarchy(monkeypatch, system)
