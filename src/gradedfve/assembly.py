@@ -48,17 +48,10 @@ The dense assembly is blocked: it fills the matrix, or a block of rows and
 columns of it, through three block buffers allocated once per call, each
 holding as many rows as fit in a fixed budget of entries, so the buffers
 stay in L2 cache and the peak memory is the result plus a bound that does
-not grow with N (until one row outgrows the budget).  A
-preconditioned solve on a pure power mesh with odd N and constant
-diffusion holds one finest operator, whose scaled leading blocks are its
-coarse levels: views of the dense matrix at N <= 1023, and above that of
-the matrix-free operator's near array and sweep tables down to 128
-unknowns, where :meth:`FluxOperator.leading` stops giving views, so one
-dense level of 127 and its views take over (eps6 at N + 1 = 4096 peaks at
-about 18.6 MB, where its dense matrix alone is 134 MB).  Other meshes
-without a tail, or variable diffusion, add rediscretized coarse levels,
-and a mesh with a tail holds the tails and the flux-form borders of its
-levels above 127 unknowns.
+not grow with N (until one row outgrows the budget).
+:func:`coarse_view` is the one rule for which coarse multigrid levels are
+scaled views of a finer level's operator; the other levels come from
+:func:`assemble_operator`.
 """
 
 from __future__ import annotations
@@ -82,6 +75,7 @@ __all__ = [
     "assemble_matrix",
     "assemble_rhs",
     "assemble_operator",
+    "coarse_view",
     "assemble_system",
     "uniform_toeplitz",
     "row_scale",
@@ -137,8 +131,7 @@ class FdeProblem:
 class DenseOperator:
     """Dense operator: ``scale`` times a square matrix, or a block of one.
 
-    ``entries`` may be a view of a larger matrix: a coarse multigrid level
-    of a self-similar grid is a scaled leading block of the finest matrix.
+    ``entries`` may be a view of a larger matrix, by :meth:`leading`.
     """
 
     entries: np.ndarray
@@ -373,6 +366,11 @@ class FluxOperator:
 
     def __init__(self, grid: Grid, problem: FdeProblem):
         n, beta, gamma = grid.n, float(problem.beta), float(problem.gamma)
+        # the tail test, the tail's first column and row and their assembly's
+        # temporaries: tracemalloc peaks at 14.0 x 8N on the uniform grid
+        # (N = 2^14 ... 2^18) and 12.0 x 8N for the tail of sqrt and log2
+        # grids (N = 2^14, 2^16); a border's tables have a guard below
+        require_memory(14 * 8 * n, f"a flux-form operator at N = {n}", AssemblyError)
         b = n if callable(problem.diffusion) else _tail_start(grid)
         if b == n and not 0.0 < beta < 1.0:
             raise AssemblyError("the exponential sum needs 0 < beta < 1")
@@ -547,10 +545,11 @@ class FluxOperator:
 
     def leading(self, n: int, factor: float) -> "FluxOperator | None":
         """``factor`` times the leading ``n x n`` block of an operator with
-        no tail, sharing its near array and sweep tables, with ``factor``
-        folded into its row divisor; None on an operator with a Toeplitz
-        tail or for ``n`` below :data:`_DENSE_BELOW`, where
-        :func:`assemble_operator` gives no flux operator either.
+        no tail (for :func:`coarse_view`), sharing its near array and sweep
+        tables, with ``factor`` folded into its row divisor; None on an
+        operator with a Toeplitz tail or for ``n`` below
+        :data:`_DENSE_BELOW`, where :func:`assemble_operator` gives no flux
+        operator either.
 
         The block's rows are the equations ``0 .. n - 1`` and its columns the
         differences of the pieces ``0 .. n``, the others being zero, so it
@@ -877,6 +876,41 @@ def assemble_operator(grid: Grid, problem: FdeProblem, scaled: bool = False) -> 
     else:
         op = assemble_matrix(grid, problem)
     return op.scale_rows(grid.steps[:-1]) if scaled else op
+
+
+#: Relative distance within which a coarse grid's nodes count as a finer
+#: grid's leading nodes stretched to [0, 1]; rounding puts them at most
+#: 3.14e-16 apart on power grids with q from 1 to 9 at N + 1 = 32 ... 2^15.
+_SIMILAR_TOL = 4 * np.finfo(float).eps
+
+
+def coarse_view(op: LinearOperator, grid: Grid, coarse: Grid, problem: FdeProblem) -> LinearOperator | None:
+    """The row-scaled operator of ``problem`` on ``coarse`` as a scaled view
+    of ``op``, the row-scaled operator on ``grid``, or None: the one rule
+    for which multigrid levels are views.
+
+    When the coarse nodes are the nodes ``x_0 .. x_{n+1}`` of ``grid``
+    divided by ``s = x_{n+1}`` (to :data:`_SIMILAR_TOL`; odd-N power-mapped
+    and uniform grids), rows and columns ``0 .. n-1`` of ``op`` read only
+    those nodes and their midpoints.  Stretching a grid by ``1/s``
+    multiplies ``|x - z|**beta`` by ``s**-beta`` and each ``1/h``, and the
+    row scaling, by ``s``, so with constant diffusion the coarse operator is
+    ``s**(2 - beta)`` times that leading block: a view of a dense matrix's
+    entries, or of a tail-free :class:`FluxOperator` of at least
+    :data:`_DENSE_BELOW` unknowns, sharing its near array and sweep tables
+    (products cost O(n)).  A Toeplitz tail gives none: of the grids with a
+    tail only the uniform one is self-similar, and its coarse levels have
+    tails of their own.  On eps6 at N = 1023 the views cut a solve from
+    0.059 to 0.049 s and its peak from 12.77 to 10.17 MB; at N + 1 = 4096
+    from 0.32 to 0.19 s and 41.5 to 23.0 MB (its dense matrix is 134 MB).
+    """
+    if callable(problem.diffusion):
+        return None
+    x, n = grid.points, coarse.n
+    s = x[n + 1]
+    if np.any(np.abs(coarse.points - x[: n + 2] / s) > _SIMILAR_TOL * coarse.points):
+        return None
+    return op.leading(n, s ** (2.0 - problem.beta))
 
 
 def assemble_system(grid: Grid, problem: FdeProblem) -> FveSystem:

@@ -16,6 +16,7 @@ relative error ``e_rel`` is the nodal discrete 2-norm ratio.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 import time
@@ -197,6 +198,8 @@ class CaseConfig:
             raise ValueError("maxit must be >= 1")
         if not self.tol > 0.0:
             raise ValueError("tol must be positive")
+        if not self.tol < 1.0:  # the zero start's relative residual is 1
+            raise ValueError("tol must be below 1")
         FdeProblem(self.beta, self.gamma)  # raises on a beta or gamma out of range
         if not 0.0 < self.beta < 1.0:  # the source divides by Gamma(beta)
             raise ValueError("beta must lie in (0, 1)")
@@ -310,9 +313,11 @@ def scan_qopt(
 ) -> QOptResult:
     """Scan the grading exponent for the smallest infinity-norm error.
 
-    Candidates run over the closed range in the given step; every candidate
-    is capped by :func:`~gradedfve.mesh.q_cap` (the grid ends at its first
-    capped candidate), and the capped order-optimal exponent ``q_beta`` of
+    Candidates run over the closed range in the given step: ``lo + k step``
+    rounded to 10 digits for ``k`` up to ``(hi - lo) / step`` (to 1e-9), so
+    none passes ``hi`` by more than rounding.  Every candidate is capped by
+    :func:`~gradedfve.mesh.q_cap` (the grid ends at its first capped
+    candidate), and the capped order-optimal exponent ``q_beta`` of
     :func:`~gradedfve.mesh.q_for_beta` is a candidate too.  Each solved
     candidate is a direct dense solve, in two passes:
 
@@ -343,27 +348,18 @@ def scan_qopt(
     steps = (hi - lo) / step
     if not math.isfinite(steps):
         raise ValueError("the q range holds too many steps")
-    count = int(round(steps))
     cap = q_cap(n)
-
-    def grid_q(k: int) -> float:
-        return min(round(lo + k * step, 10), cap)
-
-    def first_at_least(q: float) -> int:
-        """First grid index whose candidate is at least ``q`` (``count + 1``
-        if none is); the candidates never decrease with the index."""
-        below, above = -1, count + 1
-        while above - below > 1:
-            mid = (below + above) // 2
-            below, above = (below, mid) if grid_q(mid) >= q else (mid, above)
-        return above
-
-    last = min(first_at_least(cap), count)
-    if last >= _SCAN_CANDIDATES:
-        raise ValueError(f"the q grid holds more than {_SCAN_CANDIDATES} candidates up to the cap")
+    grid: list[float] = []  # the candidates, up to the first capped one
+    for k in range(math.floor(steps + 1e-9) + 1):
+        if len(grid) == _SCAN_CANDIDATES:
+            raise ValueError(f"the q grid holds more than {_SCAN_CANDIDATES} candidates up to the cap")
+        grid.append(min(round(lo + k * step, 10), cap))
+        if grid[-1] == cap:
+            break
+    last = len(grid) - 1
     qb = q_for_beta(beta, n)
-    kb = first_at_least(qb)
-    on_grid = kb <= last and grid_q(kb) == qb
+    kb = bisect.bisect_left(grid, qb)
+    on_grid = kb <= last and grid[kb] == qb
 
     errors: dict[float, float] = {}  # solved candidates only
 
@@ -373,15 +369,15 @@ def scan_qopt(
             errors[q] = run_case(CaseConfig(beta, gamma, spec, n, "direct")).e_inf
         return errors[q]
 
-    coarse = [(k, error(grid_q(k))) for k in range(0, last, _SCAN_STRIDE)]
-    coarse.append((last, error(grid_q(last))))
+    coarse = [(k, error(grid[k])) for k in range(0, last, _SCAN_STRIDE)]
+    coarse.append((last, error(grid[last])))
     e_beta = error(qb)
     solved = {k for k, _ in coarse} | ({kb} if on_grid else set())
     reach = _SCAN_STRIDE - 1
     for j, (k, e) in enumerate(coarse):
         if all(e <= other for _, other in coarse[max(j - 1, 0):j + 2]):
             solved.update(range(max(k - reach, 0), min(k + reach, last) + 1))
-    scanned = [(q, error(q)) for q in dict.fromkeys(grid_q(k) for k in sorted(solved))]
+    scanned = [(q, error(q)) for q in dict.fromkeys(grid[k] for k in sorted(solved))]
     if not on_grid:
         scanned.append((qb, e_beta))
     q_opt, e_opt = min(scanned, key=lambda pair: pair[1])

@@ -2,37 +2,32 @@
 
 The hierarchy halves the number of interior points per level (keeping the
 even-indexed nodes).  The finest level is the caller's row-scaled operator.
-Each coarser level views the newest level that owns its operator, or owns
-one: ``assemble_operator`` of the problem on its grid, row-scaled like the
+Each coarser level is the scaled view that
+:func:`~gradedfve.assembly.coarse_view` gives of the newest level that
+owns its operator, where it gives one, and otherwise owns one:
+``assemble_operator`` of the problem on its grid, row-scaled like the
 finest level and with no right-hand side, which picks its kind by the one
 rule of :mod:`gradedfve.assembly` (a dense matrix below 128 unknowns).
 Coarsening keeps the even nodes, so a uniform tail stays a uniform tail,
 and each owned level of 128 unknowns or more of a mesh with one, with
-constant diffusion, has a Toeplitz tail.  A level whose grid is the owning
-level's leading nodes stretched to [0, 1] (an odd-N power-mapped grid, or
-the uniform grid) is, with constant diffusion, a scaled view of the
-leading block of that level's dense matrix or tail-free flux operator,
-with no assembly: at N = 1023 on eps6 the views cut the solve from 0.059
-to 0.049 s and its peak from 12.77 to 10.17 MB, and at N + 1 = 4096, where
-the finest level is matrix-free, from 0.32 to 0.19 s and from 41.5 to
-23.0 MB.  The coarsest level, at most 3 x 3, is solved directly.  Grid
-transfer uses piecewise-linear interpolation on the non-uniform nodes,
-stored once per level as its two weights per odd fine node and applied, as
-is its transpose, with strided slices; restriction is that transpose times
-1/2 (the factor that makes it full weighting on a uniform grid).  The
-smoother is one damped-Jacobi sweep before and after coarse-grid
-correction, with the damping weight estimated once from the spectrum of
-the Jacobi iteration matrix on a small rediscretization of the same
-problem.
+constant diffusion, has a Toeplitz tail.  The coarsest level, at most
+3 x 3, is solved directly.  Grid transfer uses piecewise-linear
+interpolation on the non-uniform nodes, stored once per level as its two
+weights per odd fine node and applied, as is its transpose, with strided
+slices; restriction is that transpose times 1/2 (the factor that makes it
+full weighting on a uniform grid).  The smoother is one damped-Jacobi
+sweep before and after coarse-grid correction, with the damping weight
+estimated once from the spectrum of the Jacobi iteration matrix on a small
+rediscretization of the same problem.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import FdeProblem, FveSystem, LinearOperator, assemble_operator
+from .assembly import FveSystem, LinearOperator, assemble_operator, coarse_view
 # unused here; perfbench's tracer wraps this module's name, so it must stay
 from .assembly import assemble_matrix  # noqa: F401
 from .mesh import Grid
@@ -60,12 +55,6 @@ _OMEGA_SIZE = 16
 #: full weighting on uniform grids, which pairs with rediscretized row-scaled
 #: coarse operators.
 _RESTRICTION_SCALE = 0.5
-
-#: Relative distance within which a coarse grid's nodes count as a finer
-#: grid's leading nodes stretched to [0, 1]; rounding puts them at most
-#: 3.14e-16 apart on power grids with q from 1 to 9 at N + 1 = 32 ... 2^15.
-_SIMILAR_TOL = 4 * np.finfo(float).eps
-
 
 class MultigridError(ValueError):
     """Invalid multigrid construction request."""
@@ -209,8 +198,6 @@ class MgHierarchy:
 
     levels: list[MgLevel]
     omega: float
-    # the dense matrix of the coarsest level, at most 3 x 3
-    coarse_matrix: np.ndarray | None = field(repr=False, default=None)
     # coarse levels assembled on their own grid; the others view a finer level
     reassembled: int = 0
 
@@ -229,46 +216,17 @@ class MgHierarchy:
         return vcycle(self, r)
 
 
-def _leading_block(level: MgLevel, problem: FdeProblem, coarse: Grid) -> LinearOperator | None:
-    """The row-scaled operator on ``coarse`` as a scaled view of the leading
-    block of the operator of ``level``, or None when the grids or the
-    diffusion do not allow one or the operator gives none.
-
-    When the coarse nodes are the level's nodes ``x_0 .. x_{n+1}`` divided
-    by ``s = x_{n+1}`` (to :data:`_SIMILAR_TOL`), rows and columns
-    ``0 .. n-1`` of the level's operator read only those nodes and their
-    midpoints.  Stretching a grid by ``1/s`` multiplies ``|x - z|**beta``
-    by ``s**-beta`` and each ``1/h``, and the row scaling, by ``s``, so
-    with constant diffusion the coarse operator is ``s**(2 - beta)`` times
-    that leading block: for a dense matrix a view of its entries, for a
-    tail-free flux operator of at least 128 unknowns one that shares its
-    near array and sweep tables and whose products cost O(n).  A flux
-    operator with a Toeplitz tail gives no view (of the grids with a tail
-    only the uniform one is self-similar): its coarse levels have tails of
-    their own.
-    """
-    x, n = level.grid.points, coarse.n
-    if callable(problem.diffusion):
-        return None
-    s = x[n + 1]
-    if np.any(np.abs(coarse.points - x[: n + 2] / s) > _SIMILAR_TOL * coarse.points):
-        return None
-    return level.operator.leading(n, s ** (2.0 - problem.beta))
-
-
 def build_hierarchy(system: FveSystem) -> MgHierarchy:
     """Build the V-cycle hierarchy of a row-scaled system.
 
     Level 0 is the caller's operator itself, and the newest level that owns
-    its operator.  Each coarser level is the scaled view of
-    :func:`_leading_block` of that level where there is one (odd-N
-    power-mapped grids and the uniform grid, with constant diffusion);
-    otherwise it is ``assemble_operator(..., scaled=True)`` of
-    ``system.problem`` on its coarsening of ``system.grid``, with no
+    its operator.  Each coarser level is the
+    :func:`~gradedfve.assembly.coarse_view` of that level's operator where
+    there is one; otherwise it is ``assemble_operator(..., scaled=True)``
+    of ``system.problem`` on its coarsening of ``system.grid``, with no
     right-hand side, counted in :attr:`MgHierarchy.reassembled`, and the
     levels below view it in turn.  The coarsest level has at most 3
-    interior points, and its dense matrix is kept for the direct solve at
-    the bottom of the V-cycle.
+    interior points, and the V-cycle solves with its dense matrix.
 
     One damping weight, estimated by :func:`estimate_omega` on the first
     level with at most 16 interior points (a member of the same mesh
@@ -288,7 +246,7 @@ def build_hierarchy(system: FveSystem) -> MgHierarchy:
     source = levels[0]
     reassembled = 0
     for g in grids[1:]:
-        op = _leading_block(source, problem, g)
+        op = coarse_view(source.operator, source.grid, g, problem)
         owned = op is None
         if owned:
             op = assemble_operator(g, problem, scaled=True)
@@ -302,13 +260,13 @@ def build_hierarchy(system: FveSystem) -> MgHierarchy:
     est = next(lev for lev in levels if lev.grid.n <= _OMEGA_SIZE)
     omega = estimate_omega(est.operator.to_dense())
 
-    return MgHierarchy(levels, omega, levels[-1].operator.to_dense(), reassembled)
+    return MgHierarchy(levels, omega, reassembled)
 
 
 def _vcycle(hier: MgHierarchy, level: int, r: np.ndarray) -> np.ndarray:
     lev = hier.levels[level]
     if level == len(hier.levels) - 1:
-        return np.linalg.solve(hier.coarse_matrix, r)
+        return np.linalg.solve(lev.operator.to_dense(), r)
     omega = hier.omega
     x = omega * r / lev.diag  # pre-smoothing from zero guess
     res = r - lev.operator.matvec(x)

@@ -290,7 +290,7 @@ def full_scan(beta, gamma, eps1, eps2, n, q_range=(1.0, 9.0), step=0.1):
     in ``step``, each capped at ``q_cap(n)`` and capped duplicates dropped,
     then ``q_beta`` if it is not on the grid.  ``bench.scan_qopt`` must
     report what this reports."""
-    count = int(round((q_range[1] - q_range[0]) / step))
+    count = math.floor((q_range[1] - q_range[0]) / step + 1e-9)
     cap = q_cap(n)
     candidates = []
     for k in range(count + 1):
@@ -385,6 +385,7 @@ class TestScanIndexArithmetic:
             (2**10 - 1, (1.0, 4.0), 0.7),  # a step that does not divide the range
             (2**10 - 1, (20.0, 30.0), 1.0),  # every candidate is the cap
             (2**10 - 1, (1.0, 1.0 + 1e-7), 1e-9),
+            (15, (1.0, 1.26), 0.1),  # 2.6 steps: the grid ends at 1.2, not 1.3
         ],
     )
     def test_a_flat_curve_solves_every_candidate_once(self, curve, n, q_range, step):
@@ -393,6 +394,7 @@ class TestScanIndexArithmetic:
         res = bench.scan_qopt(0.5, 0.5, 1.0, 0.0, n, q_range, step)
         assert len(solved) == len(set(solved))
         assert res.scanned == full_scan(0.5, 0.5, 1.0, 0.0, n, q_range, step).scanned
+        assert all(q <= q_range[1] for q, _ in res.scanned if q != res.q_beta)
 
     def test_a_grid_far_past_the_cap_is_not_listed(self, curve):
         # 1e13 grid indices, of which the 45 up to the cap are candidates
@@ -596,11 +598,15 @@ class TestCli:
             (["qopt", "--n", "15", "--qmin", "3", "--qmax", "2"], "q range must not decrease"),
             (["solve", "--n", "15", "--maxit", "0"], "maxit must be >= 1"),
             (["solve", "--n", "15", "--tol", "0"], "tol must be positive"),
+            # the zero start's relative residual is 1, so GMRES would stop at once
+            (["solve", "--tol", "inf"], "tol must be below 1"),
+            (["solve", "--tol", "2"], "tol must be below 1"),
             (["eigcmp", "--grid", "fine", "--n", "513"], "n <= 512"),
             (["eigcmp", "--n", "0"], "n must be >= 1"),
             (["table", "--id", "3", "--betas", "0.2"], "table 3 does not read betas"),
             (["table", "--id", "3", "--betas"], "--betas: expected at least one argument"),
             (["table", "--id", "2", "--tol", "0"], "tol must be positive"),
+            (["table", "--id", "2", "--tol", "inf"], "tol must be below 1"),
             (["table", "--id", "2", "--betas", "1.5", "--n-list", "16"], "beta must lie in [0, 1]"),
             (["table", "--id", "4", "--gammas", "2", "--betas", "0.5", "--n-list", "16"],
              "gamma must lie in [0, 1]"),
@@ -653,14 +659,16 @@ class TestCli:
             ["symbol", "--beta", "0.5", "--points", str(2**18 + 1)],
             # the theta grid and the values are both alive
             ["symbol", "--beta", "0.5", "--n-terms", "64", "--points", str(2**17)],
+            # the grid fits, the assembly of its Toeplitz row does not
+            ["symbol", "--beta", "0.5", "--n-terms", str(2**16), "--points", "1"],
             ["solve", "--mesh", "uniform", "--n", str(2**18 + 1)],
             ["solve", "--solver", "direct", "--n", str(2**18 + 1)],
             ["qopt", "--n", str(2**18 + 1)],
             # the grid fits, its 2 N x 8 quadrature table does not
             ["solve", "--mesh", "uniform", "--n", str(2**14 + 1)],
         ],
-        ids=["krylov", "direct", "symbol-terms", "symbol-points", "symbol-tables", "uniform-grid",
-             "direct-grid", "qopt", "quadrature"],
+        ids=["krylov", "direct", "symbol-terms", "symbol-points", "symbol-tables", "symbol-row",
+             "uniform-grid", "direct-grid", "qopt", "quadrature"],
     )
     def test_requests_beyond_physical_memory_exit_1(self, monkeypatch, capsys, argv):
         # the request is refused before anything near its size is allocated

@@ -14,6 +14,7 @@ from gradedfve.assembly import (
     assemble_matrix,
     assemble_operator,
     assemble_system,
+    coarse_view,
     row_scale,
 )
 from gradedfve.mesh import (
@@ -388,8 +389,42 @@ REASSEMBLED = {
     "asymmetric-toeplitz-level-0": (lambda: uniform_grid(255), FdeProblem(beta=0.5, gamma=0.3)),
 }
 
+# (finest grid, coarse size, diffusion, view): eps6 at odd N views a dense
+# level and a tail-free flux level; each other case breaks one property the
+# views rely on
+COARSE_VIEWS = {
+    "dense": (lambda: power_grid(0.5, 1023), 511, 1.0, True),
+    "flux": (lambda: power_grid(0.5, 4095), 2047, 1.0, True),
+    "variable-K": (lambda: power_grid(0.5, 255), 127, lambda x: 1.0 + x, False),
+    "sqrt": (lambda: bench.build_case_grid(bench.MeshSpec("composite", rule="sqrt"), 0.5, 127), 63,
+             1.0, False),
+    "even-N": (lambda: power_grid(0.5, 256), 128, 1.0, False),
+    "toeplitz-tail": (lambda: uniform_grid(1023), 511, 1.0, False),
+    "flux-below-128": (lambda: power_grid(0.5, 4095), 127, 1.0, False),
+}
+
 
 class TestSelfSimilarLevels:
+    @pytest.mark.parametrize("name", COARSE_VIEWS)
+    def test_coarse_view(self, rng, name):
+        make_grid, n, diffusion, view = COARSE_VIEWS[name]
+        grid = coarse = make_grid()
+        while coarse.n > n:
+            coarse = coarsen(coarse)
+        problem = FdeProblem(beta=0.5, gamma=0.3, diffusion=diffusion)
+        op = assemble_operator(grid, problem, scaled=True)
+        found = coarse_view(op, grid, coarse, problem)
+        if not view:
+            assert found is None
+            return
+        assert type(found) is type(op)
+        name = "entries" if isinstance(op, DenseOperator) else "near"
+        assert np.shares_memory(getattr(found, name), getattr(op, name))
+        v = rng.standard_normal(n)
+        ref = assemble_operator(coarse, problem, scaled=True).matvec(v)
+        abs_a = np.abs(assemble_matrix(coarse, problem).entries) / coarse.steps[:-1, None]
+        assert np.abs(found.matvec(v) - ref).max() <= 1e-12 * (abs_a @ np.abs(v)).max()
+
     @pytest.mark.parametrize("n", [31, 255, 1023])
     @pytest.mark.parametrize("make_grid,beta,gamma", SELF_SIMILAR)
     def test_coarse_levels_view_level_zero(self, monkeypatch, make_grid, beta, gamma, n):

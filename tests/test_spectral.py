@@ -203,6 +203,27 @@ class TestEigVsSymbol:
         radius = float(np.abs(np.asarray(rep.sorted_eigs)).max())
         assert rep.sup_gap < 0.05 * radius
 
+    def test_complex_eigenvalues_are_kept_in_real_part_order(self, monkeypatch, tmp_path):
+        # no power grid tried (beta 0.2-0.8, q 1.5-6, n 16-64) has a
+        # non-negligible imaginary part, so a stand-in matrix gets a pair 8 +- 3i
+        a = np.diag(np.arange(16.0, 0.0, -1.0))
+        a[7:9, 7:9] = [[8.0, -3.0], [3.0, 8.0]]
+        monkeypatch.setattr(sp, "_power_grid_matrix", lambda beta, q, n: a)
+        rep = sp.eig_vs_symbol(0.5, 2.0, 16, "coarse")
+        eigs = np.asarray(rep.sorted_eigs)
+        scale = (1.0 / 17) ** 0.5
+        assert np.iscomplexobj(eigs) and np.all(np.diff(eigs.real) >= 0.0)
+        assert np.allclose(np.sort(np.abs(eigs.imag))[-2:], 3.0 * scale)
+        gaps = np.abs(eigs.real - rep.sorted_samples)
+        assert rep.sup_gap == gaps[1:-1].max()
+        out = tmp_path / "e.csv"
+        assert cli_main(["eigcmp", "--beta", "0.5", "--q", "2", "--n", "16", "--grid-tag", "coarse",
+                         "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert float(lines[0].split("sup_gap=")[1]) == rep.sup_gap
+        table = np.loadtxt(lines[2:], delimiter=",")
+        assert np.array_equal(table[:, 1], eigs.real)
+
 
 def sorted_pool_report(beta, q, n, grid_tag):
     """``eig_vs_symbol`` by sorting the whole table of symbol samples, kept as
