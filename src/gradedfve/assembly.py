@@ -86,13 +86,6 @@ class AssemblyError(ValueError):
     """Invalid problem data or assembly request."""
 
 
-def _as_coefficient(value) -> Callable[[np.ndarray], np.ndarray]:
-    if callable(value):
-        return value
-    const = float(value)
-    return lambda x: np.full_like(np.asarray(x, dtype=float), const)
-
-
 @dataclass(frozen=True)
 class FdeProblem:
     """Problem data: order parameter, anisotropy weight, coefficients, Dirichlet values.
@@ -121,7 +114,8 @@ class FdeProblem:
             raise AssemblyError("gamma must lie in [0, 1]")
 
     def diffusion_at(self, x: np.ndarray) -> np.ndarray:
-        k = np.asarray(_as_coefficient(self.diffusion)(x), dtype=float)
+        d = self.diffusion
+        k = np.asarray(d(x) if callable(d) else np.full(np.shape(x), float(d)), dtype=float)
         if not np.all((k > 0.0) & (k < np.inf)):  # NaN fails both
             raise AssemblyError("diffusion coefficient must be positive and finite")
         return k
@@ -578,7 +572,6 @@ class FluxOperator:
             for t0, t1, k0, k1, ev, add, decay in self.right
             if k1 > shift
         ]
-        view.kernel = self.kernel[:, :n]
         view.row_div = self.row_div[:n] / factor
         view._diag = self._diag[:n] * factor
         return view

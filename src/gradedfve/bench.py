@@ -30,6 +30,7 @@ from ._memory import require_memory
 from .assembly import FdeProblem, assemble_system, row_scale
 from .krylov import gmres
 from .mesh import (
+    COMPOSITE_RULES,
     BlendCoeffs,
     CompositeRule,
     Grid,
@@ -86,34 +87,29 @@ def source_term(beta: float, gamma: float):
 
 
 def make_problem(beta: float, gamma: float) -> FdeProblem:
-    return FdeProblem(
-        beta=beta,
-        gamma=gamma,
-        diffusion=1.0,
-        source=source_term(beta, gamma),
-        u_left=0.0,
-        u_right=1.0,
-    )
+    return FdeProblem(beta, gamma, source=source_term(beta, gamma), u_right=1.0)
 
 
 #: The ``MeshSpec`` fields each mesh kind reads.
-_MESH_FIELDS = {"uniform": (), "graded": ("q", "eps1", "eps2"), "composite": ("rule", "n1")}
+MESH_FIELDS = {"uniform": (), "graded": ("q", "eps1", "eps2"), "composite": ("rule", "n1")}
+#: A case's solvers: GMRES preconditioned by one V-cycle, plain GMRES, dense LU.
+SOLVERS = ("pgmres", "gmres", "direct")
 
 
 @dataclass(frozen=True)
 class MeshSpec:
     """Mesh family selector for a benchmark case.
 
-    ``kind`` is one of ``"uniform"``, ``"graded"``, ``"composite"``.  For
-    graded meshes ``q=None`` selects the capped order-optimal exponent for
-    the case's beta; an explicit ``q`` above :func:`~gradedfve.mesh.q_cap`
-    raises ``ValueError`` (the flux kernel cancels on grids whose first step
-    falls below 1e-16).  ``eps1``/``eps2`` are the blend of
-    :func:`~gradedfve.mesh.blend_coefficients`.  A composite
-    mesh of ``n`` interior points puts ``n1`` of them in the dyadic part and
-    ``n - n1`` in the uniform part, with ``n1`` given either by a named
-    ``rule`` (``"sqrt"`` or ``"log2"``) or explicitly.  A field that the
-    kind does not read, set to anything but its default, raises
+    ``kind`` is a key of :data:`MESH_FIELDS`.  For graded meshes
+    ``q=None`` selects the capped order-optimal exponent for the case's
+    beta; an explicit ``q`` above :func:`~gradedfve.mesh.q_cap` raises
+    ``ValueError`` (the flux kernel cancels on grids whose first step falls
+    below 1e-16).  ``eps1``/``eps2`` are the blend of
+    :func:`~gradedfve.mesh.blend_coefficients`.  A composite mesh of ``n``
+    interior points puts ``n1`` of them in the dyadic part and ``n - n1`` in
+    the uniform part, with ``n1`` given either by a named ``rule`` (a key of
+    :data:`~gradedfve.mesh.COMPOSITE_RULES`) or explicitly.  A field that
+    the kind does not read, set to anything but its default, raises
     ``ValueError``.
     """
 
@@ -125,10 +121,10 @@ class MeshSpec:
     n1: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in _MESH_FIELDS:
+        if self.kind not in MESH_FIELDS:
             raise ValueError("mesh kind must be uniform, graded or composite")
         unread = [f.name for f in fields(self)
-                  if f.name not in ("kind", *_MESH_FIELDS[self.kind])
+                  if f.name not in ("kind", *MESH_FIELDS[self.kind])
                   and getattr(self, f.name) != f.default]
         if unread:
             raise ValueError(f"a {self.kind} mesh does not read {', '.join(unread)}")
@@ -185,12 +181,12 @@ class CaseConfig:
     gamma: float
     mesh: MeshSpec
     n: int
-    solver: str = "pgmres"  # pgmres | gmres | direct
+    solver: str = SOLVERS[0]
     tol: float = 1e-7
     maxit: int = 100
 
     def __post_init__(self) -> None:
-        if self.solver not in ("pgmres", "gmres", "direct"):
+        if self.solver not in SOLVERS:
             raise ValueError("solver must be pgmres, gmres or direct")
         if self.n < 1:
             raise ValueError("n must be >= 1")
@@ -300,6 +296,8 @@ _SCAN_STRIDE = 5
 #: range and step there are 45 at N = 1023 and at most 81, and a finer step
 #: would list candidates without bound.
 _SCAN_CANDIDATES = 10**4
+#: The default range and step of a scan's candidates.
+SCAN_Q_RANGE, SCAN_Q_STEP = (1.0, 9.0), 0.1
 
 
 def scan_qopt(
@@ -308,8 +306,8 @@ def scan_qopt(
     eps1: float,
     eps2: float,
     n: int,
-    q_range: tuple[float, float] = (1.0, 9.0),
-    step: float = 0.1,
+    q_range: tuple[float, float] = SCAN_Q_RANGE,
+    step: float = SCAN_Q_STEP,
 ) -> QOptResult:
     """Scan the grading exponent for the smallest infinity-norm error.
 
@@ -410,17 +408,16 @@ class TableResult:
     complete: bool
 
 
-_COMPOSITE_RULES = ("sqrt", "log2")
 _SOLVER = {"tol": CaseConfig.tol, "maxit": CaseConfig.maxit}
 
 #: Each table's parameters; an override may replace these keys and no other.
-_TABLES: dict[int, dict] = {
+TABLES: dict[int, dict] = {
     1: dict(gammas=[0.3, 0.5, 0.7], betas=[0.2, 0.5, 0.8], n=2**10 - 1, meshes=list(EPS_PRESETS)),
     2: dict(gammas=[0.5], betas=[0.2, 0.5, 0.8], n_list=[2**k for k in range(4, 11)],
-            meshes=[*_COMPOSITE_RULES, "eps1", "eps2", "eps4", "eps6"], **_SOLVER),
+            meshes=[*COMPOSITE_RULES, "eps1", "eps2", "eps4", "eps6"], **_SOLVER),
     3: dict(pairs=[(2**3, 2**8), (2**4, 2**9), (2**5, 2**10)], beta=0.9, gamma=0.5, **_SOLVER),
     4: dict(gammas=[0.0, 1.0], betas=[0.1, 0.3, 0.7], n_list=[2**k for k in range(5, 11)],
-            meshes=[*_COMPOSITE_RULES, "eps1", "eps4", "eps6"], **_SOLVER),
+            meshes=[*COMPOSITE_RULES, "eps1", "eps4", "eps6"], **_SOLVER),
 }
 
 
@@ -437,7 +434,7 @@ def _case(table_id: int, p: dict, key: tuple, mesh: str | None) -> tuple | CaseC
     else:
         gamma, beta, n1p = key
         n = n1p - 1
-        if mesh in _COMPOSITE_RULES:
+        if mesh in COMPOSITE_RULES:
             spec = MeshSpec("composite", rule=mesh)
         else:
             eps1, eps2 = EPS_PRESETS[mesh]
@@ -476,9 +473,9 @@ def table_sweep(table_id: int, overrides: dict | None = None) -> TableResult:
     the other tables report the refined-mesh ``e_inf``, and table 2's ``ord``
     is the ``log2`` of the previous size's ``e_inf`` over this one's.
     """
-    if table_id not in _TABLES:
+    if table_id not in TABLES:
         raise ValueError("table_id must be 1, 2, 3 or 4")
-    defaults = _TABLES[table_id]
+    defaults = TABLES[table_id]
     ov = dict(overrides or {})
     unread = sorted(set(ov) - set(defaults))
     if unread:

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from . import bench, spectral
+from . import bench, mesh, spectral
 from ._memory import require_memory
 from .bench import CaseConfig, MeshSpec
 
@@ -46,18 +46,18 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("solve", help="solve one case and report errors")
     _add_case(p)
-    p.add_argument("--mesh", choices=["uniform", "graded", "composite"], default="graded")
-    p.add_argument("--q", type=float, default=None, help="grading exponent (default: capped order-optimal)")
-    p.add_argument("--rule", choices=["sqrt", "log2"], default=None)
-    p.add_argument("--n1", type=int, default=None, help="dyadic points of a composite mesh, out of --n")
+    p.add_argument("--mesh", choices=list(bench.MESH_FIELDS), default=MeshSpec.kind)
+    p.add_argument("--q", type=float, default=MeshSpec.q, help="grading exponent (default: capped order-optimal)")
+    p.add_argument("--rule", choices=list(mesh.COMPOSITE_RULES), default=MeshSpec.rule)
+    p.add_argument("--n1", type=int, default=MeshSpec.n1, help="dyadic points of a composite mesh, out of --n")
     p.add_argument("--tol", type=float, default=CaseConfig.tol)
     p.add_argument("--maxit", type=int, default=CaseConfig.maxit)
-    p.add_argument("--solver", choices=["pgmres", "gmres", "direct"], default=CaseConfig.solver)
+    p.add_argument("--solver", choices=bench.SOLVERS, default=CaseConfig.solver)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=["csv", "json"], default="json")
 
     p = sub.add_parser("table", help="run a benchmark table sweep")
-    p.add_argument("--id", type=int, required=True, choices=[1, 2, 3, 4])
+    p.add_argument("--id", type=int, required=True, choices=list(bench.TABLES))
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--betas", type=float, nargs="+", default=None)
@@ -68,9 +68,9 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("qopt", help="scan the grading exponent for minimal error")
     _add_case(p)
-    p.add_argument("--qmin", type=float, default=1.0)
-    p.add_argument("--qmax", type=float, default=9.0)
-    p.add_argument("--qstep", type=float, default=0.1)
+    p.add_argument("--qmin", type=float, default=bench.SCAN_Q_RANGE[0])
+    p.add_argument("--qmax", type=float, default=bench.SCAN_Q_RANGE[1])
+    p.add_argument("--qstep", type=float, default=bench.SCAN_Q_STEP)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=["csv", "json"], default="json")
 
@@ -93,7 +93,7 @@ def main(argv=None) -> int:
     p.add_argument("--beta", type=float, default=0.5)
     p.add_argument("--q", type=float, default=2.0)
     p.add_argument("--n", type=int, default=2**6)
-    p.add_argument("--grid-tag", choices=["coarse", "fine"], default="fine")
+    p.add_argument("--grid-tag", choices=list(spectral.GRID_LABELS), default=spectral.DEFAULT_GRID_TAG)
     p.add_argument("--out", default=None)
 
     args = parser.parse_args(argv)
@@ -103,8 +103,8 @@ def main(argv=None) -> int:
     record, comment, digits, code = None, "", 6, 0
     try:
         if args.command == "solve":
-            mesh = MeshSpec(args.mesh, args.q, args.eps1, args.eps2, args.rule, args.n1)
-            cfg = CaseConfig(args.beta, args.gamma, mesh, args.n, args.solver, args.tol, args.maxit)
+            spec = MeshSpec(args.mesh, args.q, args.eps1, args.eps2, args.rule, args.n1)
+            cfg = CaseConfig(args.beta, args.gamma, spec, args.n, args.solver, args.tol, args.maxit)
             res = bench.run_case(cfg)
             record = dataclasses.asdict(res)
             columns, rows = list(record), [record.values()]

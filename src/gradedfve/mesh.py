@@ -249,20 +249,22 @@ def graded_grid(n: int, coeffs: BlendCoeffs) -> Grid:
 # composite (dyadically refined) meshes
 
 
+#: The named rules ``n -> n1`` of :class:`CompositeRule`, in listing order.
+COMPOSITE_RULES = {"sqrt": math.isqrt, "log2": lambda n: n.bit_length() - 1}  # floor(log2 n)
+
+
 @dataclass(frozen=True)
 class CompositeRule:
     """Rule ``n -> n1`` fixing how many points go into the dyadic part."""
 
-    selector: str  # "sqrt" or "log2"
+    selector: str  # a key of COMPOSITE_RULES
 
     def __post_init__(self) -> None:
-        if self.selector not in ("sqrt", "log2"):
+        if self.selector not in COMPOSITE_RULES:
             raise MeshError("selector must be 'sqrt' or 'log2'")
 
     def __call__(self, n: int) -> int:
-        if self.selector == "sqrt":
-            return math.isqrt(n)
-        return n.bit_length() - 1  # floor(log2 n)
+        return COMPOSITE_RULES[self.selector](n)
 
 
 def composite_grid_from_counts(n1: int, n2: int) -> Grid:

@@ -103,6 +103,19 @@ class TestRunCase:
         assert direct.e_rel > 0 and np.isfinite(direct.e_rel)
         assert direct.e_inf >= direct.e_inf_nodes
 
+    @pytest.mark.parametrize("spec", [
+        MeshSpec("uniform"),
+        MeshSpec("composite", rule="sqrt"),
+        MeshSpec("graded", eps1=1.0, eps2=0.0),  # eps6
+    ], ids=["uniform", "sqrt", "eps6"])
+    def test_unpreconditioned_gmres_matches_direct(self, spec):
+        # 51, 52 and 59 iterations, within 1.1e-7, 6.7e-8 and 7.8e-6 of direct
+        plain = bench.run_case(CaseConfig(0.5, 0.5, spec, 63, "gmres"))
+        direct = bench.run_case(CaseConfig(0.5, 0.5, spec, 63, "direct"))
+        assert plain.converged and plain.it is not None and not plain.breakdown
+        assert (plain.depth, plain.omega, plain.reassembled) == (None, None, None)
+        assert plain.e_inf == pytest.approx(direct.e_inf, rel=1e-4)
+
     def test_uniform_and_composite_cases(self):
         uni = bench.run_case(CaseConfig(0.5, 0.5, MeshSpec("uniform"), 63, "direct"))
         comp = bench.run_case(

@@ -102,6 +102,21 @@ TRANSFER_GRIDS = {
 }
 
 
+def vcycle_contraction(hier):
+    """Spectral radius of the error propagator ``I - M A`` of one V-cycle
+    ``M`` on the finest operator ``A``, from the dense ``M A`` built column
+    by column through ``hier.apply``: a dense oracle for N up to a few
+    hundred."""
+    a = hier.levels[0].operator
+    n = a.shape[0]
+    ma, e = np.empty((n, n)), np.zeros(n)
+    for j in range(n):
+        e[j] = 1.0
+        ma[:, j] = hier.apply(a.matvec(e))
+        e[j] = 0.0
+    return float(np.abs(np.linalg.eigvals(np.eye(n) - ma)).max())
+
+
 def loop_omega(a):
     """The damping-weight scan one candidate at a time, kept as an oracle."""
     d = np.diag(a)
@@ -564,3 +579,15 @@ class TestVcycle:
             rho = np.linalg.norm(e_new) / np.linalg.norm(e)
             e = e_new / np.linalg.norm(e_new)
         assert rho < 0.2
+
+    @pytest.mark.parametrize("beta", [0.2, 0.5, 0.8])
+    @pytest.mark.parametrize("mesh", [
+        bench.MeshSpec("graded", eps1=1.0, eps2=0.0),  # eps6
+        bench.MeshSpec("graded", eps1=0.1, eps2=0.05),  # eps1
+        bench.MeshSpec("composite", rule="sqrt"),
+        bench.MeshSpec("uniform"),
+    ], ids=["eps6", "eps1", "sqrt", "uniform"])
+    def test_fractional_contraction(self, mesh, beta):
+        grid = bench.build_case_grid(mesh, beta, 255)
+        rho = vcycle_contraction(scaled_hierarchy(grid, FdeProblem(beta=beta, gamma=0.5)))
+        assert rho < 0.45
