@@ -116,6 +116,8 @@ class FdeProblem:
     def diffusion_at(self, x: np.ndarray) -> np.ndarray:
         d = self.diffusion
         k = np.asarray(d(x) if callable(d) else np.full(np.shape(x), float(d)), dtype=float)
+        if k.shape != np.shape(x):
+            raise AssemblyError("diffusion coefficient must give one value per midpoint")
         if not np.all((k > 0.0) & (k < np.inf)):  # NaN fails both
             raise AssemblyError("diffusion coefficient must be positive and finite")
         return k

@@ -32,11 +32,13 @@ from .krylov import gmres
 from .mesh import (
     COMPOSITE_RULES,
     BlendCoeffs,
-    CompositeRule,
     Grid,
     blend_coefficients,
     composite_grid_from_counts,
+    composite_rule,
+    dyadic_count,
     graded_grid,
+    one_of,
     q_cap,
     q_for_beta,
     uniform_grid,
@@ -108,9 +110,9 @@ class MeshSpec:
     :func:`~gradedfve.mesh.blend_coefficients`.  A composite mesh of ``n``
     interior points puts ``n1`` of them in the dyadic part and ``n - n1`` in
     the uniform part, with ``n1`` given either by a named ``rule`` (a key of
-    :data:`~gradedfve.mesh.COMPOSITE_RULES`) or explicitly.  A field that
-    the kind does not read, set to anything but its default, raises
-    ``ValueError``.
+    :data:`~gradedfve.mesh.COMPOSITE_RULES`, refused when the spec is made)
+    or explicitly.  A field that the kind does not read, set to anything
+    but its default, raises ``ValueError``.
     """
 
     kind: str = "graded"
@@ -122,7 +124,7 @@ class MeshSpec:
 
     def __post_init__(self) -> None:
         if self.kind not in MESH_FIELDS:
-            raise ValueError("mesh kind must be uniform, graded or composite")
+            raise ValueError(f"mesh kind must be {one_of(MESH_FIELDS)}")
         unread = [f.name for f in fields(self)
                   if f.name not in ("kind", *MESH_FIELDS[self.kind])
                   and getattr(self, f.name) != f.default]
@@ -130,6 +132,8 @@ class MeshSpec:
             raise ValueError(f"a {self.kind} mesh does not read {', '.join(unread)}")
         if self.kind == "composite" and (self.rule is None) == (self.n1 is None):
             raise ValueError("a composite mesh needs exactly one of rule and n1")
+        if self.rule is not None:
+            composite_rule(self.rule)  # raises on a name that is not a rule
 
     def exponent(self, beta: float, n: int) -> float | None:
         """Grading exponent of the ``n``-point case grid: the explicit ``q``,
@@ -146,10 +150,7 @@ class MeshSpec:
     def composite_n1(self, n: int) -> int:
         """Dyadic points of the composite grid with ``n`` interior points:
         the rule's value, or the explicit ``n1``."""
-        n1 = self.n1 if self.rule is None else CompositeRule(self.rule)(n)
-        if not 1 <= n1 < n:
-            raise ValueError(f"a composite mesh needs 1 <= n1 < n; got n1 = {n1} at n = {n}")
-        return n1
+        return dyadic_count(n, self.n1 if self.rule is None else composite_rule(self.rule)(n))
 
     def refined(self, beta: float, n: int) -> Grid:
         """Once-refined member of the family of the ``n``-point case grid,
@@ -187,7 +188,7 @@ class CaseConfig:
 
     def __post_init__(self) -> None:
         if self.solver not in SOLVERS:
-            raise ValueError("solver must be pgmres, gmres or direct")
+            raise ValueError(f"solver must be {one_of(SOLVERS)}")
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if self.maxit < 1:
@@ -263,18 +264,12 @@ def run_case(cfg: CaseConfig) -> CaseResult:
     if not converged:
         return CaseResult(None, False, None, None, None, wall, **info)
 
-    xs = grid.points[1:-1]
-    ue = exact_solution(cfg.beta, xs)
+    ue = exact_solution(cfg.beta, grid.points[1:-1])
     e_nodes = float(np.abs(solution - ue).max())
     e_rel = float(np.linalg.norm(solution - ue) / np.linalg.norm(ue))
 
-    fine = cfg.mesh.refined(cfg.beta, cfg.n)
-    y = fine.points[1:-1]
-    interp = np.interp(
-        y,
-        grid.points,
-        np.concatenate(([problem.u_left], solution, [problem.u_right])),
-    )
+    y = cfg.mesh.refined(cfg.beta, cfg.n).points[1:-1]
+    interp = np.interp(y, grid.points, np.concatenate(([problem.u_left], solution, [problem.u_right])))
     e_fine = float(np.abs(interp - exact_solution(cfg.beta, y)).max())
 
     return CaseResult(it, True, e_fine, e_nodes, e_rel, wall, **info)
@@ -363,8 +358,7 @@ def scan_qopt(
 
     def error(q: float) -> float:
         if q not in errors:
-            spec = MeshSpec("graded", q, eps1, eps2)
-            errors[q] = run_case(CaseConfig(beta, gamma, spec, n, "direct")).e_inf
+            errors[q] = run_case(CaseConfig(beta, gamma, MeshSpec("graded", q, eps1, eps2), n, "direct")).e_inf
         return errors[q]
 
     coarse = [(k, error(grid[k])) for k in range(0, last, _SCAN_STRIDE)]
@@ -434,11 +428,8 @@ def _case(table_id: int, p: dict, key: tuple, mesh: str | None) -> tuple | CaseC
     else:
         gamma, beta, n1p = key
         n = n1p - 1
-        if mesh in COMPOSITE_RULES:
-            spec = MeshSpec("composite", rule=mesh)
-        else:
-            eps1, eps2 = EPS_PRESETS[mesh]
-            spec = MeshSpec("graded", eps1=eps1, eps2=eps2)
+        spec = (MeshSpec("composite", rule=mesh) if mesh in COMPOSITE_RULES
+                else MeshSpec("graded", None, *EPS_PRESETS[mesh]))
     return CaseConfig(beta, gamma, spec, n, "pgmres", p["tol"], p["maxit"])
 
 
@@ -474,7 +465,7 @@ def table_sweep(table_id: int, overrides: dict | None = None) -> TableResult:
     is the ``log2`` of the previous size's ``e_inf`` over this one's.
     """
     if table_id not in TABLES:
-        raise ValueError("table_id must be 1, 2, 3 or 4")
+        raise ValueError(f"table_id must be {one_of(TABLES)}")
     defaults = TABLES[table_id]
     ov = dict(overrides or {})
     unread = sorted(set(ov) - set(defaults))

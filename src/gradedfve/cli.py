@@ -18,6 +18,9 @@ from . import bench, mesh, spectral
 from ._memory import require_memory
 from .bench import CaseConfig, MeshSpec
 
+#: The formats of solve, table and qopt, and the sizes of a glt5 sequence without --n-list.
+_FORMATS, _GLT5_SIZES = ("csv", "json"), [2**k for k in range(4, 10)]
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2
@@ -54,12 +57,12 @@ def main(argv=None) -> int:
     p.add_argument("--maxit", type=int, default=CaseConfig.maxit)
     p.add_argument("--solver", choices=bench.SOLVERS, default=CaseConfig.solver)
     p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=["csv", "json"], default="json")
+    p.add_argument("--format", choices=_FORMATS, default="json")
 
     p = sub.add_parser("table", help="run a benchmark table sweep")
     p.add_argument("--id", type=int, required=True, choices=list(bench.TABLES))
     p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
+    p.add_argument("--format", choices=_FORMATS, default="csv")
     p.add_argument("--betas", type=float, nargs="+", default=None)
     p.add_argument("--gammas", type=float, nargs="+", default=None)
     p.add_argument("--n-list", type=int, nargs="+", default=None)
@@ -72,7 +75,7 @@ def main(argv=None) -> int:
     p.add_argument("--qmax", type=float, default=bench.SCAN_Q_RANGE[1])
     p.add_argument("--qstep", type=float, default=bench.SCAN_Q_STEP)
     p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=["csv", "json"], default="json")
+    p.add_argument("--format", choices=_FORMATS, default="json")
 
     p = sub.add_parser("symbol", help="sample the generating function")
     p.add_argument("--beta", type=float, required=True)
@@ -84,7 +87,7 @@ def main(argv=None) -> int:
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--q", type=float, default=None)
     p.add_argument("--n-list", type=int, nargs="+", default=None,
-                   help="sequence sizes (default: 16 32 ... 512)")
+                   help="sequence sizes (default: %d %d ... %d)" % (*_GLT5_SIZES[:2], _GLT5_SIZES[-1]))
     p.add_argument("--beta-grid", type=float, nargs="+", default=None)
     p.add_argument("--q-grid", type=float, nargs="+", default=None)
     p.add_argument("--out", default=None)
@@ -105,8 +108,7 @@ def main(argv=None) -> int:
         if args.command == "solve":
             spec = MeshSpec(args.mesh, args.q, args.eps1, args.eps2, args.rule, args.n1)
             cfg = CaseConfig(args.beta, args.gamma, spec, args.n, args.solver, args.tol, args.maxit)
-            res = bench.run_case(cfg)
-            record = dataclasses.asdict(res)
+            record = dataclasses.asdict(bench.run_case(cfg))
             columns, rows = list(record), [record.values()]
         elif args.command == "table":
             overrides = {
@@ -126,6 +128,8 @@ def main(argv=None) -> int:
             record = dataclasses.asdict(res)
             columns, rows = ["q", "e_inf"], record.pop("scanned")
         elif args.command == "symbol":
+            if args.points < 1:
+                raise ValueError("points must be >= 1")
             # the theta grid, the values and the series' temporaries peak at
             # 2.0-2.3 tables (tracemalloc, 2^17 and 2^18 points)
             require_memory(3 * 8 * args.points, f"3 tables of {args.points} theta points")
@@ -148,7 +152,7 @@ def main(argv=None) -> int:
             elif args.beta is None or args.q is None:
                 parser.error("glt5 needs either --beta and --q or both grids")
             else:
-                n_list = args.n_list or [2**k for k in range(4, 10)]
+                n_list = args.n_list or _GLT5_SIZES
                 values = spectral.glt5_sequence(args.beta, args.q, n_list)
                 columns, rows, digits = ["n", "s"], zip(n_list, values), 17
         else:  # eigcmp

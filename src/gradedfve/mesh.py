@@ -27,7 +27,7 @@ __all__ = [
     "MeshError",
     "Grid",
     "BlendCoeffs",
-    "CompositeRule",
+    "COMPOSITE_RULES",
     "FIRST_STEP_FLOOR",
     "uniform_grid",
     "blend_coefficients",
@@ -35,6 +35,8 @@ __all__ = [
     "q_cap",
     "q_for_beta",
     "graded_grid",
+    "composite_rule",
+    "dyadic_count",
     "composite_grid",
     "composite_grid_from_counts",
 ]
@@ -52,6 +54,12 @@ _MIN_BLEND = 1e-12
 
 class MeshError(ValueError):
     """Invalid mesh parameters or a degenerate generated mesh."""
+
+
+def one_of(names) -> str:
+    """``a, b or c``: the names of an enumeration as a refusal lists them."""
+    *head, last = map(str, names)
+    return f"{', '.join(head)} or {last}" if head else last
 
 
 @dataclass(frozen=True)
@@ -234,9 +242,7 @@ def graded_grid(n: int, coeffs: BlendCoeffs) -> Grid:
     require_memory(need, f"a grid of {n} interior points", MeshError)
     h = 1.0 / (n + 1)
     if h > coeffs.eps1:
-        raise MeshError(
-            "uniform step exceeds the power segment; increase n or eps1"
-        )
+        raise MeshError("uniform step exceeds the power segment; increase n or eps1")
     pts = graded_map_eval(coeffs, np.arange(n + 2, dtype=float) / (n + 1))
     pts[0] = 0.0
     pts[-1] = 1.0
@@ -249,22 +255,22 @@ def graded_grid(n: int, coeffs: BlendCoeffs) -> Grid:
 # composite (dyadically refined) meshes
 
 
-#: The named rules ``n -> n1`` of :class:`CompositeRule`, in listing order.
+#: The named rules ``n -> n1`` of a composite grid, in listing order.
 COMPOSITE_RULES = {"sqrt": math.isqrt, "log2": lambda n: n.bit_length() - 1}  # floor(log2 n)
 
 
-@dataclass(frozen=True)
-class CompositeRule:
-    """Rule ``n -> n1`` fixing how many points go into the dyadic part."""
+def composite_rule(name: str):
+    """The rule of :data:`COMPOSITE_RULES` called ``name``."""
+    if name not in COMPOSITE_RULES:
+        raise MeshError(f"selector must be {one_of(map(repr, COMPOSITE_RULES))}")
+    return COMPOSITE_RULES[name]
 
-    selector: str  # a key of COMPOSITE_RULES
 
-    def __post_init__(self) -> None:
-        if self.selector not in COMPOSITE_RULES:
-            raise MeshError("selector must be 'sqrt' or 'log2'")
-
-    def __call__(self, n: int) -> int:
-        return COMPOSITE_RULES[self.selector](n)
+def dyadic_count(n: int, n1: int) -> int:
+    """``n1``, once checked to leave both parts of an ``n``-point composite grid a point."""
+    if not 1 <= n1 < n:
+        raise MeshError(f"a composite mesh needs 1 <= n1 < n; got n1 = {n1} at n = {n}")
+    return n1
 
 
 def composite_grid_from_counts(n1: int, n2: int) -> Grid:
@@ -284,10 +290,7 @@ def composite_grid_from_counts(n1: int, n2: int) -> Grid:
     return Grid(pts)
 
 
-def composite_grid(n: int, rule: CompositeRule) -> Grid:
-    """Composite grid with ``n`` interior points, split by ``rule``."""
-    n1 = rule(n)
-    n2 = n - n1
-    if not 1 <= n1 < n:
-        raise MeshError("rule must yield 1 <= n1 < n")
-    return composite_grid_from_counts(n1, n2)
+def composite_grid(n: int, rule: str) -> Grid:
+    """Composite grid with ``n`` interior points, split by the rule named ``rule``."""
+    n1 = dyadic_count(n, composite_rule(rule)(n))
+    return composite_grid_from_counts(n1, n - n1)

@@ -25,7 +25,7 @@ import numpy as np
 from . import assembly  # symbol_p calls assembly.uniform_toeplitz, so perfbench's wrap sees it
 from ._memory import require_memory
 from .assembly import AssemblyError, FdeProblem, assemble_matrix
-from .mesh import blend_coefficients, graded_grid
+from .mesh import blend_coefficients, graded_grid, one_of
 
 __all__ = [
     "DEFAULT_SYMBOL_TERMS",
@@ -44,6 +44,8 @@ DEFAULT_SYMBOL_TERMS = 4096
 #: The sampling grids of :func:`eig_vs_symbol` by tag, their labels, and its default.
 GRID_LABELS = {"coarse": "coarse-(i)", "fine": "fine-(ii)"}
 DEFAULT_GRID_TAG = "fine"
+#: Largest n of the dense eigensolves of :func:`eig_vs_symbol` and of :func:`glt5_sequence`.
+_EIG_MAX_N, _GRAM_MAX_N = 2**9, 2**10
 
 #: Frequencies per block of :func:`symbol_p`, which bounds its memory.  At
 #: 4096 terms, 64 points keep each block's GEMMs on one BLAS thread: 256 are
@@ -309,11 +311,11 @@ def eig_vs_symbol(beta: float, q: float, n: int, grid_tag: str = DEFAULT_GRID_TA
     """
     label = GRID_LABELS.get(grid_tag)
     if label is None:
-        raise ValueError("grid_tag must be 'coarse' or 'fine'")
+        raise ValueError(f"grid_tag must be {one_of(map(repr, GRID_LABELS))}")
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > 2**9:
-        raise ValueError("dense eigensolve limited to n <= 512")
+    if n > _EIG_MAX_N:
+        raise ValueError(f"dense eigensolve limited to n <= {_EIG_MAX_N}")
     m = math.isqrt(n) if grid_tag == "coarse" else n * n  # sampling points per axis
     if grid_tag == "coarse" and m * m != n:
         raise ValueError("the coarse sampling grid needs n to be a perfect square")
@@ -351,8 +353,8 @@ def glt5_sequence(beta: float, q: float, n_list: Sequence[int]) -> np.ndarray:
     """
     out = np.empty(len(n_list))
     for i, n in enumerate(n_list):
-        if n > 2**10:
-            raise ValueError("dense Gram eigensolve limited to n <= 1024")
+        if n > _GRAM_MAX_N:
+            raise ValueError(f"dense Gram eigensolve limited to n <= {_GRAM_MAX_N}")
         a = _power_grid_matrix(beta, q, int(n))
         s = a - a.T  # where S is rounding noise (q = 1), S^T S has tiny negative eigenvalues
         del a  # so that the Gram matrix does not join it
@@ -370,10 +372,6 @@ def glt5_region(betas: Sequence[float], qs: Sequence[float]) -> np.ndarray:
     signs = np.zeros((len(betas), len(qs)), dtype=int)
     for i, beta in enumerate(betas):
         for j, q in enumerate(qs):
-            s = glt5_sequence(float(beta), float(q), [2**4, 2**5])
-            diff = s[0] - s[1]
-            if abs(diff) < 1e-14:
-                signs[i, j] = 0
-            else:
-                signs[i, j] = 1 if diff > 0 else -1
+            s16, s32 = glt5_sequence(float(beta), float(q), [2**4, 2**5])
+            signs[i, j] = np.sign(s16 - s32) if abs(s16 - s32) >= 1e-14 else 0
     return signs

@@ -26,7 +26,6 @@ from gradedfve.assembly import (
 )
 from gradedfve.multigrid import coarsen
 from gradedfve.mesh import (
-    CompositeRule,
     Grid,
     blend_coefficients,
     composite_grid,
@@ -195,7 +194,7 @@ class TestAgainstLiteralOracle:
         assert np.abs(mine - ref).max() <= 1e-12 * np.abs(ref).max()
 
     @pytest.mark.parametrize(
-        "grid", [uniform_grid(31), composite_grid(31, CompositeRule("sqrt"))], ids=["uniform", "sqrt"]
+        "grid", [uniform_grid(31), composite_grid(31, "sqrt")], ids=["uniform", "sqrt"]
     )
     def test_matches_the_flux_formula_in_mpmath(self, grid):
         """Rounding only: every row within 1e-12 of its largest entry.
@@ -231,7 +230,7 @@ class TestBlockedAssembly:
             monkeypatch.setattr(asm, "_BLOCK_ENTRIES", rows * (grid.n + 2))
             assert np.array_equal(assemble_matrix(grid, problem).entries, default)
 
-    FUSED_GRIDS = dict(GRIDS, sqrt255=composite_grid(255, CompositeRule("sqrt")))
+    FUSED_GRIDS = dict(GRIDS, sqrt255=composite_grid(255, "sqrt"))
 
     @pytest.mark.parametrize("gamma", [0.0, 0.3, 0.5, 1.0])
     @pytest.mark.parametrize("name", list(FUSED_GRIDS))
@@ -454,7 +453,7 @@ class TestBorderedToeplitz:
         assert np.array_equal(op.diagonal()[b:], np.diag(a)[b:])
 
     def test_meshes_without_a_toeplitz_tail_stay_dense(self):
-        sqrt = composite_grid(127, CompositeRule("sqrt"))
+        sqrt = composite_grid(127, "sqrt")
         eps6 = graded_grid(127, blend_coefficients(3.0, 1.0, 0.0))
         for grid, problem in [
             (eps6, FdeProblem(beta=0.5, gamma=0.5)),
@@ -483,7 +482,7 @@ class TestBorderedToeplitz:
             assert res.e_inf_nodes == np.abs(u - grid.points[1:-1] ** 0.5).max()
 
     def test_block_ranges_are_slices_of_the_matrix(self, monkeypatch):
-        grid = composite_grid(130, CompositeRule("sqrt"))
+        grid = composite_grid(130, "sqrt")
         problem = FdeProblem(beta=0.7, gamma=0.3, diffusion=lambda x: 1.0 + x)
         full = assemble_matrix(grid, problem).entries
         b = asm._tail_start(grid)
@@ -870,8 +869,8 @@ class TestSoeOperator:
             (graded_grid(1025, blend_coefficients(3.0, 1.0, 0.0)), 0.5, 1.0, "no tail"),
             (graded_grid(1025, blend_coefficients(3.0, 1.0, 0.0)), 0.0, 1.0, "dense"),
             (graded_grid(1025, blend_coefficients(3.0, 1.0, 0.0)), 1.0, 1.0, "dense"),
-            (composite_grid(1025, CompositeRule("sqrt")), 0.5, 1.0, "tail"),
-            (composite_grid(1025, CompositeRule("sqrt")), 0.5, lambda x: 1.0 + x, "no tail"),
+            (composite_grid(1025, "sqrt"), 0.5, 1.0, "tail"),
+            (composite_grid(1025, "sqrt"), 0.5, lambda x: 1.0 + x, "no tail"),
             (bench.build_case_grid(BLENDS["eps1"], 0.8, 4095), 0.8, 1.0, "tail"),
             (bench.build_case_grid(BLENDS["eps4"], 0.5, 4095), 0.5, 1.0, "tail"),
         ],
@@ -1125,9 +1124,9 @@ class TestSystemAndScaling:
         "grid,gamma",
         [
             (uniform_grid(31), 0.5),
-            (composite_grid(63, CompositeRule("sqrt")), 0.5),
+            (composite_grid(63, "sqrt"), 0.5),
             (graded_grid(31, blend_coefficients(3.0, 1.0, 0.0)), 0.5),
-            (composite_grid(63, CompositeRule("sqrt")), 0.3),
+            (composite_grid(63, "sqrt"), 0.3),
         ],
         ids=["toeplitz", "bordered", "dense", "bordered-gamma"],
     )

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import io
 import itertools
 import json
@@ -7,6 +8,7 @@ import tracemalloc
 import types
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -19,6 +21,26 @@ from gradedfve.mesh import q_cap, q_for_beta
 # a size whose dense matrix (0.52 MB) fits a patched physical memory of 1.5x
 # the matrix, while the matrix and the copy a direct solve factors do not
 DIRECT_N = 255
+
+
+@functools.lru_cache(maxsize=None)
+def right_flux_slope(beta: float, x: float) -> float:
+    """``R'(x)`` of ``R(x) = Gamma(beta)^-1 int_x^1 u'(t) (t - x)^(beta-1) dt``
+    for ``u = x^(1-beta)``, in 25 digits.
+
+    With ``t = x + (1 - x) s`` the endpoint singularity sits at ``s = 0``
+    whatever ``x``, so the numerical derivative never steps across it.
+    """
+    with mpmath.workdps(25):
+        b = mpmath.mpf(beta)
+
+        def r(y):
+            def integrand(s):
+                return (1 - b) * (y + (1 - y) * s) ** -b * ((1 - y) * s) ** (b - 1) * (1 - y)
+
+            return mpmath.quad(integrand, [0, 1]) / mpmath.gamma(b)
+
+        return float(mpmath.diff(r, mpmath.mpf(x)))
 
 
 def table_csv(t: bench.TableResult) -> str:
@@ -36,6 +58,19 @@ class TestProblemSetup:
         x = 0.25
         ref = (1 - 0.3) * (1 - 0.4) / (math.gamma(0.4) * x * (1 - x) ** 0.6)
         assert f(np.array([x]))[0] == pytest.approx(ref, rel=1e-14)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("beta", [0.2, 0.5, 0.8])
+    def test_source_is_the_flux_divergence_of_the_exact_solution(self, beta, gamma):
+        # the left Caputo derivative of x^(1-beta) is the constant
+        # Gamma(2 - beta), so only the right term (1 - gamma) R contributes
+        xs = np.array([0.1, 0.5, 0.9])
+        ref = np.array([-(1.0 - gamma) * right_flux_slope(beta, x) for x in xs])
+        got = bench.source_term(beta, gamma)(xs)
+        if gamma == 1.0:  # no right term: compare absolute values with 0
+            assert np.abs(got - ref).max() < 1e-12
+        else:
+            assert got == pytest.approx(ref, rel=1e-12)
 
     def test_mesh_spec_validation(self):
         with pytest.raises(ValueError):
@@ -607,6 +642,8 @@ class TestCli:
             (["solve", "--n", "0"], "n must be >= 1"),
             (["qopt", "--n", "0"], "n must be >= 1"),
             (["symbol", "--beta", "0.5", "--n-terms", "0"], "coefficients must be >= 1"),
+            (["symbol", "--beta", "0.5", "--points", "0"], "points must be >= 1"),
+            (["symbol", "--beta", "0.5", "--points", "-3"], "points must be >= 1"),
             (["qopt", "--n", "15", "--qstep", "0"], "q step must be positive"),
             (["qopt", "--n", "15", "--qmin", "3", "--qmax", "2"], "q range must not decrease"),
             (["solve", "--n", "15", "--maxit", "0"], "maxit must be >= 1"),

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from gradedfve import mesh
 from gradedfve.mesh import (
-    CompositeRule,
     MeshError,
     blend_coefficients,
     composite_grid,
@@ -250,14 +249,14 @@ class TestComposite:
         assert g.n == 264
 
     def test_sqrt_rule(self):
-        g = composite_grid(16, CompositeRule("sqrt"))
+        g = composite_grid(16, "sqrt")
         assert g.n == 16
         # n1 = 4 dyadic points, uniform step 1/13 beyond
         assert np.allclose(np.diff(g.points)[5:], 1.0 / 13)
 
     def test_log2_rule(self):
-        assert CompositeRule("log2")(1024) == 10
-        assert CompositeRule("sqrt")(16) == 4
+        assert mesh.composite_rule("log2")(1024) == 10
+        assert mesh.composite_rule("sqrt")(16) == 4
 
     def test_dyadic_ratios(self):
         g = composite_grid_from_counts(6, 40)
@@ -268,7 +267,7 @@ class TestComposite:
 
     def test_rejects_degenerate_split(self):
         with pytest.raises(MeshError):
-            composite_grid(1, CompositeRule("sqrt"))  # n1 == n
+            composite_grid(1, "sqrt")  # n1 == n
 
 
 class TestGridObject:
@@ -295,8 +294,7 @@ def any_grid(draw):
         q = min(q, q_cap(n))
         return graded_grid(n, blend_coefficients(q, *preset))
     n = draw(st.integers(4, 2**12))
-    rule = CompositeRule(draw(st.sampled_from(["sqrt", "log2"])))
-    return composite_grid(n, rule)
+    return composite_grid(n, draw(st.sampled_from(list(mesh.COMPOSITE_RULES))))
 
 
 @settings(max_examples=40, deadline=None)

@@ -6,13 +6,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gradedfve import _memory, bench, spectral
+from gradedfve import _memory, bench, mesh, spectral
 from gradedfve.assembly import (
     AssemblyError,
     DenseOperator,
     FdeProblem,
     FluxOperator,
     FveSystem,
+    assemble_matrix,
     assemble_rhs,
     assemble_system,
     row_scale,
@@ -20,10 +21,10 @@ from gradedfve.assembly import (
 )
 from gradedfve.cli import main as cli_main
 from gradedfve.mesh import (
-    CompositeRule,
     Grid,
     MeshError,
     blend_coefficients,
+    composite_grid,
     composite_grid_from_counts,
     graded_grid,
     graded_map_eval,
@@ -58,6 +59,11 @@ EPS6 = graded_grid(1025, blend_coefficients(3.0, 1.0, 0.0))
          AssemblyError, "dimensions are inconsistent"),
         (lambda: assemble_rhs(uniform_grid(3), FdeProblem(0.5, 0.5, source=lambda x: np.ones(3))),
          AssemblyError, "one value per evaluation point"),
+        # a scalar K from a callable broadcast nowhere but raised IndexError
+        (lambda: assemble_matrix(uniform_grid(3), FdeProblem(0.5, 0.5, diffusion=lambda x: 2.0)),
+         AssemblyError, "one value per midpoint"),
+        (lambda: FluxOperator(BORDERED, FdeProblem(0.5, 0.5, diffusion=lambda x: np.ones(3))),
+         AssemblyError, "one value per midpoint"),
         (lambda: assemble_rhs(uniform_grid(3), FdeProblem(0.5, 0.5, u_left=np.nan)),
          AssemblyError, "right-hand side has non-finite entries"),
         (lambda: uniform_toeplitz(0, 0.5), AssemblyError, "n must be >= 1"),
@@ -73,7 +79,8 @@ EPS6 = graded_grid(1025, blend_coefficients(3.0, 1.0, 0.0))
          "outside \\[0, 1\\]"),
         (lambda: graded_map_eval(blend_coefficients(2.0, 0.1, 0.05), np.array([0.5, np.nan])),
          MeshError, "outside \\[0, 1\\]"),
-        (lambda: CompositeRule("cube"), MeshError, "selector must be"),
+        (lambda: composite_grid(15, "cube"), MeshError, "selector must be 'sqrt' or 'log2'"),
+        (lambda: bench.MeshSpec("composite", rule="cube"), MeshError, "selector must be"),
         (lambda: composite_grid_from_counts(0, 5), MeshError, "n1 and n2 must be >= 1"),
         (lambda: build_hierarchy(row_scale(assemble_system(uniform_grid(3), PROBLEM))),
          MultigridError, "at least 4 interior points"),
@@ -85,15 +92,39 @@ EPS6 = graded_grid(1025, blend_coefficients(3.0, 1.0, 0.0))
     ],
     ids=[
         "dense-matvec", "bordered-matvec", "flux-beta-0", "flux-beta-1", "flux-variable-k-beta-0",
-        "system-dimensions", "source-length", "non-finite-rhs", "uniform-toeplitz-n",
+        "system-dimensions", "source-length", "diffusion-scalar", "diffusion-length", "non-finite-rhs", "uniform-toeplitz-n",
         "grid-size", "grid-span", "grid-order", "q-for-beta", "graded-n", "graded-collapse",
-        "grading-map-nan", "grading-map-nan-array", "composite-rule", "composite-counts",
+        "grading-map-nan", "grading-map-nan-array", "composite-rule", "composite-spec-rule",
+        "composite-counts",
         "hierarchy-size", "eig-size", "eig-coarse-square", "eig-tag", "glt5-size",
     ],
 )
 def test_bad_input_is_refused(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+@pytest.mark.parametrize(
+    "table,key,call",
+    [
+        ((bench, "MESH_FIELDS"), "twoended", lambda: bench.MeshSpec("weird")),
+        ((mesh, "COMPOSITE_RULES"), "cube", lambda: bench.MeshSpec("composite", rule="weird")),
+        ((bench, "SOLVERS"), "cg", lambda: bench.CaseConfig(0.5, 0.5, bench.MeshSpec(), 15, "lu")),
+        ((bench, "TABLES"), 5, lambda: bench.table_sweep(9)),
+        ((spectral, "GRID_LABELS"), "medium", lambda: spectral.eig_vs_symbol(0.5, 2.0, 16, "x")),
+    ],
+    ids=["mesh-kind", "composite-rule", "solver", "table", "grid-tag"],
+)
+def test_a_refusal_names_every_key_of_its_table(monkeypatch, table, key, call):
+    owner, name = table
+    entries = getattr(owner, name)
+    if isinstance(entries, dict):
+        monkeypatch.setitem(entries, key, entries[next(iter(entries))])
+    else:
+        monkeypatch.setattr(owner, name, (*entries, key))
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(key) in str(exc.value)
 
 
 @pytest.mark.parametrize(
